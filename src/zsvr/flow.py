@@ -26,7 +26,9 @@ def estimate_flow(
 
     Ties are broken toward the smallest displacement magnitude, then raster
     order of the displacement, so flat regions report zero motion. Patch
-    sampling clamps at image borders.
+    sampling clamps at image borders. The cost of a candidate is the
+    per-pixel squared error summed over channels in order, then over the
+    block as a sum of row sums, in raster offset order.
     """
     if src.shape != dst.shape:
         raise ValueError(f"shape mismatch: {src.shape} vs {dst.shape}")
@@ -36,10 +38,7 @@ def estimate_flow(
         raise ValueError("search must be >= 0")
     src = _as_3d(np.asarray(src, dtype=np.float64))
     dst = _as_3d(np.asarray(dst, dtype=np.float64))
-    h, w = src.shape[:2]
-
-    ys = np.arange(h)[:, None]
-    xs = np.arange(w)[None, :]
+    h, w, c = src.shape
 
     candidates = [
         (dy, dx)
@@ -48,30 +47,55 @@ def estimate_flow(
     ]
     candidates.sort(key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]))
 
+    # Clamped sampling as basic slices of edge-padded arrays: dst is padded
+    # by the search radius once, each candidate's error image by the block
+    # halves in x, and its row sums by the block halves in y. Channels are
+    # planes, so the channel sum adds contiguous arrays in channel order.
     half = block // 2
-    offs = range(-half, block - half)
+    wp = w + block - 1
+    src_c = np.ascontiguousarray(src.transpose(2, 0, 1))
+    pad = ((search, search), (search, search), (0, 0))
+    dst_c = np.ascontiguousarray(np.pad(dst, pad, mode="edge").transpose(2, 0, 1))
+    err_pad = np.zeros((h, wp))
+    err = err_pad[:, half : half + w]
+    rows_pad = np.zeros((h + block - 1, wp))
+    rows = rows_pad[half : half + h]
+    # The row pass runs over the flattened rows: an output in one of the
+    # first w columns only sums its own row, and the block - 1 spare
+    # columns on the right are scratch, never read into a valid column.
+    n_flat = h * wp - (block - 1)
+    err_flat = err_pad.reshape(-1)
+    rows_flat = rows.reshape(-1)[:n_flat]
+    cost = np.empty((h, wp))
+    better = np.empty((h, wp), dtype=bool)
 
-    best_cost = np.full((h, w), np.inf)
-    best_u = np.zeros((h, w))
-    best_v = np.zeros((h, w))
+    best_cost = np.full((h, wp), np.inf)
+    best_u = np.zeros((h, wp))
+    best_v = np.zeros((h, wp))
     for dy, dx in candidates:
-        yy = np.clip(ys + dy, 0, h - 1)
-        xx = np.clip(xs + dx, 0, w - 1)
-        err = ((src - dst[yy, xx]) ** 2).sum(axis=2)
-        # separable block sum with clamped (replicated) borders; explicit
-        # shift accumulation keeps the addition order deterministic so exact
-        # ties resolve by candidate order alone
-        rows = np.zeros((h, w))
-        for ox in offs:
-            rows += err[:, np.clip(np.arange(w) + ox, 0, w - 1)]
-        cost = np.zeros((h, w))
-        for oy in offs:
-            cost += rows[np.clip(np.arange(h) + oy, 0, h - 1), :]
-        better = cost < best_cost
-        best_cost[better] = cost[better]
-        best_u[better] = dx
-        best_v[better] = dy
-    return np.stack([best_u, best_v], axis=2)
+        sq = src_c - dst_c[:, search + dy : search + dy + h, search + dx : search + dx + w]
+        sq *= sq
+        err[...] = sq[0]
+        for ch in range(1, c):
+            err += sq[ch]
+        err_pad[:, :half] = err[:, :1]
+        err_pad[:, half + w :] = err[:, w - 1 :]
+        # separable block sum in a fixed offset order, so exact ties resolve
+        # by candidate order alone; sums of squares are never -0.0, so
+        # starting from the first term equals starting from zero
+        rows_flat[...] = err_flat[:n_flat]
+        for k in range(1, block):
+            rows_flat += err_flat[k : k + n_flat]
+        rows_pad[:half] = rows[:1]
+        rows_pad[half + h :] = rows[h - 1 :]
+        cost[...] = rows_pad[:h]
+        for k in range(1, block):
+            cost += rows_pad[k : k + h]
+        np.less(cost, best_cost, out=better)
+        np.copyto(best_cost, cost, where=better)
+        np.copyto(best_u, dx, where=better)
+        np.copyto(best_v, dy, where=better)
+    return np.stack([best_u[:, :w], best_v[:, :w]], axis=2)
 
 
 def warp(grid: np.ndarray, flow: np.ndarray) -> np.ndarray:

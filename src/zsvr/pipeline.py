@@ -166,56 +166,75 @@ def plan_batches(n: int, batch_size: int, seed: int) -> BatchPlan:
 
 @dataclass
 class FlowBank:
-    """Precomputed flows between frame pairs, at LQ resolution.
+    """Precomputed flows between the frame pairs restore reads, at LQ resolution.
 
     flow[(i, j)] = estimate_flow(frame_i, frame_j): sampled at frame i's
     positions, pointing at the corresponding position in frame j, so
     warp(x_j, flow[(i, j)]) aligns frame j's content onto frame i.
-    conf/mask[(i, j)] qualify that warp.
+    conf/mask[(i, j)] qualify that warp. The bank holds the pairs of
+    _needed_pairs and records the flow settings it was built with. One bank
+    serves every restore of the same frames with the same batch plan
+    (batch_size, seed) and flow settings (flow.block, flow.search,
+    flow.tau_occ); restore rejects a bank whose settings or pairs differ.
     """
 
+    block: int
+    search: int
+    tau_occ: float
     flow: dict = field(default_factory=dict)
     conf: dict = field(default_factory=dict)
     mask: dict = field(default_factory=dict)
 
 
-def _needed_pairs(n: int, plan: BatchPlan) -> set[tuple[int, int]]:
+def _needed_pairs(plan: BatchPlan) -> set[tuple[int, int]]:
+    """The pairs restore reads, both directions: each keyframe with its batch
+    members (star propagation and flow-guided merging) and each keyframe with
+    the previous batch's keyframe (the chain)."""
     pairs = set()
-    # adjacent keyframes (chain), both directions
     for b in range(1, len(plan.batches)):
         i, j = plan.keyframe_of[b], plan.keyframe_of[b - 1]
         pairs.add((i, j))
         pairs.add((j, i))
-    # keyframe <-> members
     for b, (start, end) in enumerate(plan.batches):
         kf = plan.keyframe_of[b]
         for m in range(start, end):
             if m != kf:
                 pairs.add((m, kf))
                 pairs.add((kf, m))
-    # adjacent frames and skip-one pairs (metrics)
-    for t in range(n - 1):
-        pairs.add((t + 1, t))
-        pairs.add((t, t + 1))
-    for t in range(n - 2):
-        pairs.add((t + 2, t))
-        pairs.add((t, t + 2))
     return pairs
 
 
 def precompute_flows(seq: FrameSequence, plan: BatchPlan, config: RestoreConfig) -> FlowBank:
     """Block-matching flows, confidences, and occlusion masks on the LQ frames."""
-    bank = FlowBank()
-    pairs = _needed_pairs(len(seq), plan)
-    for i, j in sorted(pairs):
+    bank = FlowBank(config.flow_block, config.flow_search, config.flow_tau_occ)
+    pairs = sorted(_needed_pairs(plan))
+    for i, j in pairs:
         bank.flow[(i, j)] = flowmod.estimate_flow(
             seq.frames[i], seq.frames[j], config.flow_block, config.flow_search
         )
-    for i, j in sorted(pairs):
+    for i, j in pairs:
         fwd, bwd = bank.flow[(i, j)], bank.flow[(j, i)]
         bank.conf[(i, j)] = flowmod.fb_confidence(fwd, bwd)
         bank.mask[(i, j)] = (bank.conf[(i, j)] < config.flow_tau_occ).astype(np.float64)
     return bank
+
+
+def _check_bank(bank: FlowBank, plan: BatchPlan, config: RestoreConfig) -> None:
+    built = (bank.block, bank.search, bank.tau_occ)
+    wanted = (config.flow_block, config.flow_search, config.flow_tau_occ)
+    if built != wanted:
+        raise ValueError(
+            f"flow bank built with flow.block/search/tau_occ {built}, config has {wanted}"
+        )
+    missing = _needed_pairs(plan) - (bank.flow.keys() & bank.conf.keys() & bank.mask.keys())
+    if missing:
+        raise ValueError(
+            f"flow bank lacks {len(missing)} frame pairs restore reads, e.g. {min(missing)}"
+        )
+
+
+def _needs_flows(n: int, config: RestoreConfig) -> bool:
+    return (config.hlw_enabled and n > 1) or (config.tome_enabled and config.tome_r > 0)
 
 
 def encode_latent(frame: np.ndarray, scale: int) -> np.ndarray:
@@ -244,9 +263,17 @@ def _in_windows(frac: float, windows: list[tuple[float, float]]) -> bool:
 
 
 def restore(
-    seq: FrameSequence, config: RestoreConfig, stats: dict | None = None
+    seq: FrameSequence,
+    config: RestoreConfig,
+    stats: dict | None = None,
+    bank: FlowBank | None = None,
 ) -> FrameSequence:
-    """Run the full zero-shot restoration over a frame sequence."""
+    """Run the full zero-shot restoration over a frame sequence.
+
+    bank, if given, must come from precompute_flows on the same frames with
+    the same batch plan and flow settings; otherwise restore computes the
+    flows it needs itself.
+    """
     config.validate()
     n = len(seq)
     h, w, _ = seq.shape
@@ -264,8 +291,10 @@ def restore(
     hlw_windows = config.active_hlw_windows()
     tome_windows = config.active_tome_windows()
 
-    need_flows = (config.hlw_enabled and n > 1) or (config.tome_enabled and config.tome_r > 0)
-    bank = precompute_flows(seq, plan, config) if need_flows else FlowBank()
+    if bank is not None:
+        _check_bank(bank, plan, config)
+    elif _needs_flows(n, config):
+        bank = precompute_flows(seq, plan, config)
     denoiser = ToyDenoiser(channels=3, seed=config.seed)
 
     if stats is not None:
@@ -326,8 +355,8 @@ def restore(
             return out
 
         src_frames = [f for f in frame_ids if f != kf]
-        merge_flows = [bank.flow[(m, kf)] for m in src_frames] if bank.flow else []
-        merge_confs = [bank.conf[(m, kf)] for m in src_frames] if bank.conf else []
+        merge_flows = [bank.flow[(m, kf)] for m in src_frames] if bank is not None else []
+        merge_confs = [bank.conf[(m, kf)] for m in src_frames] if bank is not None else []
 
         def attention_hook(kind, chunk: TokenChunk, attn_fn):
             pos = state["pos"]
@@ -398,7 +427,8 @@ def temporal_consistency(
 
     Flows (and occlusion masks for E_warp) are estimated from flow_source,
     which defaults to the measured sequence itself; pass the LQ input to
-    compare restored variants under identical flows.
+    compare restored variants under identical flows. These adjacent and
+    skip-one flows are not in restore's FlowBank.
     """
     src = flow_source if flow_source is not None else seq
     if len(src) != len(seq):
@@ -448,16 +478,26 @@ STAGE_VARIANTS = {
 
 
 def ablate(seq: FrameSequence, config: RestoreConfig, variants: dict | None = None) -> dict:
-    """Run restore under correspondence and stage variants; emit a metrics table."""
+    """Run restore under correspondence and stage variants; emit a metrics table.
+
+    Variants with the same batch plan and flow settings share one FlowBank;
+    the built-in variants override neither, so they all share one.
+    """
     table: dict = {"correspondence": {}, "stages": {}}
     groups = variants or {
         "correspondence": CORRESPONDENCE_VARIANTS,
         "stages": STAGE_VARIANTS,
     }
+    banks: dict = {}
     for group, entries in groups.items():
         for name, overrides in entries.items():
             cfg = replace(config, **overrides)
-            restored = restore(seq, cfg)
+            cfg.validate()
+            key = (cfg.batch_size, cfg.seed, cfg.flow_block, cfg.flow_search, cfg.flow_tau_occ)
+            if key not in banks and _needs_flows(len(seq), cfg):
+                plan = plan_batches(len(seq), cfg.batch_size, cfg.seed)
+                banks[key] = precompute_flows(seq, plan, cfg)
+            restored = restore(seq, cfg, bank=banks.get(key))
             e_warp, e_inter = temporal_consistency(restored, config, flow_source=seq)
             table.setdefault(group, {})[name] = {
                 "e_warp_mean": float(np.mean(e_warp)) if e_warp else None,

@@ -25,6 +25,14 @@ def _demo_pair(seed, n=24):
     return hq, lq
 
 
+def _restore_bank(lq, cfg):
+    """The FlowBank restore would compute, built once and shared by every
+    restore of one seed; the variants change neither the plan nor the flow
+    settings."""
+    plan = pipeline.plan_batches(len(lq), cfg.batch_size, cfg.seed)
+    return pipeline.precompute_flows(lq, plan, cfg)
+
+
 def _eval_flows(lq, cfg):
     """Adjacent and skip-one flows from the degraded input, for the
     consistency metrics; shared across the variants of one seed."""
@@ -273,7 +281,7 @@ def test_criterion_6_consistency_improvement():
     for seed in range(5):
         hq, lq = _demo_pair(seed)
         cfg = cli.demo_config(seed)
-        ours = pipeline.restore(lq, cfg)
+        ours = pipeline.restore(lq, cfg, bank=_restore_bank(lq, cfg))
         base = pipeline.per_frame_baseline(lq, cfg)
         warp_flows, warp_masks, fwd2, bwd2 = _eval_flows(lq, cfg)
         for seq, ew, ei in ((ours, ew_on, ei_on), (base, ew_off, ei_off)):
@@ -314,9 +322,10 @@ def test_criterion_7_ablation_ordering():
         hq, lq = _demo_pair(seed)
         cfg = cli.demo_config(seed)
         warp_flows, warp_masks, _, _ = _eval_flows(lq, cfg)
+        bank = _restore_bank(lq, cfg)
         for name in names:
             vcfg = replace(cfg, **pipeline.CORRESPONDENCE_VARIANTS[name])
-            restored = pipeline.restore(lq, vcfg)
+            restored = pipeline.restore(lq, vcfg, bank=bank)
             _, mw = metrics.warping_error(restored.frames, warp_flows, warp_masks)
             res[name].append(mw)
     med = {k: float(np.median(v)) for k, v in res.items()}

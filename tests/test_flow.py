@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zsvr import flow
 
@@ -118,6 +120,30 @@ def test_estimate_flow_matches_oracle():
         got = flow.estimate_flow(src, dst, block=3, search=2)
         want = estimate_flow_oracle(src, dst, block=3, search=2)
         assert np.array_equal(got, want)
+
+
+@st.composite
+def _flow_cases(draw):
+    h = draw(st.integers(1, 12))
+    w = draw(st.integers(1, 12))
+    shape = (h, w) if draw(st.booleans()) else (h, w, 3)
+    # few levels, so equal block costs (ties) are common
+    levels = draw(st.integers(1, 4))
+    cells = st.integers(0, levels)
+    n = int(np.prod(shape))
+    src = np.array(draw(st.lists(cells, min_size=n, max_size=n))).reshape(shape) / 4
+    dst = np.array(draw(st.lists(cells, min_size=n, max_size=n))).reshape(shape) / 4
+    return src, dst, draw(st.integers(1, 9)), draw(st.integers(0, 6))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_flow_cases())
+def test_estimate_flow_matches_oracle_property(case):
+    # block and search may exceed the frame, so clamping covers whole patches
+    src, dst, block, search = case
+    got = flow.estimate_flow(src, dst, block=block, search=search)
+    want = estimate_flow_oracle(src, dst, block=block, search=search)
+    assert np.array_equal(got, want)
 
 
 def test_warp_zero_flow_identity():

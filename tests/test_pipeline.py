@@ -138,23 +138,68 @@ def test_precompute_flows_translation():
     seq = FrameSequence([wide[:, 2 * t : 2 * t + 20].copy() for t in range(3)])
     plan = plan_batches(3, 3, seed=0)
     bank = pipeline.precompute_flows(seq, plan, small_config())
-    # frame 1's content sits 2 px further right in the texture, so frame 0's
-    # pixels correspond to positions 2 px to the left in frame 1
-    fl = bank.flow[(0, 1)]
+    assert plan.keyframe_of == [2]
+    # frame 2's content sits 2 px further right in the texture than frame
+    # 1's, so frame 1's pixels correspond to positions 2 px to the left in
+    # frame 2
+    fl = bank.flow[(1, 2)]
     interior = fl[6:-6, 6:-6]
     assert np.all(interior[:, :, 0] == -2)
     assert np.all(interior[:, :, 1] == 0)
 
 
-def test_needed_pairs_cover_metrics_and_batches():
+def test_needed_pairs_are_keyframe_members_and_chain():
     plan = plan_batches(6, 3, seed=0)
-    pairs = pipeline._needed_pairs(6, plan)
-    for t in range(5):
-        assert (t, t + 1) in pairs and (t + 1, t) in pairs
-    for t in range(4):
-        assert (t, t + 2) in pairs and (t + 2, t) in pairs
-    kf0, kf1 = plan.keyframe_of
-    assert (kf0, kf1) in pairs and (kf1, kf0) in pairs
+    assert plan.keyframe_of == [2, 4]
+    members = {(0, 2), (1, 2), (3, 4), (5, 4)}
+    chain = {(2, 4)}
+    want = {p for i, j in members | chain for p in ((i, j), (j, i))}
+    pairs = pipeline._needed_pairs(plan)
+    assert pairs == want
+    # adjacent frames that are neither keyframes nor chained are not read
+    assert (0, 1) not in pairs and (1, 0) not in pairs
+
+
+def test_restore_with_precomputed_bank_is_bit_identical():
+    lq = small_video()
+    cfg = small_config()
+    plan = plan_batches(len(lq), cfg.batch_size, cfg.seed)
+    bank = pipeline.precompute_flows(lq, plan, cfg)
+    own = pipeline.restore(lq, cfg)
+    shared = pipeline.restore(lq, cfg, bank=bank)
+    for a, b in zip(own.frames, shared.frames):
+        assert np.array_equal(a, b)
+
+
+def _no_compute(*args, **kwargs):
+    raise AssertionError("restore computed before rejecting the bank")
+
+
+def test_restore_rejects_bank_with_other_flow_settings(monkeypatch):
+    lq = small_video()
+    cfg = small_config()
+    plan = plan_batches(len(lq), cfg.batch_size, cfg.seed)
+    bank = pipeline.precompute_flows(lq, plan, cfg)
+    monkeypatch.setattr(pipeline.flowmod, "estimate_flow", _no_compute)
+    monkeypatch.setattr(pipeline.toydiff, "denoise_step", _no_compute)
+    for kw in (dict(flow_block=5), dict(flow_search=3), dict(flow_tau_occ=0.5)):
+        with pytest.raises(ValueError, match="flow bank built with"):
+            pipeline.restore(lq, small_config(**kw), bank=bank)
+
+
+def test_restore_rejects_bank_missing_a_pair(monkeypatch):
+    lq = small_video()
+    cfg = small_config()
+    # batches of 2 read keyframe pairs that a batch-of-3 plan does not hold
+    plan = plan_batches(len(lq), 3, cfg.seed)
+    bank = pipeline.precompute_flows(lq, plan, cfg)
+    monkeypatch.setattr(pipeline.flowmod, "estimate_flow", _no_compute)
+    monkeypatch.setattr(pipeline.toydiff, "denoise_step", _no_compute)
+    with pytest.raises(ValueError, match="lacks"):
+        pipeline.restore(lq, small_config(batch_size=2), bank=bank)
+    del bank.mask[(0, 2)]
+    with pytest.raises(ValueError, match="lacks 1 frame pairs"):
+        pipeline.restore(lq, cfg, bank=bank)
 
 
 def test_encode_decode_latent():
@@ -251,6 +296,27 @@ def test_temporal_consistency_lengths():
     e_warp, e_inter = pipeline.temporal_consistency(lq, small_config())
     assert len(e_warp) == 4
     assert len(e_inter) == 3
+
+
+def test_ablate_shares_one_bank_per_plan_and_flow_settings(monkeypatch):
+    lq = small_video(n=4, h=16, w=16)
+    cfg = small_config(batch_size=2)
+    built = []
+    precompute = pipeline.precompute_flows
+
+    def counting_precompute(seq, plan, config):
+        built.append((plan.batch_size, config.flow_block))
+        return precompute(seq, plan, config)
+
+    monkeypatch.setattr(pipeline, "precompute_flows", counting_precompute)
+    pipeline.ablate(lq, cfg)
+    assert built == [(2, cfg.flow_block)]
+
+    built.clear()
+    variants = {"v": {"a": {}, "b": dict(flow_block=5), "c": dict(batch_size=3), "d": {}}}
+    table = pipeline.ablate(lq, cfg, variants=variants)
+    assert built == [(2, cfg.flow_block), (2, 5), (3, cfg.flow_block)]
+    assert table["v"]["a"] == table["v"]["d"]
 
 
 def test_ablate_table_shape():
