@@ -8,6 +8,7 @@ partial outputs.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import json
 import math
 import os
@@ -37,7 +38,28 @@ def _atomic_write_json(obj: dict, path: str) -> None:
         raise
 
 
+def _check_replaceable(out_dir: str) -> None:
+    """Refuse an existing out_dir unless it holds only frame_*.ppm files and a
+    latents/ directory of latent_*.rtf files, the outputs restore writes."""
+    if not os.path.lexists(out_dir):
+        return
+    if not os.path.isdir(out_dir) or os.path.islink(out_dir):
+        raise ValueError(f"--out {out_dir} exists and is not a directory")
+    entries = [(e, "frame_*.ppm") for e in os.scandir(out_dir)]
+    latents = os.path.join(out_dir, "latents")
+    if os.path.isdir(latents) and not os.path.islink(latents):
+        entries = [(e, p) for e, p in entries if e.name != "latents"]
+        entries += [(e, "latent_*.rtf") for e in os.scandir(latents)]
+    for entry, pattern in entries:
+        if not (entry.is_file(follow_symlinks=False) and fnmatch.fnmatch(entry.name, pattern)):
+            raise ValueError(
+                f"--out {out_dir} holds {entry.path}, which restore does not write; "
+                "refusing to replace it"
+            )
+
+
 def _write_frames_atomic(seq: FrameSequence, out_dir: str) -> None:
+    _check_replaceable(out_dir)
     parent = os.path.dirname(os.path.abspath(out_dir)) or "."
     tmp = tempfile.mkdtemp(dir=parent)
     try:
@@ -79,6 +101,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_restore(args) -> int:
+    _check_replaceable(args.out_dir)
     seq = mediaio.read_frames(args.in_dir)
     cfg = _load_config(args)
     if args.no_hlw:

@@ -95,6 +95,10 @@ class RestoreConfig:
         beg, end = self.anneal_range()
         if beg >= end:
             raise ValueError("tome.i_beg must be < tome.i_end")
+        for name in ("hlw_windows", "tome_windows"):
+            for lo, hi in getattr(self, name) or []:
+                if not 0.0 <= lo < hi <= 1.0:
+                    raise ValueError(f"{name} entry ({lo}, {hi}) needs 0 <= lo < hi <= 1")
 
     def anneal_range(self) -> tuple[int, int]:
         beg = self.tome_i_beg if self.tome_i_beg is not None else round(0.6 * self.steps)
@@ -355,8 +359,18 @@ def restore(
             return out
 
         src_frames = [f for f in frame_ids if f != kf]
-        merge_flows = [bank.flow[(m, kf)] for m in src_frames] if bank is not None else []
-        merge_confs = [bank.conf[(m, kf)] for m in src_frames] if bank is not None else []
+
+        def merge_fields(hc: int, wc: int):
+            """The batch's merge flows and confidences on an (hc, wc) token grid."""
+            key = ("merge", kf, hc, wc)
+            if key not in resample_cache:
+                resample_cache[key] = {
+                    "flows": [flowmod.resample_flow(bank.flow[(m, kf)], hc, wc) for m in src_frames],
+                    "confidences": [
+                        flowmod.bilinear_resample(bank.conf[(m, kf)], hc, wc) for m in src_frames
+                    ],
+                }
+            return resample_cache[key]
 
         def attention_hook(kind, chunk: TokenChunk, attn_fn):
             pos = state["pos"]
@@ -376,12 +390,10 @@ def restore(
             if stats is not None:
                 stats["attention_merge_calls"] += 1
             mode = config.down_mode if kind is BlockKind.DOWN else config.up_mode
-            kwargs = {}
             if mode is MergeMode.FLOW_DOWN:
-                kwargs["flows"] = merge_flows
-                kwargs["confidences"] = merge_confs
+                kwargs = merge_fields(*chunk.content)
             else:
-                kwargs["R"] = config.tome_R if config.spatial else math.inf
+                kwargs = {"R": config.tome_R if config.spatial else math.inf}
             return hybrid_merge_pass(chunk, mode, attn_fn, r_i, **kwargs)
 
         hooks = HookSet(latent_hook=latent_hook, attention_hook=attention_hook)

@@ -14,6 +14,7 @@ denoising.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,6 +139,19 @@ def spatial_weight(
     return scores * np.exp(-tau)
 
 
+@functools.lru_cache(maxsize=16)
+def spatial_table(h: int, w: int, R: float) -> np.ndarray:
+    """Read-only (A, A) spatial weights between the cells of an (h, w) grid.
+
+    Entry [i, j] is the factor spatial_weight applies to a source at cell i
+    scored against the target at cell j; every source frame shares the table.
+    """
+    pos = grid_positions(h, w)
+    table = spatial_weight(np.ones((h * w, h * w)), pos, pos, R)
+    table.setflags(write=False)
+    return table
+
+
 def cosine_correspondence(scores: np.ndarray):
     """Per source row: (argmax target index, max score); ties to smallest index."""
     targets = np.argmax(scores, axis=1).astype(np.int64)
@@ -203,20 +217,19 @@ def select_top_r(targets: np.ndarray, criteria: np.ndarray, r_i: float) -> np.nd
 
 @dataclass
 class MergeRecord:
-    """Partition of chunk slots into groups, one output row per group.
+    """Which merged row represents each chunk slot.
 
-    groups[row] lists the flat chunk slots (frame * A + position) whose value
-    the row represents; row 0..A-1 are the A target groups, the rest are
-    surviving source singletons in slot order.
+    slot_to_row[frame * A + position] is the row of the merged array that
+    holds that slot's value. Rows 0..A-1 are the A targets, each the mean of
+    the target token and the sources merged into it; rows A.. are the
+    surviving source tokens in slot order. Every row is hit at least once, so
+    the rows partition the B*A slots into merged_count groups.
     """
 
-    groups: list[np.ndarray]
+    slot_to_row: np.ndarray  # (B*A,) int64
     n_frames: int
     n_tokens: int  # A
-
-    @property
-    def merged_count(self) -> int:
-        return len(self.groups)
+    merged_count: int
 
 
 def merge(
@@ -230,38 +243,32 @@ def merge(
 ):
     """Merge selected sources into their targets.
 
-    Each target gathers its assigned sources into one group whose merged token
-    is the arithmetic mean of all members; unselected sources pass through as
-    singletons. Output order: targets first (by index), then surviving sources
+    Each target's merged token is the arithmetic mean of the target and its
+    assigned sources, added in the order of selected (source order, as
+    select_top_r returns it sorted); unselected sources pass through
+    unchanged. Output order: targets first (by index), then surviving sources
     (by slot index).
     """
     a = tar.shape[0]
-    tar_base = target_index * a
-    assigned: list[list[int]] = [[] for _ in range(a)]
-    for i in selected:
-        assigned[targets[i]].append(int(i))
+    into = targets[selected]
+    sums = tar.copy()
+    np.add.at(sums, into, src[selected])
+    sums /= (np.bincount(into, minlength=a) + 1)[:, None]
+    kept = np.ones(src.shape[0], dtype=bool)
+    kept[selected] = False
+    n_kept = int(kept.sum())
 
-    rows = []
-    groups = []
-    for j in range(a):
-        members = [tar_base + j] + [int(src_slots[i]) for i in assigned[j]]
-        if assigned[j]:
-            stack = np.vstack([tar[j][None, :], src[assigned[j]]])
-            rows.append(stack.mean(axis=0))
-        else:
-            rows.append(tar[j])
-        groups.append(np.asarray(members, dtype=np.int64))
-    selected_set = set(int(i) for i in selected)
-    for i in range(src.shape[0]):
-        if i not in selected_set:
-            rows.append(src[i])
-            groups.append(np.asarray([int(src_slots[i])], dtype=np.int64))
-    merged = np.vstack(rows)
-    return merged, MergeRecord(groups=groups, n_frames=n_frames, n_tokens=a)
+    slot_to_row = np.empty(n_frames * a, dtype=np.int64)
+    slot_to_row[target_index * a : (target_index + 1) * a] = np.arange(a)
+    slot_to_row[src_slots[selected]] = into
+    slot_to_row[src_slots[kept]] = np.arange(a, a + n_kept)
+    merged = np.concatenate([sums, src[kept]])
+    record = MergeRecord(slot_to_row, n_frames=n_frames, n_tokens=a, merged_count=a + n_kept)
+    return merged, record
 
 
 def unmerge(attended: np.ndarray, record: MergeRecord) -> np.ndarray:
-    """Write each group's post-attention value back to all its slots.
+    """Write each merged row's post-attention value back to all its slots.
 
     Returns the reassembled (B, A, C) token array.
     """
@@ -271,10 +278,7 @@ def unmerge(attended: np.ndarray, record: MergeRecord) -> np.ndarray:
             f"{record.merged_count}"
         )
     b, a, c = record.n_frames, record.n_tokens, attended.shape[1]
-    out = np.empty((b * a, c), dtype=attended.dtype)
-    for row, slots in enumerate(record.groups):
-        out[slots] = attended[row]
-    return out.reshape(b, a, c)
+    return attended[record.slot_to_row].reshape(b, a, c)
 
 
 @dataclass
@@ -353,8 +357,11 @@ def hybrid_merge_pass(
     strip padding -> split -> correspondence (flow-guided or spatially
     weighted cosine) -> select top r_i -> merge -> attention over the merged
     tokens -> unmerge -> restore padding. Output shape equals input shape.
-    Flows/confidences may be at any resolution; they are resampled to the
-    content token grid (with displacement rescaling for flows).
+    Flows/confidences may be at any resolution; fields not already on the
+    content token grid are resampled to it (with displacement rescaling for
+    flows), so a caller that passes grid-sized fields skips that work. The
+    cosine scores of every source frame are weighted by the one cached
+    spatial_table of the content grid.
     """
     if mode is MergeMode.FLOW_DOWN and (flows is None or confidences is None):
         raise ValueError("FLOW_DOWN requires flows and confidences")
@@ -372,9 +379,8 @@ def hybrid_merge_pass(
         targets, criteria = flow_correspondence(h, w, b - 1, rs_flows, rs_confs)
     else:
         scores = cosine_scores(src, tar)
-        pos = grid_positions(h, w)
-        src_pos = np.tile(pos, (b - 1, 1))
-        scores = spatial_weight(scores, src_pos, pos, R)
+        per_frame = scores.reshape(b - 1, h * w, h * w)
+        np.multiply(per_frame, spatial_table(h, w, R), out=per_frame)
         targets, criteria = cosine_correspondence(scores)
 
     selected = select_top_r(targets, criteria, r_i)

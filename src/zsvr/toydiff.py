@@ -77,9 +77,11 @@ class HookSet:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax computed in place in x, which it returns."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 class ToyDenoiser:
@@ -117,8 +119,9 @@ class ToyDenoiser:
         q = tokens @ w["q"]
         k = tokens @ w["k"]
         v = tokens @ w["v"]
-        attn = _softmax(q @ k.T / math.sqrt(self.width))
-        return attn @ v
+        scores = q @ k.T
+        scores /= math.sqrt(self.width)
+        return _softmax(scores) @ v
 
     def _block(
         self,

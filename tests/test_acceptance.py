@@ -81,7 +81,8 @@ def test_criterion_1_merge_unmerge_algebra():
         out = tm.unmerge(attended, record)
         assert out.shape == chunk.tokens.shape
         flat = out.reshape(-1, c)
-        for row, group in enumerate(record.groups):
+        for row in range(record.merged_count):
+            group = np.flatnonzero(record.slot_to_row == row)
             assert np.array_equal(flat[group], np.tile(attended[row], (len(group), 1)))
     elapsed = time.time() - t0
     assert elapsed < 5.0
@@ -157,7 +158,8 @@ def test_criterion_3_oracle_equivalence():
         sel = tm.select_top_r(tg, cr, float(rng.random()))
         merged, record = tm.merge(src, tar, tg, sel, slots, 0, b)
         flat = chunk.tokens.reshape(-1, c)
-        for row, group in enumerate(record.groups):
+        for row in range(record.merged_count):
+            group = np.flatnonzero(record.slot_to_row == row)
             acc = np.zeros(c)
             for slot in group:
                 acc += flat[slot]

@@ -137,6 +137,26 @@ def test_no_partial_output_on_failure(tmp_path):
     assert not out.exists()
 
 
+def test_restore_refuses_out_dir_with_user_files(tmp_path, capsys):
+    in_dir, _, lq = _write_video(tmp_path)
+    cfg = _write_config(tmp_path, SMALL_CFG)
+    out = tmp_path / "o"
+    args = ["restore", "--in", str(in_dir), "--out", str(out), "--config", str(cfg)]
+    # its own outputs, latents included, are replaced
+    assert main(args + ["--dump-latents"]) == 0
+    assert main(args + ["--dump-latents"]) == 0
+    for user_file in (out / "notes.txt", out / "latents" / "notes.txt"):
+        user_file.write_text("keep me")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert main(args) == 1
+        assert "error:" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="notes.txt"):
+            cli._write_frames_atomic(lq, str(out))
+        # nothing deleted, changed or left behind
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        user_file.unlink()
+
+
 def test_make_demo_video_properties():
     seq = make_demo_video(n=6, h=32, w=32, seed=1)
     assert len(seq) == 6

@@ -81,6 +81,16 @@ def test_config_validation_rejects_bad_values():
             RestoreConfig(**kw).validate()
 
 
+def test_config_validation_rejects_bad_windows():
+    for name in ("hlw_windows", "tome_windows"):
+        for window in ((-0.1, 0.5), (0.5, 0.5), (0.6, 0.4), (0.5, 1.1)):
+            with pytest.raises(ValueError, match=name):
+                RestoreConfig(**{name: [(0.0, 0.2), window]}).validate()
+        RestoreConfig(**{name: [(0.0, 1.0)]}).validate()
+    for overrides in pipeline.STAGE_VARIANTS.values():
+        RestoreConfig(**overrides).validate()
+
+
 def test_anneal_range_defaults():
     cfg = RestoreConfig(steps=10)
     assert cfg.anneal_range() == (6, 10)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zsvr import tokenmerge as tm
 from zsvr.tokenmerge import (
@@ -275,6 +277,104 @@ def _merge_from_chunk(chunk, r_i, rng):
     )
 
 
+def merge_oracle(src, tar, targets, selected, src_slots, target_index, n_frames):
+    """Loop reference for tm.merge: merged rows and each row's slot group."""
+    a = tar.shape[0]
+    tar_base = target_index * a
+    assigned = [[] for _ in range(a)]
+    for i in selected:
+        assigned[targets[i]].append(int(i))
+
+    rows = []
+    groups = []
+    for j in range(a):
+        members = [tar_base + j] + [int(src_slots[i]) for i in assigned[j]]
+        if assigned[j]:
+            stack = np.vstack([tar[j][None, :], src[assigned[j]]])
+            rows.append(stack.mean(axis=0))
+        else:
+            rows.append(tar[j])
+        groups.append(np.asarray(members, dtype=np.int64))
+    selected_set = set(int(i) for i in selected)
+    for i in range(src.shape[0]):
+        if i not in selected_set:
+            rows.append(src[i])
+            groups.append(np.asarray([int(src_slots[i])], dtype=np.int64))
+    return np.vstack(rows), groups
+
+
+def unmerge_oracle(attended, groups, n_frames, n_tokens):
+    """Loop reference for tm.unmerge."""
+    out = np.empty((n_frames * n_tokens, attended.shape[1]), dtype=attended.dtype)
+    for row, slots in enumerate(groups):
+        out[slots] = attended[row]
+    return out.reshape(n_frames, n_tokens, attended.shape[1])
+
+
+@st.composite
+def _merge_cases(draw):
+    b = draw(st.integers(2, 5))
+    h = draw(st.integers(1, 8))
+    w = draw(st.integers(1, 8))
+    c = draw(st.integers(1, 17))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # few levels make equal scores (ties) and large groups common
+    levels = draw(st.integers(0, 3))
+    if levels:
+        tokens = rng.integers(-levels, levels + 1, (b, h * w, c)) / levels
+    else:
+        tokens = rng.standard_normal((b, h * w, c))
+    chunk = TokenChunk(tokens, (h, w), (h, w), draw(st.integers(0, b - 1)))
+    mode = draw(st.sampled_from(list(MergeMode)))
+    flows = [rng.integers(-2, 3, (h, w, 2)).astype(float) for _ in range(b - 1)]
+    confs = [rng.integers(0, 4, (h, w)) / 3 for _ in range(b - 1)]
+    R = draw(st.one_of(st.floats(0.25, 64.0), st.just(math.inf)))
+    r_i = draw(st.floats(0.0, 1.0))
+    return chunk, mode, flows, confs, R, r_i
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_merge_cases())
+def test_merge_unmerge_match_oracle_property(case):
+    chunk, mode, flows, confs, R, r_i = case
+    b, a, c = chunk.tokens.shape
+    h, w = chunk.layout
+    src, tar, slots = tm.split_src_tar(chunk)
+    scores = tm.cosine_scores(src, tar)
+    pos = tm.grid_positions(h, w)
+    weighted = (scores.reshape(b - 1, a, a) * tm.spatial_table(h, w, R)).reshape(-1, a)
+    assert np.array_equal(weighted, tm.spatial_weight(scores, np.tile(pos, (b - 1, 1)), pos, R))
+    if mode is MergeMode.COSINE_UP:
+        targets, criteria = tm.cosine_correspondence(weighted)
+    else:
+        targets, criteria = tm.flow_correspondence(h, w, b - 1, flows, confs)
+    selected = tm.select_top_r(targets, criteria, r_i)
+    args = (src, tar, targets, selected, slots, chunk.target_index, b)
+    merged, record = tm.merge(*args)
+    want, groups = merge_oracle(*args)
+
+    assert record.merged_count == len(groups) == merged.shape[0]
+    for row, group in enumerate(groups):
+        assert np.array_equal(np.flatnonzero(record.slot_to_row == row), np.sort(group))
+    if c > 1:
+        assert np.array_equal(merged, want)
+    else:
+        # numpy's mean over a single column sums pairwise, not in source order
+        size = np.bincount(record.slot_to_row)[:, None]
+        assert np.all(np.abs(merged - want) <= 2 * size * np.finfo(float).eps * np.abs(src).max())
+
+    # distinct rows, so any slot sent to the wrong row shows
+    attended = np.arange(merged.size, dtype=float).reshape(merged.shape)
+    assert np.array_equal(tm.unmerge(attended, record), unmerge_oracle(attended, groups, b, a))
+
+    # merge then unmerge (identity attention) keeps the partition: the slots of
+    # one row share its value, and a slot alone in its row comes back unchanged
+    out = tm.unmerge(merged, record).reshape(-1, c)
+    assert np.array_equal(out, merged[record.slot_to_row])
+    alone = np.bincount(record.slot_to_row)[record.slot_to_row] == 1
+    assert np.array_equal(out[alone], chunk.tokens.reshape(-1, c)[alone])
+
+
 def test_merge_empty_set_passthrough():
     rng = np.random.default_rng(7)
     chunk = random_chunk(rng, b=3, h=2, w=2, c=4, target=0)
@@ -303,12 +403,16 @@ def test_merge_group_means_match_oracle():
             chunk, r_i, rng
         )
         flat = chunk.tokens.reshape(-1, chunk.tokens.shape[2])
-        for row, group in enumerate(record.groups):
+        assert merged.shape[0] == record.merged_count
+        for row in range(record.merged_count):
+            group = np.flatnonzero(record.slot_to_row == row)
             want = flat[group].mean(axis=0)
             assert np.abs(merged[row] - want).max() <= 1e-6
-        # groups partition the slot set exactly
-        all_slots = np.concatenate(record.groups)
-        assert sorted(all_slots) == list(range(flat.shape[0]))
+        # the rows partition the slot set exactly: one row per slot, every row hit
+        assert record.slot_to_row.shape == (flat.shape[0],)
+        assert record.slot_to_row.min() >= 0
+        assert record.slot_to_row.max() < record.merged_count
+        assert len(np.unique(record.slot_to_row)) == record.merged_count
 
 
 def test_unmerge_group_constancy_and_shape():
@@ -320,7 +424,8 @@ def test_unmerge_group_constancy_and_shape():
         out = tm.unmerge(attended, record)
         assert out.shape == chunk.tokens.shape
         flat = out.reshape(-1, out.shape[2])
-        for row, group in enumerate(record.groups):
+        for row in range(record.merged_count):
+            group = np.flatnonzero(record.slot_to_row == row)
             assert np.array_equal(flat[group], np.tile(attended[row], (len(group), 1)))
 
 
