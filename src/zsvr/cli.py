@@ -17,7 +17,6 @@ import sys
 import tempfile
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from . import flow as flowmod
 from . import mediaio, metrics, pipeline
@@ -58,12 +57,19 @@ def _check_replaceable(out_dir: str) -> None:
             )
 
 
-def _write_frames_atomic(seq: FrameSequence, out_dir: str) -> None:
+def _write_frames_atomic(seq: FrameSequence, out_dir: str, latents=None) -> None:
+    """Write the frames, and latents/latent_*.rtf if given, then rename once."""
     _check_replaceable(out_dir)
     parent = os.path.dirname(os.path.abspath(out_dir)) or "."
     tmp = tempfile.mkdtemp(dir=parent)
     try:
         mediaio.write_frames(seq, tmp)
+        if latents is not None:
+            os.mkdir(os.path.join(tmp, "latents"))
+            for f, latent in enumerate(latents):
+                mediaio.write_raw_tensor(
+                    latent, os.path.join(tmp, "latents", f"latent_{f:04d}.rtf")
+                )
         if os.path.isdir(out_dir):
             shutil.rmtree(out_dir)
         os.replace(tmp, out_dir)
@@ -108,16 +114,10 @@ def cmd_restore(args) -> int:
         cfg.hlw_enabled = False
     if args.no_tome:
         cfg.tome_enabled = False
-    restored = pipeline.restore(seq, cfg)
-    _write_frames_atomic(restored, args.out_dir)
-    if args.dump_latents:
-        lat_dir = os.path.join(args.out_dir, "latents")
-        os.makedirs(lat_dir, exist_ok=True)
-        for f, frame in enumerate(restored.frames):
-            latent = pipeline.encode_latent(frame, cfg.latent_scale)
-            mediaio.write_raw_tensor(
-                latent, os.path.join(lat_dir, f"latent_{f:04d}.rtf")
-            )
+    latents = pipeline.restore_latents(seq, cfg)
+    h, w, _ = seq.shape
+    restored = FrameSequence([pipeline.decode_latent(x, h, w) for x in latents])
+    _write_frames_atomic(restored, args.out_dir, latents if args.dump_latents else None)
     return 0
 
 
@@ -154,6 +154,8 @@ def make_demo_video(
     n: int = 24, h: int = 64, w: int = 64, seed: int = 0
 ) -> FrameSequence:
     """Textured video with global translation plus a rotating center pattern."""
+    from scipy.ndimage import uniform_filter  # scipy's import is slow; only the demo needs it
+
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
     margin = n + 4
     texture = rng.random((h + margin, w + margin, 3))
@@ -233,11 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="zsvr",
         description="Zero-shot temporal consistency toolkit for video restoration.",
-        epilog=(
-            "Config file keys (key = value, one per line): batch_size, steps, "
-            "seed, hlw_until, tome.i_beg, tome.i_end, tome.delta, tome.r, "
-            "tome.R, flow.block, flow.search, flow.tau_occ, latent_scale."
-        ),
+        epilog="Config file keys (key = value, one per line): "
+        + ", ".join(pipeline._CONFIG_KEYS)
+        + ".",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

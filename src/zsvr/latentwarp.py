@@ -2,9 +2,10 @@
 
 Latents are (h, w, c) arrays. Occlusion masks M are (h, w) with 1 marking
 unreliable correspondences: a masked position keeps its own latent, an
-unmasked one takes the warped content of the source latent. Keyframe latents
-are chained sequentially (each uses its already-updated predecessor), then
-each keyframe is propagated star-shaped to the other frames of its batch.
+unmasked one takes the warped content of the source latent. Each keyframe
+latent is blended with the already-chained previous keyframe (one
+blend_warped call per step), then propagated star-shaped to the other frames
+of its batch.
 """
 
 from __future__ import annotations
@@ -35,29 +36,6 @@ def blend_warped(
         )
     m = mask[:, :, None] if own.ndim == 3 else mask
     return m * own + (1.0 - m) * warp(source, flow)
-
-
-def warp_keyframe_chain(
-    keyframes: list[np.ndarray],
-    flows: list[np.ndarray],
-    masks: list[np.ndarray],
-) -> list[np.ndarray]:
-    """Propagate keyframe latents along the chain.
-
-    flows[i-1]/masks[i-1] warp keyframe i-1 onto keyframe i's geometry. Each
-    step uses the already-updated predecessor, so guidance travels the whole
-    chain; the first keyframe is unchanged.
-    """
-    n = len(keyframes)
-    if len(flows) != n - 1 or len(masks) != n - 1:
-        raise ValueError(
-            f"need {n - 1} flows and masks for {n} keyframes, "
-            f"got {len(flows)} and {len(masks)}"
-        )
-    out = [keyframes[0].copy()]
-    for i in range(1, n):
-        out.append(blend_warped(keyframes[i], out[i - 1], flows[i - 1], masks[i - 1]))
-    return out
 
 
 def propagate_to_batch(

@@ -205,12 +205,6 @@ def write_raw_tensor(arr: np.ndarray, path: str) -> None:
         fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _mean_or_none(values):
-    if not values:
-        return None
-    return float(np.mean([float(v) for v in values]))
-
-
 def _json_value(x, label: str):
     """Map a metric value to JSON; +inf is a legal PSNR sentinel, NaN is a bug."""
     x = float(x)

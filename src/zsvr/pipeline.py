@@ -1,12 +1,13 @@
 """End-to-end restoration: batching, flow precomputation, stage scheduling.
 
-restore() processes the video batch by batch through the toy DDIM sampler.
-Hierarchical latent warping runs in the configured early fraction of steps:
-the batch keyframe is first chained from the previous batch's keyframe (using
-its recorded clean-latent prediction at the same step), then propagated
-star-shaped to the batch members. Token merging wraps every self-attention:
-flow-guided in down blocks, spatially weighted cosine in up blocks, with the
-merge ratio annealed by a cosine ramp.
+restore() processes the video batch by batch through the toy DDIM sampler
+and decides once per step which mechanisms run. Hierarchical latent warping
+runs in the steps of its windows: the batch keyframe is first chained from
+the previous batch's keyframe (its clean-latent prediction at the same step,
+after its own chain blend), then propagated star-shaped to the batch members.
+Token merging wraps every self-attention in the steps of its windows where
+the annealed merge ratio is positive: flow-guided in down blocks, spatially
+weighted cosine in up blocks.
 
 The "encoder/decoder" is area downsampling / bilinear upsampling, not a VAE:
 latents are downsampled frames. This is a deliberate desk-scale substitution.
@@ -14,6 +15,7 @@ latents are downsampled frames. This is a deliberate desk-scale substitution.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -22,7 +24,7 @@ import numpy as np
 from . import flow as flowmod
 from . import latentwarp, metrics, toydiff
 from .mediaio import FrameSequence
-from .tokenmerge import AnnealParams, MergeMode, TokenChunk, anneal_ratio, hybrid_merge_pass
+from .tokenmerge import AnnealParams, MergeMode, anneal_ratio, hybrid_merge_pass
 from .toydiff import BlockKind, HookSet, ToyDenoiser
 
 # Fixed toy noise schedule; the step count is configurable, the schedule not.
@@ -30,11 +32,20 @@ SCHED_T = 100
 BETA_START = 1e-4
 BETA_END = 0.02
 
+
+def _hlw_until(text: str) -> tuple[tuple[float, float], ...]:
+    """Config key hlw_until = v: latent warping in the leading step fraction v."""
+    v = float(text)
+    if not 0.0 <= v <= 1.0:
+        raise ValueError("hlw_until must be in [0, 1]")
+    return ((0.0, v),) if v > 0 else ()
+
+
 _CONFIG_KEYS = {
     "batch_size": ("batch_size", int),
     "steps": ("steps", int),
     "seed": ("seed", int),
-    "hlw_until": ("hlw_until", float),
+    "hlw_until": ("hlw_windows", _hlw_until),
     "tome.i_beg": ("tome_i_beg", int),
     "tome.i_end": ("tome_i_end", int),
     "tome.delta": ("tome_delta", float),
@@ -52,7 +63,6 @@ class RestoreConfig:
     batch_size: int = 8
     steps: int = 50
     seed: int = 0
-    hlw_until: float = 0.2
     tome_i_beg: int | None = None  # anneal start; default 60% of steps
     tome_i_end: int | None = None  # anneal end; default step count
     tome_delta: float = 1.0
@@ -68,18 +78,15 @@ class RestoreConfig:
     down_mode: MergeMode = MergeMode.FLOW_DOWN
     up_mode: MergeMode = MergeMode.COSINE_UP
     spatial: bool = True
-    # Active step-fraction windows; None derives HLW from hlw_until and
-    # gives token merging the full range.
-    hlw_windows: list[tuple[float, float]] | None = None
-    tome_windows: list[tuple[float, float]] | None = None
+    # Step-fraction windows [lo, hi) in which each mechanism runs.
+    hlw_windows: tuple[tuple[float, float], ...] = ((0.0, 0.2),)
+    tome_windows: tuple[tuple[float, float], ...] = ((0.0, 1.0),)
 
     def validate(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 1 <= self.steps <= SCHED_T:
             raise ValueError(f"steps must be in [1, {SCHED_T}]")
-        if not 0.0 <= self.hlw_until <= 1.0:
-            raise ValueError("hlw_until must be in [0, 1]")
         if not 0.0 <= self.tome_r <= 1.0:
             raise ValueError("tome.r must be in [0, 1]")
         if self.tome_delta <= 0:
@@ -96,7 +103,7 @@ class RestoreConfig:
         if beg >= end:
             raise ValueError("tome.i_beg must be < tome.i_end")
         for name in ("hlw_windows", "tome_windows"):
-            for lo, hi in getattr(self, name) or []:
+            for lo, hi in getattr(self, name):
                 if not 0.0 <= lo < hi <= 1.0:
                     raise ValueError(f"{name} entry ({lo}, {hi}) needs 0 <= lo < hi <= 1")
 
@@ -105,15 +112,8 @@ class RestoreConfig:
         end = self.tome_i_end if self.tome_i_end is not None else self.steps
         return beg, end
 
-    def active_hlw_windows(self) -> list[tuple[float, float]]:
-        if self.hlw_windows is not None:
-            return self.hlw_windows
-        return [(0.0, self.hlw_until)]
-
-    def active_tome_windows(self) -> list[tuple[float, float]]:
-        if self.tome_windows is not None:
-            return self.tome_windows
-        return [(0.0, 1.0)]
+    def active_tome_windows(self) -> tuple[tuple[float, float], ...]:
+        return self.tome_windows
 
 
 def parse_config(text: str) -> RestoreConfig:
@@ -262,21 +262,32 @@ def frame_noise(seed: int, frame_index: int, shape: tuple[int, ...]) -> np.ndarr
     return rng.standard_normal(shape)
 
 
-def _in_windows(frac: float, windows: list[tuple[float, float]]) -> bool:
+def _in_windows(frac: float, windows) -> bool:
     return any(lo <= frac < hi for lo, hi in windows)
 
 
-def restore(
-    seq: FrameSequence,
-    config: RestoreConfig,
-    stats: dict | None = None,
-    bank: FlowBank | None = None,
-) -> FrameSequence:
-    """Run the full zero-shot restoration over a frame sequence.
+def _merge_attention(config: RestoreConfig, fields: dict, r_i: float, kind, chunk, attention):
+    """Attention hook: one hybrid merge pass at merge ratio r_i.
 
-    bank, if given, must come from precompute_flows on the same frames with
-    the same batch plan and flow settings; otherwise restore computes the
-    flows it needs itself.
+    fields maps each content token grid to the batch's merge flows and
+    confidences on that grid, as hybrid_merge_pass takes them.
+    """
+    mode = config.down_mode if kind is BlockKind.DOWN else config.up_mode
+    if mode is MergeMode.FLOW_DOWN:
+        kwargs = fields[chunk.content]
+    else:
+        kwargs = {"R": config.tome_R if config.spatial else math.inf}
+    return hybrid_merge_pass(chunk, mode, attention, r_i, **kwargs)
+
+
+def restore_latents(
+    seq: FrameSequence, config: RestoreConfig, bank: FlowBank | None = None
+) -> np.ndarray:
+    """Run the full zero-shot restoration; return the sampler's final latents.
+
+    The result has shape (n, h / latent_scale, w / latent_scale, 3). bank, if
+    given, must come from precompute_flows on the same frames with the same
+    batch plan and flow settings; otherwise the flows needed are computed here.
     """
     config.validate()
     n = len(seq)
@@ -285,6 +296,7 @@ def restore(
     if h % scale or w % scale:
         raise ValueError(f"frame size {h}x{w} not divisible by latent_scale {scale}")
     hl, wl = h // scale, w // scale
+    grids = ((hl, wl), ((hl + 1) // 2, (wl + 1) // 2))  # the blocks' content grids
 
     plan = plan_batches(n, config.batch_size, config.seed)
     sched = toydiff.make_schedule(SCHED_T, BETA_START, BETA_END)
@@ -292,8 +304,15 @@ def restore(
     num_steps = len(ts)
     beg, end = config.anneal_range()
     anneal = AnnealParams(r=config.tome_r, delta=config.tome_delta, i_beg=beg, i_end=end)
-    hlw_windows = config.active_hlw_windows()
-    tome_windows = config.active_tome_windows()
+    # Per step: does latent warping run, and at which merge ratio (0: none).
+    fracs = [pos / num_steps for pos in range(num_steps)]
+    hlw_on = [config.hlw_enabled and _in_windows(f, config.hlw_windows) for f in fracs]
+    ratios = [
+        anneal_ratio(pos, anneal)
+        if config.tome_enabled and _in_windows(f, config.tome_windows)
+        else 0.0
+        for pos, f in enumerate(fracs)
+    ]
 
     if bank is not None:
         _check_bank(bank, plan, config)
@@ -301,114 +320,87 @@ def restore(
         bank = precompute_flows(seq, plan, config)
     denoiser = ToyDenoiser(channels=3, seed=config.seed)
 
-    if stats is not None:
-        stats.setdefault("latent_hook_calls", 0)
-        stats.setdefault("attention_merge_calls", 0)
-
-    resample_cache: dict = {}
-
-    def latent_flow(i: int, j: int) -> np.ndarray:
-        key = ("f", i, j)
-        if key not in resample_cache:
-            resample_cache[key] = flowmod.resample_flow(bank.flow[(i, j)], hl, wl)
-        return resample_cache[key]
-
-    def latent_mask(i: int, j: int) -> np.ndarray:
-        key = ("m", i, j)
-        if key not in resample_cache:
-            resample_cache[key] = flowmod.resample_mask(bank.mask[(i, j)], hl, wl)
-        return resample_cache[key]
-
-    outputs: list[np.ndarray | None] = [None] * n
-    prev_kf_store: dict[int, np.ndarray] = {}
+    out = np.empty((n, hl, wl, 3))
+    prev_kf_x0: dict[int, np.ndarray] = {}  # step -> previous keyframe's post-chain x0
 
     for b, (start, stop) in enumerate(plan.batches):
-        frame_ids = list(range(start, stop))
         kf = plan.keyframe_of[b]
         kf_off = kf - start
-        prev_kf = plan.keyframe_of[b - 1] if b > 0 else None
+        members = [f for f in range(start, stop) if f != kf]
+        member_offs = [f - start for f in members]
 
-        x0s = np.stack([encode_latent(seq.frames[f], scale) for f in frame_ids])
-        eps0 = np.stack([frame_noise(config.seed, f, (hl, wl, 3)) for f in frame_ids])
+        x0s = np.stack([encode_latent(seq.frames[f], scale) for f in range(start, stop)])
+        eps0 = np.stack([frame_noise(config.seed, f, (hl, wl, 3)) for f in range(start, stop)])
         x = toydiff.forward_diffuse(x0s, ts[0], eps0, sched)
 
-        cur_kf_store: dict[int, np.ndarray] = {}
-        state = {"pos": 0}
-
-        def latent_hook(step_pos, t, x0_batch):
-            frac = step_pos / num_steps
-            if not (config.hlw_enabled and _in_windows(frac, hlw_windows)):
-                return x0_batch
-            if stats is not None:
-                stats["latent_hook_calls"] += 1
-            out = x0_batch.copy()
-            if prev_kf is not None and step_pos in prev_kf_store:
-                out[kf_off] = latentwarp.blend_warped(
-                    out[kf_off],
-                    prev_kf_store[step_pos],
-                    latent_flow(kf, prev_kf),
-                    latent_mask(kf, prev_kf),
+        # The batch's warp and merge fields, resampled once to the grids that read them.
+        chain = None
+        if any(hlw_on):
+            star_flows = [flowmod.resample_flow(bank.flow[(m, kf)], hl, wl) for m in members]
+            star_masks = [flowmod.resample_mask(bank.mask[(m, kf)], hl, wl) for m in members]
+            if b > 0:
+                pair = (kf, plan.keyframe_of[b - 1])
+                chain = (
+                    flowmod.resample_flow(bank.flow[pair], hl, wl),
+                    flowmod.resample_mask(bank.mask[pair], hl, wl),
                 )
-            cur_kf_store[step_pos] = out[kf_off].copy()
-            for off, f in enumerate(frame_ids):
-                if f == kf:
-                    continue
-                out[off] = latentwarp.blend_warped(
-                    out[off], out[kf_off], latent_flow(f, kf), latent_mask(f, kf)
-                )
-            return out
-
-        src_frames = [f for f in frame_ids if f != kf]
-
-        def merge_fields(hc: int, wc: int):
-            """The batch's merge flows and confidences on an (hc, wc) token grid."""
-            key = ("merge", kf, hc, wc)
-            if key not in resample_cache:
-                resample_cache[key] = {
-                    "flows": [flowmod.resample_flow(bank.flow[(m, kf)], hc, wc) for m in src_frames],
+        fields = {}
+        if members and any(ratios) and MergeMode.FLOW_DOWN in (config.down_mode, config.up_mode):
+            fields = {
+                (hc, wc): {
+                    "flows": [flowmod.resample_flow(bank.flow[(m, kf)], hc, wc) for m in members],
                     "confidences": [
-                        flowmod.bilinear_resample(bank.conf[(m, kf)], hc, wc) for m in src_frames
+                        flowmod.bilinear_resample(bank.conf[(m, kf)], hc, wc) for m in members
                     ],
                 }
-            return resample_cache[key]
+                for hc, wc in grids
+            }
 
-        def attention_hook(kind, chunk: TokenChunk, attn_fn):
-            pos = state["pos"]
-            frac = pos / num_steps
-            nb = chunk.tokens.shape[0]
-            r_i = anneal_ratio(pos, anneal)
-            active = (
-                config.tome_enabled
-                and _in_windows(frac, tome_windows)
-                and r_i > 0.0
-                and nb >= 2
+        kf_x0: dict[int, np.ndarray] = {}
+
+        def latent_hook(step_pos, t, x0_batch):
+            x0_batch = x0_batch.copy()
+            if chain is not None:
+                x0_batch[kf_off] = latentwarp.blend_warped(
+                    x0_batch[kf_off], prev_kf_x0[step_pos], *chain
+                )
+            kf_x0[step_pos] = x0_batch[kf_off].copy()
+            warped = latentwarp.propagate_to_batch(
+                x0_batch[kf_off], [x0_batch[o] for o in member_offs], star_flows, star_masks
             )
-            if not active:
-                # Exactly the denoiser's hookless per-frame attention path.
-                tokens = np.stack([attn_fn(chunk.tokens[i]) for i in range(nb)])
-                return replace(chunk, tokens=tokens)
-            if stats is not None:
-                stats["attention_merge_calls"] += 1
-            mode = config.down_mode if kind is BlockKind.DOWN else config.up_mode
-            if mode is MergeMode.FLOW_DOWN:
-                kwargs = merge_fields(*chunk.content)
-            else:
-                kwargs = {"R": config.tome_R if config.spatial else math.inf}
-            return hybrid_merge_pass(chunk, mode, attn_fn, r_i, **kwargs)
+            for off, latent in zip(member_offs, warped):
+                x0_batch[off] = latent
+            return x0_batch
 
-        hooks = HookSet(latent_hook=latent_hook, attention_hook=attention_hook)
         for pos, t in enumerate(ts):
-            state["pos"] = pos
             t_prev = ts[pos + 1] if pos + 1 < num_steps else None
+            merging = members and ratios[pos] > 0.0
+            hooks = HookSet(
+                latent_hook=latent_hook if hlw_on[pos] else None,
+                attention_hook=(
+                    functools.partial(_merge_attention, config, fields, ratios[pos])
+                    if merging
+                    else None
+                ),
+            )
             x = toydiff.denoise_step(
                 x, t, t_prev, pos, denoiser, hooks, sched, target_index=kf_off
             )
-        prev_kf_store = cur_kf_store
+        prev_kf_x0 = kf_x0
+        out[start:stop] = x
 
-        for off, f in enumerate(frame_ids):
-            outputs[f] = decode_latent(x[off], h, w)
+    return out
 
-    return FrameSequence(outputs)
+
+def restore(
+    seq: FrameSequence, config: RestoreConfig, bank: FlowBank | None = None
+) -> FrameSequence:
+    """Run the full zero-shot restoration over a frame sequence.
+
+    The decoded frames of restore_latents, which documents the arguments.
+    """
+    h, w, _ = seq.shape
+    return FrameSequence([decode_latent(x, h, w) for x in restore_latents(seq, config, bank)])
 
 
 def per_frame_baseline(seq: FrameSequence, config: RestoreConfig) -> FrameSequence:

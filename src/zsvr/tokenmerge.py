@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flow as flowmod
-
 INVALID = -1
 
 
@@ -335,14 +333,6 @@ def restore_padding(content_chunk: TokenChunk, spec: PadSpec) -> TokenChunk:
     )
 
 
-def _resampled_to_grid(field: np.ndarray, h: int, w: int, is_flow: bool) -> np.ndarray:
-    if field.shape[:2] == (h, w):
-        return field
-    if is_flow:
-        return flowmod.resample_flow(field, h, w)
-    return flowmod.bilinear_resample(field, h, w)
-
-
 def hybrid_merge_pass(
     chunk: TokenChunk,
     mode: MergeMode,
@@ -357,11 +347,9 @@ def hybrid_merge_pass(
     strip padding -> split -> correspondence (flow-guided or spatially
     weighted cosine) -> select top r_i -> merge -> attention over the merged
     tokens -> unmerge -> restore padding. Output shape equals input shape.
-    Flows/confidences may be at any resolution; fields not already on the
-    content token grid are resampled to it (with displacement rescaling for
-    flows), so a caller that passes grid-sized fields skips that work. The
-    cosine scores of every source frame are weighted by the one cached
-    spatial_table of the content grid.
+    Flows and confidences are per source frame on the content token grid,
+    flows in token units. The cosine scores of every source frame are
+    weighted by the one cached spatial_table of the content grid.
     """
     if mode is MergeMode.FLOW_DOWN and (flows is None or confidences is None):
         raise ValueError("FLOW_DOWN requires flows and confidences")
@@ -374,9 +362,7 @@ def hybrid_merge_pass(
     src, tar, src_slots = split_src_tar(stripped)
 
     if mode is MergeMode.FLOW_DOWN:
-        rs_flows = [_resampled_to_grid(f, h, w, is_flow=True) for f in flows]
-        rs_confs = [_resampled_to_grid(cmap, h, w, is_flow=False) for cmap in confidences]
-        targets, criteria = flow_correspondence(h, w, b - 1, rs_flows, rs_confs)
+        targets, criteria = flow_correspondence(h, w, b - 1, flows, confidences)
     else:
         scores = cosine_scores(src, tar)
         per_frame = scores.reshape(b - 1, h * w, h * w)

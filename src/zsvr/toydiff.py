@@ -14,6 +14,10 @@ temporal-consistency mechanisms attach to:
   * latent_hook(step_pos, t, x0_batch) -> x0_batch, called on the predicted
     clean latents of the whole batch after every denoising step's prediction.
 
+Either hook may be None, and each denoise_step takes its own HookSet, so a
+caller that runs a mechanism only in some steps passes None in the others:
+that step then runs exactly the hookless path.
+
 Sampling is DDIM with eta=0: fully deterministic given seeds and inputs.
 """
 

@@ -101,8 +101,41 @@ def test_restore_dump_latents(tmp_path):
     out = tmp_path / "o"
     assert main(["restore", "--in", str(in_dir), "--out", str(out),
                  "--config", str(cfg), "--dump-latents"]) == 0
-    lat = mediaio.read_raw_tensor(str(out / "latents" / "latent_0000.rtf"))
-    assert lat.shape == (8, 8, 3)
+    # the sampler's final latents, not the re-encoded output frames
+    decoded = mediaio.read_frames(str(in_dir))
+    want = pipeline.restore_latents(decoded, pipeline.parse_config(SMALL_CFG))
+    assert want.shape == (4, 8, 8, 3)
+    assert sorted(os.listdir(out / "latents")) == [f"latent_{f:04d}.rtf" for f in range(4)]
+    for f in range(4):
+        lat = mediaio.read_raw_tensor(str(out / "latents" / f"latent_{f:04d}.rtf"))
+        assert np.array_equal(lat, want[f].astype(np.float32))
+    # and the frames are those latents decoded
+    got = mediaio.read_frames(str(out))
+    restored = pipeline.restore(decoded, pipeline.parse_config(SMALL_CFG))
+    for a, b in zip(got.frames, restored.frames):
+        assert np.abs(a - b).max() <= 1.0 / 510.0 + 1e-12
+
+
+def test_restore_dump_latents_failure_leaves_out_untouched(tmp_path, monkeypatch, capsys):
+    in_dir, _, _ = _write_video(tmp_path)
+    cfg = _write_config(tmp_path, SMALL_CFG)
+    out = tmp_path / "o"
+    args = ["restore", "--in", str(in_dir), "--out", str(out), "--config", str(cfg)]
+
+    def failing_write(arr, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.mediaio, "write_raw_tensor", failing_write)
+    assert main(args + ["--dump-latents"]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.txt", "in"]
+    monkeypatch.undo()
+    assert main(args) == 0
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    monkeypatch.setattr(cli.mediaio, "write_raw_tensor", failing_write)
+    assert main(args + ["--dump-latents"]) == 1
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert sorted(os.listdir(tmp_path)) == ["cfg.txt", "in", "o"]
 
 
 def test_metrics_command_with_ref(tmp_path):

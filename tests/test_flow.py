@@ -152,6 +152,20 @@ def test_warp_zero_flow_identity():
     assert np.allclose(flow.warp(img, np.zeros((6, 7, 2))), img)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 10),
+    st.integers(1, 10),
+    st.sampled_from([None, 1, 3]),
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-3, 1e6),
+)
+def test_warp_zero_flow_identity_property(h, w, c, seed, scale):
+    rng = np.random.default_rng(seed)
+    img = scale * rng.standard_normal((h, w) if c is None else (h, w, c))
+    assert np.array_equal(flow.warp(img, np.zeros((h, w, 2))), img)
+
+
 def test_warp_matches_oracle():
     rng = np.random.default_rng(4)
     for _ in range(5):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from zsvr import pipeline
+from zsvr import latentwarp, pipeline
 from zsvr.cli import degrade_video, make_demo_video
 from zsvr.mediaio import FrameSequence
 from zsvr.pipeline import RestoreConfig, parse_config, plan_batches
+from zsvr.toydiff import ToyDenoiser
 
 
 def small_config(**kw):
@@ -43,10 +44,19 @@ def test_parse_config_all_keys():
     )
     assert cfg.batch_size == 4
     assert cfg.steps == 12
-    assert cfg.hlw_until == 0.3
+    assert cfg.hlw_windows == ((0.0, 0.3),)
     assert cfg.tome_i_beg == 6 and cfg.tome_i_end == 12
     assert cfg.tome_R == 2.0
     assert cfg.flow_tau_occ == 0.25
+
+
+def test_parse_config_hlw_until_is_one_leading_window():
+    assert parse_config("hlw_until = 0.3").hlw_windows == ((0.0, 0.3),)
+    assert parse_config("hlw_until = 0").hlw_windows == ()
+    assert RestoreConfig().hlw_windows == ((0.0, 0.2),)
+    for bad in ("1.5", "-0.1"):
+        with pytest.raises(ValueError, match="bad value for hlw_until"):
+            parse_config(f"hlw_until = {bad}")
 
 
 def test_parse_config_unknown_key():
@@ -69,7 +79,6 @@ def test_config_validation_rejects_bad_values():
         dict(batch_size=0),
         dict(steps=0),
         dict(steps=101),
-        dict(hlw_until=1.5),
         dict(tome_r=2.0),
         dict(tome_delta=0.0),
         dict(tome_R=-1.0),
@@ -268,18 +277,100 @@ def test_restore_validates_config_before_compute():
         pipeline.restore(lq, small_config(steps=0))
 
 
-def test_hook_gating_counters():
-    lq = small_video()
-    stats_on: dict = {}
-    pipeline.restore(lq, small_config(), stats=stats_on)
-    assert stats_on["latent_hook_calls"] > 0
-    assert stats_on["attention_merge_calls"] > 0
+def test_hook_gating_counters(monkeypatch):
+    # 7 frames in batches of 3, 3 and 1: merging runs only in the two
+    # batches with >= 2 frames, latent warping chains batches 1 and 2
+    lq = small_video(n=7)
+    counts = {"merge": 0, "blend": 0}
+    merge_pass, blend = pipeline.hybrid_merge_pass, latentwarp.blend_warped
 
-    stats_off: dict = {}
-    cfg = small_config(hlw_windows=[], tome_windows=[])
-    pipeline.restore(lq, cfg, stats=stats_off)
-    assert stats_off["latent_hook_calls"] == 0
-    assert stats_off["attention_merge_calls"] == 0
+    def counting_merge(*args, **kwargs):
+        counts["merge"] += 1
+        return merge_pass(*args, **kwargs)
+
+    def counting_blend(*args, **kwargs):  # chain and star blends
+        counts["blend"] += 1
+        return blend(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "hybrid_merge_pass", counting_merge)
+    monkeypatch.setattr(latentwarp, "blend_warped", counting_blend)
+    sizes = [3, 3, 1]
+    n_blocks = ToyDenoiser.N_BLOCKS
+    blends_per_step = sum(size - 1 for size in sizes) + len(sizes) - 1
+    # steps 4: anneal from step 2 to 4, r_i > 0 at every step
+    for windows, active in (([(0.0, 1.0)], 4), ([(0.5, 1.0)], 2), ([(0.0, 0.25)], 1), ([], 0)):
+        counts.update(merge=0, blend=0)
+        pipeline.restore(lq, small_config(hlw_windows=windows, tome_windows=windows))
+        assert counts["merge"] == n_blocks * active * 2
+        assert counts["blend"] == blends_per_step * active
+    # the default HLW window (0, 0.2) holds only step 0 of 4
+    counts.update(merge=0, blend=0)
+    pipeline.restore(lq, small_config())
+    assert counts == {"merge": n_blocks * 4 * 2, "blend": blends_per_step}
+    counts.update(merge=0, blend=0)
+    pipeline.restore(lq, small_config(hlw_enabled=False, tome_enabled=False))
+    assert counts == {"merge": 0, "blend": 0}
+
+
+def test_keyframe_chain_links_batches_step_by_step(monkeypatch):
+    # 7 frames in batches of 3, 3 and 1, latent warping in every step
+    lq = small_video(n=7)
+    cfg = small_config(hlw_windows=[(0.0, 1.0)], tome_enabled=False)
+    blend, propagate = latentwarp.blend_warped, latentwarp.propagate_to_batch
+    events = []  # in call order: ("chain", own, source, result) or ("star", keyframe)
+    in_star = []
+
+    def spy_blend(own, source, flow, mask):
+        result = blend(own, source, flow, mask)
+        if not in_star:
+            events.append(("chain", own.copy(), source.copy(), result.copy()))
+        return result
+
+    def spy_propagate(keyframe, *args):
+        events.append(("star", keyframe.copy()))
+        in_star.append(True)
+        try:
+            return propagate(keyframe, *args)
+        finally:
+            in_star.pop()
+
+    monkeypatch.setattr(latentwarp, "blend_warped", spy_blend)
+    monkeypatch.setattr(latentwarp, "propagate_to_batch", spy_propagate)
+
+    def run(**kw):
+        """Per batch, per step: (its chain call or None, the keyframe it propagates)."""
+        events.clear()
+        pipeline.restore(lq, cfg, **kw)
+        steps, chain = [], None
+        for ev in events:
+            if ev[0] == "chain":
+                assert chain is None
+                chain = ev[1:]
+            else:
+                steps.append((chain, ev[1]))
+                chain = None
+        assert len(steps) == 3 * cfg.steps
+        return [steps[b * cfg.steps : (b + 1) * cfg.steps] for b in range(3)]
+
+    batches = run()
+    assert all(chain is None for chain, _ in batches[0])
+    for b in (1, 2):
+        for s, ((own, source, result), keyframe) in enumerate(batches[b]):
+            # the source is the previous keyframe after its own chain blend
+            assert np.array_equal(source, batches[b - 1][s][1])
+            assert np.array_equal(result, keyframe)
+            assert not np.array_equal(result, own)
+            if b == 2:  # not the previous keyframe's prediction before its chain blend
+                assert not np.array_equal(source, batches[1][s][0][0])
+
+    # with unit masks every chain blend keeps the keyframe
+    plan = plan_batches(len(lq), cfg.batch_size, cfg.seed)
+    bank = pipeline.precompute_flows(lq, plan, cfg)
+    for key in bank.mask:
+        bank.mask[key] = np.ones_like(bank.mask[key])
+    for steps in run(bank=bank)[1:]:
+        for (own, _, result), _ in steps:
+            assert np.array_equal(result, own)
 
 
 def test_restore_zero_merge_ratio_equals_baseline():

@@ -262,6 +262,28 @@ def test_select_top_r_monotone_in_r():
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(INVALID, 5),
+            st.floats(-1e6, 1e6, allow_nan=False),
+        ),
+        max_size=40,
+    ),
+    st.floats(0.0, 1.0),
+)
+def test_select_top_r_never_selects_invalid_property(pairs, r_i):
+    # INVALID pairs may carry any criterion, the largest included
+    targets = np.array([t for t, _ in pairs], dtype=np.int64)
+    criteria = np.array([c for _, c in pairs], dtype=np.float64)
+    sel = tm.select_top_r(targets, criteria, r_i)
+    assert np.all(targets[sel] != INVALID)
+    n_valid = int((targets != INVALID).sum())
+    assert len(sel) == min(math.floor(r_i * len(targets)), n_valid)
+    assert np.array_equal(sel, np.unique(sel))
+
+
 # ---------------------------------------------------------------- merge / unmerge
 
 
