@@ -37,32 +37,54 @@ def _atomic_write_json(obj: dict, path: str) -> None:
         raise
 
 
-def _check_replaceable(out_dir: str) -> None:
-    """Refuse an existing out_dir unless it holds only frame_*.ppm files and a
-    latents/ directory of latent_*.rtf files, the outputs restore writes."""
+# What each directory-writing command writes, as paths relative to --out.
+RESTORE_OUTPUTS = ("frame_*.ppm", "latents/latent_*.rtf")
+FLOW_OUTPUTS = ("flow_*.flo", "conf_*.rtf")
+
+
+def _check_replaceable(out_dir: str, outputs: tuple[str, ...]) -> None:
+    """Refuse an existing out_dir unless every entry in it is a file matching
+    one of the outputs patterns or a directory those patterns name."""
     if not os.path.lexists(out_dir):
         return
     if not os.path.isdir(out_dir) or os.path.islink(out_dir):
         raise ValueError(f"--out {out_dir} exists and is not a directory")
-    entries = [(e, "frame_*.ppm") for e in os.scandir(out_dir)]
-    latents = os.path.join(out_dir, "latents")
-    if os.path.isdir(latents) and not os.path.islink(latents):
-        entries = [(e, p) for e, p in entries if e.name != "latents"]
-        entries += [(e, "latent_*.rtf") for e in os.scandir(latents)]
-    for entry, pattern in entries:
-        if not (entry.is_file(follow_symlinks=False) and fnmatch.fnmatch(entry.name, pattern)):
+    subdirs = {os.path.dirname(p) for p in outputs} - {""}
+    entries = list(os.scandir(out_dir))
+    for entry in entries:  # grows by the entries of each output subdirectory
+        name = os.path.relpath(entry.path, out_dir)
+        if name in subdirs and entry.is_dir(follow_symlinks=False):
+            entries += os.scandir(entry.path)
+        elif not (
+            entry.is_file(follow_symlinks=False)
+            and any(fnmatch.fnmatch(name, p) for p in outputs)
+        ):
             raise ValueError(
-                f"--out {out_dir} holds {entry.path}, which restore does not write; "
-                "refusing to replace it"
+                f"--out {out_dir} holds {entry.path}, which this command does not "
+                "write; refusing to replace it"
             )
+
+
+def _write_atomic(out_dir: str, outputs: tuple[str, ...], write) -> None:
+    """Run write(tmp) on a fresh directory beside out_dir, then rename it to
+    out_dir; an existing out_dir must hold only outputs (_check_replaceable)."""
+    _check_replaceable(out_dir, outputs)
+    parent = os.path.dirname(os.path.abspath(out_dir)) or "."
+    tmp = tempfile.mkdtemp(dir=parent)
+    try:
+        write(tmp)
+        if os.path.isdir(out_dir):
+            shutil.rmtree(out_dir)
+        os.replace(tmp, out_dir)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def _write_frames_atomic(seq: FrameSequence, out_dir: str, latents=None) -> None:
     """Write the frames, and latents/latent_*.rtf if given, then rename once."""
-    _check_replaceable(out_dir)
-    parent = os.path.dirname(os.path.abspath(out_dir)) or "."
-    tmp = tempfile.mkdtemp(dir=parent)
-    try:
+
+    def write(tmp):
         mediaio.write_frames(seq, tmp)
         if latents is not None:
             os.mkdir(os.path.join(tmp, "latents"))
@@ -70,12 +92,8 @@ def _write_frames_atomic(seq: FrameSequence, out_dir: str, latents=None) -> None
                 mediaio.write_raw_tensor(
                     latent, os.path.join(tmp, "latents", f"latent_{f:04d}.rtf")
                 )
-        if os.path.isdir(out_dir):
-            shutil.rmtree(out_dir)
-        os.replace(tmp, out_dir)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
+
+    _write_atomic(out_dir, RESTORE_OUTPUTS, write)
 
 
 def _load_config(args) -> pipeline.RestoreConfig:
@@ -89,25 +107,27 @@ def _load_config(args) -> pipeline.RestoreConfig:
 
 
 def cmd_flow(args) -> int:
+    _check_replaceable(args.out_dir, FLOW_OUTPUTS)
     seq = mediaio.read_frames(args.in_dir)
-    os.makedirs(args.out_dir, exist_ok=True)
-    for t in range(len(seq) - 1):
-        fwd = flowmod.estimate_flow(
-            seq.frames[t + 1], seq.frames[t], args.block, args.search
-        )
-        bwd = flowmod.estimate_flow(
-            seq.frames[t], seq.frames[t + 1], args.block, args.search
-        )
-        conf = flowmod.fb_confidence(fwd, bwd)
-        mediaio.write_flo(fwd, os.path.join(args.out_dir, f"flow_{t:04d}.flo"))
-        mediaio.write_raw_tensor(
-            conf, os.path.join(args.out_dir, f"conf_{t:04d}.rtf")
-        )
+
+    def write(tmp):
+        for t in range(len(seq) - 1):
+            fwd = flowmod.estimate_flow(
+                seq.frames[t + 1], seq.frames[t], args.block, args.search
+            )
+            bwd = flowmod.estimate_flow(
+                seq.frames[t], seq.frames[t + 1], args.block, args.search
+            )
+            conf = flowmod.fb_confidence(fwd, bwd)
+            mediaio.write_flo(fwd, os.path.join(tmp, f"flow_{t:04d}.flo"))
+            mediaio.write_raw_tensor(conf, os.path.join(tmp, f"conf_{t:04d}.rtf"))
+
+    _write_atomic(args.out_dir, FLOW_OUTPUTS, write)
     return 0
 
 
 def cmd_restore(args) -> int:
-    _check_replaceable(args.out_dir)
+    _check_replaceable(args.out_dir, RESTORE_OUTPUTS)
     seq = mediaio.read_frames(args.in_dir)
     cfg = _load_config(args)
     if args.no_hlw:

@@ -63,7 +63,7 @@ class RestoreConfig:
     batch_size: int = 8
     steps: int = 50
     seed: int = 0
-    tome_i_beg: int | None = None  # anneal start; default 60% of steps
+    tome_i_beg: int | None = None  # anneal start; default 60% of steps, below steps
     tome_i_end: int | None = None  # anneal end; default step count
     tome_delta: float = 1.0
     tome_r: float = 0.8
@@ -77,7 +77,6 @@ class RestoreConfig:
     tome_enabled: bool = True
     down_mode: MergeMode = MergeMode.FLOW_DOWN
     up_mode: MergeMode = MergeMode.COSINE_UP
-    spatial: bool = True
     # Step-fraction windows [lo, hi) in which each mechanism runs.
     hlw_windows: tuple[tuple[float, float], ...] = ((0.0, 0.2),)
     tome_windows: tuple[tuple[float, float], ...] = ((0.0, 1.0),)
@@ -89,10 +88,10 @@ class RestoreConfig:
             raise ValueError(f"steps must be in [1, {SCHED_T}]")
         if not 0.0 <= self.tome_r <= 1.0:
             raise ValueError("tome.r must be in [0, 1]")
-        if self.tome_delta <= 0:
-            raise ValueError("tome.delta must be > 0")
-        if self.tome_R <= 0:
-            raise ValueError("tome.R must be > 0")
+        if not 0 < self.tome_delta < math.inf:
+            raise ValueError("tome.delta must be finite and > 0")
+        if not self.tome_R > 0:
+            raise ValueError("tome.R must be > 0 (inf turns the spatial prior off)")
         if self.latent_scale < 1:
             raise ValueError("latent_scale must be >= 1")
         if self.flow_block < 1 or self.flow_search < 0:
@@ -108,7 +107,8 @@ class RestoreConfig:
                     raise ValueError(f"{name} entry ({lo}, {hi}) needs 0 <= lo < hi <= 1")
 
     def anneal_range(self) -> tuple[int, int]:
-        beg = self.tome_i_beg if self.tome_i_beg is not None else round(0.6 * self.steps)
+        default_beg = min(round(0.6 * self.steps), self.steps - 1)
+        beg = self.tome_i_beg if self.tome_i_beg is not None else default_beg
         end = self.tome_i_end if self.tome_i_end is not None else self.steps
         return beg, end
 
@@ -276,7 +276,7 @@ def _merge_attention(config: RestoreConfig, fields: dict, r_i: float, kind, chun
     if mode is MergeMode.FLOW_DOWN:
         kwargs = fields[chunk.content]
     else:
-        kwargs = {"R": config.tome_R if config.spatial else math.inf}
+        kwargs = {"R": config.tome_R}
     return hybrid_merge_pass(chunk, mode, attention, r_i, **kwargs)
 
 
@@ -334,9 +334,13 @@ def restore_latents(
         x = toydiff.forward_diffuse(x0s, ts[0], eps0, sched)
 
         # The batch's warp and merge fields, resampled once to the grids that read them.
+        @functools.cache
+        def member_flows(hc, wc):
+            return [flowmod.resample_flow(bank.flow[(m, kf)], hc, wc) for m in members]
+
         chain = None
         if any(hlw_on):
-            star_flows = [flowmod.resample_flow(bank.flow[(m, kf)], hl, wl) for m in members]
+            star_flows = member_flows(hl, wl)
             star_masks = [flowmod.resample_mask(bank.mask[(m, kf)], hl, wl) for m in members]
             if b > 0:
                 pair = (kf, plan.keyframe_of[b - 1])
@@ -348,7 +352,7 @@ def restore_latents(
         if members and any(ratios) and MergeMode.FLOW_DOWN in (config.down_mode, config.up_mode):
             fields = {
                 (hc, wc): {
-                    "flows": [flowmod.resample_flow(bank.flow[(m, kf)], hc, wc) for m in members],
+                    "flows": member_flows(hc, wc),
                     "confidences": [
                         flowmod.bilinear_resample(bank.conf[(m, kf)], hc, wc) for m in members
                     ],
@@ -457,14 +461,13 @@ def temporal_consistency(
     return e_warp, e_inter
 
 
+# tome_R = inf is cosine matching without the spatial prior.
 CORRESPONDENCE_VARIANTS = {
-    "flow_flow": dict(down_mode=MergeMode.FLOW_DOWN, up_mode=MergeMode.FLOW_DOWN, spatial=False),
-    "cos_cos": dict(down_mode=MergeMode.COSINE_UP, up_mode=MergeMode.COSINE_UP, spatial=False),
-    "cos_flow": dict(down_mode=MergeMode.COSINE_UP, up_mode=MergeMode.FLOW_DOWN, spatial=False),
-    "flow_cos": dict(down_mode=MergeMode.FLOW_DOWN, up_mode=MergeMode.COSINE_UP, spatial=False),
-    "flow_cos_spatial": dict(
-        down_mode=MergeMode.FLOW_DOWN, up_mode=MergeMode.COSINE_UP, spatial=True
-    ),
+    "flow_flow": dict(down_mode=MergeMode.FLOW_DOWN, up_mode=MergeMode.FLOW_DOWN, tome_R=math.inf),
+    "cos_cos": dict(down_mode=MergeMode.COSINE_UP, up_mode=MergeMode.COSINE_UP, tome_R=math.inf),
+    "cos_flow": dict(down_mode=MergeMode.COSINE_UP, up_mode=MergeMode.FLOW_DOWN, tome_R=math.inf),
+    "flow_cos": dict(down_mode=MergeMode.FLOW_DOWN, up_mode=MergeMode.COSINE_UP, tome_R=math.inf),
+    "flow_cos_spatial": dict(down_mode=MergeMode.FLOW_DOWN, up_mode=MergeMode.COSINE_UP),
 }
 
 # Step-fraction thirds standing in for early/mid/late denoising stages.

@@ -30,7 +30,7 @@ class MergeMode(enum.Enum):
 
 @dataclass
 class TokenChunk:
-    """Batched attention tokens with spatial layout.
+    """Batched attention tokens with spatial layout, checked on construction.
 
     layout is the padded token grid (h_tok, w_tok); content is the unpadded
     extent (h_img, w_img), anchored top-left.
@@ -56,10 +56,6 @@ class TokenChunk:
         if not np.isfinite(self.tokens).all():
             raise ValueError("tokens must be finite")
 
-    @property
-    def shape(self):
-        return self.tokens.shape
-
 
 @dataclass
 class AnnealParams:
@@ -73,36 +69,37 @@ class AnnealParams:
     def __post_init__(self):
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must be in [0, 1], got {self.r}")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and > 0, got {self.delta}")
         if self.i_beg >= self.i_end:
             raise ValueError("i_beg must be < i_end")
 
 
 def anneal_ratio(i: int, p: AnnealParams) -> float:
-    """Merge ratio at denoising step i: r * cos(pi/2 * clamped ramp)."""
+    """Merge ratio at denoising step i: r * cos(pi/2 * clamped ramp).
+
+    Exactly 0 once the ramp reaches 1, where the cosine would leave ~1e-17.
+    """
     ramp = p.delta * (i - p.i_beg) / (p.i_end - p.i_beg)
     ramp = min(max(ramp, 0.0), 1.0)
+    if ramp == 1.0:
+        return 0.0
     return p.r * math.cos(0.5 * math.pi * ramp)
 
 
-def split_src_tar(chunk: TokenChunk):
-    """Split a chunk into source and target tokens.
+def split_src_tar(tokens: np.ndarray, target_index: int):
+    """Split (B, A, C) tokens into source and target tokens.
 
     Returns (src, tar, src_slots): src is ((B-1)*A, C) in frame order skipping
-    the target frame, tar is (A, C), and src_slots[i] is the flat chunk slot
-    (frame * A + position) of source row i.
+    the target frame, tar is the (A, C) target frame (a view of tokens), and
+    src_slots[i] is the flat slot (frame * A + position) of source row i.
     """
-    b, a, _ = chunk.tokens.shape
+    b, a, c = tokens.shape
     if b < 2:
-        raise ValueError("nothing to merge: chunk has fewer than 2 frames")
-    frames = [f for f in range(b) if f != chunk.target_index]
-    src = np.concatenate([chunk.tokens[f] for f in frames], axis=0)
-    tar = chunk.tokens[chunk.target_index].copy()
-    src_slots = np.concatenate(
-        [np.arange(f * a, (f + 1) * a) for f in frames]
-    )
-    return src, tar, src_slots
+        raise ValueError("nothing to merge: fewer than 2 frames")
+    src = np.delete(tokens, target_index, axis=0).reshape(-1, c)
+    src_slots = np.delete(np.arange(b * a).reshape(b, a), target_index, axis=0).ravel()
+    return src, tokens[target_index], src_slots
 
 
 def cosine_scores(src: np.ndarray, tar: np.ndarray) -> np.ndarray:
@@ -110,10 +107,11 @@ def cosine_scores(src: np.ndarray, tar: np.ndarray) -> np.ndarray:
     sn = np.linalg.norm(src, axis=1)
     tn = np.linalg.norm(tar, axis=1)
     dots = src @ tar.T
-    denom = sn[:, None] * tn[None, :]
-    out = np.zeros_like(dots)
-    np.divide(dots, denom, out=out, where=denom > 0)
-    return out
+    denom = np.multiply.outer(sn, tn)
+    nonzero = denom > 0
+    np.divide(dots, denom, out=dots, where=nonzero)
+    dots[~nonzero] = 0.0
+    return dots
 
 
 def grid_positions(h: int, w: int) -> np.ndarray:
@@ -177,24 +175,16 @@ def flow_correspondence(
             f"need one flow and confidence per source frame "
             f"({n_src_frames}), got {len(flows)} and {len(confidences)}"
         )
-    targets = []
-    criteria = []
+    fl = np.stack(flows)
+    if fl.shape[1:3] != (h, w):
+        raise ValueError(f"flows have shape {fl.shape[1:3]}, expected {(h, w)}")
     ys, xs = np.mgrid[0:h, 0:w]
-    for f in range(n_src_frames):
-        fl = flows[f]
-        if fl.shape[:2] != (h, w):
-            raise ValueError(
-                f"flow for source frame {f} has shape {fl.shape[:2]}, "
-                f"expected {(h, w)}"
-            )
-        tx = np.floor(xs + fl[:, :, 0] + 0.5).astype(np.int64)
-        ty = np.floor(ys + fl[:, :, 1] + 0.5).astype(np.int64)
-        inside = (tx >= 0) & (tx < w) & (ty >= 0) & (ty < h)
-        tgt = np.where(inside, ty * w + tx, INVALID)
-        crit = np.where(inside, confidences[f], 0.0)
-        targets.append(tgt.ravel())
-        criteria.append(crit.ravel())
-    return np.concatenate(targets), np.concatenate(criteria).astype(np.float64)
+    tx = np.floor(xs + fl[..., 0] + 0.5).astype(np.int64)
+    ty = np.floor(ys + fl[..., 1] + 0.5).astype(np.int64)
+    inside = (tx >= 0) & (tx < w) & (ty >= 0) & (ty < h)
+    targets = np.where(inside, ty * w + tx, INVALID)
+    criteria = np.where(inside, np.stack(confidences), 0.0)
+    return targets.ravel(), criteria.ravel().astype(np.float64)
 
 
 def select_top_r(targets: np.ndarray, criteria: np.ndarray, r_i: float) -> np.ndarray:
@@ -279,58 +269,30 @@ def unmerge(attended: np.ndarray, record: MergeRecord) -> np.ndarray:
     return attended[record.slot_to_row].reshape(b, a, c)
 
 
-@dataclass
-class PadSpec:
-    """What strip_padding removed: the original chunk, to restore verbatim."""
+def strip_padding(chunk: TokenChunk) -> np.ndarray:
+    """The (B, h_img * w_img, C) content tokens of a chunk.
 
-    original: np.ndarray  # (B, A, C) full token array
-    layout: tuple[int, int]
-    content: tuple[int, int]
-    target_index: int
-
-
-def strip_padding(chunk: TokenChunk) -> tuple[TokenChunk, PadSpec]:
-    """Drop token rows/columns outside the content extent."""
-    h_tok, w_tok = chunk.layout
+    A view of chunk.tokens when nothing is padded, else a copy.
+    """
     h_img, w_img = chunk.content
     b, _, c = chunk.tokens.shape
-    grid = chunk.tokens.reshape(b, h_tok, w_tok, c)
-    inner = grid[:, :h_img, :w_img, :].reshape(b, h_img * w_img, c)
-    spec = PadSpec(
-        original=chunk.tokens.copy(),
-        layout=chunk.layout,
-        content=chunk.content,
-        target_index=chunk.target_index,
-    )
-    stripped = TokenChunk(
-        tokens=inner.copy(),
-        layout=(h_img, w_img),
-        content=(h_img, w_img),
-        target_index=chunk.target_index,
-    )
-    return stripped, spec
+    grid = chunk.tokens.reshape(b, *chunk.layout, c)
+    return grid[:, :h_img, :w_img, :].reshape(b, h_img * w_img, c)
 
 
-def restore_padding(content_chunk: TokenChunk, spec: PadSpec) -> TokenChunk:
-    """Reinsert the original padding tokens around the content region."""
-    h_tok, w_tok = spec.layout
-    h_img, w_img = spec.content
-    if content_chunk.layout != (h_img, w_img):
+def restore_padding(chunk: TokenChunk, content_tokens: np.ndarray) -> np.ndarray:
+    """A copy of chunk.tokens with its content region set to content_tokens."""
+    h_img, w_img = chunk.content
+    b, _, c = chunk.tokens.shape
+    if content_tokens.shape != (b, h_img * w_img, c):
         raise ValueError(
-            f"content chunk layout {content_chunk.layout} does not match "
-            f"PadSpec content {(h_img, w_img)}"
+            f"content tokens {content_tokens.shape} do not match the chunk's "
+            f"content {(b, h_img * w_img, c)}"
         )
-    b, _, c = spec.original.shape
-    if content_chunk.tokens.shape[0] != b or content_chunk.tokens.shape[2] != c:
-        raise ValueError("content chunk is inconsistent with PadSpec")
-    full = spec.original.copy().reshape(b, h_tok, w_tok, c)
-    full[:, :h_img, :w_img, :] = content_chunk.tokens.reshape(b, h_img, w_img, c)
-    return TokenChunk(
-        tokens=full.reshape(b, h_tok * w_tok, c),
-        layout=spec.layout,
-        content=spec.content,
-        target_index=spec.target_index,
-    )
+    full = chunk.tokens.copy()
+    grid = full.reshape(b, *chunk.layout, c)
+    grid[:, :h_img, :w_img, :] = content_tokens.reshape(b, h_img, w_img, c)
+    return full
 
 
 def hybrid_merge_pass(
@@ -341,8 +303,8 @@ def hybrid_merge_pass(
     R: float | None = None,
     flows: list[np.ndarray] | None = None,
     confidences: list[np.ndarray] | None = None,
-) -> TokenChunk:
-    """Full merge pipeline around one attention call.
+) -> np.ndarray:
+    """Full merge pipeline around one attention call; returns (B, A, C) tokens.
 
     strip padding -> split -> correspondence (flow-guided or spatially
     weighted cosine) -> select top r_i -> merge -> attention over the merged
@@ -356,10 +318,10 @@ def hybrid_merge_pass(
     if mode is MergeMode.COSINE_UP and R is None:
         raise ValueError("COSINE_UP requires R")
 
-    stripped, pad = strip_padding(chunk)
-    b = stripped.tokens.shape[0]
-    h, w = stripped.layout
-    src, tar, src_slots = split_src_tar(stripped)
+    tokens = strip_padding(chunk)
+    b = tokens.shape[0]
+    h, w = chunk.content
+    src, tar, src_slots = split_src_tar(tokens, chunk.target_index)
 
     if mode is MergeMode.FLOW_DOWN:
         targets, criteria = flow_correspondence(h, w, b - 1, flows, confidences)
@@ -370,20 +332,10 @@ def hybrid_merge_pass(
         targets, criteria = cosine_correspondence(scores)
 
     selected = select_top_r(targets, criteria, r_i)
-    merged, record = merge(
-        src, tar, targets, selected, src_slots, stripped.target_index, b
-    )
-    attended = attention(merged)
-    attended = np.asarray(attended)
+    merged, record = merge(src, tar, targets, selected, src_slots, chunk.target_index, b)
+    attended = np.asarray(attention(merged))
     if attended.shape != merged.shape:
         raise ValueError(
             f"attention changed shape {merged.shape} -> {attended.shape}"
         )
-    tokens_out = unmerge(attended, record)
-    out_chunk = TokenChunk(
-        tokens=tokens_out,
-        layout=stripped.layout,
-        content=stripped.content,
-        target_index=stripped.target_index,
-    )
-    return restore_padding(out_chunk, pad)
+    return restore_padding(chunk, unmerge(attended, record))

@@ -6,11 +6,13 @@ residual add, with 2x2 mean pooling between the down blocks and nearest
 upsampling between the up blocks. It exposes the two hook surfaces the
 temporal-consistency mechanisms attach to:
 
-  * attention_hook(kind, chunk, attention) -> TokenChunk, called instead of
-    the block's own attention; `attention` maps any (K, C) token array through
-    the block's joint self-attention. Without a hook, attention is applied to
-    each frame's tokens independently, so batched sampling is bit-identical
-    to per-frame sampling.
+  * attention_hook(kind, chunk, attention) -> tokens, called instead of the
+    block's own attention: chunk is the block's TokenChunk, checked once
+    here, and the hook returns the attended (B, A, C) array. `attention`
+    maps any (K, C) token array through the block's joint self-attention.
+    Without a hook, attention is applied to each frame's tokens
+    independently, so batched sampling is bit-identical to per-frame
+    sampling.
   * latent_hook(step_pos, t, x0_batch) -> x0_batch, called on the predicted
     clean latents of the whole batch after every denoising step's prediction.
 
@@ -146,10 +148,9 @@ class ToyDenoiser:
                 content=content,
                 target_index=target_index,
             )
-            out_chunk = hooks.attention_hook(
-                kind, chunk, lambda t: self._attend(t, block)
+            attended = np.asarray(
+                hooks.attention_hook(kind, chunk, lambda t: self._attend(t, block))
             )
-            attended = out_chunk.tokens
             if attended.shape != proj.shape:
                 raise ValueError(
                     f"attention hook changed shape {proj.shape} -> {attended.shape}"

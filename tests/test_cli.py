@@ -66,6 +66,50 @@ def test_flow_command_outputs(tmp_path):
     assert conf.min() > 0.0 and conf.max() <= 1.0
 
 
+def test_flow_failure_leaves_out_untouched(tmp_path, monkeypatch, capsys):
+    in_dir, _, _ = _write_video(tmp_path, n=3)
+    out = tmp_path / "flows"
+    args = ["flow", "--in", str(in_dir), "--out", str(out), "--block", "5", "--search", "2"]
+    write_flo = mediaio.write_flo
+    calls = []
+
+    def failing_on_second(arr, path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write_flo(arr, path)
+
+    monkeypatch.setattr(cli.mediaio, "write_flo", failing_on_second)
+    assert main(args) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["in"]
+    monkeypatch.undo()
+    assert main(args) == 0
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    calls.clear()
+    monkeypatch.setattr(cli.mediaio, "write_flo", failing_on_second)
+    assert main(args) == 1
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert sorted(os.listdir(tmp_path)) == ["flows", "in"]
+
+
+def test_flow_refuses_out_dir_with_user_files(tmp_path, capsys):
+    in_dir, _, _ = _write_video(tmp_path, n=3)
+    out = tmp_path / "flows"
+    args = ["flow", "--in", str(in_dir), "--out", str(out), "--block", "5", "--search", "2"]
+    assert main(args) == 0
+    assert main(args) == 0  # its own outputs are replaced
+    for user_path in (out / "notes.txt", out / "frame_0000.ppm", out / "latents"):
+        user_path.write_text("keep me")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert user_path.name in err and "refusing to replace" in err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert sorted(os.listdir(tmp_path)) == ["flows", "in"]
+        user_path.unlink()
+
+
 def test_restore_command_and_determinism(tmp_path):
     in_dir, _, _ = _write_video(tmp_path)
     cfg = _write_config(tmp_path, SMALL_CFG)

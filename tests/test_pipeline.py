@@ -1,5 +1,10 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from zsvr import latentwarp, pipeline
@@ -81,13 +86,23 @@ def test_config_validation_rejects_bad_values():
         dict(steps=101),
         dict(tome_r=2.0),
         dict(tome_delta=0.0),
+        dict(tome_delta=math.nan),
+        dict(tome_delta=math.inf),
         dict(tome_R=-1.0),
+        dict(tome_R=math.nan),
         dict(latent_scale=0),
         dict(flow_tau_occ=0.0),
         dict(tome_i_beg=5, tome_i_end=5),
     ):
         with pytest.raises(ValueError):
             RestoreConfig(**kw).validate()
+
+
+def test_parse_config_rejects_nan_and_keeps_inf_R():
+    for text in ("tome.R = nan", "tome.delta = nan", "tome.delta = inf"):
+        with pytest.raises(ValueError, match=text.split()[0]):
+            parse_config(text)
+    assert parse_config("tome.R = inf").tome_R == math.inf
 
 
 def test_config_validation_rejects_bad_windows():
@@ -105,6 +120,9 @@ def test_anneal_range_defaults():
     assert cfg.anneal_range() == (6, 10)
     cfg = RestoreConfig(steps=10, tome_i_beg=2, tome_i_end=8)
     assert cfg.anneal_range() == (2, 8)
+    assert RestoreConfig(steps=2).anneal_range() == (1, 2)
+    # round(0.6) = 1 = steps; the default start stays below the end
+    assert parse_config("steps = 1").anneal_range() == (0, 1)
 
 
 # ---------------------------------------------------------------- batching
@@ -250,6 +268,59 @@ def test_restore_disabled_equals_per_frame_baseline():
     cfg = small_config(hlw_enabled=False, tome_enabled=False)
     out = pipeline.restore(lq, cfg)
     base = pipeline.per_frame_baseline(lq, cfg)
+    for a, b in zip(out.frames, base.frames):
+        assert np.array_equal(a, b)
+
+
+def test_restore_single_step_with_both_mechanisms():
+    lq = small_video(n=4)
+    cfg = parse_config("steps = 1\nbatch_size = 3\nlatent_scale = 2\nhlw_until = 1")
+    assert cfg.hlw_enabled and cfg.tome_enabled and cfg.tome_r > 0
+    out = pipeline.restore(lq, cfg)
+    assert len(out) == 4
+    assert all(np.isfinite(f).all() for f in out.frames)
+
+
+def test_restore_anneal_tail_runs_no_merge_pass():
+    # steps 6..9 lie past the anneal end (ramp 1): their ratio is exactly 0, so
+    # they run the hookless per-frame attention, as a window ending at 0.6 does
+    lq = FrameSequence([np.random.default_rng(f).random((16, 16, 3)) for f in range(5)])
+    cfg = RestoreConfig(
+        steps=10, batch_size=5, latent_scale=2, hlw_enabled=False, tome_i_beg=2, tome_i_end=6
+    )
+    tail = pipeline.restore(lq, cfg)
+    windowed = pipeline.restore(lq, replace(cfg, tome_windows=((0.0, 0.6),)))
+    for a, b in zip(tail.frames, windowed.frames):
+        assert np.array_equal(a, b)
+
+
+@st.composite
+def _restore_shapes(draw):
+    scale = draw(st.integers(1, 3))
+    # odd latent sizes and frames smaller than the flow block included
+    hl, wl = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    n = draw(st.integers(1, 5))
+    cfg = RestoreConfig(
+        steps=draw(st.integers(1, 3)),
+        batch_size=draw(st.integers(1, n + 1)),
+        latent_scale=scale,
+        seed=draw(st.integers(0, 3)),
+        flow_block=draw(st.sampled_from([3, 5, 7, 9])),
+        flow_search=draw(st.integers(0, 2)),
+        hlw_windows=(),
+        tome_windows=(),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return FrameSequence([rng.random((hl * scale, wl * scale, 3)) for _ in range(n)]), cfg
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_restore_shapes())
+def test_restore_without_windows_equals_baseline_property(case):
+    lq, cfg = case
+    out = pipeline.restore(lq, cfg)
+    base = pipeline.per_frame_baseline(lq, cfg)
+    assert len(out) == len(base) == len(lq)
     for a, b in zip(out.frames, base.frames):
         assert np.array_equal(a, b)
 

@@ -36,8 +36,8 @@ def test_anneal_before_ramp():
 
 def test_anneal_end_is_zero():
     p = AnnealParams(r=0.8, delta=1.0, i_beg=10, i_end=20)
-    assert abs(anneal_ratio(20, p)) < 1e-15
-    assert abs(anneal_ratio(25, p)) < 1e-15
+    assert anneal_ratio(20, p) == 0.0
+    assert anneal_ratio(25, p) == 0.0
 
 
 def test_anneal_midpoint():
@@ -58,6 +58,8 @@ def test_anneal_params_validation():
     with pytest.raises(ValueError):
         AnnealParams(r=0.5, delta=0.0)
     with pytest.raises(ValueError):
+        AnnealParams(r=0.5, delta=math.nan)
+    with pytest.raises(ValueError):
         AnnealParams(r=0.5, i_beg=5, i_end=5)
 
 
@@ -71,7 +73,7 @@ def test_split_b2_a1():
         content=(1, 1),
         target_index=0,
     )
-    src, tar, slots = tm.split_src_tar(chunk)
+    src, tar, slots = tm.split_src_tar(chunk.tokens, chunk.target_index)
     assert src.shape == (1, 3) and tar.shape == (1, 3)
     assert np.array_equal(tar, chunk.tokens[0])
     assert np.array_equal(src, chunk.tokens[1])
@@ -81,7 +83,7 @@ def test_split_b2_a1():
 def test_split_frame_order_skips_target():
     rng = np.random.default_rng(0)
     chunk = random_chunk(rng, b=3, h=2, w=2, c=5, target=1)
-    src, tar, slots = tm.split_src_tar(chunk)
+    src, tar, slots = tm.split_src_tar(chunk.tokens, chunk.target_index)
     assert src.shape == (8, 5)
     assert np.array_equal(src[:4], chunk.tokens[0])
     assert np.array_equal(src[4:], chunk.tokens[2])
@@ -93,7 +95,7 @@ def test_split_roundtrip_via_slot_map():
     for _ in range(20):
         chunk = random_chunk(rng)
         b, a, c = chunk.tokens.shape
-        src, tar, slots = tm.split_src_tar(chunk)
+        src, tar, slots = tm.split_src_tar(chunk.tokens, chunk.target_index)
         rebuilt = np.empty((b * a, c))
         rebuilt[slots] = src
         tb = chunk.target_index * a
@@ -104,9 +106,8 @@ def test_split_roundtrip_via_slot_map():
 def test_split_single_frame_rejected():
     rng = np.random.default_rng(2)
     chunk = random_chunk(rng, b=2)
-    chunk = TokenChunk(chunk.tokens[:1], chunk.layout, chunk.content, 0)
     with pytest.raises(ValueError, match="nothing to merge"):
-        tm.split_src_tar(chunk)
+        tm.split_src_tar(chunk.tokens[:1], 0)
 
 
 # ---------------------------------------------------------------- scores
@@ -124,6 +125,41 @@ def test_cosine_scores_zero_norm_convention():
     src = np.zeros((1, 3))
     tar = np.ones((2, 3))
     assert np.array_equal(tm.cosine_scores(src, tar), np.zeros((1, 2)))
+
+
+def cosine_scores_oracle(src, tar):
+    """The former formula of tm.cosine_scores: separate denominator and output."""
+    sn = np.linalg.norm(src, axis=1)
+    tn = np.linalg.norm(tar, axis=1)
+    dots = src @ tar.T
+    denom = sn[:, None] * tn[None, :]
+    out = np.zeros_like(dots)
+    np.divide(dots, denom, out=out, where=denom > 0)
+    return out
+
+
+@st.composite
+def _score_inputs(draw):
+    k, a, c = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # signed zeros give -0.0 dots; 1e-200 norms multiply to a zero denominator
+    levels = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-200, -1e-200])
+    src, tar = (
+        rng.choice(levels, (n, c)) if draw(st.booleans()) else rng.standard_normal((n, c))
+        for n in (k, a)
+    )
+    for x in (src, tar):
+        x[rng.random(len(x)) < 0.3] = draw(st.sampled_from([0.0, -0.0]))
+    return src, tar
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_score_inputs())
+def test_cosine_scores_equals_former_formula_property(case):
+    src, tar = case
+    got, want = tm.cosine_scores(src, tar), cosine_scores_oracle(src, tar)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_cosine_scores_matches_oracle():
@@ -230,6 +266,15 @@ def test_flow_correspondence_missing_flow():
         tm.flow_correspondence(2, 2, 2, [np.zeros((2, 2, 2))], [np.ones((2, 2))])
 
 
+def test_flow_correspondence_wrong_grid():
+    with pytest.raises(ValueError, match="expected"):
+        tm.flow_correspondence(2, 2, 1, [np.zeros((2, 3, 2))], [np.ones((2, 3))])
+    with pytest.raises(ValueError):
+        tm.flow_correspondence(
+            2, 2, 2, [np.zeros((2, 2, 2)), np.zeros((2, 3, 2))], [np.ones((2, 2))] * 2
+        )
+
+
 # ---------------------------------------------------------------- selection
 
 
@@ -288,7 +333,7 @@ def test_select_top_r_never_selects_invalid_property(pairs, r_i):
 
 
 def _merge_from_chunk(chunk, r_i, rng):
-    src, tar, slots = tm.split_src_tar(chunk)
+    src, tar, slots = tm.split_src_tar(chunk.tokens, chunk.target_index)
     scores = tm.cosine_scores(src, tar)
     targets, criteria = tm.cosine_correspondence(scores)
     selected = tm.select_top_r(targets, criteria, r_i)
@@ -361,7 +406,7 @@ def test_merge_unmerge_match_oracle_property(case):
     chunk, mode, flows, confs, R, r_i = case
     b, a, c = chunk.tokens.shape
     h, w = chunk.layout
-    src, tar, slots = tm.split_src_tar(chunk)
+    src, tar, slots = tm.split_src_tar(chunk.tokens, chunk.target_index)
     scores = tm.cosine_scores(src, tar)
     pos = tm.grid_positions(h, w)
     weighted = (scores.reshape(b - 1, a, a) * tm.spatial_table(h, w, R)).reshape(-1, a)
@@ -475,16 +520,18 @@ def test_merge_all_sources_into_targets_roundtrip():
 def test_strip_padding_identity_when_unpadded():
     rng = np.random.default_rng(12)
     chunk = random_chunk(rng, h=3, w=3)
-    stripped, spec = tm.strip_padding(chunk)
-    assert np.array_equal(stripped.tokens, chunk.tokens)
+    stripped = tm.strip_padding(chunk)
+    assert np.array_equal(stripped, chunk.tokens)
+    assert np.shares_memory(stripped, chunk.tokens)
 
 
 def test_strip_padding_counts():
     rng = np.random.default_rng(13)
     tokens = rng.standard_normal((2, 16, 3))
     chunk = TokenChunk(tokens, (4, 4), (3, 4), 0)
-    stripped, spec = tm.strip_padding(chunk)
-    assert stripped.tokens.shape == (2, 12, 3)
+    stripped = tm.strip_padding(chunk)
+    assert stripped.shape == (2, 12, 3)
+    assert np.array_equal(stripped, tokens.reshape(2, 4, 4, 3)[:, :3].reshape(2, 12, 3))
 
 
 def test_padding_roundtrip_bit_exact():
@@ -495,18 +542,16 @@ def test_padding_roundtrip_bit_exact():
         w_img = int(rng.integers(1, w_tok + 1))
         tokens = rng.standard_normal((3, h_tok * w_tok, 4))
         chunk = TokenChunk(tokens, (h_tok, w_tok), (h_img, w_img), 1)
-        stripped, spec = tm.strip_padding(chunk)
-        back = tm.restore_padding(stripped, spec)
-        assert np.array_equal(back.tokens, chunk.tokens)
+        back = tm.restore_padding(chunk, tm.strip_padding(chunk))
+        assert np.array_equal(back, chunk.tokens)
+        assert not np.shares_memory(back, chunk.tokens)
 
 
 def test_restore_padding_rejects_wrong_layout():
     rng = np.random.default_rng(15)
     chunk = TokenChunk(rng.standard_normal((2, 16, 3)), (4, 4), (3, 3), 0)
-    stripped, spec = tm.strip_padding(chunk)
-    wrong = TokenChunk(rng.standard_normal((2, 4, 3)), (2, 2), (2, 2), 0)
-    with pytest.raises(ValueError, match="does not match"):
-        tm.restore_padding(wrong, spec)
+    with pytest.raises(ValueError, match="do not match"):
+        tm.restore_padding(chunk, rng.standard_normal((2, 4, 3)))
 
 
 # ---------------------------------------------------------------- full pass
@@ -516,7 +561,7 @@ def test_hybrid_pass_r_zero_identity():
     rng = np.random.default_rng(16)
     chunk = random_chunk(rng, b=3, h=3, w=3, c=4)
     out = tm.hybrid_merge_pass(chunk, MergeMode.COSINE_UP, lambda t: t, 0.0, R=4.0)
-    assert np.array_equal(out.tokens, chunk.tokens)
+    assert np.array_equal(out, chunk.tokens)
 
 
 def test_hybrid_pass_identical_frames_identity():
@@ -524,7 +569,7 @@ def test_hybrid_pass_identical_frames_identity():
     frame = rng.standard_normal((1, 9, 4))
     chunk = TokenChunk(np.repeat(frame, 2, axis=0), (3, 3), (3, 3), 0)
     out = tm.hybrid_merge_pass(chunk, MergeMode.COSINE_UP, lambda t: t, 1.0, R=4.0)
-    assert np.abs(out.tokens - chunk.tokens).max() <= 1e-12
+    assert np.abs(out - chunk.tokens).max() <= 1e-12
 
 
 def test_hybrid_pass_matches_composed_oracle():
@@ -534,21 +579,21 @@ def test_hybrid_pass_matches_composed_oracle():
         r_i = float(rng.random())
         out = tm.hybrid_merge_pass(chunk, MergeMode.COSINE_UP, lambda t: t, r_i, R=4.0)
         # compose the stages by hand
-        stripped, pad = tm.strip_padding(chunk)
-        src, tar, slots = tm.split_src_tar(stripped)
-        h, w = stripped.layout
+        stripped = tm.strip_padding(chunk)
+        src, tar, slots = tm.split_src_tar(stripped, chunk.target_index)
+        h, w = chunk.content
         pos = tm.grid_positions(h, w)
-        b = stripped.tokens.shape[0]
+        b = stripped.shape[0]
         scores = tm.spatial_weight(
             tm.cosine_scores(src, tar), np.tile(pos, (b - 1, 1)), pos, 4.0
         )
         targets, criteria = tm.cosine_correspondence(scores)
         selected = tm.select_top_r(targets, criteria, r_i)
         merged, record = tm.merge(
-            src, tar, targets, selected, slots, stripped.target_index, b
+            src, tar, targets, selected, slots, chunk.target_index, b
         )
         want = tm.unmerge(merged, record)
-        assert np.array_equal(out.tokens, want.reshape(chunk.tokens.shape))
+        assert np.array_equal(out, want.reshape(chunk.tokens.shape))
 
 
 def test_hybrid_pass_flow_mode_requires_flows():
@@ -568,8 +613,7 @@ def test_hybrid_pass_shape_preserved_flow_mode():
     out = tm.hybrid_merge_pass(
         chunk, MergeMode.FLOW_DOWN, lambda t: t, 0.6, flows=flows, confidences=confs
     )
-    assert out.tokens.shape == chunk.tokens.shape
-    assert out.layout == chunk.layout
+    assert out.shape == chunk.tokens.shape
 
 
 def test_hybrid_pass_padding_never_merged_with_content():
@@ -581,7 +625,7 @@ def test_hybrid_pass_padding_never_merged_with_content():
     grid[:, :, 3, :] = pad_marker
     chunk = TokenChunk(grid.reshape(2, 16, 3), (4, 4), (3, 3), 0)
     out = tm.hybrid_merge_pass(chunk, MergeMode.COSINE_UP, lambda t: t, 1.0, R=4.0)
-    out_grid = out.tokens.reshape(2, 4, 4, 3)
+    out_grid = out.reshape(2, 4, 4, 3)
     assert np.all(out_grid[:, 3, :, :] == pad_marker)
     assert np.all(out_grid[:, :, 3, :] == pad_marker)
     # content region must not have absorbed the marker value

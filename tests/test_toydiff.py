@@ -111,12 +111,7 @@ def test_attention_hook_sees_all_blocks():
 
     def hook(kind, chunk, attn):
         kinds.append(kind)
-        new_tokens = np.stack(
-            [attn(chunk.tokens[i]) for i in range(chunk.tokens.shape[0])]
-        )
-        from dataclasses import replace
-
-        return replace(chunk, tokens=new_tokens)
+        return np.stack([attn(chunk.tokens[i]) for i in range(chunk.tokens.shape[0])])
 
     d = ToyDenoiser(seed=0)
     out_hooked = d(x, HookSet(attention_hook=hook))
