@@ -15,6 +15,7 @@ import os
 import shutil
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,6 +41,8 @@ def _atomic_write_json(obj: dict, path: str) -> None:
 # What each directory-writing command writes, as paths relative to --out.
 RESTORE_OUTPUTS = ("frame_*.ppm", "latents/latent_*.rtf")
 FLOW_OUTPUTS = ("flow_*.flo", "conf_*.rtf")
+DEMO_VIDEOS = ("hq", "lq", "ours", "baseline")
+DEMO_OUTPUTS = tuple(f"{d}/frame_*.ppm" for d in DEMO_VIDEOS) + ("report.json",)
 
 
 def _check_replaceable(out_dir: str, outputs: tuple[str, ...]) -> None:
@@ -97,11 +100,8 @@ def _write_frames_atomic(seq: FrameSequence, out_dir: str, latents=None) -> None
 
 
 def _load_config(args) -> pipeline.RestoreConfig:
-    if getattr(args, "config", None):
-        cfg = pipeline.load_config(args.config)
-    else:
-        cfg = pipeline.RestoreConfig()
-    if getattr(args, "seed", None) is not None:
+    cfg = pipeline.load_config(args.config)
+    if args.seed is not None:
         cfg.seed = args.seed
     return cfg
 
@@ -131,9 +131,9 @@ def cmd_restore(args) -> int:
     seq = mediaio.read_frames(args.in_dir)
     cfg = _load_config(args)
     if args.no_hlw:
-        cfg.hlw_enabled = False
+        cfg.hlw_windows = ()
     if args.no_tome:
-        cfg.tome_enabled = False
+        cfg.tome_windows = ()
     latents = pipeline.restore_latents(seq, cfg)
     h, w, _ = seq.shape
     restored = FrameSequence([pipeline.decode_latent(x, h, w) for x in latents])
@@ -141,8 +141,8 @@ def cmd_restore(args) -> int:
     return 0
 
 
-def _report_for(seq, cfg, ref=None, meta=None) -> metrics.MetricsReport:
-    e_warp, e_inter = pipeline.temporal_consistency(seq, cfg)
+def _report_for(seq, cfg, ref=None, meta=None, flow_source=None) -> metrics.MetricsReport:
+    e_warp, e_inter = pipeline.temporal_consistency(seq, cfg, flow_source)
     rep = metrics.MetricsReport(e_warp=e_warp, e_inter=e_inter, metadata=meta or {})
     if ref is not None:
         if len(ref) != len(seq):
@@ -219,35 +219,26 @@ def demo_config(seed: int) -> pipeline.RestoreConfig:
 
 
 def cmd_demo(args) -> int:
+    _check_replaceable(args.out_dir, DEMO_OUTPUTS)
     hq = make_demo_video(n=args.frames, seed=args.seed)
     lq = degrade_video(hq, scale=4, noise_std=0.08, seed=args.seed)
     cfg = demo_config(args.seed)
-
     ours = pipeline.restore(lq, cfg)
-    baseline_cfg = pipeline.RestoreConfig(
-        **{**cfg.__dict__, "hlw_enabled": False, "tome_enabled": False}
-    )
-    baseline = pipeline.restore(lq, baseline_cfg)
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_frames_atomic(hq, os.path.join(args.out_dir, "hq"))
-    _write_frames_atomic(lq, os.path.join(args.out_dir, "lq"))
-    _write_frames_atomic(ours, os.path.join(args.out_dir, "ours"))
-    _write_frames_atomic(baseline, os.path.join(args.out_dir, "baseline"))
-
-    report = {}
-    for name, seq in (("baseline", baseline), ("ours", ours)):
-        # identical LQ-derived flows for a like-for-like comparison
-        e_warp, e_inter = pipeline.temporal_consistency(seq, cfg, flow_source=lq)
-        rep = metrics.MetricsReport(
-            psnr=[metrics.psnr(a, b) for a, b in zip(seq.frames, hq.frames)],
-            ssim=[metrics.ssim(a, b) for a, b in zip(seq.frames, hq.frames)],
-            e_warp=e_warp,
-            e_inter=e_inter,
-            metadata={"variant": name, "seed": args.seed},
+    baseline = pipeline.restore(lq, replace(cfg, hlw_windows=(), tome_windows=()))
+    # both scored under identical LQ-derived flows, a like-for-like comparison
+    report = {
+        name: mediaio.report_to_dict(
+            _report_for(seq, cfg, hq, {"variant": name, "seed": args.seed}, flow_source=lq)
         )
-        report[name] = mediaio.report_to_dict(rep)
-    _atomic_write_json(report, os.path.join(args.out_dir, "report.json"))
+        for name, seq in (("baseline", baseline), ("ours", ours))
+    }
+
+    def write(tmp):
+        for name, seq in zip(DEMO_VIDEOS, (hq, lq, ours, baseline)):
+            mediaio.write_frames(seq, os.path.join(tmp, name))
+        _atomic_write_json(report, os.path.join(tmp, "report.json"))
+
+    _write_atomic(args.out_dir, DEMO_OUTPUTS, write)
     return 0
 
 

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class FrameSequence:
     """Ordered RGB frames with values in [0, 1]."""
 
     frames: list[np.ndarray]
-    frame_rate: float | None = None
 
     def __post_init__(self):
         if not self.frames:
@@ -186,7 +185,7 @@ def read_raw_tensor(path: str) -> np.ndarray:
     if len(data) < header_end:
         raise FormatError(f"{path}: truncated RawTensorFile dims")
     dims = struct.unpack(f"<{rank}I", data[8:header_end])
-    count = int(np.prod(dims)) if rank else 1
+    count = math.prod(dims)  # a Python int: np.prod would wrap past 2**63
     if len(data) != header_end + 4 * count:
         raise FormatError(
             f"{path}: payload is {len(data) - header_end} bytes, "

@@ -72,12 +72,10 @@ class RestoreConfig:
     flow_search: int = 4
     flow_tau_occ: float = 0.368
     latent_scale: int = 4
-    # Mechanism toggles and ablation knobs (not config-file keys).
-    hlw_enabled: bool = True
-    tome_enabled: bool = True
+    # Ablation knobs (not config-file keys).
     down_mode: MergeMode = MergeMode.FLOW_DOWN
     up_mode: MergeMode = MergeMode.COSINE_UP
-    # Step-fraction windows [lo, hi) in which each mechanism runs.
+    # Step-fraction windows [lo, hi) in which each mechanism runs; empty is off.
     hlw_windows: tuple[tuple[float, float], ...] = ((0.0, 0.2),)
     tome_windows: tuple[tuple[float, float], ...] = ((0.0, 1.0),)
 
@@ -114,6 +112,11 @@ class RestoreConfig:
 
     def active_tome_windows(self) -> tuple[tuple[float, float], ...]:
         return self.tome_windows
+
+    @property
+    def tome_enabled(self) -> bool:
+        """Read-only; like active_tome_windows, kept only until perfbench reads step_plan."""
+        return bool(self.tome_windows)
 
 
 def parse_config(text: str) -> RestoreConfig:
@@ -237,10 +240,6 @@ def _check_bank(bank: FlowBank, plan: BatchPlan, config: RestoreConfig) -> None:
         )
 
 
-def _needs_flows(n: int, config: RestoreConfig) -> bool:
-    return (config.hlw_enabled and n > 1) or (config.tome_enabled and config.tome_r > 0)
-
-
 def encode_latent(frame: np.ndarray, scale: int) -> np.ndarray:
     """Area-downsample a frame by an integer factor."""
     h, w, c = frame.shape
@@ -264,6 +263,25 @@ def frame_noise(seed: int, frame_index: int, shape: tuple[int, ...]) -> np.ndarr
 
 def _in_windows(frac: float, windows) -> bool:
     return any(lo <= frac < hi for lo, hi in windows)
+
+
+def step_plan(config: RestoreConfig) -> tuple[list[bool], list[float]]:
+    """Per denoising step: does latent warping run, and at which merge ratio (0: none)."""
+    beg, end = config.anneal_range()
+    anneal = AnnealParams(r=config.tome_r, delta=config.tome_delta, i_beg=beg, i_end=end)
+    fracs = [pos / config.steps for pos in range(config.steps)]
+    hlw_on = [_in_windows(f, config.hlw_windows) for f in fracs]
+    ratios = [
+        anneal_ratio(pos, anneal) if _in_windows(f, config.tome_windows) else 0.0
+        for pos, f in enumerate(fracs)
+    ]
+    return hlw_on, ratios
+
+
+def _flow_readers(config: RestoreConfig) -> tuple[bool, bool]:
+    """Does restore read flows to warp latents, and to merge tokens along them?"""
+    hlw_on, ratios = step_plan(config)
+    return any(hlw_on), any(ratios) and MergeMode.FLOW_DOWN in (config.down_mode, config.up_mode)
 
 
 def _merge_attention(config: RestoreConfig, fields: dict, r_i: float, kind, chunk, attention):
@@ -302,21 +320,12 @@ def restore_latents(
     sched = toydiff.make_schedule(SCHED_T, BETA_START, BETA_END)
     ts = toydiff.step_indices(sched.T, config.steps)
     num_steps = len(ts)
-    beg, end = config.anneal_range()
-    anneal = AnnealParams(r=config.tome_r, delta=config.tome_delta, i_beg=beg, i_end=end)
-    # Per step: does latent warping run, and at which merge ratio (0: none).
-    fracs = [pos / num_steps for pos in range(num_steps)]
-    hlw_on = [config.hlw_enabled and _in_windows(f, config.hlw_windows) for f in fracs]
-    ratios = [
-        anneal_ratio(pos, anneal)
-        if config.tome_enabled and _in_windows(f, config.tome_windows)
-        else 0.0
-        for pos, f in enumerate(fracs)
-    ]
+    hlw_on, ratios = step_plan(config)
+    warps, flow_merges = _flow_readers(config)
 
     if bank is not None:
         _check_bank(bank, plan, config)
-    elif _needs_flows(n, config):
+    elif warps or flow_merges:
         bank = precompute_flows(seq, plan, config)
     denoiser = ToyDenoiser(channels=3, seed=config.seed)
 
@@ -339,7 +348,7 @@ def restore_latents(
             return [flowmod.resample_flow(bank.flow[(m, kf)], hc, wc) for m in members]
 
         chain = None
-        if any(hlw_on):
+        if warps:
             star_flows = member_flows(hl, wl)
             star_masks = [flowmod.resample_mask(bank.mask[(m, kf)], hl, wl) for m in members]
             if b > 0:
@@ -349,7 +358,7 @@ def restore_latents(
                     flowmod.resample_mask(bank.mask[pair], hl, wl),
                 )
         fields = {}
-        if members and any(ratios) and MergeMode.FLOW_DOWN in (config.down_mode, config.up_mode):
+        if members and flow_merges:
             fields = {
                 (hc, wc): {
                     "flows": member_flows(hc, wc),
@@ -476,7 +485,7 @@ _MID = (1.0 / 3.0, 2.0 / 3.0)
 _LATE = (2.0 / 3.0, 1.0)
 
 STAGE_VARIANTS = {
-    "off_off": dict(hlw_enabled=False, tome_enabled=False),
+    "off_off": dict(hlw_windows=[], tome_windows=[]),
     "early_early": dict(hlw_windows=[_EARLY], tome_windows=[_EARLY]),
     "earlymid_all": dict(hlw_windows=[_EARLY, _MID], tome_windows=[_EARLY, _MID, _LATE]),
     "all_all": dict(hlw_windows=[_EARLY, _MID, _LATE], tome_windows=[_EARLY, _MID, _LATE]),
@@ -487,8 +496,9 @@ STAGE_VARIANTS = {
 def ablate(seq: FrameSequence, config: RestoreConfig, variants: dict | None = None) -> dict:
     """Run restore under correspondence and stage variants; emit a metrics table.
 
-    Variants with the same batch plan and flow settings share one FlowBank;
-    the built-in variants override neither, so they all share one.
+    Variants with the same batch plan and flow settings share one FlowBank,
+    built only once a variant reads flows; the built-in variants override
+    neither, so they all share one.
     """
     table: dict = {"correspondence": {}, "stages": {}}
     groups = variants or {
@@ -501,7 +511,7 @@ def ablate(seq: FrameSequence, config: RestoreConfig, variants: dict | None = No
             cfg = replace(config, **overrides)
             cfg.validate()
             key = (cfg.batch_size, cfg.seed, cfg.flow_block, cfg.flow_search, cfg.flow_tau_occ)
-            if key not in banks and _needs_flows(len(seq), cfg):
+            if key not in banks and any(_flow_readers(cfg)):
                 plan = plan_batches(len(seq), cfg.batch_size, cfg.seed)
                 banks[key] = precompute_flows(seq, plan, cfg)
             restored = restore(seq, cfg, bank=banks.get(key))

@@ -264,11 +264,11 @@ def test_criterion_5_hook_neutrality():
     cfg = pipeline.RestoreConfig(steps=6, batch_size=4, latent_scale=2, seed=3)
     base = pipeline.per_frame_baseline(lq, cfg)
 
-    off = replace(cfg, hlw_enabled=False, tome_enabled=False)
+    off = replace(cfg, hlw_windows=(), tome_windows=())
     out_off = pipeline.restore(lq, off)
     assert all(np.array_equal(a, b) for a, b in zip(out_off.frames, base.frames))
 
-    r0 = replace(cfg, hlw_enabled=False, tome_r=0.0)
+    r0 = replace(cfg, hlw_windows=(), tome_r=0.0)
     out_r0 = pipeline.restore(lq, r0)
     assert all(np.array_equal(a, b) for a, b in zip(out_r0.frames, base.frames))
     print(

@@ -234,6 +234,67 @@ def test_restore_refuses_out_dir_with_user_files(tmp_path, capsys):
         user_file.unlink()
 
 
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+DEMO_ARGS = ["demo", "--frames", "3", "--seed", "2", "--out"]
+
+
+def test_demo_failure_leaves_out_untouched(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "demo"
+    write_frames = mediaio.write_frames
+    calls = []
+
+    def failing_on_third(seq, path):  # after hq/ and lq/ are written
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        write_frames(seq, path)
+
+    monkeypatch.setattr(cli.mediaio, "write_frames", failing_on_third)
+    assert main(DEMO_ARGS + [str(out)]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    monkeypatch.undo()
+    assert main(DEMO_ARGS + [str(out)]) == 0
+    before = _tree(tmp_path)
+    calls.clear()
+    monkeypatch.setattr(cli.mediaio, "write_frames", failing_on_third)
+    assert main(DEMO_ARGS + [str(out)]) == 1
+    assert _tree(tmp_path) == before
+    assert os.listdir(tmp_path) == ["demo"]
+
+
+def test_demo_refuses_out_dir_with_user_files(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "demo"
+    (out / "hq").mkdir(parents=True)
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before refusing --out")
+
+    monkeypatch.setattr(cli, "make_demo_video", no_compute)
+    for user_file in (out / "notes.txt", out / "hq" / "notes.txt", out / "frame_0000.ppm"):
+        user_file.write_text("keep me")
+        assert main(DEMO_ARGS + [str(out)]) == 1
+        err = capsys.readouterr().err
+        assert user_file.name in err and "refusing to replace" in err
+        assert _tree(tmp_path) == {str(user_file.relative_to(tmp_path)): b"keep me"}
+        user_file.unlink()
+
+
+def test_demo_byte_identical_runs(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(DEMO_ARGS + [str(a)]) == 0
+    first = _tree(a)
+    assert sorted(first) == sorted(
+        [f"{d}/frame_{i:04d}.ppm" for d in cli.DEMO_VIDEOS for i in range(3)] + ["report.json"]
+    )
+    assert main(DEMO_ARGS + [str(a)]) == 0  # its own outputs are replaced
+    assert main(DEMO_ARGS + [str(b)]) == 0
+    assert _tree(a) == first and _tree(b) == first
+
+
 def test_make_demo_video_properties():
     seq = make_demo_video(n=6, h=32, w=32, seed=1)
     assert len(seq) == 6

@@ -65,7 +65,7 @@ def test_blend_warped_is_convex_combination():
 # of 3, 3 and 1, with latent warping in every step and no token merging.
 
 CHAIN_CFG = RestoreConfig(
-    steps=4, batch_size=3, latent_scale=2, seed=0, hlw_windows=[(0.0, 1.0)], tome_enabled=False
+    steps=4, batch_size=3, latent_scale=2, seed=0, hlw_windows=[(0.0, 1.0)], tome_windows=()
 )
 
 

@@ -1,9 +1,13 @@
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zsvr import mediaio
 from zsvr.mediaio import FormatError, FrameSequence
@@ -178,6 +182,90 @@ def test_raw_tensor_bad_magic(tmp_path):
     (tmp_path / "x.rtf").write_bytes(b"NOPE" + b"\x00" * 8)
     with pytest.raises(FormatError, match="magic"):
         mediaio.read_raw_tensor(str(tmp_path / "x.rtf"))
+
+
+def test_raw_tensor_dims_product_overflow(tmp_path):
+    # 65536**4 == 2**64, which a fixed-width product wraps to 0 bytes
+    path = tmp_path / "huge.rtf"
+    path.write_bytes(mediaio.RTF_MAGIC + struct.pack("<5I", 4, *[65536] * 4))
+    with pytest.raises(FormatError, match="payload"):
+        mediaio.read_raw_tensor(str(path))
+
+
+# Property tests: per format, a write-then-read round trip is exact, and every
+# strict prefix of a valid file and every corruption of its magic is rejected.
+
+_FORMAT_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+def _pnm_write(path, frames):
+    mediaio.write_frames(FrameSequence(list(frames)), path)
+    return os.path.join(path, "frame_0000.ppm")
+
+
+def _pnm_read(path):
+    return np.stack(mediaio.read_frames(os.path.dirname(path)).frames)
+
+
+def _flo_write(path, flow):
+    mediaio.write_flo(flow, os.path.join(path, "f.flo"))
+    return os.path.join(path, "f.flo")
+
+
+def _rtf_write(path, arr):
+    mediaio.write_raw_tensor(arr, os.path.join(path, "t.rtf"))
+    return os.path.join(path, "t.rtf")
+
+
+_FORMATS = {
+    # name: (strategy for written values, write(dir, value) -> a file, read(file), magic size)
+    "pnm": (
+        # 1-3 frames with values on the 1/255 grid; the first frame's file is corrupted
+        hnp.arrays(np.uint8, st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+                                       st.just(3))).map(lambda a: a / 255.0),
+        _pnm_write,
+        _pnm_read,
+        2,
+    ),
+    "flo": (
+        hnp.arrays(np.float32, st.tuples(st.integers(1, 4), st.integers(1, 4), st.just(2)),
+                   elements=st.floats(width=32, allow_nan=False)),
+        _flo_write,
+        mediaio.read_flo,
+        4,
+    ),
+    "rtf": (
+        hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+                   elements=st.floats(width=32, allow_nan=False)),
+        _rtf_write,
+        mediaio.read_raw_tensor,
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_FORMATS))
+def test_format_roundtrip_and_rejection_property(fmt, tmp_path_factory):
+    values, write, read, magic_size = _FORMATS[fmt]
+
+    @_FORMAT_SETTINGS
+    @given(values, st.integers(0, magic_size - 1), st.integers(1, 255))
+    def check(value, magic_pos, flip):
+        d = str(tmp_path_factory.mktemp(fmt))
+        path = write(d, value)
+        back = read(path)
+        assert back.shape == value.shape and back.dtype == value.dtype
+        assert back.tobytes() == value.tobytes()
+        data = open(path, "rb").read()
+        for bad in [data[:k] for k in range(len(data))] + [
+            data[:magic_pos] + bytes([data[magic_pos] ^ flip]) + data[magic_pos + 1 :]
+        ]:
+            with open(path, "wb") as fh:
+                fh.write(bad)
+            with pytest.raises(FormatError):
+                read(path)
+
+    check()
 
 
 def test_report_roundtrip(tmp_path):

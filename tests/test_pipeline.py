@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from zsvr import flow as flowmod
 from zsvr import latentwarp, pipeline
 from zsvr.cli import degrade_video, make_demo_video
 from zsvr.mediaio import FrameSequence
 from zsvr.pipeline import RestoreConfig, parse_config, plan_batches
+from zsvr.tokenmerge import MergeMode
 from zsvr.toydiff import ToyDenoiser
 
 
@@ -265,7 +267,7 @@ def test_frame_noise_independent_and_deterministic():
 
 def test_restore_disabled_equals_per_frame_baseline():
     lq = small_video()
-    cfg = small_config(hlw_enabled=False, tome_enabled=False)
+    cfg = small_config(hlw_windows=(), tome_windows=())
     out = pipeline.restore(lq, cfg)
     base = pipeline.per_frame_baseline(lq, cfg)
     for a, b in zip(out.frames, base.frames):
@@ -275,7 +277,7 @@ def test_restore_disabled_equals_per_frame_baseline():
 def test_restore_single_step_with_both_mechanisms():
     lq = small_video(n=4)
     cfg = parse_config("steps = 1\nbatch_size = 3\nlatent_scale = 2\nhlw_until = 1")
-    assert cfg.hlw_enabled and cfg.tome_enabled and cfg.tome_r > 0
+    assert cfg.hlw_windows and cfg.tome_windows and cfg.tome_r > 0
     out = pipeline.restore(lq, cfg)
     assert len(out) == 4
     assert all(np.isfinite(f).all() for f in out.frames)
@@ -286,7 +288,7 @@ def test_restore_anneal_tail_runs_no_merge_pass():
     # they run the hookless per-frame attention, as a window ending at 0.6 does
     lq = FrameSequence([np.random.default_rng(f).random((16, 16, 3)) for f in range(5)])
     cfg = RestoreConfig(
-        steps=10, batch_size=5, latent_scale=2, hlw_enabled=False, tome_i_beg=2, tome_i_end=6
+        steps=10, batch_size=5, latent_scale=2, hlw_windows=(), tome_i_beg=2, tome_i_end=6
     )
     tail = pipeline.restore(lq, cfg)
     windowed = pipeline.restore(lq, replace(cfg, tome_windows=((0.0, 0.6),)))
@@ -379,14 +381,56 @@ def test_hook_gating_counters(monkeypatch):
     pipeline.restore(lq, small_config())
     assert counts == {"merge": n_blocks * 4 * 2, "blend": blends_per_step}
     counts.update(merge=0, blend=0)
-    pipeline.restore(lq, small_config(hlw_enabled=False, tome_enabled=False))
+    pipeline.restore(lq, small_config(hlw_windows=(), tome_windows=()))
     assert counts == {"merge": 0, "blend": 0}
+
+
+def test_step_plan_windows_and_anneal():
+    # steps 4: the default anneal runs from step 2 to 4 at r = 0.8
+    ramp_mid = 0.8 * math.cos(0.25 * math.pi)
+    for kw, hlw_on, ratios in (
+        ({}, [True, False, False, False], [0.8, 0.8, 0.8, ramp_mid]),
+        (dict(hlw_windows=[(0.5, 1.0)], tome_windows=[(0.0, 0.5)]),
+         [False, False, True, True], [0.8, 0.8, 0.0, 0.0]),
+        (dict(hlw_windows=(), tome_windows=()), [False] * 4, [0.0] * 4),
+        (dict(tome_r=0.0), [True, False, False, False], [0.0] * 4),
+    ):
+        assert pipeline.step_plan(small_config(**kw)) == (hlw_on, ratios)
+
+
+def test_restore_reads_no_flows_unless_a_step_uses_them(monkeypatch):
+    lq = small_video()
+    cosine = dict(down_mode=MergeMode.COSINE_UP, up_mode=MergeMode.COSINE_UP)
+    configs = [
+        small_config(hlw_windows=(), tome_windows=()),
+        small_config(hlw_windows=(), **cosine),
+        small_config(hlw_windows=(), tome_r=0.0),
+    ]
+    plan = plan_batches(len(lq), 3, 0)
+    with_bank = [pipeline.restore(lq, c, pipeline.precompute_flows(lq, plan, c)) for c in configs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("flows estimated for a restore that reads none")
+
+    monkeypatch.setattr(flowmod, "estimate_flow", refuse)
+    monkeypatch.setattr(pipeline, "precompute_flows", refuse)
+    for cfg, expected in zip(configs, with_bank):
+        out = pipeline.restore(lq, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(out.frames, expected.frames))
+    monkeypatch.undo()  # the metrics estimate their own flows; no bank may be built
+    monkeypatch.setattr(pipeline, "precompute_flows", refuse)
+    variants = {
+        "stages": {"off_off": pipeline.STAGE_VARIANTS["off_off"]},
+        "v": {"cos_no_hlw": dict(hlw_windows=(), **cosine), "r0": dict(hlw_windows=(), tome_r=0.0)},
+    }
+    table = pipeline.ablate(lq, small_config(), variants=variants)
+    assert table["stages"]["off_off"] == table["v"]["r0"]
 
 
 def test_keyframe_chain_links_batches_step_by_step(monkeypatch):
     # 7 frames in batches of 3, 3 and 1, latent warping in every step
     lq = small_video(n=7)
-    cfg = small_config(hlw_windows=[(0.0, 1.0)], tome_enabled=False)
+    cfg = small_config(hlw_windows=[(0.0, 1.0)], tome_windows=())
     blend, propagate = latentwarp.blend_warped, latentwarp.propagate_to_batch
     events = []  # in call order: ("chain", own, source, result) or ("star", keyframe)
     in_star = []
@@ -446,7 +490,7 @@ def test_keyframe_chain_links_batches_step_by_step(monkeypatch):
 
 def test_restore_zero_merge_ratio_equals_baseline():
     lq = small_video()
-    cfg = small_config(hlw_enabled=False, tome_r=0.0)
+    cfg = small_config(hlw_windows=(), tome_r=0.0)
     out = pipeline.restore(lq, cfg)
     base = pipeline.per_frame_baseline(lq, cfg)
     for a, b in zip(out.frames, base.frames):
@@ -456,7 +500,7 @@ def test_restore_zero_merge_ratio_equals_baseline():
 def test_restore_batch_order_independence_without_chaining():
     # with HLW off, each batch only depends on its own frames
     lq = small_video(n=6)
-    cfg = small_config(hlw_enabled=False)
+    cfg = small_config(hlw_windows=())
     full = pipeline.restore(lq, cfg)
     head = pipeline.restore(FrameSequence(lq.frames[:3]), cfg)
     for a, b in zip(full.frames[:3], head.frames):
