@@ -24,6 +24,12 @@ from . import mediaio, metrics, pipeline
 from .mediaio import FrameSequence
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write_json(obj: dict, path: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
@@ -31,6 +37,7 @@ def _atomic_write_json(obj: dict, path: str) -> None:
         with os.fdopen(fd, "w") as fh:
             json.dump(obj, fh, indent=2)
             fh.write("\n")
+        os.chmod(tmp, 0o666 & ~_umask())  # mkstemp made it 0600; open() would not
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -76,6 +83,7 @@ def _write_atomic(out_dir: str, outputs: tuple[str, ...], write) -> None:
     tmp = tempfile.mkdtemp(dir=parent)
     try:
         write(tmp)
+        os.chmod(tmp, 0o777 & ~_umask())  # mkdtemp made it 0700; mkdir would not
         if os.path.isdir(out_dir):
             shutil.rmtree(out_dir)
         os.replace(tmp, out_dir)
@@ -170,17 +178,30 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _box5_wrap(a: np.ndarray, axis: int) -> np.ndarray:
+    """Mean over a centered 5-wide window along axis, wrapping at the edges.
+
+    Bit-identical to scipy.ndimage.uniform_filter1d(a, 5, axis, mode="wrap")
+    because it adds in scipy's order: the first window left to right, then a
+    running sum of (entering - leaving), each sum then divided by 5.
+    """
+    a = np.moveaxis(a, axis, 0)
+    n = len(a)
+    p = a[np.arange(-2, n + 2) % n]
+    first = p[0] + p[1] + p[2] + p[3] + p[4]
+    sums = np.cumsum(np.concatenate([first[None], p[5:] - p[:-5]]), axis=0)
+    return np.moveaxis(sums / 5, 0, axis)
+
+
 def make_demo_video(
     n: int = 24, h: int = 64, w: int = 64, seed: int = 0
 ) -> FrameSequence:
     """Textured video with global translation plus a rotating center pattern."""
-    from scipy.ndimage import uniform_filter  # scipy's import is slow; only the demo needs it
-
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
     margin = n + 4
     texture = rng.random((h + margin, w + margin, 3))
     for _ in range(3):
-        texture = uniform_filter(texture, size=(5, 5, 1), mode="wrap")
+        texture = _box5_wrap(_box5_wrap(texture, 0), 1)
     # stretch contrast back after smoothing
     texture = (texture - texture.min()) / (texture.max() - texture.min())
 

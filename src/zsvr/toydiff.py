@@ -98,6 +98,10 @@ class ToyDenoiser:
     back afterwards. The predicted noise is RMS-normalized per frame so the
     untrained network stands in for a unit-variance noise estimate and the
     sampling dynamics stay bounded.
+
+    Each instance owns one float64 attention score scratch, sized to the
+    largest token count it has attended so far, so one instance must not
+    serve concurrent calls.
     """
 
     N_BLOCKS = 4  # down, down, up, up
@@ -118,6 +122,7 @@ class ToyDenoiser:
                     for name in ("p", "q", "k", "v")
                 }
             )
+        self._scores = np.empty(0)
 
     def _attend(self, tokens: np.ndarray, block: int) -> np.ndarray:
         """Joint self-attention over an arbitrary (K, C) token set."""
@@ -125,9 +130,14 @@ class ToyDenoiser:
         q = tokens @ w["q"]
         k = tokens @ w["k"]
         v = tokens @ w["v"]
-        scores = q @ k.T
+        n = len(tokens)
+        if self._scores.size < n * n:
+            # release the old block first, so both are never held at once
+            self._scores = None
+            self._scores = np.empty(n * n)
+        scores = np.matmul(q, k.T, out=self._scores[: n * n].reshape(n, n))
         scores /= math.sqrt(self.width)
-        return _softmax(scores) @ v
+        return _softmax(scores) @ v  # a fresh array: the scratch stays here
 
     def _block(
         self,

@@ -1,9 +1,17 @@
 import json
 import os
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.ndimage import uniform_filter, uniform_filter1d
 
+import zsvr
 from zsvr import cli, mediaio, pipeline
 from zsvr.cli import degrade_video, demo_config, main, make_demo_video
 
@@ -312,3 +320,91 @@ def test_degrade_video_properties():
     assert lq.shape == hq.shape
     assert lq.frames[0].min() >= 0.0 and lq.frames[0].max() <= 1.0
     assert np.abs(hq.frames[0] - lq.frames[0]).mean() > 0.01
+
+
+def _make_demo_video_scipy(n, h, w, seed):
+    """The former make_demo_video, smoothing with scipy.ndimage.uniform_filter."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
+    margin = n + 4
+    texture = rng.random((h + margin, w + margin, 3))
+    for _ in range(3):
+        texture = uniform_filter(texture, size=(5, 5, 1), mode="wrap")
+    texture = (texture - texture.min()) / (texture.max() - texture.min())
+    ys, xs = np.mgrid[0:h, 0:w]
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rad = np.hypot(ys - cy, xs - cx)
+    ang = np.arctan2(ys - cy, xs - cx)
+    disk = rad < min(h, w) / 5.0
+    frames = []
+    for t in range(n):
+        frame = texture[t : t + h, t : t + w].copy()
+        spin = 0.5 + 0.5 * np.cos(3.0 * ang - 0.35 * t)
+        for c in range(3):
+            ch = frame[:, :, c]
+            ch[disk] = 0.25 + 0.5 * spin[disk]
+        frames.append(np.clip(frame, 0.0, 1.0))
+    return frames
+
+
+@pytest.mark.parametrize("n,h,w,seed", [(24, 64, 64, 0), (3, 16, 16, 2), (5, 17, 9, 3), (1, 8, 8, 1)])
+def test_make_demo_video_equals_scipy_formula(n, h, w, seed):
+    got = make_demo_video(n=n, h=h, w=w, seed=seed).frames
+    want = _make_demo_video_scipy(n, h, w, seed)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want)) and len(got) == len(want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 3)),
+               elements=st.floats(-1.0, 1.0)),
+    st.integers(0, 1),
+)
+def test_box5_wrap_matches_scipy_uniform_filter1d(a, axis):
+    assert np.array_equal(cli._box5_wrap(a, axis), uniform_filter1d(a, 5, axis=axis, mode="wrap"))
+
+
+def test_make_demo_video_does_not_import_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zsvr.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = "import sys, zsvr.cli as cli; cli.make_demo_video(); print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.fixture(params=[(0o022, 0o755, 0o644), (0o077, 0o700, 0o600)], ids=["umask022", "umask077"])
+def umask_modes(request):
+    mask, dir_mode, file_mode = request.param
+    old = os.umask(mask)
+    try:
+        yield dir_mode, file_mode
+    finally:
+        os.umask(old)
+
+
+def _modes(root):
+    """Permission bits of root and of everything under it, by relative path."""
+    paths = [root] + sorted(root.rglob("*")) if root.is_dir() else [root]
+    return {str(p.relative_to(root)): (p.is_dir(), stat.S_IMODE(p.stat().st_mode)) for p in paths}
+
+
+def test_outputs_follow_umask(tmp_path, umask_modes):
+    dir_mode, file_mode = umask_modes
+    in_dir, hq, _ = _write_video(tmp_path)
+    ref_dir = tmp_path / "ref"
+    mediaio.write_frames(hq, str(ref_dir))
+    cfg = _write_config(tmp_path, SMALL_CFG)
+    runs = {
+        "restore": ["restore", "--in", str(in_dir), "--config", str(cfg), "--dump-latents", "--out"],
+        "flow": ["flow", "--in", str(in_dir), "--out"],
+        "demo": DEMO_ARGS,
+        "metrics.json": ["metrics", "--in", str(in_dir), "--ref", str(ref_dir), "--out"],
+        "ablate.json": ["ablate", "--in", str(in_dir), "--config", str(cfg), "--out"],
+    }
+    for name, args in runs.items():
+        out = tmp_path / name
+        assert main(args + [str(out)]) == 0
+        modes = _modes(out)
+        assert len(modes) > (1 if out.is_dir() else 0)
+        for rel, (is_dir, mode) in modes.items():
+            assert mode == (dir_mode if is_dir else file_mode), (name, rel, oct(mode))

@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +266,116 @@ def test_format_roundtrip_and_rejection_property(fmt, tmp_path_factory):
                 fh.write(bad)
             with pytest.raises(FormatError):
                 read(path)
+
+    check()
+
+
+# Property tests of mutated header fields: a reader accepts a header exactly
+# when it names the payload's size, returns the payload unchanged in the
+# shape the header names, and never allocates more than a fixed multiple of
+# the file's size, whatever size the header claims.
+
+_HEADER_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+_SIZES = st.one_of(st.integers(0, 17), st.integers(-(2**31), 2**32))
+
+
+def _read_mutated(read, path, header: bytes, payload: bytes):
+    """Write header + payload to path and read it back; a FormatError is
+    returned, any other outcome must be the payload unchanged."""
+    data = header + payload
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        try:
+            got = read(str(path))
+        except FormatError as exc:
+            got = exc
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * len(data) + (1 << 16)
+    return got
+
+
+def test_pnm_mutated_header_field_property(tmp_path_factory):
+    d = tmp_path_factory.mktemp("pnm")
+    tokens = st.one_of(
+        _SIZES.map(lambda i: str(i).encode()),
+        st.integers(2**62, 2**70).map(lambda i: str(i).encode()),
+        st.integers(0, 300).map(lambda i: b"0%d" % i),
+        st.binary(min_size=1, max_size=8).filter(lambda b: not re.search(rb"\s", b)),
+    )
+
+    @_HEADER_SETTINGS
+    @given(hnp.arrays(np.uint8, st.tuples(st.integers(1, 4), st.integers(1, 4), st.just(3))),
+           st.integers(0, 2), tokens)
+    def check(raw, field, token):
+        h, w, _ = raw.shape
+        fields = [b"%d" % w, b"%d" % h, b"255"]  # width, height, maxval
+        fields[field] = token
+        header = b"P6\n%s %s\n%s\n" % tuple(fields)
+        got = _read_mutated(lambda p: mediaio.read_frames(os.path.dirname(p)).frames[0],
+                            d / "frame.ppm", header, raw.tobytes())
+        if re.fullmatch(rb"-?[0-9]+", token):
+            w2, h2, maxval = map(int, fields)
+            valid = w2 >= 1 and h2 >= 1 and maxval == 255 and w2 * h2 == w * h
+            assert isinstance(got, FormatError) != valid
+            if valid:
+                assert got.shape == (h2, w2, 3)
+        if not isinstance(got, FormatError):
+            assert np.rint(got * 255).astype(np.uint8).tobytes() == raw.tobytes()
+
+    check()
+
+
+def test_flo_mutated_dims_property(tmp_path_factory):
+    path = tmp_path_factory.mktemp("flo") / "f.flo"
+
+    @_HEADER_SETTINGS
+    @given(hnp.arrays("<f4", st.tuples(st.integers(1, 4), st.integers(1, 4), st.just(2)),
+                      elements=st.floats(width=32, allow_nan=False)),
+           st.integers(0, 1), _SIZES.filter(lambda i: -(2**31) <= i < 2**31))
+    def check(flow, field, value):
+        h, w, _ = flow.shape
+        dims = [w, h]
+        dims[field] = value
+        got = _read_mutated(mediaio.read_flo, path,
+                            struct.pack("<f2i", mediaio.FLO_MAGIC, *dims), flow.tobytes())
+        valid = min(dims) >= 1 and dims[0] * dims[1] == w * h
+        assert isinstance(got, FormatError) != valid
+        if valid:
+            assert got.shape == (dims[1], dims[0], 2) and got.tobytes() == flow.tobytes()
+
+    check()
+
+
+def test_rtf_mutated_rank_and_dims_property(tmp_path_factory):
+    path = tmp_path_factory.mktemp("rtf") / "t.rtf"
+
+    @_HEADER_SETTINGS
+    @given(hnp.arrays("<f4", hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+                      elements=st.floats(width=32, allow_nan=False)),
+           st.integers(0, 3), _SIZES.filter(lambda i: 0 <= i < 2**32))
+    def check(arr, field, value):
+        # field 0 is the rank, field i > 0 the (i-1)-th dim
+        header = [arr.ndim, *arr.shape]
+        field %= len(header)
+        header[field] = value
+        got = _read_mutated(mediaio.read_raw_tensor, path,
+                            mediaio.RTF_MAGIC + struct.pack(f"<{len(header)}I", *header),
+                            arr.tobytes())
+        if field:
+            valid = math.prod(header[1:]) == arr.size
+            assert isinstance(got, FormatError) != valid
+            if valid:
+                assert got.shape == tuple(header[1:])
+        elif value == arr.ndim:
+            assert got.shape == arr.shape
+        if not isinstance(got, FormatError):
+            # the rank moved the header's end: the payload is the file's tail
+            data = path.read_bytes()
+            assert 8 + 4 * got.ndim + got.nbytes == len(data)
+            assert got.tobytes() == data[len(data) - got.nbytes :]
 
     check()
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,48 @@ def test_attention_hook_sees_all_blocks():
     out_plain = d(x)
     assert kinds == [BlockKind.DOWN, BlockKind.DOWN, BlockKind.UP, BlockKind.UP]
     assert np.array_equal(out_hooked, out_plain)
+
+
+def _attend_fresh(d, tokens, block):
+    """The former ToyDenoiser._attend: a fresh score matrix on every call."""
+    w = d.weights[block]
+    q = tokens @ w["q"]
+    k = tokens @ w["k"]
+    v = tokens @ w["v"]
+    scores = q @ k.T
+    scores /= math.sqrt(d.width)
+    return toydiff._softmax(scores) @ v
+
+
+def test_attend_score_scratch_matches_fresh_scores():
+    # K grows, shrinks to 1 and grows again, so the scratch is reused both
+    # as a prefix of a larger block and after reallocation
+    rng = np.random.default_rng(7)
+    d = ToyDenoiser(seed=3)
+    returned = []
+    for i, k in enumerate([5, 1, 40, 12, 1, 64, 3, 100, 64, 1]):
+        tokens = rng.standard_normal((k, d.width))
+        block = i % d.N_BLOCKS
+        got = d._attend(tokens, block)
+        assert np.array_equal(got, _attend_fresh(d, tokens, block))
+        returned.append((got, got.copy()))
+    for got, snapshot in returned:  # no later call wrote into a result
+        assert np.array_equal(got, snapshot)
+    assert d._scores.size == 100 * 100  # grown to exactly the largest K**2
+
+
+def test_attend_reuses_score_scratch_at_same_k():
+    k = 300
+    tokens = np.random.default_rng(8).standard_normal((k, 16))
+    d = ToyDenoiser(seed=0)
+    d._attend(tokens, 0)
+    tracemalloc.start()
+    try:
+        d._attend(tokens, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k * k * 8 / 2
 
 
 def test_denoise_step_single_step_returns_x0():
