@@ -263,6 +263,19 @@ def cmd_demo(args) -> int:
     return 0
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo, so a bad value is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="zsvr",
@@ -276,15 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("flow", help="adjacent-pair flows and confidences")
     pf.add_argument("--in", dest="in_dir", required=True)
     pf.add_argument("--out", dest="out_dir", required=True)
-    pf.add_argument("--block", type=int, default=7)
-    pf.add_argument("--search", type=int, default=4)
+    pf.add_argument("--block", type=_int_at_least(1), default=7)
+    pf.add_argument("--search", type=_int_at_least(0), default=4)
     pf.set_defaults(func=cmd_flow)
 
     pr = sub.add_parser("restore", help="run the restoration pipeline")
     pr.add_argument("--in", dest="in_dir", required=True)
     pr.add_argument("--out", dest="out_dir", required=True)
     pr.add_argument("--config", required=True)
-    pr.add_argument("--seed", type=int, default=None)
+    pr.add_argument("--seed", type=_int_at_least(0), default=None)
     pr.add_argument("--dump-latents", action="store_true")
     pr.add_argument("--no-hlw", action="store_true")
     pr.add_argument("--no-tome", action="store_true")
@@ -300,13 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--in", dest="in_dir", required=True)
     pa.add_argument("--out", dest="out_file", required=True)
     pa.add_argument("--config", required=True)
-    pa.add_argument("--seed", type=int, default=None)
+    pa.add_argument("--seed", type=_int_at_least(0), default=None)
     pa.set_defaults(func=cmd_ablate)
 
     pd = sub.add_parser("demo", help="synthetic end-to-end comparison")
     pd.add_argument("--out", dest="out_dir", required=True)
-    pd.add_argument("--seed", type=int, default=0)
-    pd.add_argument("--frames", type=int, default=24)
+    pd.add_argument("--seed", type=_int_at_least(0), default=0)
+    pd.add_argument("--frames", type=_int_at_least(1), default=24)
     pd.set_defaults(func=cmd_demo)
     return p
 

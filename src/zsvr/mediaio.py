@@ -4,14 +4,13 @@ Formats:
   * PNM P5/P6 (binary, maxval 255) for frame sequences
   * Middlebury .flo (magic float 202021.25, little-endian) for flow fields
   * RawTensorFile: b"RTF1" | u32 rank | u32 dims[rank] | f32 payload, all LE
-  * JSON metric reports with stable key order
+  * metric reports as stable-order dicts, which the CLI writes as JSON
 
 Readers reject malformed inputs instead of sanitizing them.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -237,10 +236,3 @@ def report_to_dict(report) -> dict:
         out[key] = block
     out["metadata"] = dict(getattr(report, "metadata", {}) or {})
     return out
-
-
-def write_report(report, path: str) -> None:
-    """Write a metrics report as JSON with stable key order."""
-    text = json.dumps(report_to_dict(report), indent=2)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")

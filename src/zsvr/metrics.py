@@ -80,6 +80,8 @@ def warping_error(
     with 1; None means no occlusions. Returns (per-pair values, mean).
     """
     n = len(frames)
+    if n < 2:
+        raise ValueError(f"too short: need at least 2 frames, got {n}")
     if len(flows) != n - 1:
         raise ValueError(f"need {n - 1} flows for {n} frames, got {len(flows)}")
     if masks is not None and len(masks) != n - 1:

@@ -2,7 +2,8 @@
 
 restore() processes the video batch by batch through the toy DDIM sampler
 and decides once per step which mechanisms run. Hierarchical latent warping
-runs in the steps of its windows: the batch keyframe is first chained from
+runs in the steps of its windows, on the predicted clean latents between the
+denoiser's prediction and the DDIM update: the batch keyframe is chained from
 the previous batch's keyframe (its clean-latent prediction at the same step,
 after its own chain blend), then propagated star-shaped to the batch members.
 Token merging wraps every self-attention in the steps of its windows where
@@ -25,7 +26,7 @@ from . import flow as flowmod
 from . import latentwarp, metrics, toydiff
 from .mediaio import FrameSequence
 from .tokenmerge import AnnealParams, MergeMode, anneal_ratio, hybrid_merge_pass
-from .toydiff import BlockKind, HookSet, ToyDenoiser
+from .toydiff import BlockKind, ToyDenoiser
 
 # Fixed toy noise schedule; the step count is configurable, the schedule not.
 SCHED_T = 100
@@ -82,6 +83,8 @@ class RestoreConfig:
     def validate(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 1 <= self.steps <= SCHED_T:
             raise ValueError(f"steps must be in [1, {SCHED_T}]")
         if not 0.0 <= self.tome_r <= 1.0:
@@ -178,8 +181,9 @@ class FlowBank:
     flow[(i, j)] = estimate_flow(frame_i, frame_j): sampled at frame i's
     positions, pointing at the corresponding position in frame j, so
     warp(x_j, flow[(i, j)]) aligns frame j's content onto frame i.
-    conf/mask[(i, j)] qualify that warp. The bank holds the pairs of
-    _needed_pairs and records the flow settings it was built with. One bank
+    conf/mask[(i, j)] qualify that warp. The bank holds conf and mask for the
+    pairs of _needed_pairs, flows for them and their reverses, and records
+    the flow settings it was built with. One bank
     serves every restore of the same frames with the same batch plan
     (batch_size, seed) and flow settings (flow.block, flow.search,
     flow.tau_occ); restore rejects a bank whose settings or pairs differ.
@@ -194,34 +198,30 @@ class FlowBank:
 
 
 def _needed_pairs(plan: BatchPlan) -> set[tuple[int, int]]:
-    """The pairs restore reads, both directions: each keyframe with its batch
-    members (star propagation and flow-guided merging) and each keyframe with
-    the previous batch's keyframe (the chain)."""
-    pairs = set()
-    for b in range(1, len(plan.batches)):
-        i, j = plan.keyframe_of[b], plan.keyframe_of[b - 1]
-        pairs.add((i, j))
-        pairs.add((j, i))
+    """The pairs (i, j) whose flow, confidence and mask restore reads: each
+    batch member with its keyframe (star propagation and flow-guided merging)
+    and each keyframe with the previous batch's keyframe (the chain)."""
+    pairs = {(plan.keyframe_of[b], plan.keyframe_of[b - 1]) for b in range(1, len(plan.batches))}
     for b, (start, end) in enumerate(plan.batches):
         kf = plan.keyframe_of[b]
-        for m in range(start, end):
-            if m != kf:
-                pairs.add((m, kf))
-                pairs.add((kf, m))
+        pairs.update((m, kf) for m in range(start, end) if m != kf)
     return pairs
 
 
 def precompute_flows(seq: FrameSequence, plan: BatchPlan, config: RestoreConfig) -> FlowBank:
-    """Block-matching flows, confidences, and occlusion masks on the LQ frames."""
+    """Block-matching flows, confidences, and occlusion masks on the LQ frames.
+
+    Flows are estimated both ways for each pair restore reads, because its
+    forward-backward confidence needs the reverse flow too.
+    """
     bank = FlowBank(config.flow_block, config.flow_search, config.flow_tau_occ)
-    pairs = sorted(_needed_pairs(plan))
-    for i, j in pairs:
+    read = _needed_pairs(plan)
+    for i, j in sorted(read | {(j, i) for i, j in read}):
         bank.flow[(i, j)] = flowmod.estimate_flow(
             seq.frames[i], seq.frames[j], config.flow_block, config.flow_search
         )
-    for i, j in pairs:
-        fwd, bwd = bank.flow[(i, j)], bank.flow[(j, i)]
-        bank.conf[(i, j)] = flowmod.fb_confidence(fwd, bwd)
+    for i, j in sorted(read):
+        bank.conf[(i, j)] = flowmod.fb_confidence(bank.flow[(i, j)], bank.flow[(j, i)])
         bank.mask[(i, j)] = (bank.conf[(i, j)] < config.flow_tau_occ).astype(np.float64)
     return bank
 
@@ -319,7 +319,6 @@ def restore_latents(
     plan = plan_batches(n, config.batch_size, config.seed)
     sched = toydiff.make_schedule(SCHED_T, BETA_START, BETA_END)
     ts = toydiff.step_indices(sched.T, config.steps)
-    num_steps = len(ts)
     hlw_on, ratios = step_plan(config)
     warps, flow_merges = _flow_readers(config)
 
@@ -342,14 +341,17 @@ def restore_latents(
         eps0 = np.stack([frame_noise(config.seed, f, (hl, wl, 3)) for f in range(start, stop)])
         x = toydiff.forward_diffuse(x0s, ts[0], eps0, sched)
 
-        # The batch's warp and merge fields, resampled once to the grids that read them.
-        @functools.cache
-        def member_flows(hc, wc):
-            return [flowmod.resample_flow(bank.flow[(m, kf)], hc, wc) for m in members]
+        # The batch's member flows, resampled once to each grid that reads them.
+        read = {(hl, wl)} if warps else set()
+        if members and flow_merges:
+            read.update(grids)
+        member_flows = {
+            g: [flowmod.resample_flow(bank.flow[(m, kf)], *g) for m in members] for g in read
+        }
 
         chain = None
         if warps:
-            star_flows = member_flows(hl, wl)
+            star_flows = member_flows[(hl, wl)]
             star_masks = [flowmod.resample_mask(bank.mask[(m, kf)], hl, wl) for m in members]
             if b > 0:
                 pair = (kf, plan.keyframe_of[b - 1])
@@ -361,7 +363,7 @@ def restore_latents(
         if members and flow_merges:
             fields = {
                 (hc, wc): {
-                    "flows": member_flows(hc, wc),
+                    "flows": member_flows[(hc, wc)],
                     "confidences": [
                         flowmod.bilinear_resample(bank.conf[(m, kf)], hc, wc) for m in members
                     ],
@@ -370,35 +372,21 @@ def restore_latents(
             }
 
         kf_x0: dict[int, np.ndarray] = {}
-
-        def latent_hook(step_pos, t, x0_batch):
-            x0_batch = x0_batch.copy()
-            if chain is not None:
-                x0_batch[kf_off] = latentwarp.blend_warped(
-                    x0_batch[kf_off], prev_kf_x0[step_pos], *chain
+        for pos, (t, t_prev) in enumerate(zip(ts, ts[1:] + [None])):
+            hook = None
+            if members and ratios[pos] > 0.0:
+                hook = functools.partial(_merge_attention, config, fields, ratios[pos])
+            x0, eps = toydiff.denoise_step(x, t, denoiser, sched, hook, target_index=kf_off)
+            if hlw_on[pos]:
+                if chain is not None:
+                    x0[kf_off] = latentwarp.blend_warped(x0[kf_off], prev_kf_x0[pos], *chain)
+                kf_x0[pos] = x0[kf_off].copy()
+                warped = latentwarp.propagate_to_batch(
+                    x0[kf_off], [x0[o] for o in member_offs], star_flows, star_masks
                 )
-            kf_x0[step_pos] = x0_batch[kf_off].copy()
-            warped = latentwarp.propagate_to_batch(
-                x0_batch[kf_off], [x0_batch[o] for o in member_offs], star_flows, star_masks
-            )
-            for off, latent in zip(member_offs, warped):
-                x0_batch[off] = latent
-            return x0_batch
-
-        for pos, t in enumerate(ts):
-            t_prev = ts[pos + 1] if pos + 1 < num_steps else None
-            merging = members and ratios[pos] > 0.0
-            hooks = HookSet(
-                latent_hook=latent_hook if hlw_on[pos] else None,
-                attention_hook=(
-                    functools.partial(_merge_attention, config, fields, ratios[pos])
-                    if merging
-                    else None
-                ),
-            )
-            x = toydiff.denoise_step(
-                x, t, t_prev, pos, denoiser, hooks, sched, target_index=kf_off
-            )
+                for off, latent in zip(member_offs, warped):
+                    x0[off] = latent
+            x = x0 if t_prev is None else toydiff.forward_diffuse(x0, t_prev, eps, sched)
         prev_kf_x0 = kf_x0
         out[start:stop] = x
 
@@ -430,7 +418,7 @@ def per_frame_baseline(seq: FrameSequence, config: RestoreConfig) -> FrameSequen
         eps = frame_noise(config.seed, f, (hl, wl, 3))[None]
         ts = toydiff.step_indices(sched.T, config.steps)
         x = toydiff.forward_diffuse(x0, ts[0], eps, sched)
-        x = toydiff.sample(x, denoiser, HookSet(), sched, config.steps)
+        x = toydiff.sample(x, denoiser, sched, config.steps)
         out.append(decode_latent(x[0], h, w))
     return FrameSequence(out)
 
@@ -460,13 +448,13 @@ def temporal_consistency(
         bwd = est(t - 1, t)
         warp_flows.append(fwd)
         warp_masks.append(flowmod.occlusion_mask(fwd, bwd, config.flow_tau_occ))
-    e_warp, _ = metrics.warping_error(seq.frames, warp_flows, warp_masks)
+    e_warp, e_inter = [], []
+    if n >= 2:
+        e_warp, _ = metrics.warping_error(seq.frames, warp_flows, warp_masks)
     if n >= 3:
         fwd2 = [est(t + 1, t - 1) for t in range(1, n - 1)]
         bwd2 = [est(t - 1, t + 1) for t in range(1, n - 1)]
         e_inter, _ = metrics.interpolation_error(seq.frames, fwd2, bwd2)
-    else:
-        e_inter = []
     return e_warp, e_inter
 
 

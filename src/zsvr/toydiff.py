@@ -3,24 +3,21 @@
 The denoiser is an untrained, seeded stand-in for a UNet: two down blocks and
 two up blocks, each a linear token projection followed by self-attention and a
 residual add, with 2x2 mean pooling between the down blocks and nearest
-upsampling between the up blocks. It exposes the two hook surfaces the
-temporal-consistency mechanisms attach to:
+upsampling between the up blocks. It exposes one hook surface, the one token
+merging attaches to:
 
   * attention_hook(kind, chunk, attention) -> tokens, called instead of the
     block's own attention: chunk is the block's TokenChunk, checked once
     here, and the hook returns the attended (B, A, C) array. `attention`
     maps any (K, C) token array through the block's joint self-attention.
-    Without a hook, attention is applied to each frame's tokens
+    Without a hook (None), attention is applied to each frame's tokens
     independently, so batched sampling is bit-identical to per-frame
     sampling.
-  * latent_hook(step_pos, t, x0_batch) -> x0_batch, called on the predicted
-    clean latents of the whole batch after every denoising step's prediction.
 
-Either hook may be None, and each denoise_step takes its own HookSet, so a
-caller that runs a mechanism only in some steps passes None in the others:
-that step then runs exactly the hookless path.
-
-Sampling is DDIM with eta=0: fully deterministic given seeds and inputs.
+denoise_step returns the predicted clean latents and noise (x0, eps) of a
+batch; the caller may edit x0 (latent warping does) before the DDIM step to
+t_prev, which with eta=0 is forward_diffuse(x0, t_prev, eps). Sampling is
+fully deterministic given seeds and inputs.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -72,14 +69,6 @@ def forward_diffuse(
         raise IndexError(f"t={t} out of range [0, {sched.T})")
     abar = sched.abars[t]
     return math.sqrt(abar) * x0 + math.sqrt(1.0 - abar) * eps
-
-
-@dataclass
-class HookSet:
-    """Hook surfaces; None means the mechanism is absent."""
-
-    latent_hook: Optional[Callable] = None
-    attention_hook: Optional[Callable] = None
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -145,13 +134,13 @@ class ToyDenoiser:
         block: int,
         kind: BlockKind,
         content: tuple[int, int],
-        hooks: HookSet,
+        attention_hook: Callable | None,
         target_index: int,
     ) -> np.ndarray:
         b, h, w, c = x.shape
         tokens = x.reshape(b, h * w, c)
         proj = tokens @ self.weights[block]["p"]
-        if hooks.attention_hook is not None:
+        if attention_hook is not None:
             chunk = TokenChunk(
                 tokens=proj,
                 layout=(h, w),
@@ -159,7 +148,7 @@ class ToyDenoiser:
                 target_index=target_index,
             )
             attended = np.asarray(
-                hooks.attention_hook(kind, chunk, lambda t: self._attend(t, block))
+                attention_hook(kind, chunk, lambda t: self._attend(t, block))
             )
             if attended.shape != proj.shape:
                 raise ValueError(
@@ -170,10 +159,9 @@ class ToyDenoiser:
         return (tokens + attended).reshape(b, h, w, c)
 
     def __call__(
-        self, x: np.ndarray, hooks: HookSet | None = None, target_index: int = 0
+        self, x: np.ndarray, attention_hook: Callable | None = None, target_index: int = 0
     ) -> np.ndarray:
         """Predict noise for a batch of latents (B, h, w, c)."""
-        hooks = hooks or HookSet()
         b, h, w, c = x.shape
         if c != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {c}")
@@ -182,12 +170,12 @@ class ToyDenoiser:
         padded[:, :h, :w, :] = x @ self.w_in
 
         half = ((h + 1) // 2, (w + 1) // 2)
-        y = self._block(padded, 0, BlockKind.DOWN, (h, w), hooks, target_index)
+        y = self._block(padded, 0, BlockKind.DOWN, (h, w), attention_hook, target_index)
         y = y.reshape(b, hp // 2, 2, wp // 2, 2, self.width).mean(axis=(2, 4))
-        y = self._block(y, 1, BlockKind.DOWN, half, hooks, target_index)
-        y = self._block(y, 2, BlockKind.UP, half, hooks, target_index)
+        y = self._block(y, 1, BlockKind.DOWN, half, attention_hook, target_index)
+        y = self._block(y, 2, BlockKind.UP, half, attention_hook, target_index)
         y = y.repeat(2, axis=1).repeat(2, axis=2)
-        y = self._block(y, 3, BlockKind.UP, (h, w), hooks, target_index)
+        y = self._block(y, 3, BlockKind.UP, (h, w), attention_hook, target_index)
         eps = y[:, :h, :w, :] @ self.w_out
         rms = np.sqrt((eps**2).mean(axis=(1, 2, 3), keepdims=True)) + 1e-12
         return eps / rms
@@ -196,31 +184,18 @@ class ToyDenoiser:
 def denoise_step(
     x_t: np.ndarray,
     t: int,
-    t_prev: int | None,
-    step_pos: int,
     denoiser: ToyDenoiser,
-    hooks: HookSet,
     sched: NoiseSchedule,
+    attention_hook: Callable | None = None,
     target_index: int = 0,
-) -> np.ndarray:
-    """One deterministic DDIM step over a batch of latents.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predict (x0_hat, eps_hat) for a batch of latents at step t.
 
-    Returns x_{t_prev}, or the predicted x0 batch when t_prev is None.
+    The deterministic DDIM step to t_prev is forward_diffuse(x0_hat, t_prev,
+    eps_hat, sched); after the last step x0_hat is the sample.
     """
-    eps_hat = denoiser(x_t, hooks, target_index)
-    x0_hat = predict_x0(x_t, eps_hat, sched.abars[t])
-    if hooks.latent_hook is not None:
-        replaced = hooks.latent_hook(step_pos, t, x0_hat)
-        replaced = np.asarray(replaced)
-        if replaced.shape != x0_hat.shape:
-            raise ValueError(
-                f"latent hook changed shape {x0_hat.shape} -> {replaced.shape}"
-            )
-        x0_hat = replaced
-    if t_prev is None:
-        return x0_hat
-    abar_prev = sched.abars[t_prev]
-    return math.sqrt(abar_prev) * x0_hat + math.sqrt(1.0 - abar_prev) * eps_hat
+    eps_hat = denoiser(x_t, attention_hook, target_index)
+    return predict_x0(x_t, eps_hat, sched.abars[t]), eps_hat
 
 
 def step_indices(T: int, steps: int) -> list[int]:
@@ -232,17 +207,12 @@ def step_indices(T: int, steps: int) -> list[int]:
 
 
 def sample(
-    x_T: np.ndarray,
-    denoiser: ToyDenoiser,
-    hooks: HookSet,
-    sched: NoiseSchedule,
-    steps: int,
-    target_index: int = 0,
+    x_T: np.ndarray, denoiser: ToyDenoiser, sched: NoiseSchedule, steps: int
 ) -> np.ndarray:
-    """Iterate denoise_step over a strided step subset; returns the x0 batch."""
+    """Hookless DDIM over a strided step subset; returns the x0 batch."""
     ts = step_indices(sched.T, steps)
     x = x_T
-    for pos, t in enumerate(ts):
-        t_prev = ts[pos + 1] if pos + 1 < len(ts) else None
-        x = denoise_step(x, t, t_prev, pos, denoiser, hooks, sched, target_index)
+    for t, t_prev in zip(ts, ts[1:] + [None]):
+        x0, eps = denoise_step(x, t, denoiser, sched)
+        x = x0 if t_prev is None else forward_diffuse(x0, t_prev, eps, sched)
     return x

@@ -39,6 +39,64 @@ def test_usage_error_exit_code_2(capsys):
     assert exc.value.code == 2
 
 
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("the command ran before its arguments were checked")
+
+
+@pytest.mark.parametrize(
+    "cmd, flag, value",
+    [
+        ("flow", "--block", "0"),
+        ("flow", "--search", "-1"),
+        ("restore", "--seed", "-5"),
+        ("ablate", "--seed", "-1"),
+        ("demo", "--seed", "-1"),
+        ("demo", "--frames", "0"),
+    ],
+)
+def test_bad_argument_value_is_usage_error(tmp_path, monkeypatch, capsys, cmd, flag, value):
+    in_dir, _, _ = _write_video(tmp_path, n=1)
+    cfg = _write_config(tmp_path, SMALL_CFG)
+    monkeypatch.setattr(cli.mediaio, "read_frames", _fail_if_called)
+    monkeypatch.setattr(cli, "make_demo_video", _fail_if_called)
+    out = tmp_path / "out"
+    args = {
+        "flow": ["--in", str(in_dir)],
+        "restore": ["--in", str(in_dir), "--config", str(cfg)],
+        "ablate": ["--in", str(in_dir), "--config", str(cfg)],
+        "demo": [],
+    }[cmd]
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--out", str(out), *args, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_frame_metrics_are_null(tmp_path):
+    in_dir, hq, _ = _write_video(tmp_path, n=1)
+    ref_dir = tmp_path / "ref"
+    mediaio.write_frames(hq, str(ref_dir))
+    cfg = _write_config(tmp_path, SMALL_CFG)
+    rep_file, table_file, demo_dir = tmp_path / "rep.json", tmp_path / "t.json", tmp_path / "d"
+    assert main(["metrics", "--in", str(in_dir), "--ref", str(ref_dir),
+                 "--out", str(rep_file)]) == 0
+    assert main(["ablate", "--in", str(in_dir), "--out", str(table_file),
+                 "--config", str(cfg)]) == 0
+    assert main(["demo", "--out", str(demo_dir), "--frames", "1"]) == 0
+    demo = json.loads((demo_dir / "report.json").read_text())
+    for rep in (json.loads(rep_file.read_text()), demo["ours"], demo["baseline"]):
+        assert len(rep["psnr"]["per_frame"]) == 1
+        assert rep["e_warp"] == {"per_pair": [], "mean": None, "mean_x1000": None}
+        assert rep["e_inter"] == {"per_triple": [], "mean": None}
+    table = json.loads(table_file.read_text())
+    rows = [row for group in ("correspondence", "stages") for row in table[group].values()]
+    assert len(rows) == 10
+    for row in rows:
+        assert row == {"e_warp_mean": None, "e_warp_mean_x1000": None, "e_inter_mean": None}
+
+
 def test_runtime_failure_exit_code_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, SMALL_CFG)
     rc = main(

@@ -380,7 +380,7 @@ def test_rtf_mutated_rank_and_dims_property(tmp_path_factory):
     check()
 
 
-def test_report_roundtrip(tmp_path):
+def test_report_roundtrip():
     rep = MetricsReport(
         psnr=[30.0, 31.5],
         ssim=[0.9, 0.95],
@@ -388,9 +388,7 @@ def test_report_roundtrip(tmp_path):
         e_inter=[1.0],
         metadata={"seed": 3},
     )
-    path = tmp_path / "rep.json"
-    mediaio.write_report(rep, str(path))
-    parsed = json.loads(path.read_text())
+    parsed = json.loads(json.dumps(mediaio.report_to_dict(rep)))
     assert list(parsed) == ["psnr", "ssim", "e_warp", "e_inter", "metadata"]
     assert parsed["psnr"]["per_frame"] == [30.0, 31.5]
     assert parsed["psnr"]["mean"] == pytest.approx(30.75)
@@ -398,11 +396,9 @@ def test_report_roundtrip(tmp_path):
     assert parsed["metadata"] == {"seed": 3}
 
 
-def test_report_empty_arrays_mean_null(tmp_path):
+def test_report_empty_arrays_mean_null():
     rep = MetricsReport()
-    path = tmp_path / "rep.json"
-    mediaio.write_report(rep, str(path))
-    parsed = json.loads(path.read_text())
+    parsed = json.loads(json.dumps(mediaio.report_to_dict(rep)))
     assert parsed["psnr"]["mean"] is None
     assert parsed["e_warp"]["mean_x1000"] is None
 

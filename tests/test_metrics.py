@@ -139,6 +139,11 @@ def test_interpolation_error_static_video():
     assert mean == 0.0
 
 
+def test_warping_error_too_short():
+    with pytest.raises(ValueError, match="too short"):
+        metrics.warping_error([np.zeros((4, 4, 3))], [])
+
+
 def test_interpolation_error_too_short():
     frames = [np.zeros((4, 4, 3))] * 2
     with pytest.raises(ValueError, match="too short"):

@@ -66,6 +66,12 @@ def test_parse_config_hlw_until_is_one_leading_window():
             parse_config(f"hlw_until = {bad}")
 
 
+def test_parse_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        parse_config("seed = -1")
+    assert parse_config("seed = 0").seed == 0
+
+
 def test_parse_config_unknown_key():
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config("no_such_key = 3")
@@ -84,6 +90,7 @@ def test_parse_config_bad_syntax():
 def test_config_validation_rejects_bad_values():
     for kw in (
         dict(batch_size=0),
+        dict(seed=-1),
         dict(steps=0),
         dict(steps=101),
         dict(tome_r=2.0),
@@ -191,12 +198,32 @@ def test_needed_pairs_are_keyframe_members_and_chain():
     plan = plan_batches(6, 3, seed=0)
     assert plan.keyframe_of == [2, 4]
     members = {(0, 2), (1, 2), (3, 4), (5, 4)}
-    chain = {(2, 4)}
-    want = {p for i, j in members | chain for p in ((i, j), (j, i))}
+    chain = {(4, 2)}
     pairs = pipeline._needed_pairs(plan)
-    assert pairs == want
+    assert pairs == members | chain
     # adjacent frames that are neither keyframes nor chained are not read
     assert (0, 1) not in pairs and (1, 0) not in pairs
+
+
+def test_precompute_flows_confidence_only_for_read_pairs(monkeypatch):
+    seq = small_video()
+    plan = plan_batches(len(seq), 3, seed=0)
+    calls = []
+    fb_confidence = pipeline.flowmod.fb_confidence
+
+    def counted(fwd, bwd):
+        calls.append((fwd, bwd))
+        return fb_confidence(fwd, bwd)
+
+    monkeypatch.setattr(pipeline.flowmod, "fb_confidence", counted)
+    bank = pipeline.precompute_flows(seq, plan, small_config())
+    read = pipeline._needed_pairs(plan)
+    assert len(calls) == len(read) == 5
+    assert bank.conf.keys() == bank.mask.keys() == read
+    # both directions are still estimated, and each confidence pairs them
+    assert bank.flow.keys() == read | {(j, i) for i, j in read}
+    for (fwd, bwd), (i, j) in zip(calls, sorted(read)):
+        assert fwd is bank.flow[(i, j)] and bwd is bank.flow[(j, i)]
 
 
 def test_restore_with_precomputed_bank_is_bit_identical():

@@ -8,7 +8,6 @@ from zsvr import toydiff
 from zsvr.latentwarp import predict_x0
 from zsvr.toydiff import (
     BlockKind,
-    HookSet,
     ToyDenoiser,
     denoise_step,
     forward_diffuse,
@@ -115,7 +114,7 @@ def test_attention_hook_sees_all_blocks():
         return np.stack([attn(chunk.tokens[i]) for i in range(chunk.tokens.shape[0])])
 
     d = ToyDenoiser(seed=0)
-    out_hooked = d(x, HookSet(attention_hook=hook))
+    out_hooked = d(x, attention_hook=hook)
     out_plain = d(x)
     assert kinds == [BlockKind.DOWN, BlockKind.DOWN, BlockKind.UP, BlockKind.UP]
     assert np.array_equal(out_hooked, out_plain)
@@ -168,30 +167,10 @@ def test_denoise_step_single_step_returns_x0():
     s = make_schedule(4, 0.05, 0.1)
     x = rng.standard_normal((1, 4, 4, 3))
     d = ToyDenoiser(seed=0)
-    got = denoise_step(x, 3, None, 0, d, HookSet(), s)
+    x0, eps = denoise_step(x, 3, d, s)
     eps_hat = d(x)
-    want = predict_x0(x, eps_hat, s.abars[3])
-    assert np.array_equal(got, want)
-
-
-def test_latent_hook_identity_is_neutral():
-    rng = np.random.default_rng(7)
-    s = make_schedule(20, 0.01, 0.05)
-    x = rng.standard_normal((2, 4, 4, 3))
-    d = ToyDenoiser(seed=0)
-    out_plain = sample(x, d, HookSet(), s, 5)
-    out_hooked = sample(x, d, HookSet(latent_hook=lambda pos, t, x0: x0), s, 5)
-    assert np.array_equal(out_plain, out_hooked)
-
-
-def test_latent_hook_shape_enforced():
-    rng = np.random.default_rng(8)
-    s = make_schedule(10, 0.01, 0.05)
-    x = rng.standard_normal((1, 4, 4, 3))
-    d = ToyDenoiser(seed=0)
-    hooks = HookSet(latent_hook=lambda pos, t, x0: x0[:, :2])
-    with pytest.raises(ValueError, match="shape"):
-        denoise_step(x, 9, 5, 0, d, hooks, s)
+    assert np.array_equal(eps, eps_hat)
+    assert np.array_equal(x0, predict_x0(x, eps_hat, s.abars[3]))
 
 
 def test_sample_two_step_hand_unrolled():
@@ -199,7 +178,7 @@ def test_sample_two_step_hand_unrolled():
     s = make_schedule(10, 0.01, 0.05)
     x = rng.standard_normal((1, 4, 4, 3))
     d = ToyDenoiser(seed=3)
-    got = sample(x, d, HookSet(), s, 2)
+    got = sample(x, d, s, 2)
 
     ts = step_indices(10, 2)
     eps1 = d(x)
@@ -229,4 +208,4 @@ def test_sample_deterministic():
     s = make_schedule(30, 0.01, 0.05)
     x = rng.standard_normal((2, 4, 4, 3))
     d = ToyDenoiser(seed=0)
-    assert np.array_equal(sample(x, d, HookSet(), s, 6), sample(x, d, HookSet(), s, 6))
+    assert np.array_equal(sample(x, d, s, 6), sample(x, d, s, 6))
