@@ -149,23 +149,23 @@ def cmd_restore(args) -> int:
     return 0
 
 
-def _report_for(seq, cfg, ref=None, meta=None, flow_source=None) -> metrics.MetricsReport:
+def _report_for(seq, cfg, ref=None, meta=None, flow_source=None) -> dict:
     e_warp, e_inter = pipeline.temporal_consistency(seq, cfg, flow_source)
-    rep = metrics.MetricsReport(e_warp=e_warp, e_inter=e_inter, metadata=meta or {})
+    psnr, ssim = [], []
     if ref is not None:
         if len(ref) != len(seq):
             raise ValueError("--ref frame count differs from --in")
-        rep.psnr = [metrics.psnr(a, b) for a, b in zip(seq.frames, ref.frames)]
-        rep.ssim = [metrics.ssim(a, b) for a, b in zip(seq.frames, ref.frames)]
-    return rep
+        psnr = [metrics.psnr(a, b) for a, b in zip(seq.frames, ref.frames)]
+        ssim = [metrics.ssim(a, b) for a, b in zip(seq.frames, ref.frames)]
+    return mediaio.report_to_dict(psnr, ssim, e_warp, e_inter, meta)
 
 
 def cmd_metrics(args) -> int:
     seq = mediaio.read_frames(args.in_dir)
     cfg = pipeline.RestoreConfig()
     ref = mediaio.read_frames(args.ref_dir) if args.ref_dir else None
-    rep = _report_for(seq, cfg, ref, meta={"in": args.in_dir, "ref": args.ref_dir})
-    _atomic_write_json(mediaio.report_to_dict(rep), args.out_file)
+    report = _report_for(seq, cfg, ref, meta={"in": args.in_dir, "ref": args.ref_dir})
+    _atomic_write_json(report, args.out_file)
     return 0
 
 
@@ -248,9 +248,7 @@ def cmd_demo(args) -> int:
     baseline = pipeline.restore(lq, replace(cfg, hlw_windows=(), tome_windows=()))
     # both scored under identical LQ-derived flows, a like-for-like comparison
     report = {
-        name: mediaio.report_to_dict(
-            _report_for(seq, cfg, hq, {"variant": name, "seed": args.seed}, flow_source=lq)
-        )
+        name: _report_for(seq, cfg, hq, {"variant": name, "seed": args.seed}, flow_source=lq)
         for name, seq in (("baseline", baseline), ("ours", ours))
     }
 
@@ -289,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("flow", help="adjacent-pair flows and confidences")
     pf.add_argument("--in", dest="in_dir", required=True)
     pf.add_argument("--out", dest="out_dir", required=True)
-    pf.add_argument("--block", type=_int_at_least(1), default=7)
-    pf.add_argument("--search", type=_int_at_least(0), default=4)
+    pf.add_argument("--block", type=_int_at_least(1), default=pipeline.RestoreConfig.flow_block)
+    pf.add_argument("--search", type=_int_at_least(0), default=pipeline.RestoreConfig.flow_search)
     pf.set_defaults(func=cmd_flow)
 
     pr = sub.add_parser("restore", help="run the restoration pipeline")

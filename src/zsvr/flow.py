@@ -19,9 +19,7 @@ def _as_3d(img: np.ndarray) -> np.ndarray:
     return img[:, :, None] if img.ndim == 2 else img
 
 
-def estimate_flow(
-    src: np.ndarray, dst: np.ndarray, block: int = 7, search: int = 4
-) -> np.ndarray:
+def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> np.ndarray:
     """Exhaustive SSD block matching within +-search pixels.
 
     Ties are broken toward the smallest displacement magnitude, then raster
@@ -140,9 +138,7 @@ def fb_confidence(f_fwd: np.ndarray, f_bwd: np.ndarray) -> np.ndarray:
     return np.exp(-(residual**2).sum(axis=2))
 
 
-def occlusion_mask(
-    f_fwd: np.ndarray, f_bwd: np.ndarray, tau_occ: float = 0.368
-) -> np.ndarray:
+def occlusion_mask(f_fwd: np.ndarray, f_bwd: np.ndarray, tau_occ: float) -> np.ndarray:
     """Binary mask: 1 where forward-backward confidence < tau_occ (occluded)."""
     if not 0.0 < tau_occ <= 1.0:
         raise ValueError(f"tau_occ must be in (0, 1], got {tau_occ}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -21,6 +22,9 @@ import numpy as np
 FLO_MAGIC = 202021.25
 RTF_MAGIC = b"RTF1"
 PNM_SUFFIXES = (".pgm", ".ppm", ".pnm")
+# Between PNM header tokens: whitespace and '#' comments, each to the end of its line.
+_PNM_BLANK = re.compile(rb"\s*(?:#[^\n]*\s*)*")
+_PNM_TOKEN = re.compile(rb"\S+")
 
 
 class FormatError(ValueError):
@@ -55,41 +59,33 @@ class FrameSequence:
         return self.frames[0].shape
 
 
+def _pnm_token(data: bytes, pos: int, path: str) -> tuple[bytes, int]:
+    """The PNM header token after offset pos, and the offset just past it."""
+    m = _PNM_TOKEN.match(data, _PNM_BLANK.match(data, pos).end())
+    if m is None:
+        raise FormatError(f"{path}: truncated PNM header")
+    return m[0], m.end()
+
+
+def _pnm_number(data: bytes, pos: int, path: str) -> tuple[int, int]:
+    """A numeric header field (ASCII decimal digits only) and the offset past it."""
+    token, pos = _pnm_token(data, pos, path)
+    if not token.isdigit():  # bytes.isdigit is ASCII-only; int() would take +, - and _
+        raise FormatError(f"{path}: malformed PNM header field {token!r}")
+    return int(token), pos
+
+
 def _read_pnm(path: str) -> np.ndarray:
     """Decode one binary PNM file into an (h, w, 3) float array in [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
 
-    # Header fields are whitespace-separated; '#' starts a comment to EOL.
-    pos = 0
-
-    def next_token():
-        nonlocal pos
-        while pos < len(data):
-            ch = data[pos : pos + 1]
-            if ch == b"#":
-                while pos < len(data) and data[pos : pos + 1] != b"\n":
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError(f"{path}: truncated PNM header")
-        return data[start:pos]
-
-    magic = next_token()
+    magic, pos = _pnm_token(data, 0, path)
     if magic not in (b"P5", b"P6"):
         raise FormatError(f"{path}: unsupported PNM magic {magic!r}")
-    try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed PNM header") from exc
+    width, pos = _pnm_number(data, pos, path)
+    height, pos = _pnm_number(data, pos, path)
+    maxval, pos = _pnm_number(data, pos, path)
     if width < 1 or height < 1:
         raise FormatError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
@@ -215,16 +211,17 @@ def _json_value(x, label: str):
     return x
 
 
-def report_to_dict(report) -> dict:
-    """Serialize a MetricsReport-shaped object to a stable-order dict."""
+def report_to_dict(psnr=(), ssim=(), e_warp=(), e_inter=(), metadata=None) -> dict:
+    """A stable-order dict: per metric its items and their mean (None if there
+    are none), for e_warp also the mean x 1000; then the metadata."""
     out = {}
-    for key, items_key in (
-        ("psnr", "per_frame"),
-        ("ssim", "per_frame"),
-        ("e_warp", "per_pair"),
-        ("e_inter", "per_triple"),
+    for key, items_key, values in (
+        ("psnr", "per_frame", psnr),
+        ("ssim", "per_frame", ssim),
+        ("e_warp", "per_pair", e_warp),
+        ("e_inter", "per_triple", e_inter),
     ):
-        values = list(getattr(report, key))
+        values = list(values)
         block = {
             items_key: [_json_value(v, key) for v in values],
             "mean": _json_value(np.mean(values), key) if values else None,
@@ -234,5 +231,5 @@ def report_to_dict(report) -> dict:
                 _json_value(1000.0 * np.mean(values), key) if values else None
             )
         out[key] = block
-    out["metadata"] = dict(getattr(report, "metadata", {}) or {})
+    out["metadata"] = dict(metadata or {})
     return out

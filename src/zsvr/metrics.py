@@ -7,7 +7,6 @@ a field aligning frame j onto frame i is estimate_flow(frame_i, frame_j).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,17 +15,6 @@ from .flow import warp
 SSIM_WINDOW = 8
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
-
-
-@dataclass
-class MetricsReport:
-    """Per-frame metric arrays plus a config echo; means derive from arrays."""
-
-    psnr: list[float] = field(default_factory=list)
-    ssim: list[float] = field(default_factory=list)
-    e_warp: list[float] = field(default_factory=list)
-    e_inter: list[float] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

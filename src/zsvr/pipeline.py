@@ -25,7 +25,7 @@ import numpy as np
 from . import flow as flowmod
 from . import latentwarp, metrics, toydiff
 from .mediaio import FrameSequence
-from .tokenmerge import AnnealParams, MergeMode, anneal_ratio, hybrid_merge_pass
+from .tokenmerge import MergeMode, anneal_ratio, hybrid_merge_pass
 from .toydiff import BlockKind, ToyDenoiser
 
 # Fixed toy noise schedule; the step count is configurable, the schedule not.
@@ -123,8 +123,9 @@ class RestoreConfig:
 
 
 def parse_config(text: str) -> RestoreConfig:
-    """Parse line-based `key = value` text; unknown keys are errors."""
+    """Parse line-based `key = value` text; unknown and repeated keys are errors."""
     values = {}
+    line_of = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -136,6 +137,9 @@ def parse_config(text: str) -> RestoreConfig:
         val = val.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in line_of:
+            raise ValueError(f"line {lineno}: config key {key!r} repeats line {line_of[key]}")
+        line_of[key] = lineno
         attr, conv = _CONFIG_KEYS[key]
         try:
             values[attr] = conv(val)
@@ -267,12 +271,13 @@ def _in_windows(frac: float, windows) -> bool:
 
 def step_plan(config: RestoreConfig) -> tuple[list[bool], list[float]]:
     """Per denoising step: does latent warping run, and at which merge ratio (0: none)."""
+    config.validate()
     beg, end = config.anneal_range()
-    anneal = AnnealParams(r=config.tome_r, delta=config.tome_delta, i_beg=beg, i_end=end)
     fracs = [pos / config.steps for pos in range(config.steps)]
     hlw_on = [_in_windows(f, config.hlw_windows) for f in fracs]
     ratios = [
-        anneal_ratio(pos, anneal) if _in_windows(f, config.tome_windows) else 0.0
+        anneal_ratio(pos, config.tome_r, config.tome_delta, beg, end)
+        if _in_windows(f, config.tome_windows) else 0.0
         for pos, f in enumerate(fracs)
     ]
     return hlw_on, ratios

@@ -57,34 +57,18 @@ class TokenChunk:
             raise ValueError("tokens must be finite")
 
 
-@dataclass
-class AnnealParams:
-    """Merge-ratio annealing: base ratio r decays by a cosine ramp."""
-
-    r: float
-    delta: float = 1.0
-    i_beg: int = 0
-    i_end: int = 1
-
-    def __post_init__(self):
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"r must be in [0, 1], got {self.r}")
-        if not 0 < self.delta < math.inf:
-            raise ValueError(f"delta must be finite and > 0, got {self.delta}")
-        if self.i_beg >= self.i_end:
-            raise ValueError("i_beg must be < i_end")
-
-
-def anneal_ratio(i: int, p: AnnealParams) -> float:
+def anneal_ratio(i: int, r: float, delta: float, i_beg: int, i_end: int) -> float:
     """Merge ratio at denoising step i: r * cos(pi/2 * clamped ramp).
 
-    Exactly 0 once the ramp reaches 1, where the cosine would leave ~1e-17.
+    The ramp is delta * (i - i_beg) / (i_end - i_beg); RestoreConfig.validate
+    checks the arguments. Exactly 0 once the ramp reaches 1, where the cosine
+    would leave ~1e-17.
     """
-    ramp = p.delta * (i - p.i_beg) / (p.i_end - p.i_beg)
+    ramp = delta * (i - i_beg) / (i_end - i_beg)
     ramp = min(max(ramp, 0.0), 1.0)
     if ramp == 1.0:
         return 0.0
-    return p.r * math.cos(0.5 * math.pi * ramp)
+    return r * math.cos(0.5 * math.pi * ramp)
 
 
 def split_src_tar(tokens: np.ndarray, target_index: int):
@@ -203,23 +187,6 @@ def select_top_r(targets: np.ndarray, criteria: np.ndarray, r_i: float) -> np.nd
     return np.sort(order[: min(k, len(valid))])
 
 
-@dataclass
-class MergeRecord:
-    """Which merged row represents each chunk slot.
-
-    slot_to_row[frame * A + position] is the row of the merged array that
-    holds that slot's value. Rows 0..A-1 are the A targets, each the mean of
-    the target token and the sources merged into it; rows A.. are the
-    surviving source tokens in slot order. Every row is hit at least once, so
-    the rows partition the B*A slots into merged_count groups.
-    """
-
-    slot_to_row: np.ndarray  # (B*A,) int64
-    n_frames: int
-    n_tokens: int  # A
-    merged_count: int
-
-
 def merge(
     src: np.ndarray,
     tar: np.ndarray,
@@ -229,13 +196,15 @@ def merge(
     target_index: int,
     n_frames: int,
 ):
-    """Merge selected sources into their targets.
+    """Merge selected sources into their targets; returns (merged, slot_to_row).
 
     Each target's merged token is the arithmetic mean of the target and its
     assigned sources, added in the order of selected (source order, as
     select_top_r returns it sorted); unselected sources pass through
-    unchanged. Output order: targets first (by index), then surviving sources
-    (by slot index).
+    unchanged. Rows of merged: the A targets first (by index), then the
+    surviving sources (by slot index). slot_to_row[frame * A + position], a
+    (B*A,) int64 array, is the row that holds that slot's value. Every row is
+    hit at least once, so the rows partition the B*A slots.
     """
     a = tar.shape[0]
     into = targets[selected]
@@ -250,23 +219,19 @@ def merge(
     slot_to_row[target_index * a : (target_index + 1) * a] = np.arange(a)
     slot_to_row[src_slots[selected]] = into
     slot_to_row[src_slots[kept]] = np.arange(a, a + n_kept)
-    merged = np.concatenate([sums, src[kept]])
-    record = MergeRecord(slot_to_row, n_frames=n_frames, n_tokens=a, merged_count=a + n_kept)
-    return merged, record
+    return np.concatenate([sums, src[kept]]), slot_to_row
 
 
-def unmerge(attended: np.ndarray, record: MergeRecord) -> np.ndarray:
+def unmerge(attended: np.ndarray, slot_to_row: np.ndarray) -> np.ndarray:
     """Write each merged row's post-attention value back to all its slots.
 
-    Returns the reassembled (B, A, C) token array.
+    Returns the (B*A, C) slot array. The merge had slot_to_row.max() + 1
+    rows, since every row holds at least one slot.
     """
-    if attended.shape[0] != record.merged_count:
-        raise ValueError(
-            f"attended has {attended.shape[0]} rows, record expects "
-            f"{record.merged_count}"
-        )
-    b, a, c = record.n_frames, record.n_tokens, attended.shape[1]
-    return attended[record.slot_to_row].reshape(b, a, c)
+    rows = int(slot_to_row.max()) + 1
+    if attended.shape[0] != rows:
+        raise ValueError(f"attended has {attended.shape[0]} rows, slot_to_row expects {rows}")
+    return attended[slot_to_row]
 
 
 def strip_padding(chunk: TokenChunk) -> np.ndarray:
@@ -332,10 +297,10 @@ def hybrid_merge_pass(
         targets, criteria = cosine_correspondence(scores)
 
     selected = select_top_r(targets, criteria, r_i)
-    merged, record = merge(src, tar, targets, selected, src_slots, chunk.target_index, b)
+    merged, slot_to_row = merge(src, tar, targets, selected, src_slots, chunk.target_index, b)
     attended = np.asarray(attention(merged))
     if attended.shape != merged.shape:
         raise ValueError(
             f"attention changed shape {merged.shape} -> {attended.shape}"
         )
-    return restore_padding(chunk, unmerge(attended, record))
+    return restore_padding(chunk, unmerge(attended, slot_to_row).reshape(tokens.shape))

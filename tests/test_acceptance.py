@@ -15,7 +15,7 @@ from zsvr import cli, flow, latentwarp, mediaio, metrics, pipeline
 from zsvr import tokenmerge as tm
 from zsvr import toydiff
 from zsvr.mediaio import FrameSequence
-from zsvr.tokenmerge import AnnealParams, MergeMode, TokenChunk
+from zsvr.tokenmerge import MergeMode, TokenChunk
 
 
 def _demo_pair(seed, n=24):
@@ -74,15 +74,14 @@ def test_criterion_1_merge_unmerge_algebra():
         scores = tm.cosine_scores(src, tar)
         targets, criteria = tm.cosine_correspondence(scores)
         selected = tm.select_top_r(targets, criteria, r_i)
-        merged, record = tm.merge(
+        merged, slot_to_row = tm.merge(
             src, tar, targets, selected, slots, chunk.target_index, b
         )
         attended = rng.standard_normal(merged.shape)
-        out = tm.unmerge(attended, record)
-        assert out.shape == chunk.tokens.shape
-        flat = out.reshape(-1, c)
-        for row in range(record.merged_count):
-            group = np.flatnonzero(record.slot_to_row == row)
+        flat = tm.unmerge(attended, slot_to_row)
+        assert flat.shape == (b * h * w, c)
+        for row in range(merged.shape[0]):
+            group = np.flatnonzero(slot_to_row == row)
             assert np.array_equal(flat[group], np.tile(attended[row], (len(group), 1)))
     elapsed = time.time() - t0
     assert elapsed < 5.0
@@ -91,10 +90,10 @@ def test_criterion_1_merge_unmerge_algebra():
 
 def test_criterion_2_analytic_formulas():
     # anneal endpoints and midpoint
-    p = AnnealParams(r=0.8, delta=1.0, i_beg=0, i_end=10)
-    assert abs(tm.anneal_ratio(0, p) - 0.8) <= 1e-12
-    assert abs(tm.anneal_ratio(10, p) - 0.0) <= 1e-12
-    assert abs(tm.anneal_ratio(5, p) - 0.8 * math.cos(math.pi / 4)) <= 1e-12
+    p = dict(r=0.8, delta=1.0, i_beg=0, i_end=10)
+    assert abs(tm.anneal_ratio(0, **p) - 0.8) <= 1e-12
+    assert abs(tm.anneal_ratio(10, **p) - 0.0) <= 1e-12
+    assert abs(tm.anneal_ratio(5, **p) - 0.8 * math.cos(math.pi / 4)) <= 1e-12
     # forward-backward residual of norm exactly 1
     f_fwd = np.zeros((4, 4, 2))
     f_bwd = np.zeros((4, 4, 2))
@@ -156,10 +155,10 @@ def test_criterion_3_oracle_equivalence():
         src, tar, slots = tm.split_src_tar(chunk.tokens, chunk.target_index)
         tg, cr = tm.cosine_correspondence(tm.cosine_scores(src, tar))
         sel = tm.select_top_r(tg, cr, float(rng.random()))
-        merged, record = tm.merge(src, tar, tg, sel, slots, 0, b)
+        merged, slot_to_row = tm.merge(src, tar, tg, sel, slots, 0, b)
         flat = chunk.tokens.reshape(-1, c)
-        for row in range(record.merged_count):
-            group = np.flatnonzero(record.slot_to_row == row)
+        for row in range(merged.shape[0]):
+            group = np.flatnonzero(slot_to_row == row)
             acc = np.zeros(c)
             for slot in group:
                 acc += flat[slot]

@@ -109,7 +109,7 @@ def test_estimate_flow_translation_interior():
 
 def test_estimate_flow_shape_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        flow.estimate_flow(np.zeros((4, 4)), np.zeros((5, 4)))
+        flow.estimate_flow(np.zeros((4, 4)), np.zeros((5, 4)), 7, 4)
 
 
 def test_estimate_flow_matches_oracle():

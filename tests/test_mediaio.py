@@ -13,7 +13,6 @@ from hypothesis.extra import numpy as hnp
 
 from zsvr import mediaio
 from zsvr.mediaio import FormatError, FrameSequence
-from zsvr.metrics import MetricsReport
 
 
 def _write_pnm(path, magic, w, h, payload, maxval=255, comment=None):
@@ -94,6 +93,24 @@ def test_pnm_bad_maxval(tmp_path):
 def test_pnm_truncated_payload(tmp_path):
     _write_pnm(tmp_path / "f.ppm", "P6", 4, 4, bytes(10))
     with pytest.raises(FormatError, match="payload"):
+        mediaio.read_frames(str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"P6\n+2 1\n255\n",
+        b"P6\n2 1\n2_55\n",
+        b"P6\n0_2 1\n+255\n",
+        b"P6\n2 -1\n255\n",
+        "P6\n\u0662 1\n255\n".encode(),  # ARABIC-INDIC DIGIT TWO
+        "P6\n2 1\n\uff12\uff15\uff15\n".encode(),  # fullwidth 255
+    ],
+    ids=["plus", "underscore", "underscore-and-plus", "minus", "arabic-indic", "fullwidth"],
+)
+def test_pnm_header_fields_are_ascii_digits(tmp_path, header):
+    (tmp_path / "f.ppm").write_bytes(header + bytes(6))
+    with pytest.raises(FormatError, match="malformed PNM header"):
         mediaio.read_frames(str(tmp_path))
 
 
@@ -381,14 +398,14 @@ def test_rtf_mutated_rank_and_dims_property(tmp_path_factory):
 
 
 def test_report_roundtrip():
-    rep = MetricsReport(
+    rep = mediaio.report_to_dict(
         psnr=[30.0, 31.5],
         ssim=[0.9, 0.95],
         e_warp=[0.001, 0.002],
         e_inter=[1.0],
         metadata={"seed": 3},
     )
-    parsed = json.loads(json.dumps(mediaio.report_to_dict(rep)))
+    parsed = json.loads(json.dumps(rep))
     assert list(parsed) == ["psnr", "ssim", "e_warp", "e_inter", "metadata"]
     assert parsed["psnr"]["per_frame"] == [30.0, 31.5]
     assert parsed["psnr"]["mean"] == pytest.approx(30.75)
@@ -397,25 +414,35 @@ def test_report_roundtrip():
 
 
 def test_report_empty_arrays_mean_null():
-    rep = MetricsReport()
-    parsed = json.loads(json.dumps(mediaio.report_to_dict(rep)))
+    parsed = json.loads(json.dumps(mediaio.report_to_dict()))
     assert parsed["psnr"]["mean"] is None
     assert parsed["e_warp"]["mean_x1000"] is None
 
 
 def test_report_psnr_inf_sentinel():
-    rep = MetricsReport(psnr=[math.inf, 40.0])
-    d = mediaio.report_to_dict(rep)
+    d = mediaio.report_to_dict(psnr=[math.inf, 40.0])
     assert d["psnr"]["per_frame"][0] == "inf"
 
 
 def test_report_rejects_nan():
-    rep = MetricsReport(ssim=[math.nan])
     with pytest.raises(ValueError, match="non-finite"):
-        mediaio.report_to_dict(rep)
+        mediaio.report_to_dict(ssim=[math.nan])
 
 
 def test_report_rejects_inf_outside_psnr():
-    rep = MetricsReport(e_warp=[math.inf])
     with pytest.raises(ValueError, match="non-finite"):
-        mediaio.report_to_dict(rep)
+        mediaio.report_to_dict(e_warp=[math.inf])
+
+
+def test_report_bytes_pinned():
+    # key order, mean_x1000, the "inf" PSNR sentinel and null means, byte for byte
+    rep = mediaio.report_to_dict(
+        psnr=[math.inf, 40.0], ssim=[0.5, 0.75], e_warp=[0.25, 0.75], metadata={"seed": 3}
+    )
+    assert json.dumps(rep) == (
+        '{"psnr": {"per_frame": ["inf", 40.0], "mean": "inf"}, '
+        '"ssim": {"per_frame": [0.5, 0.75], "mean": 0.625}, '
+        '"e_warp": {"per_pair": [0.25, 0.75], "mean": 0.5, "mean_x1000": 500.0}, '
+        '"e_inter": {"per_triple": [], "mean": null}, '
+        '"metadata": {"seed": 3}}'
+    )

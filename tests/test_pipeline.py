@@ -77,6 +77,13 @@ def test_parse_config_unknown_key():
         parse_config("no_such_key = 3")
 
 
+def test_parse_config_repeated_key():
+    with pytest.raises(ValueError, match="line 2: config key 'steps' repeats line 1"):
+        parse_config("steps = 5\nsteps = 7")
+    with pytest.raises(ValueError, match="line 3: config key 'hlw_until' repeats line 1"):
+        parse_config("hlw_until = 0.5\n# off again\nhlw_until = 0")
+
+
 def test_parse_config_bad_value():
     with pytest.raises(ValueError, match="bad value"):
         parse_config("steps = fast")
@@ -105,6 +112,8 @@ def test_config_validation_rejects_bad_values():
     ):
         with pytest.raises(ValueError):
             RestoreConfig(**kw).validate()
+        with pytest.raises(ValueError):
+            pipeline.step_plan(RestoreConfig(**kw))
 
 
 def test_parse_config_rejects_nan_and_keeps_inf_R():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from zsvr import tokenmerge as tm
 from zsvr.tokenmerge import (
     INVALID,
-    AnnealParams,
     MergeMode,
     TokenChunk,
     anneal_ratio,
@@ -29,38 +28,27 @@ def random_chunk(rng, b=None, h=None, w=None, c=None, target=None):
 
 
 def test_anneal_before_ramp():
-    p = AnnealParams(r=0.8, delta=1.0, i_beg=10, i_end=20)
-    assert anneal_ratio(0, p) == 0.8
-    assert anneal_ratio(10, p) == 0.8
+    p = dict(r=0.8, delta=1.0, i_beg=10, i_end=20)
+    assert anneal_ratio(0, **p) == 0.8
+    assert anneal_ratio(10, **p) == 0.8
 
 
 def test_anneal_end_is_zero():
-    p = AnnealParams(r=0.8, delta=1.0, i_beg=10, i_end=20)
-    assert anneal_ratio(20, p) == 0.0
-    assert anneal_ratio(25, p) == 0.0
+    p = dict(r=0.8, delta=1.0, i_beg=10, i_end=20)
+    assert anneal_ratio(20, **p) == 0.0
+    assert anneal_ratio(25, **p) == 0.0
 
 
 def test_anneal_midpoint():
-    p = AnnealParams(r=0.8, delta=1.0, i_beg=0, i_end=10)
-    assert anneal_ratio(5, p) == pytest.approx(0.8 * math.cos(math.pi / 4), abs=1e-12)
+    p = dict(r=0.8, delta=1.0, i_beg=0, i_end=10)
+    assert anneal_ratio(5, **p) == pytest.approx(0.8 * math.cos(math.pi / 4), abs=1e-12)
 
 
 def test_anneal_non_increasing_and_bounded():
-    p = AnnealParams(r=0.6, delta=1.7, i_beg=3, i_end=29)
-    vals = [anneal_ratio(i, p) for i in range(40)]
+    p = dict(r=0.6, delta=1.7, i_beg=3, i_end=29)
+    vals = [anneal_ratio(i, **p) for i in range(40)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert all(0.0 <= v <= 0.6 for v in vals)
-
-
-def test_anneal_params_validation():
-    with pytest.raises(ValueError):
-        AnnealParams(r=1.5)
-    with pytest.raises(ValueError):
-        AnnealParams(r=0.5, delta=0.0)
-    with pytest.raises(ValueError):
-        AnnealParams(r=0.5, delta=math.nan)
-    with pytest.raises(ValueError):
-        AnnealParams(r=0.5, i_beg=5, i_end=5)
 
 
 # ---------------------------------------------------------------- split
@@ -417,35 +405,36 @@ def test_merge_unmerge_match_oracle_property(case):
         targets, criteria = tm.flow_correspondence(h, w, b - 1, flows, confs)
     selected = tm.select_top_r(targets, criteria, r_i)
     args = (src, tar, targets, selected, slots, chunk.target_index, b)
-    merged, record = tm.merge(*args)
+    merged, slot_to_row = tm.merge(*args)
     want, groups = merge_oracle(*args)
 
-    assert record.merged_count == len(groups) == merged.shape[0]
+    assert slot_to_row.max() + 1 == len(groups) == merged.shape[0]
     for row, group in enumerate(groups):
-        assert np.array_equal(np.flatnonzero(record.slot_to_row == row), np.sort(group))
+        assert np.array_equal(np.flatnonzero(slot_to_row == row), np.sort(group))
     if c > 1:
         assert np.array_equal(merged, want)
     else:
         # numpy's mean over a single column sums pairwise, not in source order
-        size = np.bincount(record.slot_to_row)[:, None]
+        size = np.bincount(slot_to_row)[:, None]
         assert np.all(np.abs(merged - want) <= 2 * size * np.finfo(float).eps * np.abs(src).max())
 
     # distinct rows, so any slot sent to the wrong row shows
     attended = np.arange(merged.size, dtype=float).reshape(merged.shape)
-    assert np.array_equal(tm.unmerge(attended, record), unmerge_oracle(attended, groups, b, a))
+    want = unmerge_oracle(attended, groups, b, a).reshape(-1, c)
+    assert np.array_equal(tm.unmerge(attended, slot_to_row), want)
 
     # merge then unmerge (identity attention) keeps the partition: the slots of
     # one row share its value, and a slot alone in its row comes back unchanged
-    out = tm.unmerge(merged, record).reshape(-1, c)
-    assert np.array_equal(out, merged[record.slot_to_row])
-    alone = np.bincount(record.slot_to_row)[record.slot_to_row] == 1
+    out = tm.unmerge(merged, slot_to_row)
+    assert np.array_equal(out, merged[slot_to_row])
+    alone = np.bincount(slot_to_row)[slot_to_row] == 1
     assert np.array_equal(out[alone], chunk.tokens.reshape(-1, c)[alone])
 
 
 def test_merge_empty_set_passthrough():
     rng = np.random.default_rng(7)
     chunk = random_chunk(rng, b=3, h=2, w=2, c=4, target=0)
-    (merged, record), (src, tar, *_) = _merge_from_chunk(chunk, 0.0, rng)
+    (merged, _), (src, tar, *_) = _merge_from_chunk(chunk, 0.0, rng)
     a = tar.shape[0]
     assert merged.shape == (a + src.shape[0], 4)
     assert np.array_equal(merged[:a], tar)
@@ -456,7 +445,7 @@ def test_merge_identical_source_means_exact():
     tar = np.array([[2.0, 4.0]])
     src = np.array([[2.0, 4.0]])
     targets = np.array([0])
-    merged, record = tm.merge(src, tar, targets, np.array([0]), np.array([1]), 0, 2)
+    merged, _ = tm.merge(src, tar, targets, np.array([0]), np.array([1]), 0, 2)
     assert merged.shape == (1, 2)
     assert np.array_equal(merged[0], tar[0])
 
@@ -466,42 +455,42 @@ def test_merge_group_means_match_oracle():
     for _ in range(20):
         chunk = random_chunk(rng)
         r_i = float(rng.random())
-        (merged, record), (src, tar, targets, selected, slots) = _merge_from_chunk(
+        (merged, slot_to_row), (src, tar, targets, selected, slots) = _merge_from_chunk(
             chunk, r_i, rng
         )
         flat = chunk.tokens.reshape(-1, chunk.tokens.shape[2])
-        assert merged.shape[0] == record.merged_count
-        for row in range(record.merged_count):
-            group = np.flatnonzero(record.slot_to_row == row)
+        merged_count = merged.shape[0]
+        for row in range(merged_count):
+            group = np.flatnonzero(slot_to_row == row)
             want = flat[group].mean(axis=0)
             assert np.abs(merged[row] - want).max() <= 1e-6
         # the rows partition the slot set exactly: one row per slot, every row hit
-        assert record.slot_to_row.shape == (flat.shape[0],)
-        assert record.slot_to_row.min() >= 0
-        assert record.slot_to_row.max() < record.merged_count
-        assert len(np.unique(record.slot_to_row)) == record.merged_count
+        assert slot_to_row.shape == (flat.shape[0],)
+        assert slot_to_row.min() >= 0
+        assert slot_to_row.max() < merged_count
+        assert len(np.unique(slot_to_row)) == merged_count
 
 
 def test_unmerge_group_constancy_and_shape():
     rng = np.random.default_rng(9)
     for _ in range(20):
         chunk = random_chunk(rng)
-        (merged, record), _ = _merge_from_chunk(chunk, float(rng.random()), rng)
+        (merged, slot_to_row), _ = _merge_from_chunk(chunk, float(rng.random()), rng)
         attended = rng.standard_normal(merged.shape)
-        out = tm.unmerge(attended, record)
-        assert out.shape == chunk.tokens.shape
-        flat = out.reshape(-1, out.shape[2])
-        for row in range(record.merged_count):
-            group = np.flatnonzero(record.slot_to_row == row)
+        flat = tm.unmerge(attended, slot_to_row)
+        b, a, c = chunk.tokens.shape
+        assert flat.shape == (b * a, c)
+        for row in range(merged.shape[0]):
+            group = np.flatnonzero(slot_to_row == row)
             assert np.array_equal(flat[group], np.tile(attended[row], (len(group), 1)))
 
 
 def test_unmerge_rejects_length_mismatch():
     rng = np.random.default_rng(10)
     chunk = random_chunk(rng, b=2, h=2, w=2, c=3)
-    (merged, record), _ = _merge_from_chunk(chunk, 0.5, rng)
+    (merged, slot_to_row), _ = _merge_from_chunk(chunk, 0.5, rng)
     with pytest.raises(ValueError, match="rows"):
-        tm.unmerge(merged[:-1], record)
+        tm.unmerge(merged[:-1], slot_to_row)
 
 
 def test_merge_all_sources_into_targets_roundtrip():
@@ -509,9 +498,9 @@ def test_merge_all_sources_into_targets_roundtrip():
     rng = np.random.default_rng(11)
     frame = rng.standard_normal((1, 4, 3))
     chunk = TokenChunk(np.repeat(frame, 2, axis=0), (2, 2), (2, 2), 0)
-    (merged, record), _ = _merge_from_chunk(chunk, 1.0, rng)
-    out = tm.unmerge(merged, record)
-    assert np.abs(out - chunk.tokens).max() <= 1e-12
+    (merged, slot_to_row), _ = _merge_from_chunk(chunk, 1.0, rng)
+    out = tm.unmerge(merged, slot_to_row)
+    assert np.abs(out - chunk.tokens.reshape(out.shape)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- padding
@@ -589,10 +578,10 @@ def test_hybrid_pass_matches_composed_oracle():
         )
         targets, criteria = tm.cosine_correspondence(scores)
         selected = tm.select_top_r(targets, criteria, r_i)
-        merged, record = tm.merge(
+        merged, slot_to_row = tm.merge(
             src, tar, targets, selected, slots, chunk.target_index, b
         )
-        want = tm.unmerge(merged, record)
+        want = tm.unmerge(merged, slot_to_row)
         assert np.array_equal(out, want.reshape(chunk.tokens.shape))
 
 
