@@ -19,6 +19,11 @@ def _as_3d(img: np.ndarray) -> np.ndarray:
     return img[:, :, None] if img.ndim == 2 else img
 
 
+# float64 values per plane of a candidate group, so that the group's
+# error/cost and row-sum planes stay in a core's L2 cache
+GROUP_BUDGET = 32768
+
+
 def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> np.ndarray:
     """Exhaustive SSD block matching within +-search pixels.
 
@@ -27,6 +32,17 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     sampling clamps at image borders. The cost of a candidate is the
     per-pixel squared error summed over channels in order, then over the
     block as a sum of row sums, in raster offset order.
+
+    Layout: every plane has one flat row stride W = max(w + 2*search,
+    w + block - 1). With half = block // 2, src sits at columns
+    [half, half + w) of W-wide rows, and dst, edge-padded by search, is
+    stored flat after a lead of half values, so each candidate's window is one contiguous run starting at
+    (search + dy) * W + search + dx. Squared error and the channel sum run
+    per candidate on these runs. Candidates are then taken in sorted order
+    GROUP_BUDGET // (h * W) at a time (at least one), and the x edge clamp,
+    the row pass, the y edge clamp and the column pass each run once over
+    the whole group. Selection is a strict < running minimum over the
+    candidates in sorted order.
     """
     if src.shape != dst.shape:
         raise ValueError(f"shape mismatch: {src.shape} vs {dst.shape}")
@@ -38,62 +54,79 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     dst = _as_3d(np.asarray(dst, dtype=np.float64))
     h, w, c = src.shape
 
-    candidates = [
-        (dy, dx)
+    candidates = sorted(
+        (dy * dy + dx * dx, dy, dx)
         for dy in range(-search, search + 1)
         for dx in range(-search, search + 1)
-    ]
-    candidates.sort(key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]))
-
-    # Clamped sampling as basic slices of edge-padded arrays: dst is padded
-    # by the search radius once, each candidate's error image by the block
-    # halves in x, and its row sums by the block halves in y. Channels are
-    # planes, so the channel sum adds contiguous arrays in channel order.
+    )
     half = block // 2
-    wp = w + block - 1
-    src_c = np.ascontiguousarray(src.transpose(2, 0, 1))
-    pad = ((search, search), (search, search), (0, 0))
-    dst_c = np.ascontiguousarray(np.pad(dst, pad, mode="edge").transpose(2, 0, 1))
-    err_pad = np.zeros((h, wp))
-    err = err_pad[:, half : half + w]
-    rows_pad = np.zeros((h + block - 1, wp))
-    rows = rows_pad[half : half + h]
-    # The row pass runs over the flattened rows: an output in one of the
-    # first w columns only sums its own row, and the block - 1 spare
-    # columns on the right are scratch, never read into a valid column.
-    n_flat = h * wp - (block - 1)
-    err_flat = err_pad.reshape(-1)
-    rows_flat = rows.reshape(-1)[:n_flat]
-    cost = np.empty((h, wp))
-    better = np.empty((h, wp), dtype=bool)
+    W = max(w + 2 * search, w + block - 1)
+    n = h * W
+    offsets = [(search + dy) * W + search + dx for _, dy, dx in candidates]
 
-    best_cost = np.full((h, wp), np.inf)
-    best_u = np.zeros((h, wp))
-    best_v = np.zeros((h, wp))
-    for dy, dx in candidates:
-        sq = src_c - dst_c[:, search + dy : search + dy + h, search + dx : search + dx + w]
-        sq *= sq
-        err[...] = sq[0]
-        for ch in range(1, c):
-            err += sq[ch]
-        err_pad[:, :half] = err[:, :1]
-        err_pad[:, half + w :] = err[:, w - 1 :]
+    src_flat = np.zeros((c, h, W))
+    src_flat[:, :, half : half + w] = src.transpose(2, 0, 1)
+    src_flat = src_flat.reshape(c, n)
+    hp = h + 2 * search
+    # one spare row: the last candidate's window ends up to 2 * search
+    # values past the padded rows
+    dst_flat = np.zeros((c, (hp + 1) * W))
+    dst_rows = dst_flat[:, half : half + hp * W].reshape(c, hp, W)
+    pad = ((search, search), (search, search), (0, 0))
+    dst_rows[:, :, : w + 2 * search] = np.pad(dst, pad, mode="edge").transpose(2, 0, 1)
+
+    group = max(1, min(len(candidates), GROUP_BUDGET // n))
+    sq = np.empty((c, n))
+    # err holds a candidate's squared error, then the group's block costs
+    err = np.zeros((group, n))
+    rows = np.zeros((group, (h + block - 1) * W))
+    err_3d = err.reshape(group, h, W)
+    rows_3d = rows.reshape(group, h + block - 1, W)
+    # The row pass runs over each candidate's flattened rows: an output in
+    # one of the first w columns only sums its own row, and the columns
+    # from w + block - 1 on are scratch, never read into a valid column.
+    n_row = n - (block - 1)
+    better = np.empty(n, dtype=bool)
+    best_cost = np.full(n, np.inf)
+    best_k = np.zeros(n, dtype=np.intp)
+    for k0 in range(0, len(candidates), group):
+        g = min(group, len(candidates) - k0)
+        for i, off in enumerate(offsets[k0 : k0 + g]):
+            np.subtract(src_flat, dst_flat[:, off : off + n], out=sq)
+            np.multiply(sq, sq, out=sq)
+            if c == 1:
+                err[i] = sq[0]
+            else:
+                np.add(sq[0], sq[1], out=err[i])
+                for ch in range(2, c):
+                    err[i] += sq[ch]
+        err_g = err_3d[:g]
+        err_g[:, :, :half] = err_g[:, :, half : half + 1]
+        err_g[:, :, half + w : w + block - 1] = err_g[:, :, half + w - 1 : half + w]
         # separable block sum in a fixed offset order, so exact ties resolve
         # by candidate order alone; sums of squares are never -0.0, so
         # starting from the first term equals starting from zero
-        rows_flat[...] = err_flat[:n_flat]
+        row_sum = rows[:g, half * W : half * W + n_row]
+        np.copyto(row_sum, err[:g, :n_row])
         for k in range(1, block):
-            rows_flat += err_flat[k : k + n_flat]
-        rows_pad[:half] = rows[:1]
-        rows_pad[half + h :] = rows[h - 1 :]
-        cost[...] = rows_pad[:h]
+            row_sum += err[:g, k : k + n_row]
+        rows_g = rows_3d[:g]
+        rows_g[:, :half] = rows_g[:, half : half + 1]
+        rows_g[:, half + h :] = rows_g[:, half + h - 1 : half + h]
+        cost = err[:g]
+        np.copyto(cost, rows[:g, :n])
         for k in range(1, block):
-            cost += rows_pad[k : k + h]
-        np.less(cost, best_cost, out=better)
-        np.copyto(best_cost, cost, where=better)
-        np.copyto(best_u, dx, where=better)
-        np.copyto(best_v, dy, where=better)
-    return np.stack([best_u[:, :w], best_v[:, :w]], axis=2)
+            cost += rows[:g, k * W : k * W + n]
+        for i in range(g):
+            np.less(cost[i], best_cost, out=better)
+            # equals copying cost where better: costs are never -0.0, and
+            # fmin keeps best_cost where cost is NaN, as < does
+            np.fmin(best_cost, cost[i], out=best_cost)
+            np.putmask(best_k, better, k0 + i)
+    best_k = best_k.reshape(h, W)[:, :w]
+    du = np.array([dx for _, _, dx in candidates], dtype=np.float64)
+    dv = np.array([dy for _, dy, _ in candidates], dtype=np.float64)
+    return np.stack([du[best_k], dv[best_k]], axis=2)
 
 
 def warp(grid: np.ndarray, flow: np.ndarray) -> np.ndarray:

@@ -246,7 +246,12 @@ def strip_padding(chunk: TokenChunk) -> np.ndarray:
 
 
 def restore_padding(chunk: TokenChunk, content_tokens: np.ndarray) -> np.ndarray:
-    """A copy of chunk.tokens with its content region set to content_tokens."""
+    """chunk.tokens with its content region set to content_tokens.
+
+    The result never shares memory with chunk.tokens. When nothing is
+    padded it is content_tokens reshaped, with no copy, unless
+    content_tokens is itself a view of chunk.tokens.
+    """
     h_img, w_img = chunk.content
     b, _, c = chunk.tokens.shape
     if content_tokens.shape != (b, h_img * w_img, c):
@@ -254,6 +259,8 @@ def restore_padding(chunk: TokenChunk, content_tokens: np.ndarray) -> np.ndarray
             f"content tokens {content_tokens.shape} do not match the chunk's "
             f"content {(b, h_img * w_img, c)}"
         )
+    if chunk.content == chunk.layout and not np.may_share_memory(content_tokens, chunk.tokens):
+        return content_tokens.astype(chunk.tokens.dtype, copy=False).reshape(chunk.tokens.shape)
     full = chunk.tokens.copy()
     grid = full.reshape(b, *chunk.layout, c)
     grid[:, :h_img, :w_img, :] = content_tokens.reshape(b, h_img, w_img, c)

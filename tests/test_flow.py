@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsvr import flow
+from zsvr import cli, flow, mediaio
 
 
 def warp_oracle(grid, fl):
@@ -144,6 +145,59 @@ def test_estimate_flow_matches_oracle_property(case):
     got = flow.estimate_flow(src, dst, block=block, search=search)
     want = estimate_flow_oracle(src, dst, block=block, search=search)
     assert np.array_equal(got, want)
+
+
+def test_estimate_flow_matches_oracle_across_candidate_groups(monkeypatch):
+    # the smallest search whose candidates span two or more groups of the
+    # kernel's budget with a partial last group; few levels, so equal costs
+    # fall on both sides of a group boundary
+    h = w = 12
+    block = 3
+    for search in range(1, 20):
+        n = h * max(w + 2 * search, w + block - 1)
+        k = (2 * search + 1) ** 2
+        group = max(1, flow.GROUP_BUDGET // n)
+        if k > group and k % group:
+            break
+    assert k > group and k % group
+    rng = np.random.default_rng(14)
+    src = rng.integers(0, 2, (h, w)) / 4
+    dst = rng.integers(0, 2, (h, w)) / 4
+    want = estimate_flow_oracle(src, dst, block=block, search=search)
+    for budget in (flow.GROUP_BUDGET, n, 3 * n, 1):
+        monkeypatch.setattr(flow, "GROUP_BUDGET", budget)
+        assert np.array_equal(flow.estimate_flow(src, dst, block=block, search=search), want)
+
+
+@pytest.mark.parametrize(
+    "n, size, block, search, pairs, digest",
+    [
+        (
+            24, 64, 7, 4,
+            [(1, 0), (0, 1), (2, 0), (0, 2), (5, 4), (4, 6),
+             (12, 11), (11, 12), (23, 22), (21, 23), (8, 15), (15, 8)],
+            "5a82edfa174cbf0a130b101eadc82cd0681f760c158fbde0eaf24b8c49a527fa",
+        ),
+        (
+            8, 32, 5, 2,
+            [(1, 0), (0, 1), (2, 0), (0, 2), (3, 2), (2, 4),
+             (5, 4), (4, 5), (7, 6), (5, 7), (0, 7), (7, 0)],
+            "b067e1e461d36d6128988e0773c4d7e694d316473f580d6641140654d844fbcb",
+        ),
+    ],
+    ids=["64x64-b7-s4", "32x32-b5-s2"],
+)
+def test_estimate_flow_golden_digest(tmp_path, n, size, block, search, pairs, digest):
+    # the seed-0 demo LQ clip as the benchmark reads it back from disk; block
+    # matching uses no BLAS, so these flows are the same on any IEEE host
+    hq = cli.make_demo_video(n=n, h=size, w=size, seed=0)
+    mediaio.write_frames(cli.degrade_video(hq, scale=4, noise_std=0.08, seed=0), str(tmp_path))
+    frames = mediaio.read_frames(str(tmp_path)).frames
+    sha = hashlib.sha256()
+    for i, j in pairs:
+        fl = flow.estimate_flow(frames[i], frames[j], block, search)
+        sha.update(np.ascontiguousarray(fl, dtype="<f8").tobytes())
+    assert sha.hexdigest() == digest
 
 
 def test_warp_zero_flow_identity():

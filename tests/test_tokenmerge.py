@@ -536,6 +536,17 @@ def test_padding_roundtrip_bit_exact():
         assert not np.shares_memory(back, chunk.tokens)
 
 
+def test_restore_padding_unpadded_returns_content_without_aliasing():
+    rng = np.random.default_rng(20)
+    chunk = random_chunk(rng, b=3, h=4, w=5, c=2)
+    for content in (rng.standard_normal(chunk.tokens.shape), chunk.tokens[::-1]):
+        want = chunk.tokens.copy()
+        want.reshape(3, 4, 5, 2)[...] = content.reshape(3, 4, 5, 2)
+        got = tm.restore_padding(chunk, content)
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, chunk.tokens)
+
+
 def test_restore_padding_rejects_wrong_layout():
     rng = np.random.default_rng(15)
     chunk = TokenChunk(rng.standard_normal((2, 16, 3)), (4, 4), (3, 3), 0)
