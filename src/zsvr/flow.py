@@ -12,6 +12,8 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -19,9 +21,19 @@ def _as_3d(img: np.ndarray) -> np.ndarray:
     return img[:, :, None] if img.ndim == 2 else img
 
 
-# float64 values per plane of a candidate group, so that the group's
-# error/cost and row-sum planes stay in a core's L2 cache
+# float64 values per buffer of a candidate group, so that the group's
+# error/cost and row-sum buffers stay in a core's L2 cache
 GROUP_BUDGET = 32768
+
+
+def _box_pass(src: np.ndarray, out: np.ndarray, length: int, step: int, block: int) -> None:
+    """out[:length] = src[:length] + src[step:] + ... + src[(block-1)*step:], in order."""
+    if block == 1:
+        np.copyto(out[:length], src[:length])
+        return
+    np.add(src[:length], src[step : step + length], out=out[:length])
+    for k in range(2, block):
+        out[:length] += src[k * step : k * step + length]
 
 
 def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> np.ndarray:
@@ -36,12 +48,18 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     Layout: every plane has one flat row stride W = max(w + 2*search,
     w + block - 1). With half = block // 2, src sits at columns
     [half, half + w) of W-wide rows, and dst, edge-padded by search, is
-    stored flat after a lead of half values, so each candidate's window is one contiguous run starting at
-    (search + dy) * W + search + dx. Squared error and the channel sum run
-    per candidate on these runs. Candidates are then taken in sorted order
-    GROUP_BUDGET // (h * W) at a time (at least one), and the x edge clamp,
-    the row pass, the y edge clamp and the column pass each run once over
-    the whole group. Selection is a strict < running minimum over the
+    stored flat after a lead of half values, so each candidate's window is
+    one contiguous run starting at (search + dy) * W + search + dx.
+
+    Candidates are taken in sorted order, GROUP_BUDGET // S at a time (at
+    least one), where S = (h + block - 1) * W is one candidate's flat
+    segment. A candidate's squared error, summed over channels, fills rows
+    [half, half + h) of its segment, and the x edge clamp fills the columns
+    around them. The row pass is then block - 1 adds of shifted runs over
+    the whole group's flat range at once, the y edge clamp fills the rows
+    above and below, and the column pass does the same with shifts of W, so
+    candidate i's cost lands at [i*S, i*S + h*W). Every valid output reads
+    only its own segment. Selection is a strict < running minimum over the
     candidates in sorted order.
     """
     if src.shape != dst.shape:
@@ -62,6 +80,7 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     half = block // 2
     W = max(w + 2 * search, w + block - 1)
     n = h * W
+    S = (h + block - 1) * W
     offsets = [(search + dy) * W + search + dx for _, dy, dx in candidates]
 
     src_flat = np.zeros((c, h, W))
@@ -72,61 +91,85 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     # values past the padded rows
     dst_flat = np.zeros((c, (hp + 1) * W))
     dst_rows = dst_flat[:, half : half + hp * W].reshape(c, hp, W)
-    pad = ((search, search), (search, search), (0, 0))
-    dst_rows[:, :, : w + 2 * search] = np.pad(dst, pad, mode="edge").transpose(2, 0, 1)
+    s = search
+    dst_rows[:, s : s + h, s : s + w] = dst.transpose(2, 0, 1)
+    dst_rows[:, s : s + h, :s] = dst_rows[:, s : s + h, s : s + 1]
+    dst_rows[:, s : s + h, s + w : w + 2 * s] = dst_rows[:, s : s + h, s + w - 1 : s + w]
+    dst_rows[:, :s, : w + 2 * s] = dst_rows[:, s : s + 1, : w + 2 * s]
+    dst_rows[:, s + h :, : w + 2 * s] = dst_rows[:, s + h - 1 : s + h, : w + 2 * s]
 
-    group = max(1, min(len(candidates), GROUP_BUDGET // n))
+    group = max(1, min(len(candidates), GROUP_BUDGET // S))
     sq = np.empty((c, n))
-    # err holds a candidate's squared error, then the group's block costs
-    err = np.zeros((group, n))
-    rows = np.zeros((group, (h + block - 1) * W))
-    err_3d = err.reshape(group, h, W)
+    # err holds the group's squared errors, then its block costs
+    err = np.zeros(group * S)
+    rows = np.zeros(group * S)
+    err_3d = err.reshape(group, h + block - 1, W)
     rows_3d = rows.reshape(group, h + block - 1, W)
-    # The row pass runs over each candidate's flattened rows: an output in
-    # one of the first w columns only sums its own row, and the columns
-    # from w + block - 1 on are scratch, never read into a valid column.
-    n_row = n - (block - 1)
     better = np.empty(n, dtype=bool)
     best_cost = np.full(n, np.inf)
     best_k = np.zeros(n, dtype=np.intp)
     for k0 in range(0, len(candidates), group):
         g = min(group, len(candidates) - k0)
         for i, off in enumerate(offsets[k0 : k0 + g]):
+            e = err[i * S + half * W : i * S + half * W + n]
             np.subtract(src_flat, dst_flat[:, off : off + n], out=sq)
             np.multiply(sq, sq, out=sq)
             if c == 1:
-                err[i] = sq[0]
+                np.copyto(e, sq[0])
             else:
-                np.add(sq[0], sq[1], out=err[i])
+                np.add(sq[0], sq[1], out=e)
                 for ch in range(2, c):
-                    err[i] += sq[ch]
-        err_g = err_3d[:g]
+                    e += sq[ch]
+        err_g = err_3d[:g, half : half + h]
         err_g[:, :, :half] = err_g[:, :, half : half + 1]
         err_g[:, :, half + w : w + block - 1] = err_g[:, :, half + w - 1 : half + w]
         # separable block sum in a fixed offset order, so exact ties resolve
-        # by candidate order alone; sums of squares are never -0.0, so
-        # starting from the first term equals starting from zero
-        row_sum = rows[:g, half * W : half * W + n_row]
-        np.copyto(row_sum, err[:g, :n_row])
-        for k in range(1, block):
-            row_sum += err[:g, k : k + n_row]
+        # by candidate order alone. A row sum for one of the first w columns
+        # only reads its own row, and the columns from w + block - 1 on are
+        # scratch; a column sum for one of the first h rows of a segment only
+        # reads that segment. Sums of squares are never -0.0, so starting
+        # from the first term equals starting from zero.
+        _box_pass(err, rows, g * S - (block - 1), 1, block)
         rows_g = rows_3d[:g]
         rows_g[:, :half] = rows_g[:, half : half + 1]
         rows_g[:, half + h :] = rows_g[:, half + h - 1 : half + h]
-        cost = err[:g]
-        np.copyto(cost, rows[:g, :n])
-        for k in range(1, block):
-            cost += rows[:g, k * W : k * W + n]
+        _box_pass(rows, err, g * S - (block - 1) * W, W, block)
         for i in range(g):
-            np.less(cost[i], best_cost, out=better)
+            cost = err[i * S : i * S + n]
+            np.less(cost, best_cost, out=better)
             # equals copying cost where better: costs are never -0.0, and
             # fmin keeps best_cost where cost is NaN, as < does
-            np.fmin(best_cost, cost[i], out=best_cost)
+            np.fmin(best_cost, cost, out=best_cost)
             np.putmask(best_k, better, k0 + i)
     best_k = best_k.reshape(h, W)[:, :w]
     du = np.array([dx for _, _, dx in candidates], dtype=np.float64)
     dv = np.array([dy for _, dy, _ in candidates], dtype=np.float64)
     return np.stack([du[best_k], dv[best_k]], axis=2)
+
+
+@functools.lru_cache(maxsize=16)
+def _pixel_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float (h*w, 1) column and row coordinates of an (h, w) grid."""
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64).reshape(2, h * w, 1)
+    xs.setflags(write=False)
+    ys.setflags(write=False)
+    return xs, ys
+
+
+def _weighted_sum(nb: np.ndarray, weights) -> np.ndarray:
+    """sum over k of (nb[k] * a_k) * b_k, left to right, in place in nb.
+
+    nb holds the 4 gathered neighbours (y0, x0), (y0, x1), (y1, x0) and
+    (y1, x1); weights is their 4 (a_k, b_k) pairs. Returns a view of nb[0].
+    """
+    out = nb[0]
+    for k, (a, b) in enumerate(weights):
+        t = nb[k]
+        t *= a
+        t *= b
+        if k:
+            out += t
+    return out
 
 
 def warp(grid: np.ndarray, flow: np.ndarray) -> np.ndarray:
@@ -137,24 +180,29 @@ def warp(grid: np.ndarray, flow: np.ndarray) -> np.ndarray:
         )
     squeeze = grid.ndim == 2
     grid = _as_3d(np.asarray(grid, dtype=np.float64))
-    h, w = grid.shape[:2]
-    ys, xs = np.mgrid[0:h, 0:w]
-    px = np.clip(xs + flow[:, :, 0], 0.0, w - 1.0)
-    py = np.clip(ys + flow[:, :, 1], 0.0, h - 1.0)
+    h, w, c = grid.shape
+    xs, ys = _pixel_grid(h, w)
+    fl = flow.reshape(h * w, 2)
+    px = xs + fl[:, :1]
+    py = ys + fl[:, 1:]
+    np.clip(px, 0.0, w - 1.0, out=px)
+    np.clip(py, 0.0, h - 1.0, out=py)
 
-    x0 = np.floor(px).astype(int)
-    y0 = np.floor(py).astype(int)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (px - x0)[:, :, None]
-    fy = (py - y0)[:, :, None]
-
-    out = (
-        grid[y0, x0] * (1 - fx) * (1 - fy)
-        + grid[y0, x1] * fx * (1 - fy)
-        + grid[y1, x0] * (1 - fx) * fy
-        + grid[y1, x1] * fx * fy
-    )
+    x0 = np.floor(px).astype(np.intp)
+    y0 = np.floor(py).astype(np.intp)
+    fx = px - x0
+    fy = py - y0
+    cx = 1 - fx
+    cy = 1 - fy
+    x0, y0 = x0[:, 0], y0[:, 0]
+    idx = np.empty((4, h * w), dtype=np.intp)
+    np.multiply(y0, w, out=idx[0])
+    idx[0] += x0
+    np.add(idx[0], x0 < w - 1, out=idx[1])
+    np.add(idx[0], w * (y0 < h - 1), out=idx[2])
+    np.add(idx[2], x0 < w - 1, out=idx[3])
+    nb = np.take(grid.reshape(h * w, c), idx, axis=0)
+    out = _weighted_sum(nb, ((cx, cy), (fx, cy), (cx, fy), (fx, fy))).reshape(h, w, c)
     return out[:, :, 0] if squeeze else out
 
 
@@ -178,6 +226,30 @@ def occlusion_mask(f_fwd: np.ndarray, f_bwd: np.ndarray, tau_occ: float) -> np.n
     return (fb_confidence(f_fwd, f_bwd) < tau_occ).astype(np.float64)
 
 
+@functools.lru_cache(maxsize=32)
+def _resample_taps(h: int, w: int, h2: int, w2: int) -> tuple[np.ndarray, ...]:
+    """Read-only bilinear taps from an (h, w) grid to (h2, w2).
+
+    The flat (4, h2, w2) indices of the 4 neighbours of each target pixel,
+    and the weights 1 - fy, fy as (h2, 1, 1) and 1 - fx, fx as (1, w2, 1).
+    """
+    ys = np.clip((np.arange(h2) + 0.5) * h / h2 - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(w2) + 0.5) * w / w2 - 0.5, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
+    fy = (ys - y0)[:, None, None]
+    fx = (xs - x0)[None, :, None]
+    idx = np.empty((4, h2, w2), dtype=np.intp)
+    idx[0] = (y0 * w)[:, None] + x0
+    idx[1] = idx[0] + (x0 < w - 1)
+    idx[2] = idx[0] + (w * (y0 < h - 1))[:, None]
+    idx[3] = idx[2] + (x0 < w - 1)
+    taps = (idx, 1 - fy, fy, 1 - fx, fx)
+    for a in taps:
+        a.setflags(write=False)
+    return taps
+
+
 def bilinear_resample(grid: np.ndarray, h2: int, w2: int) -> np.ndarray:
     """Bilinear resample of an (h, w[, c]) grid to (h2, w2[, c]).
 
@@ -187,21 +259,10 @@ def bilinear_resample(grid: np.ndarray, h2: int, w2: int) -> np.ndarray:
         raise ValueError("target size must be >= 1")
     squeeze = grid.ndim == 2
     grid = _as_3d(np.asarray(grid, dtype=np.float64))
-    h, w = grid.shape[:2]
-    ys = np.clip((np.arange(h2) + 0.5) * h / h2 - 0.5, 0.0, h - 1.0)
-    xs = np.clip((np.arange(w2) + 0.5) * w / w2 - 0.5, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None, None]
-    fx = (xs - x0)[None, :, None]
-    out = (
-        grid[np.ix_(y0, x0)] * (1 - fy) * (1 - fx)
-        + grid[np.ix_(y0, x1)] * (1 - fy) * fx
-        + grid[np.ix_(y1, x0)] * fy * (1 - fx)
-        + grid[np.ix_(y1, x1)] * fy * fx
-    )
+    h, w, c = grid.shape
+    idx, cy, fy, cx, fx = _resample_taps(h, w, h2, w2)
+    nb = np.take(grid.reshape(h * w, c), idx, axis=0)
+    out = _weighted_sum(nb, ((cy, cx), (cy, fx), (fy, cx), (fy, fx)))
     return out[:, :, 0] if squeeze else out
 
 

@@ -409,25 +409,6 @@ def restore(
     return FrameSequence([decode_latent(x, h, w) for x in restore_latents(seq, config, bank)])
 
 
-def per_frame_baseline(seq: FrameSequence, config: RestoreConfig) -> FrameSequence:
-    """Independent per-frame sampling with no hooks; the mechanism-off reference."""
-    config.validate()
-    h, w, _ = seq.shape
-    scale = config.latent_scale
-    hl, wl = h // scale, w // scale
-    sched = toydiff.make_schedule(SCHED_T, BETA_START, BETA_END)
-    denoiser = ToyDenoiser(channels=3, seed=config.seed)
-    out = []
-    for f, frame in enumerate(seq.frames):
-        x0 = encode_latent(frame, scale)[None]
-        eps = frame_noise(config.seed, f, (hl, wl, 3))[None]
-        ts = toydiff.step_indices(sched.T, config.steps)
-        x = toydiff.forward_diffuse(x0, ts[0], eps, sched)
-        x = toydiff.sample(x, denoiser, sched, config.steps)
-        out.append(decode_latent(x[0], h, w))
-    return FrameSequence(out)
-
-
 def temporal_consistency(
     seq: FrameSequence,
     config: RestoreConfig,
@@ -437,8 +418,9 @@ def temporal_consistency(
 
     Flows (and occlusion masks for E_warp) are estimated from flow_source,
     which defaults to the measured sequence itself; pass the LQ input to
-    compare restored variants under identical flows. These adjacent and
-    skip-one flows are not in restore's FlowBank.
+    compare restored variants under identical flows. Every adjacent and
+    skip-one flow is estimated here, including those a FlowBank of the
+    same frames already holds.
     """
     src = flow_source if flow_source is not None else seq
     if len(src) != len(seq):

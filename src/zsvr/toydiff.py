@@ -204,15 +204,3 @@ def step_indices(T: int, steps: int) -> list[int]:
         raise ValueError(f"steps must be in [1, {T}], got {steps}")
     idx = np.unique(np.round(np.linspace(T - 1, 0, steps)).astype(int))
     return list(idx[::-1])
-
-
-def sample(
-    x_T: np.ndarray, denoiser: ToyDenoiser, sched: NoiseSchedule, steps: int
-) -> np.ndarray:
-    """Hookless DDIM over a strided step subset; returns the x0 batch."""
-    ts = step_indices(sched.T, steps)
-    x = x_T
-    for t, t_prev in zip(ts, ts[1:] + [None]):
-        x0, eps = denoise_step(x, t, denoiser, sched)
-        x = x0 if t_prev is None else forward_diffuse(x0, t_prev, eps, sched)
-    return x

@@ -17,6 +17,8 @@ from zsvr import toydiff
 from zsvr.mediaio import FrameSequence
 from zsvr.tokenmerge import MergeMode, TokenChunk
 
+from reference import per_frame_baseline
+
 
 def _demo_pair(seed, n=24):
     # same video and x4 degradation as the demo command
@@ -261,7 +263,7 @@ def test_criterion_5_hook_neutrality():
     hq = cli.make_demo_video(n=12, h=32, w=32, seed=3)
     lq = cli.degrade_video(hq, 2, 0.05, seed=3)
     cfg = pipeline.RestoreConfig(steps=6, batch_size=4, latent_scale=2, seed=3)
-    base = pipeline.per_frame_baseline(lq, cfg)
+    base = per_frame_baseline(lq, cfg)
 
     off = replace(cfg, hlw_windows=(), tome_windows=())
     out_off = pipeline.restore(lq, off)
@@ -283,7 +285,7 @@ def test_criterion_6_consistency_improvement():
         hq, lq = _demo_pair(seed)
         cfg = cli.demo_config(seed)
         ours = pipeline.restore(lq, cfg, bank=_restore_bank(lq, cfg))
-        base = pipeline.per_frame_baseline(lq, cfg)
+        base = per_frame_baseline(lq, cfg)
         warp_flows, warp_masks, fwd2, bwd2 = _eval_flows(lq, cfg)
         for seq, ew, ei in ((ours, ew_on, ei_on), (base, ew_off, ei_off)):
             _, mw = metrics.warping_error(seq.frames, warp_flows, warp_masks)

@@ -15,6 +15,8 @@ import zsvr
 from zsvr import cli, mediaio, pipeline
 from zsvr.cli import degrade_video, demo_config, main, make_demo_video
 
+from reference import per_frame_baseline
+
 
 def _write_video(tmp_path, n=4, h=16, w=16, seed=0):
     hq = make_demo_video(n=n, h=h, w=w, seed=seed)
@@ -200,7 +202,7 @@ def test_restore_no_flags_match_baseline(tmp_path):
     cfg = pipeline.parse_config(SMALL_CFG)
     # compare against the per-frame baseline on the same decoded input
     decoded = mediaio.read_frames(str(in_dir))
-    want = pipeline.per_frame_baseline(decoded, cfg)
+    want = per_frame_baseline(decoded, cfg)
     for a, b in zip(got.frames, want.frames):
         assert np.abs(a - b).max() <= 1.0 / 510.0 + 1e-12
 

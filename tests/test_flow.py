@@ -31,6 +31,29 @@ def warp_oracle(grid, fl):
     return out[:, :, 0] if grid.ndim == 2 else out
 
 
+def bilinear_resample_oracle(grid, h2, w2):
+    """Scalar-loop bilinear resample with aligned pixel centers and clamping."""
+    g = grid[:, :, None] if grid.ndim == 2 else grid
+    h, w, c = g.shape
+    out = np.zeros((h2, w2, c))
+    for y in range(h2):
+        sy = min(max((y + 0.5) * h / h2 - 0.5, 0.0), h - 1.0)
+        y0 = int(math.floor(sy))
+        y1, fy = min(y0 + 1, h - 1), sy - y0
+        for x in range(w2):
+            sx = min(max((x + 0.5) * w / w2 - 0.5, 0.0), w - 1.0)
+            x0 = int(math.floor(sx))
+            x1, fx = min(x0 + 1, w - 1), sx - x0
+            for ch in range(c):
+                out[y, x, ch] = (
+                    g[y0, x0, ch] * (1 - fy) * (1 - fx)
+                    + g[y0, x1, ch] * (1 - fy) * fx
+                    + g[y1, x0, ch] * fy * (1 - fx)
+                    + g[y1, x1, ch] * fy * fx
+                )
+    return out[:, :, 0] if grid.ndim == 2 else out
+
+
 def fb_confidence_oracle(f_fwd, f_bwd):
     bwd_at = warp_oracle(f_bwd, f_fwd)
     h, w = f_fwd.shape[:2]
@@ -154,9 +177,10 @@ def test_estimate_flow_matches_oracle_across_candidate_groups(monkeypatch):
     h = w = 12
     block = 3
     for search in range(1, 20):
-        n = h * max(w + 2 * search, w + block - 1)
+        W = max(w + 2 * search, w + block - 1)
+        S = (h + block - 1) * W  # one candidate's flat segment
         k = (2 * search + 1) ** 2
-        group = max(1, flow.GROUP_BUDGET // n)
+        group = max(1, flow.GROUP_BUDGET // S)
         if k > group and k % group:
             break
     assert k > group and k % group
@@ -164,40 +188,95 @@ def test_estimate_flow_matches_oracle_across_candidate_groups(monkeypatch):
     src = rng.integers(0, 2, (h, w)) / 4
     dst = rng.integers(0, 2, (h, w)) / 4
     want = estimate_flow_oracle(src, dst, block=block, search=search)
-    for budget in (flow.GROUP_BUDGET, n, 3 * n, 1):
+    for budget in (flow.GROUP_BUDGET, S, 3 * S, 1):
         monkeypatch.setattr(flow, "GROUP_BUDGET", budget)
         assert np.array_equal(flow.estimate_flow(src, dst, block=block, search=search), want)
 
 
-@pytest.mark.parametrize(
-    "n, size, block, search, pairs, digest",
-    [
-        (
-            24, 64, 7, 4,
-            [(1, 0), (0, 1), (2, 0), (0, 2), (5, 4), (4, 6),
-             (12, 11), (11, 12), (23, 22), (21, 23), (8, 15), (15, 8)],
-            "5a82edfa174cbf0a130b101eadc82cd0681f760c158fbde0eaf24b8c49a527fa",
-        ),
-        (
-            8, 32, 5, 2,
-            [(1, 0), (0, 1), (2, 0), (0, 2), (3, 2), (2, 4),
-             (5, 4), (4, 5), (7, 6), (5, 7), (0, 7), (7, 0)],
-            "b067e1e461d36d6128988e0773c4d7e694d316473f580d6641140654d844fbcb",
-        ),
-    ],
-    ids=["64x64-b7-s4", "32x32-b5-s2"],
-)
-def test_estimate_flow_golden_digest(tmp_path, n, size, block, search, pairs, digest):
+# (frames, size, block, search, pairs) of the golden digests: the benchmark's
+# demo24 and ablate8 flow settings on the seed-0 demo LQ clip
+GOLDEN_CASES = {
+    "64x64-b7-s4": (
+        24, 64, 7, 4,
+        [(1, 0), (0, 1), (2, 0), (0, 2), (5, 4), (4, 6),
+         (12, 11), (11, 12), (23, 22), (21, 23), (8, 15), (15, 8)],
+    ),
+    "32x32-b5-s2": (
+        8, 32, 5, 2,
+        [(1, 0), (0, 1), (2, 0), (0, 2), (3, 2), (2, 4),
+         (5, 4), (4, 5), (7, 6), (5, 7), (0, 7), (7, 0)],
+    ),
+}
+
+
+def _golden_flows(tmp_path, case):
     # the seed-0 demo LQ clip as the benchmark reads it back from disk; block
-    # matching uses no BLAS, so these flows are the same on any IEEE host
+    # matching and bilinear sampling use no BLAS, so these outputs are the
+    # same on any IEEE host
+    n, size, block, search, pairs = GOLDEN_CASES[case]
     hq = cli.make_demo_video(n=n, h=size, w=size, seed=0)
     mediaio.write_frames(cli.degrade_video(hq, scale=4, noise_std=0.08, seed=0), str(tmp_path))
     frames = mediaio.read_frames(str(tmp_path)).frames
+    flows = [flow.estimate_flow(frames[i], frames[j], block, search) for i, j in pairs]
+    return frames, pairs, flows
+
+
+def _sha(arrays):
     sha = hashlib.sha256()
-    for i, j in pairs:
-        fl = flow.estimate_flow(frames[i], frames[j], block, search)
-        sha.update(np.ascontiguousarray(fl, dtype="<f8").tobytes())
-    assert sha.hexdigest() == digest
+    for a in arrays:
+        sha.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("64x64-b7-s4", "5a82edfa174cbf0a130b101eadc82cd0681f760c158fbde0eaf24b8c49a527fa"),
+        ("32x32-b5-s2", "b067e1e461d36d6128988e0773c4d7e694d316473f580d6641140654d844fbcb"),
+    ],
+    ids=list(GOLDEN_CASES),
+)
+def test_estimate_flow_golden_digest(tmp_path, case, digest):
+    _, _, flows = _golden_flows(tmp_path, case)
+    assert _sha(flows) == digest
+
+
+def _sampling_outputs(frames, pairs, flows):
+    size = frames[0].shape[0]
+    q = size // 4
+    for k, (_, j) in enumerate(pairs):
+        fl, bwd = flows[k], flows[k ^ 1]
+        conf = flow.fb_confidence(fl, bwd)
+        mask = flow.occlusion_mask(fl, bwd, 0.5)
+        yield conf
+        yield flow.warp(frames[j], fl)
+        yield flow.warp(frames[j][:, :, 1], 0.5 * fl)
+        for h2, w2 in ((q, q), (size // 8, size // 2), (size, size), (size + 3, q + 1)):
+            yield flow.bilinear_resample(frames[j], h2, w2)
+            yield flow.bilinear_resample(conf, h2, w2)
+            yield flow.resample_flow(fl, h2, w2)
+            yield flow.resample_mask(mask, h2, w2)
+        # the latent path: warp a downsampled frame by its resampled flow,
+        # then upsample back to frame size
+        small = flow.bilinear_resample(frames[j], q, q)
+        warped = flow.warp(small, flow.resample_flow(0.5 * fl, q, q))
+        yield warped
+        yield flow.bilinear_resample(warped, size, size)
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("64x64-b7-s4", "70a154638bcacb7e6ff28db164e2d1d53b15f185777864d20b15461b2984560a"),
+        ("32x32-b5-s2", "a33b28c0a563d1c00b92b3342066e3502923ba454f455a5bf8f81684d02e4de0"),
+    ],
+    ids=list(GOLDEN_CASES),
+)
+def test_sampling_golden_digest(tmp_path, case, digest):
+    # warp, bilinear_resample, resample_flow, resample_mask and fb_confidence
+    # on the golden flows, the pairs taken two by two as forward/backward
+    frames, pairs, flows = _golden_flows(tmp_path, case)
+    assert _sha(_sampling_outputs(frames, pairs, flows)) == digest
 
 
 def test_warp_zero_flow_identity():
@@ -225,7 +304,72 @@ def test_warp_matches_oracle():
     for _ in range(5):
         img = rng.random((6, 6, 3))
         fl = rng.uniform(-3, 3, (6, 6, 2))
-        assert np.abs(flow.warp(img, fl) - warp_oracle(img, fl)).max() < 1e-12
+        assert np.array_equal(flow.warp(img, fl), warp_oracle(img, fl))
+
+
+@st.composite
+def _sampling_cases(draw):
+    # frames up to 10x10, 2-D or 1-4 channels, flows reaching past every
+    # border, and non-contiguous grids and flows
+    h = draw(st.integers(1, 10))
+    w = draw(st.integers(1, 10))
+    c = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (w, h) if c is None else (w, h, c)
+    grid = rng.standard_normal(shape)
+    grid = grid.swapaxes(0, 1) if draw(st.booleans()) else grid.reshape((h, w) + shape[2:])
+    fl = np.stack(
+        [rng.uniform(-2 * w, 2 * w, (h, w)), rng.uniform(-2 * h, 2 * h, (h, w))], axis=2
+    )
+    if draw(st.booleans()):
+        fl = np.round(fl * 2) / 2  # land on pixel centres, halves and the borders
+    if draw(st.booleans()):
+        fl = fl[:, ::-1]
+    return grid, fl, draw(st.integers(1, 12)), draw(st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_sampling_cases())
+def test_warp_and_resample_match_oracles_property(case):
+    grid, fl, h2, w2 = case
+    assert np.array_equal(flow.warp(grid, fl), warp_oracle(grid, fl))
+    assert np.array_equal(
+        flow.bilinear_resample(grid, h2, w2), bilinear_resample_oracle(grid, h2, w2)
+    )
+
+
+def test_sampling_caches_are_read_only():
+    flow.warp(np.zeros((5, 6, 3)), np.zeros((5, 6, 2)))
+    flow.bilinear_resample(np.zeros((5, 6)), 3, 9)
+    for a in (*flow._pixel_grid(5, 6), *flow._resample_taps(5, 6, 3, 9)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 1
+
+
+def test_sampling_results_share_no_memory_with_caches():
+    # a caller writing into a result must not change what later calls return
+    rng = np.random.default_rng(15)
+    for grid in (rng.random((5, 6)), rng.random((5, 6, 3))):
+        fl = rng.uniform(-3, 3, (5, 6, 2))
+        calls = [
+            lambda: flow.warp(grid, fl),
+            lambda: flow.warp(grid, np.zeros((5, 6, 2))),
+            lambda: flow.bilinear_resample(grid, 5, 6),
+            lambda: flow.bilinear_resample(grid, 3, 9),
+            lambda: flow.resample_flow(fl, 3, 9),
+        ]
+        cached = [
+            *flow._pixel_grid(5, 6),
+            *flow._resample_taps(5, 6, 5, 6),
+            *flow._resample_taps(5, 6, 3, 9),
+        ]
+        for call in calls:
+            out = call()
+            want = out.copy()
+            assert not any(np.shares_memory(out, a) for a in (grid, fl, *cached))
+            out[...] = 7.0
+            assert np.array_equal(call(), want)
 
 
 def test_warp_2d_grid():

@@ -15,6 +15,8 @@ from zsvr.pipeline import RestoreConfig, parse_config, plan_batches
 from zsvr.tokenmerge import MergeMode
 from zsvr.toydiff import ToyDenoiser
 
+from reference import per_frame_baseline
+
 
 def small_config(**kw):
     base = dict(steps=4, batch_size=3, latent_scale=2, seed=0)
@@ -305,7 +307,7 @@ def test_restore_disabled_equals_per_frame_baseline():
     lq = small_video()
     cfg = small_config(hlw_windows=(), tome_windows=())
     out = pipeline.restore(lq, cfg)
-    base = pipeline.per_frame_baseline(lq, cfg)
+    base = per_frame_baseline(lq, cfg)
     for a, b in zip(out.frames, base.frames):
         assert np.array_equal(a, b)
 
@@ -357,7 +359,7 @@ def _restore_shapes(draw):
 def test_restore_without_windows_equals_baseline_property(case):
     lq, cfg = case
     out = pipeline.restore(lq, cfg)
-    base = pipeline.per_frame_baseline(lq, cfg)
+    base = per_frame_baseline(lq, cfg)
     assert len(out) == len(base) == len(lq)
     for a, b in zip(out.frames, base.frames):
         assert np.array_equal(a, b)
@@ -367,7 +369,7 @@ def test_restore_single_frame_video():
     lq = FrameSequence([small_video().frames[0]])
     cfg = small_config()
     out = pipeline.restore(lq, cfg)
-    base = pipeline.per_frame_baseline(lq, cfg)
+    base = per_frame_baseline(lq, cfg)
     assert np.array_equal(out.frames[0], base.frames[0])
 
 
@@ -528,7 +530,7 @@ def test_restore_zero_merge_ratio_equals_baseline():
     lq = small_video()
     cfg = small_config(hlw_windows=(), tome_r=0.0)
     out = pipeline.restore(lq, cfg)
-    base = pipeline.per_frame_baseline(lq, cfg)
+    base = per_frame_baseline(lq, cfg)
     for a, b in zip(out.frames, base.frames):
         assert np.array_equal(a, b)
 

