@@ -219,11 +219,11 @@ def fb_confidence(f_fwd: np.ndarray, f_bwd: np.ndarray) -> np.ndarray:
     return np.exp(-(residual**2).sum(axis=2))
 
 
-def occlusion_mask(f_fwd: np.ndarray, f_bwd: np.ndarray, tau_occ: float) -> np.ndarray:
-    """Binary mask: 1 where forward-backward confidence < tau_occ (occluded)."""
+def occlusion_mask(conf: np.ndarray, tau_occ: float) -> np.ndarray:
+    """Binary mask: 1 where a forward-backward confidence is < tau_occ (occluded)."""
     if not 0.0 < tau_occ <= 1.0:
         raise ValueError(f"tau_occ must be in (0, 1], got {tau_occ}")
-    return (fb_confidence(f_fwd, f_bwd) < tau_occ).astype(np.float64)
+    return (conf < tau_occ).astype(np.float64)
 
 
 @functools.lru_cache(maxsize=32)

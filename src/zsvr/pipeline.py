@@ -190,7 +190,9 @@ class FlowBank:
     the flow settings it was built with. One bank
     serves every restore of the same frames with the same batch plan
     (batch_size, seed) and flow settings (flow.block, flow.search,
-    flow.tau_occ); restore rejects a bank whose settings or pairs differ.
+    flow.tau_occ); restore rejects a bank whose settings, pairs or frame
+    size differ. A bank built on other frames of the same size cannot be
+    detected: restore then reads its flows as if they were these frames'.
     """
 
     block: int
@@ -226,17 +228,22 @@ def precompute_flows(seq: FrameSequence, plan: BatchPlan, config: RestoreConfig)
         )
     for i, j in sorted(read):
         bank.conf[(i, j)] = flowmod.fb_confidence(bank.flow[(i, j)], bank.flow[(j, i)])
-        bank.mask[(i, j)] = (bank.conf[(i, j)] < config.flow_tau_occ).astype(np.float64)
+        bank.mask[(i, j)] = flowmod.occlusion_mask(bank.conf[(i, j)], config.flow_tau_occ)
     return bank
 
 
-def _check_bank(bank: FlowBank, plan: BatchPlan, config: RestoreConfig) -> None:
+def _check_bank(
+    bank: FlowBank, plan: BatchPlan, config: RestoreConfig, size: tuple[int, int]
+) -> None:
     built = (bank.block, bank.search, bank.tau_occ)
     wanted = (config.flow_block, config.flow_search, config.flow_tau_occ)
     if built != wanted:
         raise ValueError(
             f"flow bank built with flow.block/search/tau_occ {built}, config has {wanted}"
         )
+    other = {fl.shape[:2] for fl in bank.flow.values()} - {size}
+    if other:
+        raise ValueError(f"flow bank built on {min(other)} frames, restoring {size} frames")
     missing = _needed_pairs(plan) - (bank.flow.keys() & bank.conf.keys() & bank.mask.keys())
     if missing:
         raise ValueError(
@@ -283,9 +290,9 @@ def step_plan(config: RestoreConfig) -> tuple[list[bool], list[float]]:
     return hlw_on, ratios
 
 
-def _flow_readers(config: RestoreConfig) -> tuple[bool, bool]:
-    """Does restore read flows to warp latents, and to merge tokens along them?"""
-    hlw_on, ratios = step_plan(config)
+def _flow_readers(config: RestoreConfig, hlw_on: list, ratios: list) -> tuple[bool, bool]:
+    """Given config's step_plan, does restore read flows to warp latents, and to
+    merge tokens along them?"""
     return any(hlw_on), any(ratios) and MergeMode.FLOW_DOWN in (config.down_mode, config.up_mode)
 
 
@@ -312,7 +319,7 @@ def restore_latents(
     given, must come from precompute_flows on the same frames with the same
     batch plan and flow settings; otherwise the flows needed are computed here.
     """
-    config.validate()
+    hlw_on, ratios = step_plan(config)  # validates config first
     n = len(seq)
     h, w, _ = seq.shape
     scale = config.latent_scale
@@ -324,11 +331,10 @@ def restore_latents(
     plan = plan_batches(n, config.batch_size, config.seed)
     sched = toydiff.make_schedule(SCHED_T, BETA_START, BETA_END)
     ts = toydiff.step_indices(sched.T, config.steps)
-    hlw_on, ratios = step_plan(config)
-    warps, flow_merges = _flow_readers(config)
+    warps, flow_merges = _flow_readers(config, hlw_on, ratios)
 
     if bank is not None:
-        _check_bank(bank, plan, config)
+        _check_bank(bank, plan, config, (h, w))
     elif warps or flow_merges:
         bank = precompute_flows(seq, plan, config)
     denoiser = ToyDenoiser(channels=3, seed=config.seed)
@@ -386,11 +392,8 @@ def restore_latents(
                 if chain is not None:
                     x0[kf_off] = latentwarp.blend_warped(x0[kf_off], prev_kf_x0[pos], *chain)
                 kf_x0[pos] = x0[kf_off].copy()
-                warped = latentwarp.propagate_to_batch(
-                    x0[kf_off], [x0[o] for o in member_offs], star_flows, star_masks
-                )
-                for off, latent in zip(member_offs, warped):
-                    x0[off] = latent
+                for off, f, m in zip(member_offs, star_flows, star_masks):
+                    x0[off] = latentwarp.blend_warped(x0[off], x0[kf_off], f, m)
             x = x0 if t_prev is None else toydiff.forward_diffuse(x0, t_prev, eps, sched)
         prev_kf_x0 = kf_x0
         out[start:stop] = x
@@ -434,7 +437,9 @@ def temporal_consistency(
         fwd = est(t, t - 1)
         bwd = est(t - 1, t)
         warp_flows.append(fwd)
-        warp_masks.append(flowmod.occlusion_mask(fwd, bwd, config.flow_tau_occ))
+        warp_masks.append(
+            flowmod.occlusion_mask(flowmod.fb_confidence(fwd, bwd), config.flow_tau_occ)
+        )
     e_warp, e_inter = [], []
     if n >= 2:
         e_warp, _ = metrics.warping_error(seq.frames, warp_flows, warp_masks)
@@ -484,9 +489,9 @@ def ablate(seq: FrameSequence, config: RestoreConfig, variants: dict | None = No
     for group, entries in groups.items():
         for name, overrides in entries.items():
             cfg = replace(config, **overrides)
-            cfg.validate()
+            steps = step_plan(cfg)
             key = (cfg.batch_size, cfg.seed, cfg.flow_block, cfg.flow_search, cfg.flow_tau_occ)
-            if key not in banks and any(_flow_readers(cfg)):
+            if key not in banks and any(_flow_readers(cfg, *steps)):
                 plan = plan_batches(len(seq), cfg.batch_size, cfg.seed)
                 banks[key] = precompute_flows(seq, plan, cfg)
             restored = restore(seq, cfg, bank=banks.get(key))

@@ -14,10 +14,12 @@ merging attaches to:
     independently, so batched sampling is bit-identical to per-frame
     sampling.
 
-denoise_step returns the predicted clean latents and noise (x0, eps) of a
-batch; the caller may edit x0 (latent warping does) before the DDIM step to
-t_prev, which with eta=0 is forward_diffuse(x0, t_prev, eps). Sampling is
-fully deterministic given seeds and inputs.
+The DDIM algebra lives here: forward_diffuse noises a clean latent to step
+t, and predict_x0 inverts it given the noise. denoise_step returns the
+predicted clean latents and noise (x0, eps) of a batch; the caller may edit x0
+(latent warping does) before the DDIM step to t_prev, which with eta=0 is
+forward_diffuse(x0, t_prev, eps). Sampling is fully deterministic given seeds
+and inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import Callable
 
 import numpy as np
 
-from .latentwarp import predict_x0
 from .tokenmerge import TokenChunk
 
 
@@ -69,6 +70,15 @@ def forward_diffuse(
         raise IndexError(f"t={t} out of range [0, {sched.T})")
     abar = sched.abars[t]
     return math.sqrt(abar) * x0 + math.sqrt(1.0 - abar) * eps
+
+
+def predict_x0(x_t: np.ndarray, eps: np.ndarray, abar_t: float) -> np.ndarray:
+    """Invert the forward diffusion: x0 = (x_t - sqrt(1-abar)*eps) / sqrt(abar)."""
+    if not 0.0 < abar_t <= 1.0:
+        raise ValueError(f"abar_t must be in (0, 1], got {abar_t}")
+    if x_t.shape != eps.shape:
+        raise ValueError(f"shape mismatch: {x_t.shape} vs {eps.shape}")
+    return (x_t - math.sqrt(1.0 - abar_t) * eps) / math.sqrt(abar_t)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:

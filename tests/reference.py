@@ -1,7 +1,9 @@
-"""Independent reference paths for the tests: the hook-free sampler.
+"""Independent reference paths for the tests.
 
-These are the mechanism-off oracles that `restore` with both window lists
-empty must equal bit for bit. Nothing in the package calls them.
+The hook-free sampler and per-frame baseline are the mechanism-off oracles
+that `restore` with both window lists empty must equal bit for bit.
+split_blends reads restore's latent-warping calls back by batch and step.
+Nothing in the package calls them.
 """
 
 from zsvr import pipeline, toydiff
@@ -36,3 +38,25 @@ def per_frame_baseline(seq, config):
         x = sample(x, denoiser, sched, config.steps)
         out.append(pipeline.decode_latent(x[0], h, w))
     return FrameSequence(out)
+
+
+def split_blends(calls, plan, steps):
+    """Split the blend_warped calls of a restore that warps in every step.
+
+    calls are (own, source, flow, mask, result) in call order. In each step,
+    a batch after the first makes one chain call, then one star call per
+    member in frame order, whose source is the keyframe. Returns, per batch,
+    per step, (chain call or None, keyframe latent, star calls); a batch
+    without members has its chain result as keyframe.
+    """
+    calls = iter(calls)
+    batches = []
+    for b, (start, stop) in enumerate(plan.batches):
+        rows = []
+        for _ in range(steps):
+            chain = next(calls) if b > 0 else None
+            star = [next(calls) for _ in range(stop - start - 1)]
+            rows.append((chain, star[0][1] if star else chain[4], star))
+        batches.append(rows)
+    assert next(calls, None) is None, "more blend_warped calls than the plan makes"
+    return batches

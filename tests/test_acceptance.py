@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from zsvr import cli, flow, latentwarp, mediaio, metrics, pipeline
+from zsvr import cli, flow, mediaio, metrics, pipeline
 from zsvr import tokenmerge as tm
 from zsvr import toydiff
 from zsvr.mediaio import FrameSequence
@@ -47,7 +47,7 @@ def _eval_flows(lq, cfg):
         fwd = est(t, t - 1)
         bwd = est(t - 1, t)
         warp_flows.append(fwd)
-        warp_masks.append(flow.occlusion_mask(fwd, bwd, cfg.flow_tau_occ))
+        warp_masks.append(flow.occlusion_mask(flow.fb_confidence(fwd, bwd), cfg.flow_tau_occ))
     fwd2 = [est(t + 1, t - 1) for t in range(1, n - 1)]
     bwd2 = [est(t - 1, t + 1) for t in range(1, n - 1)]
     return warp_flows, warp_masks, fwd2, bwd2
@@ -250,7 +250,7 @@ def test_criterion_4_diffusion_algebra():
         x0 = rng.standard_normal((1, 4, 4, 3))
         eps = rng.standard_normal((1, 4, 4, 3))
         x_t = toydiff.forward_diffuse(x0, t, eps, sched)
-        back = latentwarp.predict_x0(x_t, eps, sched.abars[t])
+        back = toydiff.predict_x0(x_t, eps, sched.abars[t])
         worst = max(worst, np.abs(back - x0).max())
     assert worst <= 1e-6
     print(

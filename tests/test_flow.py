@@ -247,7 +247,7 @@ def _sampling_outputs(frames, pairs, flows):
     for k, (_, j) in enumerate(pairs):
         fl, bwd = flows[k], flows[k ^ 1]
         conf = flow.fb_confidence(fl, bwd)
-        mask = flow.occlusion_mask(fl, bwd, 0.5)
+        mask = flow.occlusion_mask(conf, 0.5)
         yield conf
         yield flow.warp(frames[j], fl)
         yield flow.warp(frames[j][:, :, 1], 0.5 * fl)
@@ -418,9 +418,14 @@ def test_fb_confidence_matches_oracle():
 def test_occlusion_mask_polarity_and_threshold():
     f_fwd = np.zeros((3, 3, 2))
     f_bwd = np.zeros((3, 3, 2))
-    assert np.array_equal(flow.occlusion_mask(f_fwd, f_bwd, 0.9), np.zeros((3, 3)))
+    conf = flow.fb_confidence(f_fwd, f_bwd)
+    assert np.array_equal(flow.occlusion_mask(conf, 0.9), np.zeros((3, 3)))
     f_bwd[:, :, 0] = 1.0  # residual norm 1 -> sigma = e^-1 < 0.5
-    assert np.array_equal(flow.occlusion_mask(f_fwd, f_bwd, 0.5), np.ones((3, 3)))
+    conf = flow.fb_confidence(f_fwd, f_bwd)
+    assert np.array_equal(flow.occlusion_mask(conf, 0.5), np.ones((3, 3)))
+    for tau in (0.0, 1.5):
+        with pytest.raises(ValueError, match="tau_occ"):
+            flow.occlusion_mask(conf, tau)
 
 
 def test_occlusion_mask_matches_thresholded_confidence():
@@ -428,7 +433,7 @@ def test_occlusion_mask_matches_thresholded_confidence():
     f_fwd = rng.uniform(-2, 2, (6, 6, 2))
     f_bwd = rng.uniform(-2, 2, (6, 6, 2))
     sigma = fb_confidence_oracle(f_fwd, f_bwd)
-    mask = flow.occlusion_mask(f_fwd, f_bwd, 0.368)
+    mask = flow.occlusion_mask(flow.fb_confidence(f_fwd, f_bwd), 0.368)
     assert np.array_equal(mask, (sigma < 0.368).astype(float))
 
 
@@ -436,8 +441,9 @@ def test_occlusion_mask_monotone_in_tau():
     rng = np.random.default_rng(9)
     f_fwd = rng.uniform(-2, 2, (8, 8, 2))
     f_bwd = rng.uniform(-2, 2, (8, 8, 2))
-    m_lo = flow.occlusion_mask(f_fwd, f_bwd, 0.2)
-    m_hi = flow.occlusion_mask(f_fwd, f_bwd, 0.8)
+    conf = flow.fb_confidence(f_fwd, f_bwd)
+    m_lo = flow.occlusion_mask(conf, 0.2)
+    m_hi = flow.occlusion_mask(conf, 0.8)
     assert np.all(m_hi >= m_lo)
 
 

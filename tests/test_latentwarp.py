@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from zsvr import latentwarp as lw
 from zsvr import pipeline
@@ -7,42 +6,7 @@ from zsvr.cli import degrade_video, make_demo_video
 from zsvr.flow import resample_flow, resample_mask, warp
 from zsvr.pipeline import RestoreConfig, plan_batches
 
-
-def test_predict_x0_abar_one_is_identity():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((4, 4, 3))
-    eps = rng.standard_normal((4, 4, 3))
-    assert np.array_equal(lw.predict_x0(x, eps, 1.0), x)
-
-
-def test_predict_x0_inverts_forward_noising():
-    rng = np.random.default_rng(1)
-    x0 = rng.standard_normal((5, 5, 3))
-    eps = rng.standard_normal((5, 5, 3))
-    abar = 0.37
-    x_t = np.sqrt(abar) * x0 + np.sqrt(1 - abar) * eps
-    assert np.abs(lw.predict_x0(x_t, eps, abar) - x0).max() <= 1e-6
-
-
-def test_predict_x0_matches_scalar_oracle():
-    rng = np.random.default_rng(2)
-    x_t = rng.standard_normal((3, 4, 2))
-    eps = rng.standard_normal((3, 4, 2))
-    abar = 0.6
-    got = lw.predict_x0(x_t, eps, abar)
-    for y in range(3):
-        for x in range(4):
-            for c in range(2):
-                want = (x_t[y, x, c] - np.sqrt(1 - abar) * eps[y, x, c]) / np.sqrt(abar)
-                assert abs(got[y, x, c] - want) <= 1e-12
-
-
-def test_predict_x0_rejects_bad_abar():
-    x = np.zeros((2, 2, 3))
-    with pytest.raises(ValueError, match="abar"):
-        lw.predict_x0(x, x, 0.0)
-    with pytest.raises(ValueError, match="abar"):
-        lw.predict_x0(x, x, 1.5)
+from reference import split_blends
 
 
 def test_blend_warped_is_convex_combination():
@@ -84,42 +48,24 @@ def _chain_bank(lq, edit=None):
 
 
 def _run_chain(monkeypatch, lq, bank):
-    """Per batch, per step: (chain call or None, keyframe x0 it propagates).
+    """Per batch, per step: (chain call or None, keyframe x0, star calls).
 
-    A chain call is (own, source, flow, mask, result) of blend_warped.
+    A call is (own, source, flow, mask, result) of blend_warped.
     """
-    blend, propagate = lw.blend_warped, lw.propagate_to_batch
-    events, in_star = [], []
+    blend = lw.blend_warped
+    calls = []
 
     def spy_blend(own, source, flow, mask):
         result = blend(own, source, flow, mask)
-        if not in_star:
-            events.append(("chain", own.copy(), source.copy(), flow.copy(), mask.copy(), result.copy()))
+        calls.append((own.copy(), source.copy(), flow.copy(), mask.copy(), result.copy()))
         return result
-
-    def spy_propagate(keyframe, *args):
-        events.append(("star", keyframe.copy()))
-        in_star.append(True)
-        try:
-            return propagate(keyframe, *args)
-        finally:
-            in_star.pop()
 
     with monkeypatch.context() as mp:
         mp.setattr(lw, "blend_warped", spy_blend)
-        mp.setattr(lw, "propagate_to_batch", spy_propagate)
         pipeline.restore_latents(lq, CHAIN_CFG, bank)
-    steps, chain = [], None
-    for ev in events:
-        if ev[0] == "chain":
-            assert chain is None
-            chain = ev[1:]
-        else:
-            steps.append((chain, ev[1]))
-            chain = None
-    n = CHAIN_CFG.steps
-    assert len(steps) == 3 * n
-    return [steps[b * n : (b + 1) * n] for b in range(3)]
+    plan = plan_batches(len(lq), CHAIN_CFG.batch_size, CHAIN_CFG.seed)
+    assert [stop - start for start, stop in plan.batches] == [3, 3, 1]
+    return split_blends(calls, plan, CHAIN_CFG.steps)
 
 
 def _zero_chain_links(bank, pairs):
@@ -136,9 +82,9 @@ def test_chain_mask_one_keeps_keyframes(monkeypatch):
     lq = _chain_video()
     bank, _ = _chain_bank(lq, unit_masks)
     batches = _run_chain(monkeypatch, lq, bank)
-    assert all(chain is None for chain, _ in batches[0])
+    assert all(chain is None for chain, _, _ in batches[0])
     for steps in batches[1:]:
-        for (own, _, _, _, result), keyframe in steps:
+        for (own, _, _, _, result), keyframe, _ in steps:
             assert np.array_equal(result, own)
             assert np.array_equal(keyframe, own)
 
@@ -148,7 +94,7 @@ def test_chain_mask_zero_zero_flow_copies_first(monkeypatch):
     bank, _ = _chain_bank(lq, _zero_chain_links)
     batches = _run_chain(monkeypatch, lq, bank)
     for steps in batches[1:]:
-        for s, (_, keyframe) in enumerate(steps):
+        for s, (_, keyframe, _) in enumerate(steps):
             assert np.allclose(keyframe, batches[0][s][1])
 
 
@@ -161,8 +107,8 @@ def test_chain_matches_elementwise_oracle(monkeypatch):
         flow = resample_flow(bank.flow[pairs[b - 1]], hl, wl)
         m = resample_mask(bank.mask[pairs[b - 1]], hl, wl)
         assert 0.0 < m.mean() < 1.0  # both branches of the blend are exercised
-        prev = [keyframe for _, keyframe in batches[b - 1]]
-        for s, ((own, source, used_flow, used_mask, result), keyframe) in enumerate(batches[b]):
+        prev = [keyframe for _, keyframe, _ in batches[b - 1]]
+        for s, ((own, source, used_flow, used_mask, result), keyframe, _) in enumerate(batches[b]):
             assert np.array_equal(used_flow, flow)
             assert np.array_equal(used_mask, m)
             assert np.array_equal(source, prev[s])
@@ -178,48 +124,53 @@ def test_chain_uses_updated_predecessor_not_original(monkeypatch):
     bank, _ = _chain_bank(lq, _zero_chain_links)
     batches = _run_chain(monkeypatch, lq, bank)
     for s in range(CHAIN_CFG.steps):
-        (own1, _, _, _, result1), _ = batches[1][s]
-        (_, source2, _, _, _), keyframe2 = batches[2][s]
+        (own1, _, _, _, result1), _, _ = batches[1][s]
+        (_, source2, _, _, _), keyframe2, _ = batches[2][s]
         assert np.array_equal(source2, result1)
         assert not np.allclose(source2, own1)
         assert np.allclose(keyframe2, batches[0][s][1])
 
 
+# Star propagation also runs inside pipeline.restore_latents: per step, each
+# batch member x0 is one blend_warped call with the batch's keyframe x0 as
+# source.
+
+
 def test_propagate_keyframe_copies_unchanged():
     rng = np.random.default_rng(7)
     kf = rng.standard_normal((4, 4, 3))
-    members = [kf.copy(), kf.copy()]
-    flows = [np.zeros((4, 4, 2))] * 2
-    masks = [np.zeros((4, 4))] * 2
-    out = lw.propagate_to_batch(kf, members, flows, masks)
-    for latent in out:
-        assert np.allclose(latent, kf)
+    out = lw.blend_warped(kf.copy(), kf, np.zeros((4, 4, 2)), np.zeros((4, 4)))
+    assert np.allclose(out, kf)
 
 
 def test_propagate_masked_member_untouched():
     rng = np.random.default_rng(8)
     kf = rng.standard_normal((4, 4, 3))
     member = rng.standard_normal((4, 4, 3))
-    out = lw.propagate_to_batch(
-        kf, [member], [rng.uniform(-1, 1, (4, 4, 2))], [np.ones((4, 4))]
-    )
-    assert np.array_equal(out[0], member)
+    out = lw.blend_warped(member, kf, rng.uniform(-1, 1, (4, 4, 2)), np.ones((4, 4)))
+    assert np.array_equal(out, member)
 
 
-def test_propagate_matches_per_member_oracle():
-    rng = np.random.default_rng(9)
-    kf = rng.standard_normal((5, 5, 3))
-    members = [rng.standard_normal((5, 5, 3)) for _ in range(3)]
-    flows = [rng.uniform(-1, 1, (5, 5, 2)) for _ in range(3)]
-    masks = [(rng.random((5, 5)) < 0.5).astype(float) for _ in range(3)]
-    out = lw.propagate_to_batch(kf, members, flows, masks)
-    for i in range(3):
-        m = masks[i][:, :, None]
-        want = m * members[i] + (1 - m) * warp(kf, flows[i])
-        assert np.abs(out[i] - want).max() <= 1e-12
-
-
-def test_propagate_count_mismatch():
-    kf = np.zeros((2, 2, 3))
-    with pytest.raises(ValueError, match="per batch member"):
-        lw.propagate_to_batch(kf, [kf], [], [])
+def test_propagate_matches_per_member_oracle(monkeypatch):
+    lq = _chain_video()
+    bank, _ = _chain_bank(lq)
+    batches = _run_chain(monkeypatch, lq, bank)
+    plan = plan_batches(len(lq), CHAIN_CFG.batch_size, CHAIN_CFG.seed)
+    hl, wl = lq.shape[0] // 2, lq.shape[1] // 2
+    occluded = []
+    for b, (start, stop) in enumerate(plan.batches):
+        kf = plan.keyframe_of[b]
+        members = [f for f in range(start, stop) if f != kf]
+        flows = [resample_flow(bank.flow[(m, kf)], hl, wl) for m in members]
+        masks = [resample_mask(bank.mask[(m, kf)], hl, wl) for m in members]
+        occluded += [m.mean() for m in masks]
+        for _, keyframe, star in batches[b]:
+            # one call per member, in frame order, each from the keyframe
+            assert len(star) == len(members)
+            for (own, source, used_flow, used_mask, result), f, m in zip(star, flows, masks):
+                assert np.array_equal(source, keyframe)
+                assert np.array_equal(used_flow, f)
+                assert np.array_equal(used_mask, m)
+                want = m[:, :, None] * own + (1 - m[:, :, None]) * warp(keyframe, f)
+                assert np.abs(result - want).max() <= 1e-12
+    assert any(0.0 < frac < 1.0 for frac in occluded)  # both branches of the blend run

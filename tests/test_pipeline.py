@@ -15,7 +15,7 @@ from zsvr.pipeline import RestoreConfig, parse_config, plan_batches
 from zsvr.tokenmerge import MergeMode
 from zsvr.toydiff import ToyDenoiser
 
-from reference import per_frame_baseline
+from reference import per_frame_baseline, split_blends
 
 
 def small_config(**kw):
@@ -235,6 +235,9 @@ def test_precompute_flows_confidence_only_for_read_pairs(monkeypatch):
     assert bank.flow.keys() == read | {(j, i) for i, j in read}
     for (fwd, bwd), (i, j) in zip(calls, sorted(read)):
         assert fwd is bank.flow[(i, j)] and bwd is bank.flow[(j, i)]
+        # the bank's mask is the one occlusion formula
+        want = flowmod.occlusion_mask(bank.conf[(i, j)], small_config().flow_tau_occ)
+        assert np.array_equal(bank.mask[(i, j)], want)
 
 
 def test_restore_with_precomputed_bank_is_bit_identical():
@@ -262,6 +265,17 @@ def test_restore_rejects_bank_with_other_flow_settings(monkeypatch):
     for kw in (dict(flow_block=5), dict(flow_search=3), dict(flow_tau_occ=0.5)):
         with pytest.raises(ValueError, match="flow bank built with"):
             pipeline.restore(lq, small_config(**kw), bank=bank)
+
+
+def test_restore_rejects_bank_built_on_other_frame_size(monkeypatch):
+    lq, big = small_video(), small_video(h=32, w=32)
+    cfg = small_config()
+    plan = plan_batches(len(lq), cfg.batch_size, cfg.seed)
+    bank = pipeline.precompute_flows(big, plan, cfg)
+    monkeypatch.setattr(pipeline.flowmod, "estimate_flow", _no_compute)
+    monkeypatch.setattr(pipeline.toydiff, "denoise_step", _no_compute)
+    with pytest.raises(ValueError, match=r"built on \(32, 32\) frames, restoring \(16, 16\) frames"):
+        pipeline.restore(lq, cfg, bank=bank)
 
 
 def test_restore_rejects_bank_missing_a_pair(monkeypatch):
@@ -469,46 +483,27 @@ def test_keyframe_chain_links_batches_step_by_step(monkeypatch):
     # 7 frames in batches of 3, 3 and 1, latent warping in every step
     lq = small_video(n=7)
     cfg = small_config(hlw_windows=[(0.0, 1.0)], tome_windows=())
-    blend, propagate = latentwarp.blend_warped, latentwarp.propagate_to_batch
-    events = []  # in call order: ("chain", own, source, result) or ("star", keyframe)
-    in_star = []
+    plan = plan_batches(len(lq), cfg.batch_size, cfg.seed)
+    blend = latentwarp.blend_warped
+    calls = []  # (own, source, flow, mask, result) in call order
 
     def spy_blend(own, source, flow, mask):
         result = blend(own, source, flow, mask)
-        if not in_star:
-            events.append(("chain", own.copy(), source.copy(), result.copy()))
+        calls.append((own.copy(), source.copy(), None, None, result.copy()))
         return result
 
-    def spy_propagate(keyframe, *args):
-        events.append(("star", keyframe.copy()))
-        in_star.append(True)
-        try:
-            return propagate(keyframe, *args)
-        finally:
-            in_star.pop()
-
     monkeypatch.setattr(latentwarp, "blend_warped", spy_blend)
-    monkeypatch.setattr(latentwarp, "propagate_to_batch", spy_propagate)
 
     def run(**kw):
-        """Per batch, per step: (its chain call or None, the keyframe it propagates)."""
-        events.clear()
+        """Per batch, per step: (its chain call or None, its keyframe, star calls)."""
+        calls.clear()
         pipeline.restore(lq, cfg, **kw)
-        steps, chain = [], None
-        for ev in events:
-            if ev[0] == "chain":
-                assert chain is None
-                chain = ev[1:]
-            else:
-                steps.append((chain, ev[1]))
-                chain = None
-        assert len(steps) == 3 * cfg.steps
-        return [steps[b * cfg.steps : (b + 1) * cfg.steps] for b in range(3)]
+        return split_blends(calls, plan, cfg.steps)
 
     batches = run()
-    assert all(chain is None for chain, _ in batches[0])
+    assert all(chain is None for chain, _, _ in batches[0])
     for b in (1, 2):
-        for s, ((own, source, result), keyframe) in enumerate(batches[b]):
+        for s, ((own, source, _, _, result), keyframe, _) in enumerate(batches[b]):
             # the source is the previous keyframe after its own chain blend
             assert np.array_equal(source, batches[b - 1][s][1])
             assert np.array_equal(result, keyframe)
@@ -517,12 +512,11 @@ def test_keyframe_chain_links_batches_step_by_step(monkeypatch):
                 assert not np.array_equal(source, batches[1][s][0][0])
 
     # with unit masks every chain blend keeps the keyframe
-    plan = plan_batches(len(lq), cfg.batch_size, cfg.seed)
     bank = pipeline.precompute_flows(lq, plan, cfg)
     for key in bank.mask:
         bank.mask[key] = np.ones_like(bank.mask[key])
     for steps in run(bank=bank)[1:]:
-        for (own, _, result), _ in steps:
+        for (own, _, _, _, result), _, _ in steps:
             assert np.array_equal(result, own)
 
 

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from zsvr import toydiff
-from zsvr.latentwarp import predict_x0
 from zsvr.toydiff import (
     BlockKind,
     ToyDenoiser,
     denoise_step,
     forward_diffuse,
     make_schedule,
+    predict_x0,
     step_indices,
 )
 
@@ -64,6 +64,43 @@ def test_forward_diffuse_matches_scalar_oracle():
     got = forward_diffuse(x0, t, eps, s)
     want = math.sqrt(s.abars[t]) * x0 + math.sqrt(1 - s.abars[t]) * eps
     assert np.abs(got - want).max() <= 1e-12
+
+
+def test_predict_x0_abar_one_is_identity():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 4, 3))
+    eps = rng.standard_normal((4, 4, 3))
+    assert np.array_equal(predict_x0(x, eps, 1.0), x)
+
+
+def test_predict_x0_inverts_forward_noising():
+    rng = np.random.default_rng(1)
+    x0 = rng.standard_normal((5, 5, 3))
+    eps = rng.standard_normal((5, 5, 3))
+    abar = 0.37
+    x_t = np.sqrt(abar) * x0 + np.sqrt(1 - abar) * eps
+    assert np.abs(predict_x0(x_t, eps, abar) - x0).max() <= 1e-6
+
+
+def test_predict_x0_matches_scalar_oracle():
+    rng = np.random.default_rng(2)
+    x_t = rng.standard_normal((3, 4, 2))
+    eps = rng.standard_normal((3, 4, 2))
+    abar = 0.6
+    got = predict_x0(x_t, eps, abar)
+    for y in range(3):
+        for x in range(4):
+            for c in range(2):
+                want = (x_t[y, x, c] - np.sqrt(1 - abar) * eps[y, x, c]) / np.sqrt(abar)
+                assert abs(got[y, x, c] - want) <= 1e-12
+
+
+def test_predict_x0_rejects_bad_abar():
+    x = np.zeros((2, 2, 3))
+    with pytest.raises(ValueError, match="abar"):
+        predict_x0(x, x, 0.0)
+    with pytest.raises(ValueError, match="abar"):
+        predict_x0(x, x, 1.5)
 
 
 def test_denoiser_deterministic_weights():
