@@ -1,14 +1,15 @@
 """End-to-end restoration: batching, flow precomputation, stage scheduling.
 
-restore() processes the video batch by batch through the toy DDIM sampler
-and decides once per step which mechanisms run. Hierarchical latent warping
-runs in the steps of its windows, on the predicted clean latents between the
-denoiser's prediction and the DDIM update: the batch keyframe is chained from
-the previous batch's keyframe (its clean-latent prediction at the same step,
-after its own chain blend), then propagated star-shaped to the batch members.
-Token merging wraps every self-attention in the steps of its windows where
-the annealed merge ratio is positive: flow-guided in down blocks, spatially
-weighted cosine in up blocks.
+restore_latents() decides once which mechanisms run in each step and loops
+over restore_batch(), which takes one batch through the toy DDIM sampler.
+Hierarchical latent warping runs in the steps of its windows, on the predicted
+clean latents between the denoiser's prediction and the DDIM update: the batch
+keyframe is chained from the previous batch's keyframe (its clean-latent
+prediction at the same step, after its own chain blend: the only state that
+crosses batches), then propagated star-shaped to the batch members. Token
+merging toward the keyframe wraps every self-attention in the steps of its
+windows where the annealed merge ratio is positive: flow-guided in down
+blocks, spatially weighted cosine in up blocks.
 
 The "encoder/decoder" is area downsampling / bilinear upsampling, not a VAE:
 latents are downsampled frames. This is a deliberate desk-scale substitution.
@@ -159,10 +160,8 @@ def load_config(path: str) -> RestoreConfig:
 class BatchPlan:
     """Contiguous frame batches, each with one randomly chosen keyframe."""
 
-    batch_size: int
     batches: list[tuple[int, int]]  # [start, end) frame ranges
     keyframe_of: list[int]  # global frame index, inside its batch
-    seed: int
 
 
 def plan_batches(n: int, batch_size: int, seed: int) -> BatchPlan:
@@ -175,7 +174,7 @@ def plan_batches(n: int, batch_size: int, seed: int) -> BatchPlan:
         end = min(start + batch_size, n)
         batches.append((start, end))
         keyframes.append(start + int(rng.integers(end - start)))
-    return BatchPlan(batch_size=batch_size, batches=batches, keyframe_of=keyframes, seed=seed)
+    return BatchPlan(batches=batches, keyframe_of=keyframes)
 
 
 @dataclass
@@ -296,18 +295,77 @@ def _flow_readers(config: RestoreConfig, hlw_on: list, ratios: list) -> tuple[bo
     return any(hlw_on), any(ratios) and MergeMode.FLOW_DOWN in (config.down_mode, config.up_mode)
 
 
-def _merge_attention(config: RestoreConfig, fields: dict, r_i: float, kind, chunk, attention):
-    """Attention hook: one hybrid merge pass at merge ratio r_i.
+def _merge_attention(
+    config: RestoreConfig, fields: dict, r_i: float, target: int, kind, chunk, attention
+):
+    """Attention hook: one hybrid merge pass toward batch frame target at merge ratio r_i.
 
     fields maps each content token grid to the batch's merge flows and
     confidences on that grid, as hybrid_merge_pass takes them.
     """
     mode = config.down_mode if kind is BlockKind.DOWN else config.up_mode
-    if mode is MergeMode.FLOW_DOWN:
-        kwargs = fields[chunk.content]
-    else:
-        kwargs = {"R": config.tome_R}
-    return hybrid_merge_pass(chunk, mode, attention, r_i, **kwargs)
+    kwargs = fields[chunk.content] if mode is MergeMode.FLOW_DOWN else {"R": config.tome_R}
+    return hybrid_merge_pass(chunk, target, mode, attention, r_i, **kwargs)
+
+
+def restore_batch(
+    seq: FrameSequence, frames: range, kf: int, bank: FlowBank | None, config: RestoreConfig,
+    hlw_on: list[bool], ratios: list[float], warps: bool, flow_merges: bool,
+    sched: toydiff.NoiseSchedule, ts: list[int], denoiser: ToyDenoiser,
+    prev: tuple[int, list[np.ndarray]] | None,
+) -> tuple[np.ndarray, tuple[int, list[np.ndarray]]]:
+    """Restore the frames of seq in the batch with keyframe kf; return (latents, prev).
+
+    restore_latents makes the other arguments once per restore: hlw_on and
+    ratios are step_plan(config), warps and flow_merges are _flow_readers of
+    it, and sched, ts and denoiser are the sampler. prev is the previous
+    batch's keyframe and its post-chain x0 at each latent-warping step, None
+    for the first batch; the one returned is this batch's, for the next.
+    """
+    scale = config.latent_scale
+    grids = toydiff.content_grids(seq.shape[0] // scale, seq.shape[1] // scale)
+    latent = grids[0]
+    kf_off = kf - frames.start
+    members = [f for f in frames if f != kf]
+
+    x0s = np.stack([encode_latent(seq.frames[f], scale) for f in frames])
+    eps0 = np.stack([frame_noise(config.seed, f, (*latent, 3)) for f in frames])
+    x = toydiff.forward_diffuse(x0s, ts[0], eps0, sched)
+
+    # Every bank read of the batch: member flows resampled once per grid that
+    # reads them, star masks, the chain's flow and mask, merge confidences.
+    merge_grids = set(grids) if members and flow_merges else set()
+    read = merge_grids | ({latent} if warps else set())
+    flows = {g: [flowmod.resample_flow(bank.flow[(m, kf)], *g) for m in members] for g in read}
+    star, chain = [], None
+    if warps:
+        masks = [flowmod.resample_mask(bank.mask[(m, kf)], *latent) for m in members]
+        star = list(zip([m - frames.start for m in members], flows[latent], masks))
+        if prev is not None:
+            pair, prev_x0s = (kf, prev[0]), iter(prev[1])
+            chain = (
+                flowmod.resample_flow(bank.flow[pair], *latent),
+                flowmod.resample_mask(bank.mask[pair], *latent),
+            )
+    confs = {
+        g: [flowmod.bilinear_resample(bank.conf[(m, kf)], *g) for m in members] for g in merge_grids
+    }
+    fields = {g: {"flows": flows[g], "confidences": confs[g]} for g in merge_grids}
+
+    kf_x0s = []
+    for pos, (t, t_prev) in enumerate(zip(ts, ts[1:] + [None])):
+        hook = None
+        if members and ratios[pos] > 0.0:
+            hook = functools.partial(_merge_attention, config, fields, ratios[pos], kf_off)
+        x0, eps = toydiff.denoise_step(x, t, denoiser, sched, hook)
+        if hlw_on[pos]:
+            if chain is not None:
+                x0[kf_off] = latentwarp.blend_warped(x0[kf_off], next(prev_x0s), *chain)
+            kf_x0s.append(x0[kf_off].copy())
+            for off, f, m in star:
+                x0[off] = latentwarp.blend_warped(x0[off], x0[kf_off], f, m)
+        x = x0 if t_prev is None else toydiff.forward_diffuse(x0, t_prev, eps, sched)
+    return x, (kf, kf_x0s)
 
 
 def restore_latents(
@@ -318,86 +376,32 @@ def restore_latents(
     The result has shape (n, h / latent_scale, w / latent_scale, 3). bank, if
     given, must come from precompute_flows on the same frames with the same
     batch plan and flow settings; otherwise the flows needed are computed here.
+    Batches run in order through restore_batch; only the previous keyframe's
+    post-chain x0 passes from one batch to the next.
     """
     hlw_on, ratios = step_plan(config)  # validates config first
-    n = len(seq)
     h, w, _ = seq.shape
     scale = config.latent_scale
     if h % scale or w % scale:
         raise ValueError(f"frame size {h}x{w} not divisible by latent_scale {scale}")
-    hl, wl = h // scale, w // scale
-    grids = ((hl, wl), ((hl + 1) // 2, (wl + 1) // 2))  # the blocks' content grids
 
-    plan = plan_batches(n, config.batch_size, config.seed)
+    plan = plan_batches(len(seq), config.batch_size, config.seed)
     sched = toydiff.make_schedule(SCHED_T, BETA_START, BETA_END)
     ts = toydiff.step_indices(sched.T, config.steps)
     warps, flow_merges = _flow_readers(config, hlw_on, ratios)
-
     if bank is not None:
         _check_bank(bank, plan, config, (h, w))
     elif warps or flow_merges:
         bank = precompute_flows(seq, plan, config)
     denoiser = ToyDenoiser(channels=3, seed=config.seed)
 
-    out = np.empty((n, hl, wl, 3))
-    prev_kf_x0: dict[int, np.ndarray] = {}  # step -> previous keyframe's post-chain x0
-
-    for b, (start, stop) in enumerate(plan.batches):
-        kf = plan.keyframe_of[b]
-        kf_off = kf - start
-        members = [f for f in range(start, stop) if f != kf]
-        member_offs = [f - start for f in members]
-
-        x0s = np.stack([encode_latent(seq.frames[f], scale) for f in range(start, stop)])
-        eps0 = np.stack([frame_noise(config.seed, f, (hl, wl, 3)) for f in range(start, stop)])
-        x = toydiff.forward_diffuse(x0s, ts[0], eps0, sched)
-
-        # The batch's member flows, resampled once to each grid that reads them.
-        read = {(hl, wl)} if warps else set()
-        if members and flow_merges:
-            read.update(grids)
-        member_flows = {
-            g: [flowmod.resample_flow(bank.flow[(m, kf)], *g) for m in members] for g in read
-        }
-
-        chain = None
-        if warps:
-            star_flows = member_flows[(hl, wl)]
-            star_masks = [flowmod.resample_mask(bank.mask[(m, kf)], hl, wl) for m in members]
-            if b > 0:
-                pair = (kf, plan.keyframe_of[b - 1])
-                chain = (
-                    flowmod.resample_flow(bank.flow[pair], hl, wl),
-                    flowmod.resample_mask(bank.mask[pair], hl, wl),
-                )
-        fields = {}
-        if members and flow_merges:
-            fields = {
-                (hc, wc): {
-                    "flows": member_flows[(hc, wc)],
-                    "confidences": [
-                        flowmod.bilinear_resample(bank.conf[(m, kf)], hc, wc) for m in members
-                    ],
-                }
-                for hc, wc in grids
-            }
-
-        kf_x0: dict[int, np.ndarray] = {}
-        for pos, (t, t_prev) in enumerate(zip(ts, ts[1:] + [None])):
-            hook = None
-            if members and ratios[pos] > 0.0:
-                hook = functools.partial(_merge_attention, config, fields, ratios[pos])
-            x0, eps = toydiff.denoise_step(x, t, denoiser, sched, hook, target_index=kf_off)
-            if hlw_on[pos]:
-                if chain is not None:
-                    x0[kf_off] = latentwarp.blend_warped(x0[kf_off], prev_kf_x0[pos], *chain)
-                kf_x0[pos] = x0[kf_off].copy()
-                for off, f, m in zip(member_offs, star_flows, star_masks):
-                    x0[off] = latentwarp.blend_warped(x0[off], x0[kf_off], f, m)
-            x = x0 if t_prev is None else toydiff.forward_diffuse(x0, t_prev, eps, sched)
-        prev_kf_x0 = kf_x0
-        out[start:stop] = x
-
+    out = np.empty((len(seq), h // scale, w // scale, 3))
+    prev = None
+    for (start, stop), kf in zip(plan.batches, plan.keyframe_of):
+        out[start:stop], prev = restore_batch(
+            seq, range(start, stop), kf, bank, config,
+            hlw_on, ratios, warps, flow_merges, sched, ts, denoiser, prev,
+        )
     return out
 
 
@@ -480,13 +484,14 @@ def ablate(seq: FrameSequence, config: RestoreConfig, variants: dict | None = No
     built only once a variant reads flows; the built-in variants override
     neither, so they all share one.
     """
-    table: dict = {"correspondence": {}, "stages": {}}
+    table: dict = {}
     groups = variants or {
         "correspondence": CORRESPONDENCE_VARIANTS,
         "stages": STAGE_VARIANTS,
     }
     banks: dict = {}
     for group, entries in groups.items():
+        rows = table[group] = {}
         for name, overrides in entries.items():
             cfg = replace(config, **overrides)
             steps = step_plan(cfg)
@@ -496,7 +501,7 @@ def ablate(seq: FrameSequence, config: RestoreConfig, variants: dict | None = No
                 banks[key] = precompute_flows(seq, plan, cfg)
             restored = restore(seq, cfg, bank=banks.get(key))
             e_warp, e_inter = temporal_consistency(restored, config, flow_source=seq)
-            table.setdefault(group, {})[name] = {
+            rows[name] = {
                 "e_warp_mean": float(np.mean(e_warp)) if e_warp else None,
                 "e_warp_mean_x1000": float(1e3 * np.mean(e_warp)) if e_warp else None,
                 "e_inter_mean": float(np.mean(e_inter)) if e_inter else None,

@@ -1,14 +1,14 @@
 """Hybrid flow-guided, spatial-aware token merging around self-attention.
 
 Tokens live in chunks of shape (B, A, C): B frames, A = h_tok * w_tok tokens
-per frame in row-major layout, C channels. One frame of the chunk is the
-target (keyframe); the other B-1 frames supply (B-1)*A source tokens. Sources
-are matched to target tokens either by cosine similarity (optionally weighted
-by spatial distance) or by optical flow with forward-backward confidence as
-the ranking criterion. The top fraction r of sources is merged into its
-targets before self-attention and unmerged afterwards, padding tokens are
-excluded from the whole process, and r is annealed toward zero late in
-denoising.
+per frame in row-major layout, C channels. The caller names one frame of the
+chunk, by its target_index, as the target (keyframe); the other B-1 frames
+supply (B-1)*A source tokens. Sources are matched to target tokens either by
+cosine similarity (optionally weighted by spatial distance) or by optical
+flow with forward-backward confidence as the ranking criterion. The top
+fraction r of sources is merged into its targets before self-attention and
+unmerged afterwards, padding tokens are excluded from the whole process, and
+r is annealed toward zero late in denoising.
 """
 
 from __future__ import annotations
@@ -39,20 +39,15 @@ class TokenChunk:
     tokens: np.ndarray  # (B, A, C)
     layout: tuple[int, int]
     content: tuple[int, int]
-    target_index: int = 0
 
     def __post_init__(self):
         if self.tokens.ndim != 3:
             raise ValueError(f"tokens must be (B, A, C), got {self.tokens.shape}")
-        b, a, _ = self.tokens.shape
+        a = self.tokens.shape[1]
         if a != self.layout[0] * self.layout[1]:
-            raise ValueError(
-                f"A={a} does not match layout {self.layout}"
-            )
+            raise ValueError(f"A={a} does not match layout {self.layout}")
         if not (self.content[0] <= self.layout[0] and self.content[1] <= self.layout[1]):
             raise ValueError(f"content {self.content} exceeds layout {self.layout}")
-        if not 0 <= self.target_index < b:
-            raise ValueError(f"target_index {self.target_index} out of range [0,{b})")
         if not np.isfinite(self.tokens).all():
             raise ValueError("tokens must be finite")
 
@@ -81,6 +76,8 @@ def split_src_tar(tokens: np.ndarray, target_index: int):
     b, a, c = tokens.shape
     if b < 2:
         raise ValueError("nothing to merge: fewer than 2 frames")
+    if not 0 <= target_index < b:
+        raise ValueError(f"target_index {target_index} out of range [0,{b})")
     src = np.delete(tokens, target_index, axis=0).reshape(-1, c)
     src_slots = np.delete(np.arange(b * a).reshape(b, a), target_index, axis=0).ravel()
     return src, tokens[target_index], src_slots
@@ -269,6 +266,7 @@ def restore_padding(chunk: TokenChunk, content_tokens: np.ndarray) -> np.ndarray
 
 def hybrid_merge_pass(
     chunk: TokenChunk,
+    target_index: int,
     mode: MergeMode,
     attention,
     r_i: float,
@@ -280,7 +278,8 @@ def hybrid_merge_pass(
 
     strip padding -> split -> correspondence (flow-guided or spatially
     weighted cosine) -> select top r_i -> merge -> attention over the merged
-    tokens -> unmerge -> restore padding. Output shape equals input shape.
+    tokens -> unmerge -> restore padding, with frame target_index of the
+    chunk as the target. Output shape equals input shape.
     Flows and confidences are per source frame on the content token grid,
     flows in token units. The cosine scores of every source frame are
     weighted by the one cached spatial_table of the content grid.
@@ -293,7 +292,7 @@ def hybrid_merge_pass(
     tokens = strip_padding(chunk)
     b = tokens.shape[0]
     h, w = chunk.content
-    src, tar, src_slots = split_src_tar(tokens, chunk.target_index)
+    src, tar, src_slots = split_src_tar(tokens, target_index)
 
     if mode is MergeMode.FLOW_DOWN:
         targets, criteria = flow_correspondence(h, w, b - 1, flows, confidences)
@@ -304,7 +303,7 @@ def hybrid_merge_pass(
         targets, criteria = cosine_correspondence(scores)
 
     selected = select_top_r(targets, criteria, r_i)
-    merged, slot_to_row = merge(src, tar, targets, selected, src_slots, chunk.target_index, b)
+    merged, slot_to_row = merge(src, tar, targets, selected, src_slots, target_index, b)
     attended = np.asarray(attention(merged))
     if attended.shape != merged.shape:
         raise ValueError(

@@ -10,6 +10,9 @@ merging attaches to:
     block's own attention: chunk is the block's TokenChunk, checked once
     here, and the hook returns the attended (B, A, C) array. `attention`
     maps any (K, C) token array through the block's joint self-attention.
+    The chunk's content grid is one of content_grids(h, w) of the latent.
+    The denoiser knows nothing of keyframes: a hook that merges toward one
+    frame of the batch is bound to that frame by its caller.
     Without a hook (None), attention is applied to each frame's tokens
     independently, so batched sampling is bit-identical to per-frame
     sampling.
@@ -44,8 +47,6 @@ class NoiseSchedule:
     """Linear-beta schedule with cumulative alpha products."""
 
     T: int
-    betas: np.ndarray
-    alphas: np.ndarray
     abars: np.ndarray
 
 
@@ -56,10 +57,8 @@ def make_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
         raise ValueError(
             f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}"
         )
-    betas = np.linspace(beta_start, beta_end, T)
-    alphas = 1.0 - betas
-    abars = np.cumprod(alphas)
-    return NoiseSchedule(T=T, betas=betas, alphas=alphas, abars=abars)
+    abars = np.cumprod(1.0 - np.linspace(beta_start, beta_end, T))
+    return NoiseSchedule(T=T, abars=abars)
 
 
 def forward_diffuse(
@@ -79,6 +78,11 @@ def predict_x0(x_t: np.ndarray, eps: np.ndarray, abar_t: float) -> np.ndarray:
     if x_t.shape != eps.shape:
         raise ValueError(f"shape mismatch: {x_t.shape} vs {eps.shape}")
     return (x_t - math.sqrt(1.0 - abar_t) * eps) / math.sqrt(abar_t)
+
+
+def content_grids(h: int, w: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The unpadded token grids of an (h, w) latent's outer and inner blocks."""
+    return (h, w), ((h + 1) // 2, (w + 1) // 2)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -108,7 +112,6 @@ class ToyDenoiser:
     def __init__(self, channels: int = 3, seed: int = 0, width: int = 16):
         self.channels = channels
         self.width = width
-        self.seed = seed
         rng = np.random.default_rng(seed)
         scale = 1.0 / math.sqrt(width)
         self.w_in = rng.standard_normal((channels, width)) / math.sqrt(channels)
@@ -145,18 +148,12 @@ class ToyDenoiser:
         kind: BlockKind,
         content: tuple[int, int],
         attention_hook: Callable | None,
-        target_index: int,
     ) -> np.ndarray:
         b, h, w, c = x.shape
         tokens = x.reshape(b, h * w, c)
         proj = tokens @ self.weights[block]["p"]
         if attention_hook is not None:
-            chunk = TokenChunk(
-                tokens=proj,
-                layout=(h, w),
-                content=content,
-                target_index=target_index,
-            )
+            chunk = TokenChunk(tokens=proj, layout=(h, w), content=content)
             attended = np.asarray(
                 attention_hook(kind, chunk, lambda t: self._attend(t, block))
             )
@@ -168,9 +165,7 @@ class ToyDenoiser:
             attended = np.stack([self._attend(proj[i], block) for i in range(b)])
         return (tokens + attended).reshape(b, h, w, c)
 
-    def __call__(
-        self, x: np.ndarray, attention_hook: Callable | None = None, target_index: int = 0
-    ) -> np.ndarray:
+    def __call__(self, x: np.ndarray, attention_hook: Callable | None = None) -> np.ndarray:
         """Predict noise for a batch of latents (B, h, w, c)."""
         b, h, w, c = x.shape
         if c != self.channels:
@@ -179,13 +174,13 @@ class ToyDenoiser:
         padded = np.zeros((b, hp, wp, self.width))
         padded[:, :h, :w, :] = x @ self.w_in
 
-        half = ((h + 1) // 2, (w + 1) // 2)
-        y = self._block(padded, 0, BlockKind.DOWN, (h, w), attention_hook, target_index)
+        full, half = content_grids(h, w)
+        y = self._block(padded, 0, BlockKind.DOWN, full, attention_hook)
         y = y.reshape(b, hp // 2, 2, wp // 2, 2, self.width).mean(axis=(2, 4))
-        y = self._block(y, 1, BlockKind.DOWN, half, attention_hook, target_index)
-        y = self._block(y, 2, BlockKind.UP, half, attention_hook, target_index)
+        y = self._block(y, 1, BlockKind.DOWN, half, attention_hook)
+        y = self._block(y, 2, BlockKind.UP, half, attention_hook)
         y = y.repeat(2, axis=1).repeat(2, axis=2)
-        y = self._block(y, 3, BlockKind.UP, (h, w), attention_hook, target_index)
+        y = self._block(y, 3, BlockKind.UP, full, attention_hook)
         eps = y[:, :h, :w, :] @ self.w_out
         rms = np.sqrt((eps**2).mean(axis=(1, 2, 3), keepdims=True)) + 1e-12
         return eps / rms
@@ -197,14 +192,13 @@ def denoise_step(
     denoiser: ToyDenoiser,
     sched: NoiseSchedule,
     attention_hook: Callable | None = None,
-    target_index: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predict (x0_hat, eps_hat) for a batch of latents at step t.
 
     The deterministic DDIM step to t_prev is forward_diffuse(x0_hat, t_prev,
     eps_hat, sched); after the last step x0_hat is the sample.
     """
-    eps_hat = denoiser(x_t, attention_hook, target_index)
+    eps_hat = denoiser(x_t, attention_hook)
     return predict_x0(x_t, eps_hat, sched.abars[t]), eps_hat
 
 

@@ -61,24 +61,19 @@ def test_criterion_1_merge_unmerge_algebra():
         h = int(rng.integers(1, 9))
         w = int(rng.integers(1, 9))
         c = int(rng.integers(1, 17))
-        chunk = TokenChunk(
-            tokens=rng.standard_normal((b, h * w, c)),
-            layout=(h, w),
-            content=(h, w),
-            target_index=int(rng.integers(0, b)),
-        )
+        tokens = rng.standard_normal((b, h * w, c))
+        target = int(rng.integers(0, b))
+        chunk = TokenChunk(tokens=tokens, layout=(h, w), content=(h, w))
         # (a) r_i = 0 with identity attention is bit-identical
-        out0 = tm.hybrid_merge_pass(chunk, MergeMode.COSINE_UP, lambda t: t, 0.0, R=4.0)
+        out0 = tm.hybrid_merge_pass(chunk, target, MergeMode.COSINE_UP, lambda t: t, 0.0, R=4.0)
         assert np.array_equal(out0, chunk.tokens)
         # (b) group constancy after unmerge, (c) shape conservation
         r_i = float(rng.random())
-        src, tar, slots = tm.split_src_tar(chunk.tokens, chunk.target_index)
+        src, tar, slots = tm.split_src_tar(chunk.tokens, target)
         scores = tm.cosine_scores(src, tar)
         targets, criteria = tm.cosine_correspondence(scores)
         selected = tm.select_top_r(targets, criteria, r_i)
-        merged, slot_to_row = tm.merge(
-            src, tar, targets, selected, slots, chunk.target_index, b
-        )
+        merged, slot_to_row = tm.merge(src, tar, targets, selected, slots, target, b)
         attended = rng.standard_normal(merged.shape)
         flat = tm.unmerge(attended, slot_to_row)
         assert flat.shape == (b * h * w, c)
@@ -153,8 +148,8 @@ def test_criterion_3_oracle_equivalence():
 
         # merge-group means vs slot partition loop
         b, hh, ww, c = 3, 2, 2, 4
-        chunk = TokenChunk(rng.standard_normal((b, hh * ww, c)), (hh, ww), (hh, ww), 0)
-        src, tar, slots = tm.split_src_tar(chunk.tokens, chunk.target_index)
+        chunk = TokenChunk(rng.standard_normal((b, hh * ww, c)), (hh, ww), (hh, ww))
+        src, tar, slots = tm.split_src_tar(chunk.tokens, 0)
         tg, cr = tm.cosine_correspondence(tm.cosine_scores(src, tar))
         sel = tm.select_top_r(tg, cr, float(rng.random()))
         merged, slot_to_row = tm.merge(src, tar, tg, sel, slots, 0, b)

@@ -530,13 +530,21 @@ def test_restore_zero_merge_ratio_equals_baseline():
 
 
 def test_restore_batch_order_independence_without_chaining():
-    # with HLW off, each batch only depends on its own frames
-    lq = small_video(n=6)
-    cfg = small_config(hlw_windows=())
-    full = pipeline.restore(lq, cfg)
-    head = pipeline.restore(FrameSequence(lq.frames[:3]), cfg)
-    for a, b in zip(full.frames[:3], head.frames):
-        assert np.array_equal(a, b)
+    # with HLW off, each batch only depends on its own frames; with it on, on
+    # its own and earlier frames: a whole-batch prefix restores as in the full
+    # video. 20x12 frames have an odd 5x3 inner grid, so padding runs.
+    for n, (h, w), batch, hlw in (
+        (6, (16, 16), 3, ()),
+        (7, (16, 16), 3, [(0.0, 0.5)]),
+        (8, (20, 12), 3, [(0.0, 0.5)]),
+        (9, (16, 16), 4, [(0.0, 0.5)]),
+    ):
+        lq = small_video(n=n, h=h, w=w)
+        cfg = small_config(batch_size=batch, hlw_windows=hlw)
+        full = pipeline.restore_latents(lq, cfg)
+        for m in range(batch, n, batch):
+            head = pipeline.restore_latents(FrameSequence(lq.frames[:m]), cfg)
+            assert np.array_equal(head, full[:m]), (n, m)
 
 
 def test_temporal_consistency_lengths():
@@ -553,7 +561,7 @@ def test_ablate_shares_one_bank_per_plan_and_flow_settings(monkeypatch):
     precompute = pipeline.precompute_flows
 
     def counting_precompute(seq, plan, config):
-        built.append((plan.batch_size, config.flow_block))
+        built.append((config.batch_size, config.flow_block))
         return precompute(seq, plan, config)
 
     monkeypatch.setattr(pipeline, "precompute_flows", counting_precompute)
@@ -564,6 +572,7 @@ def test_ablate_shares_one_bank_per_plan_and_flow_settings(monkeypatch):
     variants = {"v": {"a": {}, "b": dict(flow_block=5), "c": dict(batch_size=3), "d": {}}}
     table = pipeline.ablate(lq, cfg, variants=variants)
     assert built == [(2, cfg.flow_block), (2, 5), (3, cfg.flow_block)]
+    assert set(table) == {"v"}  # only the groups run, no empty ones
     assert table["v"]["a"] == table["v"]["d"]
 
 

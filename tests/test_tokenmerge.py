@@ -21,7 +21,7 @@ def random_chunk(rng, b=None, h=None, w=None, c=None, target=None):
     c = c if c is not None else int(rng.integers(1, 6))
     tokens = rng.standard_normal((b, h * w, c))
     target = target if target is not None else int(rng.integers(0, b))
-    return TokenChunk(tokens=tokens, layout=(h, w), content=(h, w), target_index=target)
+    return TokenChunk(tokens=tokens, layout=(h, w), content=(h, w)), target
 
 
 # ---------------------------------------------------------------- anneal
@@ -59,9 +59,8 @@ def test_split_b2_a1():
         tokens=np.arange(6, dtype=float).reshape(2, 1, 3),
         layout=(1, 1),
         content=(1, 1),
-        target_index=0,
     )
-    src, tar, slots = tm.split_src_tar(chunk.tokens, chunk.target_index)
+    src, tar, slots = tm.split_src_tar(chunk.tokens, 0)
     assert src.shape == (1, 3) and tar.shape == (1, 3)
     assert np.array_equal(tar, chunk.tokens[0])
     assert np.array_equal(src, chunk.tokens[1])
@@ -70,8 +69,8 @@ def test_split_b2_a1():
 
 def test_split_frame_order_skips_target():
     rng = np.random.default_rng(0)
-    chunk = random_chunk(rng, b=3, h=2, w=2, c=5, target=1)
-    src, tar, slots = tm.split_src_tar(chunk.tokens, chunk.target_index)
+    chunk, target = random_chunk(rng, b=3, h=2, w=2, c=5, target=1)
+    src, tar, slots = tm.split_src_tar(chunk.tokens, target)
     assert src.shape == (8, 5)
     assert np.array_equal(src[:4], chunk.tokens[0])
     assert np.array_equal(src[4:], chunk.tokens[2])
@@ -81,21 +80,24 @@ def test_split_frame_order_skips_target():
 def test_split_roundtrip_via_slot_map():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        chunk = random_chunk(rng)
+        chunk, target = random_chunk(rng)
         b, a, c = chunk.tokens.shape
-        src, tar, slots = tm.split_src_tar(chunk.tokens, chunk.target_index)
+        src, tar, slots = tm.split_src_tar(chunk.tokens, target)
         rebuilt = np.empty((b * a, c))
         rebuilt[slots] = src
-        tb = chunk.target_index * a
+        tb = target * a
         rebuilt[tb : tb + a] = tar
         assert np.array_equal(rebuilt.reshape(b, a, c), chunk.tokens)
 
 
 def test_split_single_frame_rejected():
     rng = np.random.default_rng(2)
-    chunk = random_chunk(rng, b=2)
+    chunk, _ = random_chunk(rng, b=2)
     with pytest.raises(ValueError, match="nothing to merge"):
         tm.split_src_tar(chunk.tokens[:1], 0)
+    for target in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            tm.split_src_tar(chunk.tokens, target)
 
 
 # ---------------------------------------------------------------- scores
@@ -320,14 +322,14 @@ def test_select_top_r_never_selects_invalid_property(pairs, r_i):
 # ---------------------------------------------------------------- merge / unmerge
 
 
-def _merge_from_chunk(chunk, r_i, rng):
-    src, tar, slots = tm.split_src_tar(chunk.tokens, chunk.target_index)
+def _merge_from_chunk(chunk, target, r_i, rng):
+    src, tar, slots = tm.split_src_tar(chunk.tokens, target)
     scores = tm.cosine_scores(src, tar)
     targets, criteria = tm.cosine_correspondence(scores)
     selected = tm.select_top_r(targets, criteria, r_i)
     b = chunk.tokens.shape[0]
     return (
-        tm.merge(src, tar, targets, selected, slots, chunk.target_index, b),
+        tm.merge(src, tar, targets, selected, slots, target, b),
         (src, tar, targets, selected, slots),
     )
 
@@ -379,22 +381,23 @@ def _merge_cases(draw):
         tokens = rng.integers(-levels, levels + 1, (b, h * w, c)) / levels
     else:
         tokens = rng.standard_normal((b, h * w, c))
-    chunk = TokenChunk(tokens, (h, w), (h, w), draw(st.integers(0, b - 1)))
+    chunk = TokenChunk(tokens, (h, w), (h, w))
+    target = draw(st.integers(0, b - 1))
     mode = draw(st.sampled_from(list(MergeMode)))
     flows = [rng.integers(-2, 3, (h, w, 2)).astype(float) for _ in range(b - 1)]
     confs = [rng.integers(0, 4, (h, w)) / 3 for _ in range(b - 1)]
     R = draw(st.one_of(st.floats(0.25, 64.0), st.just(math.inf)))
     r_i = draw(st.floats(0.0, 1.0))
-    return chunk, mode, flows, confs, R, r_i
+    return chunk, target, mode, flows, confs, R, r_i
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_merge_cases())
 def test_merge_unmerge_match_oracle_property(case):
-    chunk, mode, flows, confs, R, r_i = case
+    chunk, target, mode, flows, confs, R, r_i = case
     b, a, c = chunk.tokens.shape
     h, w = chunk.layout
-    src, tar, slots = tm.split_src_tar(chunk.tokens, chunk.target_index)
+    src, tar, slots = tm.split_src_tar(chunk.tokens, target)
     scores = tm.cosine_scores(src, tar)
     pos = tm.grid_positions(h, w)
     weighted = (scores.reshape(b - 1, a, a) * tm.spatial_table(h, w, R)).reshape(-1, a)
@@ -404,7 +407,7 @@ def test_merge_unmerge_match_oracle_property(case):
     else:
         targets, criteria = tm.flow_correspondence(h, w, b - 1, flows, confs)
     selected = tm.select_top_r(targets, criteria, r_i)
-    args = (src, tar, targets, selected, slots, chunk.target_index, b)
+    args = (src, tar, targets, selected, slots, target, b)
     merged, slot_to_row = tm.merge(*args)
     want, groups = merge_oracle(*args)
 
@@ -433,8 +436,8 @@ def test_merge_unmerge_match_oracle_property(case):
 
 def test_merge_empty_set_passthrough():
     rng = np.random.default_rng(7)
-    chunk = random_chunk(rng, b=3, h=2, w=2, c=4, target=0)
-    (merged, _), (src, tar, *_) = _merge_from_chunk(chunk, 0.0, rng)
+    chunk, target = random_chunk(rng, b=3, h=2, w=2, c=4, target=0)
+    (merged, _), (src, tar, *_) = _merge_from_chunk(chunk, target, 0.0, rng)
     a = tar.shape[0]
     assert merged.shape == (a + src.shape[0], 4)
     assert np.array_equal(merged[:a], tar)
@@ -453,10 +456,10 @@ def test_merge_identical_source_means_exact():
 def test_merge_group_means_match_oracle():
     rng = np.random.default_rng(8)
     for _ in range(20):
-        chunk = random_chunk(rng)
+        chunk, target = random_chunk(rng)
         r_i = float(rng.random())
         (merged, slot_to_row), (src, tar, targets, selected, slots) = _merge_from_chunk(
-            chunk, r_i, rng
+            chunk, target, r_i, rng
         )
         flat = chunk.tokens.reshape(-1, chunk.tokens.shape[2])
         merged_count = merged.shape[0]
@@ -474,8 +477,8 @@ def test_merge_group_means_match_oracle():
 def test_unmerge_group_constancy_and_shape():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        chunk = random_chunk(rng)
-        (merged, slot_to_row), _ = _merge_from_chunk(chunk, float(rng.random()), rng)
+        chunk, target = random_chunk(rng)
+        (merged, slot_to_row), _ = _merge_from_chunk(chunk, target, float(rng.random()), rng)
         attended = rng.standard_normal(merged.shape)
         flat = tm.unmerge(attended, slot_to_row)
         b, a, c = chunk.tokens.shape
@@ -487,8 +490,8 @@ def test_unmerge_group_constancy_and_shape():
 
 def test_unmerge_rejects_length_mismatch():
     rng = np.random.default_rng(10)
-    chunk = random_chunk(rng, b=2, h=2, w=2, c=3)
-    (merged, slot_to_row), _ = _merge_from_chunk(chunk, 0.5, rng)
+    chunk, target = random_chunk(rng, b=2, h=2, w=2, c=3)
+    (merged, slot_to_row), _ = _merge_from_chunk(chunk, target, 0.5, rng)
     with pytest.raises(ValueError, match="rows"):
         tm.unmerge(merged[:-1], slot_to_row)
 
@@ -497,8 +500,8 @@ def test_merge_all_sources_into_targets_roundtrip():
     # identical frames: every source merges into a same-valued target
     rng = np.random.default_rng(11)
     frame = rng.standard_normal((1, 4, 3))
-    chunk = TokenChunk(np.repeat(frame, 2, axis=0), (2, 2), (2, 2), 0)
-    (merged, slot_to_row), _ = _merge_from_chunk(chunk, 1.0, rng)
+    chunk = TokenChunk(np.repeat(frame, 2, axis=0), (2, 2), (2, 2))
+    (merged, slot_to_row), _ = _merge_from_chunk(chunk, 0, 1.0, rng)
     out = tm.unmerge(merged, slot_to_row)
     assert np.abs(out - chunk.tokens.reshape(out.shape)).max() <= 1e-12
 
@@ -508,7 +511,7 @@ def test_merge_all_sources_into_targets_roundtrip():
 
 def test_strip_padding_identity_when_unpadded():
     rng = np.random.default_rng(12)
-    chunk = random_chunk(rng, h=3, w=3)
+    chunk, _ = random_chunk(rng, h=3, w=3)
     stripped = tm.strip_padding(chunk)
     assert np.array_equal(stripped, chunk.tokens)
     assert np.shares_memory(stripped, chunk.tokens)
@@ -517,7 +520,7 @@ def test_strip_padding_identity_when_unpadded():
 def test_strip_padding_counts():
     rng = np.random.default_rng(13)
     tokens = rng.standard_normal((2, 16, 3))
-    chunk = TokenChunk(tokens, (4, 4), (3, 4), 0)
+    chunk = TokenChunk(tokens, (4, 4), (3, 4))
     stripped = tm.strip_padding(chunk)
     assert stripped.shape == (2, 12, 3)
     assert np.array_equal(stripped, tokens.reshape(2, 4, 4, 3)[:, :3].reshape(2, 12, 3))
@@ -530,7 +533,7 @@ def test_padding_roundtrip_bit_exact():
         h_img = int(rng.integers(1, h_tok + 1))
         w_img = int(rng.integers(1, w_tok + 1))
         tokens = rng.standard_normal((3, h_tok * w_tok, 4))
-        chunk = TokenChunk(tokens, (h_tok, w_tok), (h_img, w_img), 1)
+        chunk = TokenChunk(tokens, (h_tok, w_tok), (h_img, w_img))
         back = tm.restore_padding(chunk, tm.strip_padding(chunk))
         assert np.array_equal(back, chunk.tokens)
         assert not np.shares_memory(back, chunk.tokens)
@@ -538,7 +541,7 @@ def test_padding_roundtrip_bit_exact():
 
 def test_restore_padding_unpadded_returns_content_without_aliasing():
     rng = np.random.default_rng(20)
-    chunk = random_chunk(rng, b=3, h=4, w=5, c=2)
+    chunk, _ = random_chunk(rng, b=3, h=4, w=5, c=2)
     for content in (rng.standard_normal(chunk.tokens.shape), chunk.tokens[::-1]):
         want = chunk.tokens.copy()
         want.reshape(3, 4, 5, 2)[...] = content.reshape(3, 4, 5, 2)
@@ -549,7 +552,7 @@ def test_restore_padding_unpadded_returns_content_without_aliasing():
 
 def test_restore_padding_rejects_wrong_layout():
     rng = np.random.default_rng(15)
-    chunk = TokenChunk(rng.standard_normal((2, 16, 3)), (4, 4), (3, 3), 0)
+    chunk = TokenChunk(rng.standard_normal((2, 16, 3)), (4, 4), (3, 3))
     with pytest.raises(ValueError, match="do not match"):
         tm.restore_padding(chunk, rng.standard_normal((2, 4, 3)))
 
@@ -559,28 +562,28 @@ def test_restore_padding_rejects_wrong_layout():
 
 def test_hybrid_pass_r_zero_identity():
     rng = np.random.default_rng(16)
-    chunk = random_chunk(rng, b=3, h=3, w=3, c=4)
-    out = tm.hybrid_merge_pass(chunk, MergeMode.COSINE_UP, lambda t: t, 0.0, R=4.0)
+    chunk, target = random_chunk(rng, b=3, h=3, w=3, c=4)
+    out = tm.hybrid_merge_pass(chunk, target, MergeMode.COSINE_UP, lambda t: t, 0.0, R=4.0)
     assert np.array_equal(out, chunk.tokens)
 
 
 def test_hybrid_pass_identical_frames_identity():
     rng = np.random.default_rng(17)
     frame = rng.standard_normal((1, 9, 4))
-    chunk = TokenChunk(np.repeat(frame, 2, axis=0), (3, 3), (3, 3), 0)
-    out = tm.hybrid_merge_pass(chunk, MergeMode.COSINE_UP, lambda t: t, 1.0, R=4.0)
+    chunk = TokenChunk(np.repeat(frame, 2, axis=0), (3, 3), (3, 3))
+    out = tm.hybrid_merge_pass(chunk, 0, MergeMode.COSINE_UP, lambda t: t, 1.0, R=4.0)
     assert np.abs(out - chunk.tokens).max() <= 1e-12
 
 
 def test_hybrid_pass_matches_composed_oracle():
     rng = np.random.default_rng(18)
     for _ in range(10):
-        chunk = random_chunk(rng, c=4)
+        chunk, target = random_chunk(rng, c=4)
         r_i = float(rng.random())
-        out = tm.hybrid_merge_pass(chunk, MergeMode.COSINE_UP, lambda t: t, r_i, R=4.0)
+        out = tm.hybrid_merge_pass(chunk, target, MergeMode.COSINE_UP, lambda t: t, r_i, R=4.0)
         # compose the stages by hand
         stripped = tm.strip_padding(chunk)
-        src, tar, slots = tm.split_src_tar(stripped, chunk.target_index)
+        src, tar, slots = tm.split_src_tar(stripped, target)
         h, w = chunk.content
         pos = tm.grid_positions(h, w)
         b = stripped.shape[0]
@@ -589,29 +592,27 @@ def test_hybrid_pass_matches_composed_oracle():
         )
         targets, criteria = tm.cosine_correspondence(scores)
         selected = tm.select_top_r(targets, criteria, r_i)
-        merged, slot_to_row = tm.merge(
-            src, tar, targets, selected, slots, chunk.target_index, b
-        )
+        merged, slot_to_row = tm.merge(src, tar, targets, selected, slots, target, b)
         want = tm.unmerge(merged, slot_to_row)
         assert np.array_equal(out, want.reshape(chunk.tokens.shape))
 
 
 def test_hybrid_pass_flow_mode_requires_flows():
     rng = np.random.default_rng(19)
-    chunk = random_chunk(rng)
+    chunk, target = random_chunk(rng)
     with pytest.raises(ValueError, match="requires"):
-        tm.hybrid_merge_pass(chunk, MergeMode.FLOW_DOWN, lambda t: t, 0.5)
+        tm.hybrid_merge_pass(chunk, target, MergeMode.FLOW_DOWN, lambda t: t, 0.5)
     with pytest.raises(ValueError, match="requires"):
-        tm.hybrid_merge_pass(chunk, MergeMode.COSINE_UP, lambda t: t, 0.5)
+        tm.hybrid_merge_pass(chunk, target, MergeMode.COSINE_UP, lambda t: t, 0.5)
 
 
 def test_hybrid_pass_shape_preserved_flow_mode():
     rng = np.random.default_rng(20)
-    chunk = random_chunk(rng, b=3, h=4, w=4, c=4)
+    chunk, target = random_chunk(rng, b=3, h=4, w=4, c=4)
     flows = [rng.uniform(-1, 1, (4, 4, 2)) for _ in range(2)]
     confs = [rng.random((4, 4)) for _ in range(2)]
     out = tm.hybrid_merge_pass(
-        chunk, MergeMode.FLOW_DOWN, lambda t: t, 0.6, flows=flows, confidences=confs
+        chunk, target, MergeMode.FLOW_DOWN, lambda t: t, 0.6, flows=flows, confidences=confs
     )
     assert out.shape == chunk.tokens.shape
 
@@ -623,8 +624,8 @@ def test_hybrid_pass_padding_never_merged_with_content():
     grid = tokens.reshape(2, 4, 4, 3)
     grid[:, 3, :, :] = pad_marker
     grid[:, :, 3, :] = pad_marker
-    chunk = TokenChunk(grid.reshape(2, 16, 3), (4, 4), (3, 3), 0)
-    out = tm.hybrid_merge_pass(chunk, MergeMode.COSINE_UP, lambda t: t, 1.0, R=4.0)
+    chunk = TokenChunk(grid.reshape(2, 16, 3), (4, 4), (3, 3))
+    out = tm.hybrid_merge_pass(chunk, 0, MergeMode.COSINE_UP, lambda t: t, 1.0, R=4.0)
     out_grid = out.reshape(2, 4, 4, 3)
     assert np.all(out_grid[:, 3, :, :] == pad_marker)
     assert np.all(out_grid[:, :, 3, :] == pad_marker)
@@ -634,6 +635,6 @@ def test_hybrid_pass_padding_never_merged_with_content():
 
 def test_hybrid_pass_rejects_shape_changing_attention():
     rng = np.random.default_rng(22)
-    chunk = random_chunk(rng, b=3, h=2, w=2, c=3)
+    chunk, target = random_chunk(rng, b=3, h=2, w=2, c=3)
     with pytest.raises(ValueError, match="shape"):
-        tm.hybrid_merge_pass(chunk, MergeMode.COSINE_UP, lambda t: t[:-1], 0.0, R=4.0)
+        tm.hybrid_merge_pass(chunk, target, MergeMode.COSINE_UP, lambda t: t[:-1], 0.0, R=4.0)

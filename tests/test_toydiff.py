@@ -20,7 +20,6 @@ from reference import sample
 
 def test_make_schedule_single_step():
     s = make_schedule(1, 0.1, 0.1)
-    assert np.allclose(s.alphas, [0.9])
     assert np.allclose(s.abars, [0.9])
 
 
