@@ -150,11 +150,13 @@ def cmd_restore(args) -> int:
 
 
 def _report_for(seq, cfg, ref=None, meta=None, flow_source=None) -> dict:
+    if ref is not None and (len(ref), ref.shape) != (len(seq), seq.shape):
+        raise ValueError(
+            f"--ref has {len(ref)} frames of {ref.shape}, --in {len(seq)} frames of {seq.shape}"
+        )
     e_warp, e_inter = pipeline.temporal_consistency(seq, cfg, flow_source)
     psnr, ssim = [], []
     if ref is not None:
-        if len(ref) != len(seq):
-            raise ValueError("--ref frame count differs from --in")
         psnr = [metrics.psnr(a, b) for a, b in zip(seq.frames, ref.frames)]
         ssim = [metrics.ssim(a, b) for a, b in zip(seq.frames, ref.frames)]
     return mediaio.report_to_dict(psnr, ssim, e_warp, e_inter, meta)

@@ -102,7 +102,8 @@ class RestoreConfig:
             raise ValueError("flow.tau_occ must be in (0, 1]")
         beg, end = self.anneal_range()
         if beg >= end:
-            raise ValueError("tome.i_beg must be < tome.i_end")
+            default = " (default: 60% of steps, below steps)" if self.tome_i_beg is None else ""
+            raise ValueError(f"tome.i_beg {beg}{default} must be < tome.i_end {end}")
         for name in ("hlw_windows", "tome_windows"):
             for lo, hi in getattr(self, name):
                 if not 0.0 <= lo < hi <= 1.0:
@@ -179,33 +180,40 @@ def plan_batches(n: int, batch_size: int, seed: int) -> BatchPlan:
 
 @dataclass
 class FlowBank:
-    """Precomputed flows between the frame pairs restore reads, at LQ resolution.
+    """Block-matching flows and confidences between the frame pairs restore reads.
 
-    flow[(i, j)] = estimate_flow(frame_i, frame_j): sampled at frame i's
-    positions, pointing at the corresponding position in frame j, so
-    warp(x_j, flow[(i, j)]) aligns frame j's content onto frame i.
-    conf/mask[(i, j)] qualify that warp. The bank holds conf and mask for the
-    pairs of _needed_pairs, flows for them and their reverses, and records
-    the flow settings it was built with. One bank
-    serves every restore of the same frames with the same batch plan
-    (batch_size, seed) and flow settings (flow.block, flow.search,
-    flow.tau_occ); restore rejects a bank whose settings, pairs or frame
-    size differ. A bank built on other frames of the same size cannot be
-    detected: restore then reads its flows as if they were these frames'.
+    flow[(i, j)] = estimate_flow(frame_i, frame_j) at LQ resolution: sampled
+    at frame i's positions, pointing at the corresponding position in frame
+    j, so warp(x_j, flow[(i, j)]) aligns frame j's content onto frame i.
+    conf[(i, j)] is its forward-backward confidence; readers threshold it
+    into an occlusion mask at their own flow.tau_occ. conf holds the pairs
+    of _needed_pairs, flow those and their reverses. key is bank_key of the
+    frames and config it was built from: one bank serves every restore with
+    an equal key, and restore rejects any other. A bank built on other
+    frames of the same count and size cannot be detected: restore then reads
+    its flows as if they were these frames'.
     """
 
-    block: int
-    search: int
-    tau_occ: float
+    key: tuple
     flow: dict = field(default_factory=dict)
     conf: dict = field(default_factory=dict)
-    mask: dict = field(default_factory=dict)
+
+
+def bank_key(seq: FrameSequence, config: RestoreConfig) -> tuple:
+    """What a FlowBank's contents depend on, as (name, value) pairs: the
+    frames' count and size, the batch plan and the block-matching settings."""
+    h, w, _ = seq.shape
+    return (
+        ("frames", len(seq)), ("h", h), ("w", w),
+        ("batch_size", config.batch_size), ("seed", config.seed),
+        ("flow.block", config.flow_block), ("flow.search", config.flow_search),
+    )
 
 
 def _needed_pairs(plan: BatchPlan) -> set[tuple[int, int]]:
-    """The pairs (i, j) whose flow, confidence and mask restore reads: each
-    batch member with its keyframe (star propagation and flow-guided merging)
-    and each keyframe with the previous batch's keyframe (the chain)."""
+    """The pairs (i, j) whose flow and confidence restore reads: each batch
+    member with its keyframe (star propagation and flow-guided merging) and
+    each keyframe with the previous batch's keyframe (the chain)."""
     pairs = {(plan.keyframe_of[b], plan.keyframe_of[b - 1]) for b in range(1, len(plan.batches))}
     for b, (start, end) in enumerate(plan.batches):
         kf = plan.keyframe_of[b]
@@ -213,41 +221,21 @@ def _needed_pairs(plan: BatchPlan) -> set[tuple[int, int]]:
     return pairs
 
 
-def precompute_flows(seq: FrameSequence, plan: BatchPlan, config: RestoreConfig) -> FlowBank:
-    """Block-matching flows, confidences, and occlusion masks on the LQ frames.
+def precompute_flows(seq: FrameSequence, config: RestoreConfig) -> FlowBank:
+    """The FlowBank of config's batch plan on the LQ frames of seq.
 
     Flows are estimated both ways for each pair restore reads, because its
     forward-backward confidence needs the reverse flow too.
     """
-    bank = FlowBank(config.flow_block, config.flow_search, config.flow_tau_occ)
-    read = _needed_pairs(plan)
+    bank = FlowBank(bank_key(seq, config))
+    read = _needed_pairs(plan_batches(len(seq), config.batch_size, config.seed))
     for i, j in sorted(read | {(j, i) for i, j in read}):
         bank.flow[(i, j)] = flowmod.estimate_flow(
             seq.frames[i], seq.frames[j], config.flow_block, config.flow_search
         )
     for i, j in sorted(read):
         bank.conf[(i, j)] = flowmod.fb_confidence(bank.flow[(i, j)], bank.flow[(j, i)])
-        bank.mask[(i, j)] = flowmod.occlusion_mask(bank.conf[(i, j)], config.flow_tau_occ)
     return bank
-
-
-def _check_bank(
-    bank: FlowBank, plan: BatchPlan, config: RestoreConfig, size: tuple[int, int]
-) -> None:
-    built = (bank.block, bank.search, bank.tau_occ)
-    wanted = (config.flow_block, config.flow_search, config.flow_tau_occ)
-    if built != wanted:
-        raise ValueError(
-            f"flow bank built with flow.block/search/tau_occ {built}, config has {wanted}"
-        )
-    other = {fl.shape[:2] for fl in bank.flow.values()} - {size}
-    if other:
-        raise ValueError(f"flow bank built on {min(other)} frames, restoring {size} frames")
-    missing = _needed_pairs(plan) - (bank.flow.keys() & bank.conf.keys() & bank.mask.keys())
-    if missing:
-        raise ValueError(
-            f"flow bank lacks {len(missing)} frame pairs restore reads, e.g. {min(missing)}"
-        )
 
 
 def encode_latent(frame: np.ndarray, scale: int) -> np.ndarray:
@@ -334,19 +322,20 @@ def restore_batch(
 
     # Every bank read of the batch: member flows resampled once per grid that
     # reads them, star masks, the chain's flow and mask, merge confidences.
+    # Masks are the confidences thresholded at this config's flow.tau_occ.
     merge_grids = set(grids) if members and flow_merges else set()
     read = merge_grids | ({latent} if warps else set())
     flows = {g: [flowmod.resample_flow(bank.flow[(m, kf)], *g) for m in members] for g in read}
     star, chain = [], None
     if warps:
-        masks = [flowmod.resample_mask(bank.mask[(m, kf)], *latent) for m in members]
+        mask = lambda p: flowmod.resample_mask(
+            flowmod.occlusion_mask(bank.conf[p], config.flow_tau_occ), *latent
+        )
+        masks = [mask((m, kf)) for m in members]
         star = list(zip([m - frames.start for m in members], flows[latent], masks))
         if prev is not None:
             pair, prev_x0s = (kf, prev[0]), iter(prev[1])
-            chain = (
-                flowmod.resample_flow(bank.flow[pair], *latent),
-                flowmod.resample_mask(bank.mask[pair], *latent),
-            )
+            chain = (flowmod.resample_flow(bank.flow[pair], *latent), mask(pair))
     confs = {
         g: [flowmod.bilinear_resample(bank.conf[(m, kf)], *g) for m in members] for g in merge_grids
     }
@@ -374,8 +363,9 @@ def restore_latents(
     """Run the full zero-shot restoration; return the sampler's final latents.
 
     The result has shape (n, h / latent_scale, w / latent_scale, 3). bank, if
-    given, must come from precompute_flows on the same frames with the same
-    batch plan and flow settings; otherwise the flows needed are computed here.
+    given, must come from precompute_flows on the same frames, and its key
+    must equal bank_key(seq, config); otherwise the flows needed are computed
+    here.
     Batches run in order through restore_batch; only the previous keyframe's
     post-chain x0 passes from one batch to the next.
     """
@@ -384,15 +374,17 @@ def restore_latents(
     scale = config.latent_scale
     if h % scale or w % scale:
         raise ValueError(f"frame size {h}x{w} not divisible by latent_scale {scale}")
+    key = bank_key(seq, config)
+    if bank is not None and bank.key != key:
+        diff = [f"{k} {a} in the bank, {b} here" for (k, a), (_, b) in zip(bank.key, key) if a != b]
+        raise ValueError(f"flow bank does not match this restore: {'; '.join(diff)}")
 
     plan = plan_batches(len(seq), config.batch_size, config.seed)
     sched = toydiff.make_schedule(SCHED_T, BETA_START, BETA_END)
     ts = toydiff.step_indices(sched.T, config.steps)
     warps, flow_merges = _flow_readers(config, hlw_on, ratios)
-    if bank is not None:
-        _check_bank(bank, plan, config, (h, w))
-    elif warps or flow_merges:
-        bank = precompute_flows(seq, plan, config)
+    if bank is None and (warps or flow_merges):
+        bank = precompute_flows(seq, config)
     denoiser = ToyDenoiser(channels=3, seed=config.seed)
 
     out = np.empty((len(seq), h // scale, w // scale, 3))
@@ -480,9 +472,9 @@ STAGE_VARIANTS = {
 def ablate(seq: FrameSequence, config: RestoreConfig, variants: dict | None = None) -> dict:
     """Run restore under correspondence and stage variants; emit a metrics table.
 
-    Variants with the same batch plan and flow settings share one FlowBank,
-    built only once a variant reads flows; the built-in variants override
-    neither, so they all share one.
+    Variants with the same bank_key share one FlowBank, built only once a
+    variant reads flows; the built-in variants override none of its fields,
+    so they all share one.
     """
     table: dict = {}
     groups = variants or {
@@ -495,10 +487,9 @@ def ablate(seq: FrameSequence, config: RestoreConfig, variants: dict | None = No
         for name, overrides in entries.items():
             cfg = replace(config, **overrides)
             steps = step_plan(cfg)
-            key = (cfg.batch_size, cfg.seed, cfg.flow_block, cfg.flow_search, cfg.flow_tau_occ)
+            key = bank_key(seq, cfg)
             if key not in banks and any(_flow_readers(cfg, *steps)):
-                plan = plan_batches(len(seq), cfg.batch_size, cfg.seed)
-                banks[key] = precompute_flows(seq, plan, cfg)
+                banks[key] = precompute_flows(seq, cfg)
             restored = restore(seq, cfg, bank=banks.get(key))
             e_warp, e_inter = temporal_consistency(restored, config, flow_source=seq)
             rows[name] = {

@@ -29,10 +29,8 @@ def _demo_pair(seed, n=24):
 
 def _restore_bank(lq, cfg):
     """The FlowBank restore would compute, built once and shared by every
-    restore of one seed; the variants change neither the plan nor the flow
-    settings."""
-    plan = pipeline.plan_batches(len(lq), cfg.batch_size, cfg.seed)
-    return pipeline.precompute_flows(lq, plan, cfg)
+    restore of one seed; the variants change no field of its bank_key."""
+    return pipeline.precompute_flows(lq, cfg)
 
 
 def _eval_flows(lq, cfg):

@@ -263,6 +263,25 @@ def test_metrics_command_with_ref(tmp_path):
     assert len(rep["e_inter"]["per_triple"]) == 2
 
 
+@pytest.mark.parametrize("n, size", [(3, 16), (4, 32)])
+def test_metrics_ref_mismatch_fails_before_any_flow(tmp_path, monkeypatch, capsys, n, size):
+    in_dir, _, _ = _write_video(tmp_path)
+    ref_dir = tmp_path / "ref"
+    mediaio.write_frames(make_demo_video(n=n, h=size, w=size, seed=0), str(ref_dir))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("flow estimated before --ref was checked")
+
+    monkeypatch.setattr(pipeline.flowmod, "estimate_flow", refuse)
+    out_file = tmp_path / "report.json"
+    assert main(["metrics", "--in", str(in_dir), "--ref", str(ref_dir),
+                 "--out", str(out_file)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: --ref has {n} frames of ({size}, {size}, 3)" in err
+    assert "--in 4 frames of (16, 16, 3)" in err
+    assert not out_file.exists()
+
+
 def test_metrics_command_without_ref(tmp_path):
     in_dir, _, _ = _write_video(tmp_path)
     out_file = tmp_path / "report.json"

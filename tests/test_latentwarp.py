@@ -3,7 +3,7 @@ import numpy as np
 from zsvr import latentwarp as lw
 from zsvr import pipeline
 from zsvr.cli import degrade_video, make_demo_video
-from zsvr.flow import resample_flow, resample_mask, warp
+from zsvr.flow import occlusion_mask, resample_flow, resample_mask, warp
 from zsvr.pipeline import RestoreConfig, plan_batches
 
 from reference import split_blends
@@ -40,7 +40,7 @@ def _chain_video():
 def _chain_bank(lq, edit=None):
     """The flow bank restore reads, with edit(bank, chain_pairs) applied."""
     plan = plan_batches(len(lq), CHAIN_CFG.batch_size, CHAIN_CFG.seed)
-    bank = pipeline.precompute_flows(lq, plan, CHAIN_CFG)
+    bank = pipeline.precompute_flows(lq, CHAIN_CFG)
     pairs = [(plan.keyframe_of[b], plan.keyframe_of[b - 1]) for b in range(1, len(plan.batches))]
     if edit is not None:
         edit(bank, pairs)
@@ -68,16 +68,22 @@ def _run_chain(monkeypatch, lq, bank):
     return split_blends(calls, plan, CHAIN_CFG.steps)
 
 
+def _mask(bank, pair, hl, wl):
+    """The occlusion mask restore reads for pair, on the hl x wl latent grid."""
+    return resample_mask(occlusion_mask(bank.conf[pair], CHAIN_CFG.flow_tau_occ), hl, wl)
+
+
 def _zero_chain_links(bank, pairs):
+    # zero flows, and unit confidences: zero masks
     for pair in pairs:
         bank.flow[pair] = np.zeros_like(bank.flow[pair])
-        bank.mask[pair] = np.zeros_like(bank.mask[pair])
+        bank.conf[pair] = np.ones_like(bank.conf[pair])
 
 
 def test_chain_mask_one_keeps_keyframes(monkeypatch):
     def unit_masks(bank, pairs):
         for pair in pairs:
-            bank.mask[pair] = np.ones_like(bank.mask[pair])
+            bank.conf[pair] = np.zeros_like(bank.conf[pair])
 
     lq = _chain_video()
     bank, _ = _chain_bank(lq, unit_masks)
@@ -105,7 +111,7 @@ def test_chain_matches_elementwise_oracle(monkeypatch):
     hl, wl = lq.shape[0] // 2, lq.shape[1] // 2
     for b in (1, 2):
         flow = resample_flow(bank.flow[pairs[b - 1]], hl, wl)
-        m = resample_mask(bank.mask[pairs[b - 1]], hl, wl)
+        m = _mask(bank, pairs[b - 1], hl, wl)
         assert 0.0 < m.mean() < 1.0  # both branches of the blend are exercised
         prev = [keyframe for _, keyframe, _ in batches[b - 1]]
         for s, ((own, source, used_flow, used_mask, result), keyframe, _) in enumerate(batches[b]):
@@ -162,7 +168,7 @@ def test_propagate_matches_per_member_oracle(monkeypatch):
         kf = plan.keyframe_of[b]
         members = [f for f in range(start, stop) if f != kf]
         flows = [resample_flow(bank.flow[(m, kf)], hl, wl) for m in members]
-        masks = [resample_mask(bank.mask[(m, kf)], hl, wl) for m in members]
+        masks = [_mask(bank, (m, kf), hl, wl) for m in members]
         occluded += [m.mean() for m in masks]
         for _, keyframe, star in batches[b]:
             # one call per member, in frame order, each from the keyframe

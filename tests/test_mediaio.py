@@ -275,7 +275,8 @@ def test_format_roundtrip_and_rejection_property(fmt, tmp_path_factory):
         back = read(path)
         assert back.shape == value.shape and back.dtype == value.dtype
         assert back.tobytes() == value.tobytes()
-        data = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            data = fh.read()
         for bad in [data[:k] for k in range(len(data))] + [
             data[:magic_pos] + bytes([data[magic_pos] ^ flip]) + data[magic_pos + 1 :]
         ]:

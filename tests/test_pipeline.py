@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -111,11 +111,17 @@ def test_config_validation_rejects_bad_values():
         dict(latent_scale=0),
         dict(flow_tau_occ=0.0),
         dict(tome_i_beg=5, tome_i_end=5),
+        dict(steps=10, tome_i_end=5),
     ):
         with pytest.raises(ValueError):
             RestoreConfig(**kw).validate()
         with pytest.raises(ValueError):
             pipeline.step_plan(RestoreConfig(**kw))
+    # the anneal-range error gives both values, and says when i_beg is the default
+    with pytest.raises(ValueError, match=r"tome.i_beg 6 \(default: .*\) must be < tome.i_end 5$"):
+        RestoreConfig(steps=10, tome_i_end=5).validate()
+    with pytest.raises(ValueError, match=r"tome.i_beg 5 must be < tome.i_end 5$"):
+        RestoreConfig(tome_i_beg=5, tome_i_end=5).validate()
 
 
 def test_parse_config_rejects_nan_and_keeps_inf_R():
@@ -181,8 +187,7 @@ def test_plan_batches_keyframes_uniform():
 def test_precompute_flows_static_video():
     frame = np.random.default_rng(0).random((12, 12, 3))
     seq = FrameSequence([frame.copy() for _ in range(4)])
-    plan = plan_batches(4, 2, seed=0)
-    bank = pipeline.precompute_flows(seq, plan, small_config())
+    bank = pipeline.precompute_flows(seq, small_config(batch_size=2))
     for fl in bank.flow.values():
         assert np.array_equal(fl, np.zeros_like(fl))
     for conf in bank.conf.values():
@@ -194,7 +199,7 @@ def test_precompute_flows_translation():
     wide = rng.random((20, 28, 3))
     seq = FrameSequence([wide[:, 2 * t : 2 * t + 20].copy() for t in range(3)])
     plan = plan_batches(3, 3, seed=0)
-    bank = pipeline.precompute_flows(seq, plan, small_config())
+    bank = pipeline.precompute_flows(seq, small_config())
     assert plan.keyframe_of == [2]
     # frame 2's content sits 2 px further right in the texture than frame
     # 1's, so frame 1's pixels correspond to positions 2 px to the left in
@@ -227,70 +232,92 @@ def test_precompute_flows_confidence_only_for_read_pairs(monkeypatch):
         return fb_confidence(fwd, bwd)
 
     monkeypatch.setattr(pipeline.flowmod, "fb_confidence", counted)
-    bank = pipeline.precompute_flows(seq, plan, small_config())
+    bank = pipeline.precompute_flows(seq, small_config())
     read = pipeline._needed_pairs(plan)
     assert len(calls) == len(read) == 5
-    assert bank.conf.keys() == bank.mask.keys() == read
+    assert bank.conf.keys() == read
     # both directions are still estimated, and each confidence pairs them
     assert bank.flow.keys() == read | {(j, i) for i, j in read}
     for (fwd, bwd), (i, j) in zip(calls, sorted(read)):
         assert fwd is bank.flow[(i, j)] and bwd is bank.flow[(j, i)]
-        # the bank's mask is the one occlusion formula
-        want = flowmod.occlusion_mask(bank.conf[(i, j)], small_config().flow_tau_occ)
-        assert np.array_equal(bank.mask[(i, j)], want)
+    # the bank holds block-matching output and its key, no masks
+    assert [f.name for f in fields(pipeline.FlowBank)] == ["key", "flow", "conf"]
+    assert bank.key == pipeline.bank_key(seq, small_config())
 
 
 def test_restore_with_precomputed_bank_is_bit_identical():
     lq = small_video()
     cfg = small_config()
-    plan = plan_batches(len(lq), cfg.batch_size, cfg.seed)
-    bank = pipeline.precompute_flows(lq, plan, cfg)
+    bank = pipeline.precompute_flows(lq, cfg)
     own = pipeline.restore(lq, cfg)
     shared = pipeline.restore(lq, cfg, bank=bank)
     for a, b in zip(own.frames, shared.frames):
         assert np.array_equal(a, b)
 
 
+def test_bank_serves_every_tau_occ():
+    # the bank holds confidences; each restore thresholds them at its own tau_occ
+    lq = small_video()
+    bank = pipeline.precompute_flows(lq, small_config())
+    assert small_config().flow_tau_occ == 0.368
+    outs = []
+    for tau in (0.5, 0.3):
+        cfg = small_config(flow_tau_occ=tau)
+        outs.append(pipeline.restore_latents(lq, cfg))
+        assert np.array_equal(pipeline.restore_latents(lq, cfg, bank=bank), outs[-1])
+    # integer flows give confidences exp(-k); 0.3 lets the exp(-1) pixels warp
+    assert not np.array_equal(outs[0], outs[1])
+
+
 def _no_compute(*args, **kwargs):
     raise AssertionError("restore computed before rejecting the bank")
 
 
+def _rejects(monkeypatch, seq, cfg, bank, match):
+    """restore(seq, cfg, bank) fails with match before estimating or denoising."""
+    with monkeypatch.context() as mp:
+        mp.setattr(pipeline.flowmod, "estimate_flow", _no_compute)
+        mp.setattr(pipeline.toydiff, "denoise_step", _no_compute)
+        with pytest.raises(ValueError, match=match):
+            pipeline.restore(seq, cfg, bank=bank)
+
+
 def test_restore_rejects_bank_with_other_flow_settings(monkeypatch):
     lq = small_video()
-    cfg = small_config()
-    plan = plan_batches(len(lq), cfg.batch_size, cfg.seed)
-    bank = pipeline.precompute_flows(lq, plan, cfg)
-    monkeypatch.setattr(pipeline.flowmod, "estimate_flow", _no_compute)
-    monkeypatch.setattr(pipeline.toydiff, "denoise_step", _no_compute)
-    for kw in (dict(flow_block=5), dict(flow_search=3), dict(flow_tau_occ=0.5)):
-        with pytest.raises(ValueError, match="flow bank built with"):
-            pipeline.restore(lq, small_config(**kw), bank=bank)
+    bank = pipeline.precompute_flows(lq, small_config())
+    for kw, match in (
+        (dict(flow_block=5), "flow.block 7 in the bank, 5 here$"),
+        (dict(flow_search=3), "flow.search 4 in the bank, 3 here$"),
+    ):
+        _rejects(monkeypatch, lq, small_config(**kw), bank, match)
 
 
 def test_restore_rejects_bank_built_on_other_frame_size(monkeypatch):
     lq, big = small_video(), small_video(h=32, w=32)
-    cfg = small_config()
-    plan = plan_batches(len(lq), cfg.batch_size, cfg.seed)
-    bank = pipeline.precompute_flows(big, plan, cfg)
-    monkeypatch.setattr(pipeline.flowmod, "estimate_flow", _no_compute)
-    monkeypatch.setattr(pipeline.toydiff, "denoise_step", _no_compute)
-    with pytest.raises(ValueError, match=r"built on \(32, 32\) frames, restoring \(16, 16\) frames"):
-        pipeline.restore(lq, cfg, bank=bank)
+    bank = pipeline.precompute_flows(big, small_config())
+    match = "h 32 in the bank, 16 here; w 32 in the bank, 16 here$"
+    _rejects(monkeypatch, lq, small_config(), bank, match)
 
 
 def test_restore_rejects_bank_missing_a_pair(monkeypatch):
+    # another batch plan reads keyframe pairs that a batch-of-3, seed-0 plan does not hold
     lq = small_video()
-    cfg = small_config()
-    # batches of 2 read keyframe pairs that a batch-of-3 plan does not hold
-    plan = plan_batches(len(lq), 3, cfg.seed)
-    bank = pipeline.precompute_flows(lq, plan, cfg)
-    monkeypatch.setattr(pipeline.flowmod, "estimate_flow", _no_compute)
-    monkeypatch.setattr(pipeline.toydiff, "denoise_step", _no_compute)
-    with pytest.raises(ValueError, match="lacks"):
-        pipeline.restore(lq, small_config(batch_size=2), bank=bank)
-    del bank.mask[(0, 2)]
-    with pytest.raises(ValueError, match="lacks 1 frame pairs"):
-        pipeline.restore(lq, cfg, bank=bank)
+    bank = pipeline.precompute_flows(lq, small_config())
+    for kw, match in (
+        (dict(batch_size=2), "batch_size 3 in the bank, 2 here$"),
+        (dict(seed=1), "seed 0 in the bank, 1 here$"),
+    ):
+        _rejects(monkeypatch, lq, small_config(**kw), bank, match)
+
+
+def test_restore_rejects_bank_of_a_longer_video(monkeypatch):
+    # a 6-frame bank holds every pair its 5-frame prefix reads, yet it was
+    # built on another video: the frame count is part of the key
+    lq = small_video()
+    bank = pipeline.precompute_flows(lq, small_config())
+    head = FrameSequence(lq.frames[:5])
+    assert pipeline._needed_pairs(plan_batches(5, 3, 0)) <= bank.conf.keys()
+    _rejects(monkeypatch, head, small_config(), bank, "frames 6 in the bank, 5 here$")
 
 
 def test_encode_decode_latent():
@@ -458,8 +485,7 @@ def test_restore_reads_no_flows_unless_a_step_uses_them(monkeypatch):
         small_config(hlw_windows=(), **cosine),
         small_config(hlw_windows=(), tome_r=0.0),
     ]
-    plan = plan_batches(len(lq), 3, 0)
-    with_bank = [pipeline.restore(lq, c, pipeline.precompute_flows(lq, plan, c)) for c in configs]
+    with_bank = [pipeline.restore(lq, c, pipeline.precompute_flows(lq, c)) for c in configs]
 
     def refuse(*args, **kwargs):
         raise AssertionError("flows estimated for a restore that reads none")
@@ -511,10 +537,10 @@ def test_keyframe_chain_links_batches_step_by_step(monkeypatch):
             if b == 2:  # not the previous keyframe's prediction before its chain blend
                 assert not np.array_equal(source, batches[1][s][0][0])
 
-    # with unit masks every chain blend keeps the keyframe
-    bank = pipeline.precompute_flows(lq, plan, cfg)
-    for key in bank.mask:
-        bank.mask[key] = np.ones_like(bank.mask[key])
+    # with zero confidences (unit masks) every chain blend keeps the keyframe
+    bank = pipeline.precompute_flows(lq, cfg)
+    for key in bank.conf:
+        bank.conf[key] = np.zeros_like(bank.conf[key])
     for steps in run(bank=bank)[1:]:
         for (own, _, _, _, result), _, _ in steps:
             assert np.array_equal(result, own)
@@ -560,17 +586,20 @@ def test_ablate_shares_one_bank_per_plan_and_flow_settings(monkeypatch):
     built = []
     precompute = pipeline.precompute_flows
 
-    def counting_precompute(seq, plan, config):
+    def counting_precompute(seq, config):
         built.append((config.batch_size, config.flow_block))
-        return precompute(seq, plan, config)
+        return precompute(seq, config)
 
     monkeypatch.setattr(pipeline, "precompute_flows", counting_precompute)
     pipeline.ablate(lq, cfg)
     assert built == [(2, cfg.flow_block)]
 
     built.clear()
-    variants = {"v": {"a": {}, "b": dict(flow_block=5), "c": dict(batch_size=3), "d": {}}}
+    variants = {"v": {
+        "a": {}, "b": dict(flow_block=5), "c": dict(batch_size=3), "d": {}, "e": dict(flow_tau_occ=0.5)
+    }}
     table = pipeline.ablate(lq, cfg, variants=variants)
+    # another tau_occ reads the same bank
     assert built == [(2, cfg.flow_block), (2, 5), (3, cfg.flow_block)]
     assert set(table) == {"v"}  # only the groups run, no empty ones
     assert table["v"]["a"] == table["v"]["d"]
