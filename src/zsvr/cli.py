@@ -116,19 +116,12 @@ def _load_config(args) -> pipeline.RestoreConfig:
 
 def cmd_flow(args) -> int:
     _check_replaceable(args.out_dir, FLOW_OUTPUTS)
-    seq = mediaio.read_frames(args.in_dir)
+    bank = pipeline.FlowBank(mediaio.read_frames(args.in_dir), args.block, args.search)
 
     def write(tmp):
-        for t in range(len(seq) - 1):
-            fwd = flowmod.estimate_flow(
-                seq.frames[t + 1], seq.frames[t], args.block, args.search
-            )
-            bwd = flowmod.estimate_flow(
-                seq.frames[t], seq.frames[t + 1], args.block, args.search
-            )
-            conf = flowmod.fb_confidence(fwd, bwd)
-            mediaio.write_flo(fwd, os.path.join(tmp, f"flow_{t:04d}.flo"))
-            mediaio.write_raw_tensor(conf, os.path.join(tmp, f"conf_{t:04d}.rtf"))
+        for t in range(len(bank.seq) - 1):
+            mediaio.write_flo(bank.flow_of(t + 1, t), os.path.join(tmp, f"flow_{t:04d}.flo"))
+            mediaio.write_raw_tensor(bank.conf_of(t + 1, t), os.path.join(tmp, f"conf_{t:04d}.rtf"))
 
     _write_atomic(args.out_dir, FLOW_OUTPUTS, write)
     return 0
@@ -246,11 +239,12 @@ def cmd_demo(args) -> int:
     hq = make_demo_video(n=args.frames, seed=args.seed)
     lq = degrade_video(hq, scale=4, noise_std=0.08, seed=args.seed)
     cfg = demo_config(args.seed)
-    ours = pipeline.restore(lq, cfg)
+    # ours reads one LQ bank, and both outputs are scored under its flows: like for like
+    bank = pipeline.FlowBank(lq, cfg.flow_block, cfg.flow_search)
+    ours = pipeline.restore(lq, cfg, bank)
     baseline = pipeline.restore(lq, replace(cfg, hlw_windows=(), tome_windows=()))
-    # both scored under identical LQ-derived flows, a like-for-like comparison
     report = {
-        name: _report_for(seq, cfg, hq, {"variant": name, "seed": args.seed}, flow_source=lq)
+        name: _report_for(seq, cfg, hq, {"variant": name, "seed": args.seed}, flow_source=bank)
         for name, seq in (("baseline", baseline), ("ours", ours))
     }
 

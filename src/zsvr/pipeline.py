@@ -180,34 +180,43 @@ def plan_batches(n: int, batch_size: int, seed: int) -> BatchPlan:
 
 @dataclass
 class FlowBank:
-    """Block-matching flows and confidences between the frame pairs restore reads.
+    """Block-matching flows and confidences between frames of seq, each
+    estimated the first time it is read and kept.
 
-    flow[(i, j)] = estimate_flow(frame_i, frame_j) at LQ resolution: sampled
+    flow_of(i, j) = estimate_flow(frame_i, frame_j) at LQ resolution: sampled
     at frame i's positions, pointing at the corresponding position in frame
-    j, so warp(x_j, flow[(i, j)]) aligns frame j's content onto frame i.
-    conf[(i, j)] is its forward-backward confidence; readers threshold it
-    into an occlusion mask at their own flow.tau_occ. conf holds the pairs
-    of _needed_pairs, flow those and their reverses. key is bank_key of the
-    frames and config it was built from: one bank serves every restore with
-    an equal key, and restore rejects any other. A bank built on other
-    frames of the same count and size cannot be detected: restore then reads
-    its flows as if they were these frames'.
+    j, so warp(x_j, flow_of(i, j)) aligns frame j's content onto frame i.
+    conf_of(i, j) is its forward-backward confidence, which reads flow_of(j,
+    i) too; readers threshold it into an occlusion mask at their own
+    flow.tau_occ. flow and conf hold what has been read so far. One bank
+    serves every restore and metric of seq at its block and search.
     """
 
-    key: tuple
+    seq: FrameSequence
+    block: int
+    search: int
     flow: dict = field(default_factory=dict)
     conf: dict = field(default_factory=dict)
 
+    def flow_of(self, i: int, j: int) -> np.ndarray:
+        if (i, j) not in self.flow:
+            src, dst = self.seq.frames[i], self.seq.frames[j]
+            self.flow[(i, j)] = flowmod.estimate_flow(src, dst, self.block, self.search)
+        return self.flow[(i, j)]
 
-def bank_key(seq: FrameSequence, config: RestoreConfig) -> tuple:
-    """What a FlowBank's contents depend on, as (name, value) pairs: the
-    frames' count and size, the batch plan and the block-matching settings."""
-    h, w, _ = seq.shape
-    return (
-        ("frames", len(seq)), ("h", h), ("w", w),
-        ("batch_size", config.batch_size), ("seed", config.seed),
-        ("flow.block", config.flow_block), ("flow.search", config.flow_search),
-    )
+    def conf_of(self, i: int, j: int) -> np.ndarray:
+        if (i, j) not in self.conf:
+            self.conf[(i, j)] = flowmod.fb_confidence(self.flow_of(i, j), self.flow_of(j, i))
+        return self.conf[(i, j)]
+
+
+def _check_bank(bank: FlowBank, config: RestoreConfig, diff: list[str]) -> None:
+    """Raise unless diff (how bank's frames differ from the caller's) is empty
+    and bank has config's block-matching settings, naming each difference."""
+    settings = ("block", bank.block, config.flow_block), ("search", bank.search, config.flow_search)
+    diff = diff + [f"flow.{k} {a} in the bank, {b} here" for k, a, b in settings if a != b]
+    if diff:
+        raise ValueError(f"flow bank does not match: {'; '.join(diff)}")
 
 
 def _needed_pairs(plan: BatchPlan) -> set[tuple[int, int]]:
@@ -222,19 +231,15 @@ def _needed_pairs(plan: BatchPlan) -> set[tuple[int, int]]:
 
 
 def precompute_flows(seq: FrameSequence, config: RestoreConfig) -> FlowBank:
-    """The FlowBank of config's batch plan on the LQ frames of seq.
+    """A FlowBank of seq that has read every pair of config's batch plan.
 
-    Flows are estimated both ways for each pair restore reads, because its
-    forward-backward confidence needs the reverse flow too.
+    The reads are eager, not left to restore, so that each flow is estimated
+    here: perfbench checks the estimate_flow calls made inside this function
+    against len(bank.flow). Each pair's confidence estimates both directions.
     """
-    bank = FlowBank(bank_key(seq, config))
-    read = _needed_pairs(plan_batches(len(seq), config.batch_size, config.seed))
-    for i, j in sorted(read | {(j, i) for i, j in read}):
-        bank.flow[(i, j)] = flowmod.estimate_flow(
-            seq.frames[i], seq.frames[j], config.flow_block, config.flow_search
-        )
-    for i, j in sorted(read):
-        bank.conf[(i, j)] = flowmod.fb_confidence(bank.flow[(i, j)], bank.flow[(j, i)])
+    bank = FlowBank(seq, config.flow_block, config.flow_search)
+    for i, j in sorted(_needed_pairs(plan_batches(len(seq), config.batch_size, config.seed))):
+        bank.conf_of(i, j)
     return bank
 
 
@@ -325,19 +330,20 @@ def restore_batch(
     # Masks are the confidences thresholded at this config's flow.tau_occ.
     merge_grids = set(grids) if members and flow_merges else set()
     read = merge_grids | ({latent} if warps else set())
-    flows = {g: [flowmod.resample_flow(bank.flow[(m, kf)], *g) for m in members] for g in read}
+    flows = {g: [flowmod.resample_flow(bank.flow_of(m, kf), *g) for m in members] for g in read}
     star, chain = [], None
     if warps:
         mask = lambda p: flowmod.resample_mask(
-            flowmod.occlusion_mask(bank.conf[p], config.flow_tau_occ), *latent
+            flowmod.occlusion_mask(bank.conf_of(*p), config.flow_tau_occ), *latent
         )
         masks = [mask((m, kf)) for m in members]
         star = list(zip([m - frames.start for m in members], flows[latent], masks))
         if prev is not None:
             pair, prev_x0s = (kf, prev[0]), iter(prev[1])
-            chain = (flowmod.resample_flow(bank.flow[pair], *latent), mask(pair))
+            chain = (flowmod.resample_flow(bank.flow_of(*pair), *latent), mask(pair))
     confs = {
-        g: [flowmod.bilinear_resample(bank.conf[(m, kf)], *g) for m in members] for g in merge_grids
+        g: [flowmod.bilinear_resample(bank.conf_of(m, kf), *g) for m in members]
+        for g in merge_grids
     }
     fields = {g: {"flows": flows[g], "confidences": confs[g]} for g in merge_grids}
 
@@ -363,9 +369,9 @@ def restore_latents(
     """Run the full zero-shot restoration; return the sampler's final latents.
 
     The result has shape (n, h / latent_scale, w / latent_scale, 3). bank, if
-    given, must come from precompute_flows on the same frames, and its key
-    must equal bank_key(seq, config); otherwise the flows needed are computed
-    here.
+    given, must hold seq itself and config's flow.block and flow.search; the
+    pairs it has not read yet are estimated as restore reads them. Without
+    one, precompute_flows builds the bank when a step reads flows.
     Batches run in order through restore_batch; only the previous keyframe's
     post-chain x0 passes from one batch to the next.
     """
@@ -374,10 +380,8 @@ def restore_latents(
     scale = config.latent_scale
     if h % scale or w % scale:
         raise ValueError(f"frame size {h}x{w} not divisible by latent_scale {scale}")
-    key = bank_key(seq, config)
-    if bank is not None and bank.key != key:
-        diff = [f"{k} {a} in the bank, {b} here" for (k, a), (_, b) in zip(bank.key, key) if a != b]
-        raise ValueError(f"flow bank does not match this restore: {'; '.join(diff)}")
+    if bank is not None:
+        _check_bank(bank, config, ["other frames in the bank"] if bank.seq is not seq else [])
 
     plan = plan_batches(len(seq), config.batch_size, config.seed)
     sched = toydiff.make_schedule(SCHED_T, BETA_START, BETA_END)
@@ -411,37 +415,31 @@ def restore(
 def temporal_consistency(
     seq: FrameSequence,
     config: RestoreConfig,
-    flow_source: FrameSequence | None = None,
+    flow_source: FrameSequence | FlowBank | None = None,
 ) -> tuple[list[float], list[float]]:
     """E_warp and E_inter per-item arrays for a sequence.
 
-    Flows (and occlusion masks for E_warp) are estimated from flow_source,
-    which defaults to the measured sequence itself; pass the LQ input to
-    compare restored variants under identical flows. Every adjacent and
-    skip-one flow is estimated here, including those a FlowBank of the
-    same frames already holds.
+    Adjacent and skip-one flows (and occlusion masks for E_warp) are read
+    from flow_source: a FlowBank, or frames to estimate a fresh one from,
+    by default the measured sequence itself. Pass the LQ input's bank to
+    score restored variants under identical flows, each estimated once.
     """
-    src = flow_source if flow_source is not None else seq
-    if len(src) != len(seq):
-        raise ValueError("flow_source length differs from sequence length")
+    if isinstance(flow_source, FlowBank):
+        bank = flow_source
+    else:
+        src = flow_source if flow_source is not None else seq
+        bank = FlowBank(src, config.flow_block, config.flow_search)
     n = len(seq)
-    est = lambda i, j: flowmod.estimate_flow(
-        src.frames[i], src.frames[j], config.flow_block, config.flow_search
-    )
-    warp_flows, warp_masks = [], []
-    for t in range(1, n):
-        fwd = est(t, t - 1)
-        bwd = est(t - 1, t)
-        warp_flows.append(fwd)
-        warp_masks.append(
-            flowmod.occlusion_mask(flowmod.fb_confidence(fwd, bwd), config.flow_tau_occ)
-        )
+    count = [f"{len(bank.seq)} frames in the bank, {n} here"] if len(bank.seq) != n else []
+    _check_bank(bank, config, count)
     e_warp, e_inter = [], []
     if n >= 2:
-        e_warp, _ = metrics.warping_error(seq.frames, warp_flows, warp_masks)
+        adjacent = [(t, t - 1) for t in range(1, n)]
+        masks = [flowmod.occlusion_mask(bank.conf_of(*p), config.flow_tau_occ) for p in adjacent]
+        e_warp, _ = metrics.warping_error(seq.frames, [bank.flow_of(*p) for p in adjacent], masks)
     if n >= 3:
-        fwd2 = [est(t + 1, t - 1) for t in range(1, n - 1)]
-        bwd2 = [est(t - 1, t + 1) for t in range(1, n - 1)]
+        fwd2 = [bank.flow_of(t + 1, t - 1) for t in range(1, n - 1)]
+        bwd2 = [bank.flow_of(t - 1, t + 1) for t in range(1, n - 1)]
         e_inter, _ = metrics.interpolation_error(seq.frames, fwd2, bwd2)
     return e_warp, e_inter
 
@@ -472,9 +470,11 @@ STAGE_VARIANTS = {
 def ablate(seq: FrameSequence, config: RestoreConfig, variants: dict | None = None) -> dict:
     """Run restore under correspondence and stage variants; emit a metrics table.
 
-    Variants with the same bank_key share one FlowBank, built only once a
-    variant reads flows; the built-in variants override none of its fields,
-    so they all share one.
+    Variants with the same flow.block and flow.search share one FlowBank,
+    built only once a variant reads flows; the built-in variants override
+    neither, so they all share one. Each restored variant is scored under
+    flows estimated afresh from seq, as perfbench's expected call counts
+    assume.
     """
     table: dict = {}
     groups = variants or {
@@ -487,7 +487,7 @@ def ablate(seq: FrameSequence, config: RestoreConfig, variants: dict | None = No
         for name, overrides in entries.items():
             cfg = replace(config, **overrides)
             steps = step_plan(cfg)
-            key = bank_key(seq, cfg)
+            key = (cfg.flow_block, cfg.flow_search)
             if key not in banks and any(_flow_readers(cfg, *steps)):
                 banks[key] = precompute_flows(seq, cfg)
             restored = restore(seq, cfg, bank=banks.get(key))

@@ -27,30 +27,6 @@ def _demo_pair(seed, n=24):
     return hq, lq
 
 
-def _restore_bank(lq, cfg):
-    """The FlowBank restore would compute, built once and shared by every
-    restore of one seed; the variants change no field of its bank_key."""
-    return pipeline.precompute_flows(lq, cfg)
-
-
-def _eval_flows(lq, cfg):
-    """Adjacent and skip-one flows from the degraded input, for the
-    consistency metrics; shared across the variants of one seed."""
-    n = len(lq)
-    est = lambda i, j: flow.estimate_flow(
-        lq.frames[i], lq.frames[j], cfg.flow_block, cfg.flow_search
-    )
-    warp_flows, warp_masks = [], []
-    for t in range(1, n):
-        fwd = est(t, t - 1)
-        bwd = est(t - 1, t)
-        warp_flows.append(fwd)
-        warp_masks.append(flow.occlusion_mask(flow.fb_confidence(fwd, bwd), cfg.flow_tau_occ))
-    fwd2 = [est(t + 1, t - 1) for t in range(1, n - 1)]
-    bwd2 = [est(t - 1, t + 1) for t in range(1, n - 1)]
-    return warp_flows, warp_masks, fwd2, bwd2
-
-
 def test_criterion_1_merge_unmerge_algebra():
     rng = np.random.default_rng(0)
     t0 = time.time()
@@ -277,14 +253,13 @@ def test_criterion_6_consistency_improvement():
     for seed in range(5):
         hq, lq = _demo_pair(seed)
         cfg = cli.demo_config(seed)
-        ours = pipeline.restore(lq, cfg, bank=_restore_bank(lq, cfg))
+        bank = pipeline.FlowBank(lq, cfg.flow_block, cfg.flow_search)  # restore and metrics
+        ours = pipeline.restore(lq, cfg, bank=bank)
         base = per_frame_baseline(lq, cfg)
-        warp_flows, warp_masks, fwd2, bwd2 = _eval_flows(lq, cfg)
         for seq, ew, ei in ((ours, ew_on, ei_on), (base, ew_off, ei_off)):
-            _, mw = metrics.warping_error(seq.frames, warp_flows, warp_masks)
-            _, mi = metrics.interpolation_error(seq.frames, fwd2, bwd2)
-            ew.append(mw)
-            ei.append(mi)
+            e_warp, e_inter = pipeline.temporal_consistency(seq, cfg, flow_source=bank)
+            ew.append(np.mean(e_warp))
+            ei.append(np.mean(e_inter))
     med = lambda v: float(np.median(v))
     elapsed = time.time() - t0
     assert med(ew_on) < med(ew_off)
@@ -317,13 +292,12 @@ def test_criterion_7_ablation_ordering():
     for seed in range(5):
         hq, lq = _demo_pair(seed)
         cfg = cli.demo_config(seed)
-        warp_flows, warp_masks, _, _ = _eval_flows(lq, cfg)
-        bank = _restore_bank(lq, cfg)
+        bank = pipeline.FlowBank(lq, cfg.flow_block, cfg.flow_search)  # restores and metrics
         for name in names:
             vcfg = replace(cfg, **pipeline.CORRESPONDENCE_VARIANTS[name])
             restored = pipeline.restore(lq, vcfg, bank=bank)
-            _, mw = metrics.warping_error(restored.frames, warp_flows, warp_masks)
-            res[name].append(mw)
+            e_warp, _ = pipeline.temporal_consistency(restored, cfg, flow_source=bank)
+            res[name].append(np.mean(e_warp))
     med = {k: float(np.median(v)) for k, v in res.items()}
     # the hybrid must be no worse than the reversed hybrid or cosine-only
     assert med["flow_cos_spatial"] <= med["cos_flow"]

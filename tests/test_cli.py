@@ -382,6 +382,34 @@ def test_demo_byte_identical_runs(tmp_path):
     assert _tree(a) == first and _tree(b) == first
 
 
+
+def test_demo_estimates_each_flow_once(tmp_path, monkeypatch):
+    # ours and both scores read one LQ bank: each flow the demo reads is
+    # estimated once, and scoring each output from fresh LQ frames writes
+    # the same bytes
+    estimate = pipeline.flowmod.estimate_flow
+    inputs = []
+
+    def counted(src, dst, block, search):
+        inputs.append((src.tobytes(), dst.tobytes()))
+        return estimate(src, dst, block, search)
+
+    args = ["demo", "--frames", "6", "--seed", "0", "--out"]
+    with monkeypatch.context() as mp:
+        mp.setattr(pipeline.flowmod, "estimate_flow", counted)
+        assert main(args + [str(tmp_path / "shared")]) == 0
+    plan = pipeline.plan_batches(6, demo_config(0).batch_size, 0)
+    read = pipeline._needed_pairs(plan) | {(t, t - d) for t in range(6) for d in (1, 2) if t >= d}
+    assert len(inputs) == len(set(inputs)) == len(read | {(j, i) for i, j in read}) == 24
+
+    report_for = cli._report_for
+    monkeypatch.setattr(
+        cli, "_report_for",
+        lambda seq, cfg, ref, meta, flow_source: report_for(seq, cfg, ref, meta, flow_source.seq),
+    )
+    assert main(args + [str(tmp_path / "fresh")]) == 0
+    assert _tree(tmp_path / "shared") == _tree(tmp_path / "fresh")
+
 def test_make_demo_video_properties():
     seq = make_demo_video(n=6, h=32, w=32, seed=1)
     assert len(seq) == 6

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -240,9 +241,48 @@ def test_precompute_flows_confidence_only_for_read_pairs(monkeypatch):
     assert bank.flow.keys() == read | {(j, i) for i, j in read}
     for (fwd, bwd), (i, j) in zip(calls, sorted(read)):
         assert fwd is bank.flow[(i, j)] and bwd is bank.flow[(j, i)]
-    # the bank holds block-matching output and its key, no masks
-    assert [f.name for f in fields(pipeline.FlowBank)] == ["key", "flow", "conf"]
-    assert bank.key == pipeline.bank_key(seq, small_config())
+    # the bank holds its frames, its block-matching settings and their output, no masks
+    assert [f.name for f in fields(pipeline.FlowBank)] == ["seq", "block", "search", "flow", "conf"]
+    assert (bank.seq, bank.block, bank.search) == (seq, 7, 4)
+
+
+@st.composite
+def _bank_reads(draw):
+    """A small random clip, block-matching settings and a random order of
+    flow and confidence reads between distinct frames."""
+    n, h, w = draw(st.integers(2, 4)), draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seq = FrameSequence([rng.random((h, w, 3)) for _ in range(n)])
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    reads = draw(st.lists(st.tuples(st.sampled_from(["flow", "conf"]), pair), max_size=12))
+    return seq, draw(st.integers(1, 5)), draw(st.integers(0, 3)), reads
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_bank_reads())
+def test_bank_reads_equal_direct_estimates_each_once(case):
+    seq, block, search, reads = case
+    estimate = flowmod.estimate_flow
+    direct = lambda i, j: estimate(seq.frames[i], seq.frames[j], block, search)
+    estimated = []
+
+    def counted(src, dst, block, search):
+        index = lambda frame: next(k for k, f in enumerate(seq.frames) if f is frame)
+        estimated.append((index(src), index(dst)))
+        return estimate(src, dst, block, search)
+
+    bank = pipeline.FlowBank(seq, block, search)
+    with mock.patch.object(flowmod, "estimate_flow", counted):
+        for kind, (i, j) in reads:
+            if kind == "flow":
+                assert np.array_equal(bank.flow_of(i, j), direct(i, j))
+            else:
+                want = flowmod.fb_confidence(direct(i, j), direct(j, i))
+                assert np.array_equal(bank.conf_of(i, j), want)
+    confs = {p for kind, p in reads if kind == "conf"}
+    flows = {p for kind, p in reads if kind == "flow"} | confs | {(j, i) for i, j in confs}
+    assert sorted(estimated) == sorted(flows) == sorted(bank.flow)
+    assert bank.conf.keys() == confs
 
 
 def test_restore_with_precomputed_bank_is_bit_identical():
@@ -295,29 +335,42 @@ def test_restore_rejects_bank_with_other_flow_settings(monkeypatch):
 def test_restore_rejects_bank_built_on_other_frame_size(monkeypatch):
     lq, big = small_video(), small_video(h=32, w=32)
     bank = pipeline.precompute_flows(big, small_config())
-    match = "h 32 in the bank, 16 here; w 32 in the bank, 16 here$"
-    _rejects(monkeypatch, lq, small_config(), bank, match)
+    _rejects(monkeypatch, lq, small_config(), bank, "other frames in the bank$")
 
 
-def test_restore_rejects_bank_missing_a_pair(monkeypatch):
-    # another batch plan reads keyframe pairs that a batch-of-3, seed-0 plan does not hold
+def test_restore_rejects_bank_built_on_other_frames(monkeypatch):
+    # same count and size; the bank's frames are checked by identity, so
+    # even a copy of the same frames is refused
+    lq, other = small_video(), small_video(seed=1)
+    for seq in (other, FrameSequence(list(lq.frames))):
+        bank = pipeline.precompute_flows(seq, small_config())
+        _rejects(monkeypatch, lq, small_config(), bank, "other frames in the bank$")
+    match = "other frames in the bank; flow.search 4 in the bank, 3 here$"
+    _rejects(monkeypatch, lq, small_config(flow_search=3), pipeline.FlowBank(other, 7, 4), match)
+
+
+def test_restore_accepts_bank_of_another_plan():
+    # a bank serves every batch plan: the pairs another plan reads are
+    # estimated as restore reads them, with the same output as its own bank
     lq = small_video()
-    bank = pipeline.precompute_flows(lq, small_config())
-    for kw, match in (
-        (dict(batch_size=2), "batch_size 3 in the bank, 2 here$"),
-        (dict(seed=1), "seed 0 in the bank, 1 here$"),
-    ):
-        _rejects(monkeypatch, lq, small_config(**kw), bank, match)
+    for kw in (dict(batch_size=2), dict(seed=1)):
+        bank = pipeline.precompute_flows(lq, small_config())
+        cfg = small_config(**kw)
+        read = pipeline._needed_pairs(plan_batches(len(lq), cfg.batch_size, cfg.seed))
+        assert not read <= bank.conf.keys()
+        out = pipeline.restore_latents(lq, cfg, bank=bank)
+        assert read <= bank.conf.keys()
+        assert np.array_equal(out, pipeline.restore_latents(lq, cfg))
 
 
 def test_restore_rejects_bank_of_a_longer_video(monkeypatch):
     # a 6-frame bank holds every pair its 5-frame prefix reads, yet it was
-    # built on another video: the frame count is part of the key
+    # built on other frames
     lq = small_video()
     bank = pipeline.precompute_flows(lq, small_config())
     head = FrameSequence(lq.frames[:5])
     assert pipeline._needed_pairs(plan_batches(5, 3, 0)) <= bank.conf.keys()
-    _rejects(monkeypatch, head, small_config(), bank, "frames 6 in the bank, 5 here$")
+    _rejects(monkeypatch, head, small_config(), bank, "other frames in the bank$")
 
 
 def test_encode_decode_latent():
@@ -580,7 +633,27 @@ def test_temporal_consistency_lengths():
     assert len(e_inter) == 3
 
 
-def test_ablate_shares_one_bank_per_plan_and_flow_settings(monkeypatch):
+def test_temporal_consistency_reads_a_bank(monkeypatch):
+    # a bank of the LQ frames scores like the LQ frames themselves; it then
+    # holds every adjacent and skip-one flow beside restore's, each read once
+    lq = small_video(n=5)
+    cfg = small_config()
+    out = pipeline.restore(lq, cfg)
+    bank = pipeline.precompute_flows(lq, cfg)
+    want = pipeline.temporal_consistency(out, cfg, flow_source=lq)
+    assert pipeline.temporal_consistency(out, cfg, flow_source=bank) == want
+    needed = pipeline._needed_pairs(plan_batches(5, 3, 0))
+    near = {(i, j) for i in range(5) for j in range(5) if 0 < abs(i - j) <= 2}
+    assert bank.flow.keys() == needed | {(j, i) for i, j in needed} | near
+    monkeypatch.setattr(pipeline.flowmod, "estimate_flow", _no_compute)
+    assert pipeline.temporal_consistency(out, cfg, flow_source=bank) == want
+    with pytest.raises(ValueError, match="flow.block 7 in the bank, 5 here$"):
+        pipeline.temporal_consistency(out, small_config(flow_block=5), flow_source=bank)
+    with pytest.raises(ValueError, match="5 frames in the bank, 4 here$"):
+        pipeline.temporal_consistency(FrameSequence(out.frames[:4]), cfg, flow_source=bank)
+
+
+def test_ablate_shares_one_bank_per_flow_settings(monkeypatch):
     lq = small_video(n=4, h=16, w=16)
     cfg = small_config(batch_size=2)
     built = []
@@ -599,10 +672,12 @@ def test_ablate_shares_one_bank_per_plan_and_flow_settings(monkeypatch):
         "a": {}, "b": dict(flow_block=5), "c": dict(batch_size=3), "d": {}, "e": dict(flow_tau_occ=0.5)
     }}
     table = pipeline.ablate(lq, cfg, variants=variants)
-    # another tau_occ reads the same bank
-    assert built == [(2, cfg.flow_block), (2, 5), (3, cfg.flow_block)]
+    # another batch plan or tau_occ reads the same bank
+    assert built == [(2, cfg.flow_block), (2, 5)]
     assert set(table) == {"v"}  # only the groups run, no empty ones
     assert table["v"]["a"] == table["v"]["d"]
+    alone = pipeline.ablate(lq, cfg, variants={"v": {"c": dict(batch_size=3)}})
+    assert table["v"]["c"] == alone["v"]["c"]
 
 
 def test_ablate_table_shape():
