@@ -1,7 +1,9 @@
 """End-to-end restoration: batching, flow precomputation, stage scheduling.
 
-restore_latents() decides once which mechanisms run in each step and loops
-over restore_batch(), which takes one batch through the toy DDIM sampler.
+restore_iter() makes a restore's constants once (which mechanisms run in
+each step, the flow bank, the sampler), then takes one batch at a time through
+the toy DDIM sampler and yields its latents; restore_latents() concatenates
+them and restore() decodes each batch as it comes.
 Hierarchical latent warping runs in the steps of its windows, on the predicted
 clean latents between the denoiser's prediction and the DDIM update: the batch
 keyframe is chained from the previous batch's keyframe (its clean-latent
@@ -301,79 +303,16 @@ def _merge_attention(
     return hybrid_merge_pass(chunk, target, mode, attention, r_i, **kwargs)
 
 
-def restore_batch(
-    seq: FrameSequence, frames: range, kf: int, bank: FlowBank | None, config: RestoreConfig,
-    hlw_on: list[bool], ratios: list[float], warps: bool, flow_merges: bool,
-    sched: toydiff.NoiseSchedule, ts: list[int], denoiser: ToyDenoiser,
-    prev: tuple[int, list[np.ndarray]] | None,
-) -> tuple[np.ndarray, tuple[int, list[np.ndarray]]]:
-    """Restore the frames of seq in the batch with keyframe kf; return (latents, prev).
+def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | None = None):
+    """Run the full zero-shot restoration; yield each batch's final sampler latents.
 
-    restore_latents makes the other arguments once per restore: hlw_on and
-    ratios are step_plan(config), warps and flow_merges are _flow_readers of
-    it, and sched, ts and denoiser are the sampler. prev is the previous
-    batch's keyframe and its post-chain x0 at each latent-warping step, None
-    for the first batch; the one returned is this batch's, for the next.
-    """
-    scale = config.latent_scale
-    grids = toydiff.content_grids(seq.shape[0] // scale, seq.shape[1] // scale)
-    latent = grids[0]
-    kf_off = kf - frames.start
-    members = [f for f in frames if f != kf]
-
-    x0s = np.stack([encode_latent(seq.frames[f], scale) for f in frames])
-    eps0 = np.stack([frame_noise(config.seed, f, (*latent, 3)) for f in frames])
-    x = toydiff.forward_diffuse(x0s, ts[0], eps0, sched)
-
-    # Every bank read of the batch: member flows resampled once per grid that
-    # reads them, star masks, the chain's flow and mask, merge confidences.
-    # Masks are the confidences thresholded at this config's flow.tau_occ.
-    merge_grids = set(grids) if members and flow_merges else set()
-    read = merge_grids | ({latent} if warps else set())
-    flows = {g: [flowmod.resample_flow(bank.flow_of(m, kf), *g) for m in members] for g in read}
-    star, chain = [], None
-    if warps:
-        mask = lambda p: flowmod.resample_mask(
-            flowmod.occlusion_mask(bank.conf_of(*p), config.flow_tau_occ), *latent
-        )
-        masks = [mask((m, kf)) for m in members]
-        star = list(zip([m - frames.start for m in members], flows[latent], masks))
-        if prev is not None:
-            pair, prev_x0s = (kf, prev[0]), iter(prev[1])
-            chain = (flowmod.resample_flow(bank.flow_of(*pair), *latent), mask(pair))
-    confs = {
-        g: [flowmod.bilinear_resample(bank.conf_of(m, kf), *g) for m in members]
-        for g in merge_grids
-    }
-    fields = {g: {"flows": flows[g], "confidences": confs[g]} for g in merge_grids}
-
-    kf_x0s = []
-    for pos, (t, t_prev) in enumerate(zip(ts, ts[1:] + [None])):
-        hook = None
-        if members and ratios[pos] > 0.0:
-            hook = functools.partial(_merge_attention, config, fields, ratios[pos], kf_off)
-        x0, eps = toydiff.denoise_step(x, t, denoiser, sched, hook)
-        if hlw_on[pos]:
-            if chain is not None:
-                x0[kf_off] = latentwarp.blend_warped(x0[kf_off], next(prev_x0s), *chain)
-            kf_x0s.append(x0[kf_off].copy())
-            for off, f, m in star:
-                x0[off] = latentwarp.blend_warped(x0[off], x0[kf_off], f, m)
-        x = x0 if t_prev is None else toydiff.forward_diffuse(x0, t_prev, eps, sched)
-    return x, (kf, kf_x0s)
-
-
-def restore_latents(
-    seq: FrameSequence, config: RestoreConfig, bank: FlowBank | None = None
-) -> np.ndarray:
-    """Run the full zero-shot restoration; return the sampler's final latents.
-
-    The result has shape (n, h / latent_scale, w / latent_scale, 3). bank, if
-    given, must hold seq itself and config's flow.block and flow.search; the
-    pairs it has not read yet are estimated as restore reads them. Without
-    one, precompute_flows builds the bank when a step reads flows.
-    Batches run in order through restore_batch; only the previous keyframe's
-    post-chain x0 passes from one batch to the next.
+    Batches run in order, each yielded as soon as it is done, with shape
+    (batch frames, h / latent_scale, w / latent_scale, 3). bank, if given,
+    must hold seq itself and config's flow.block and flow.search; the pairs
+    it has not read yet are estimated as restore reads them. Without one,
+    precompute_flows builds the bank when a step reads flows. Being a
+    generator, it checks config, frame size and bank at the first next(),
+    before any flow is estimated.
     """
     hlw_on, ratios = step_plan(config)  # validates config first
     h, w, _ = seq.shape
@@ -390,15 +329,65 @@ def restore_latents(
     if bank is None and (warps or flow_merges):
         bank = precompute_flows(seq, config)
     denoiser = ToyDenoiser(channels=3, seed=config.seed)
+    grids = toydiff.content_grids(h // scale, w // scale)
+    latent = grids[0]
+    # Masks are the bank's confidences thresholded at this config's flow.tau_occ.
+    mask = lambda p: flowmod.resample_mask(
+        flowmod.occlusion_mask(bank.conf_of(*p), config.flow_tau_occ), *latent
+    )
 
-    out = np.empty((len(seq), h // scale, w // scale, 3))
-    prev = None
+    # The keyframe chain: the previous batch's keyframe and its post-chain x0
+    # at each latent-warping step, the only state that crosses batches.
+    prev_kf, prev_x0s = None, iter(())
     for (start, stop), kf in zip(plan.batches, plan.keyframe_of):
-        out[start:stop], prev = restore_batch(
-            seq, range(start, stop), kf, bank, config,
-            hlw_on, ratios, warps, flow_merges, sched, ts, denoiser, prev,
-        )
-    return out
+        frames, kf_off = range(start, stop), kf - start
+        members = [f for f in frames if f != kf]
+
+        x0s = np.stack([encode_latent(seq.frames[f], scale) for f in frames])
+        eps0 = np.stack([frame_noise(config.seed, f, (*latent, 3)) for f in frames])
+        x = toydiff.forward_diffuse(x0s, ts[0], eps0, sched)
+
+        # Every bank read of the batch: member flows resampled once per grid
+        # that reads them, star masks, the chain's flow and mask, merge
+        # confidences.
+        merge_grids = set(grids) if members and flow_merges else set()
+        read = merge_grids | ({latent} if warps else set())
+        flows = {g: [flowmod.resample_flow(bank.flow_of(m, kf), *g) for m in members] for g in read}
+        star, chain = [], None
+        if warps:
+            masks = [mask((m, kf)) for m in members]
+            star = list(zip([m - start for m in members], flows[latent], masks))
+            if prev_kf is not None:
+                pair = (kf, prev_kf)
+                chain = (flowmod.resample_flow(bank.flow_of(*pair), *latent), mask(pair))
+        confs = {
+            g: [flowmod.bilinear_resample(bank.conf_of(m, kf), *g) for m in members]
+            for g in merge_grids
+        }
+        fields = {g: {"flows": flows[g], "confidences": confs[g]} for g in merge_grids}
+
+        kf_x0s = []
+        for pos, (t, t_prev) in enumerate(zip(ts, ts[1:] + [None])):
+            hook = None
+            if members and ratios[pos] > 0.0:
+                hook = functools.partial(_merge_attention, config, fields, ratios[pos], kf_off)
+            x0, eps = toydiff.denoise_step(x, t, denoiser, sched, hook)
+            if hlw_on[pos]:
+                if chain is not None:
+                    x0[kf_off] = latentwarp.blend_warped(x0[kf_off], next(prev_x0s), *chain)
+                kf_x0s.append(x0[kf_off].copy())
+                for off, f, m in star:
+                    x0[off] = latentwarp.blend_warped(x0[off], x0[kf_off], f, m)
+            x = x0 if t_prev is None else toydiff.forward_diffuse(x0, t_prev, eps, sched)
+        yield x
+        prev_kf, prev_x0s = kf, iter(kf_x0s)
+
+
+def restore_latents(
+    seq: FrameSequence, config: RestoreConfig, bank: FlowBank | None = None
+) -> np.ndarray:
+    """The latents restore_iter yields, concatenated: (n, h / latent_scale, w / latent_scale, 3)."""
+    return np.concatenate(list(restore_iter(seq, config, bank)))
 
 
 def restore(
@@ -406,10 +395,11 @@ def restore(
 ) -> FrameSequence:
     """Run the full zero-shot restoration over a frame sequence.
 
-    The decoded frames of restore_latents, which documents the arguments.
+    Decodes each batch of restore_iter, which documents the arguments, as it is yielded.
     """
     h, w, _ = seq.shape
-    return FrameSequence([decode_latent(x, h, w) for x in restore_latents(seq, config, bank)])
+    batches = restore_iter(seq, config, bank)
+    return FrameSequence([decode_latent(x, h, w) for batch in batches for x in batch])
 
 
 def temporal_consistency(
@@ -422,16 +412,20 @@ def temporal_consistency(
     Adjacent and skip-one flows (and occlusion masks for E_warp) are read
     from flow_source: a FlowBank, or frames to estimate a fresh one from,
     by default the measured sequence itself. Pass the LQ input's bank to
-    score restored variants under identical flows, each estimated once.
+    score restored variants under identical flows, each estimated once. The
+    bank's frames must have seq's count and shape, checked before any flow
+    is estimated.
     """
     if isinstance(flow_source, FlowBank):
         bank = flow_source
     else:
         src = flow_source if flow_source is not None else seq
         bank = FlowBank(src, config.flow_block, config.flow_search)
-    n = len(seq)
-    count = [f"{len(bank.seq)} frames in the bank, {n} here"] if len(bank.seq) != n else []
-    _check_bank(bank, config, count)
+    n, theirs = len(seq), bank.seq
+    diff = [f"{len(theirs)} frames in the bank, {n} here"] if len(theirs) != n else []
+    if theirs.shape != seq.shape:
+        diff.append(f"frames of {theirs.shape} in the bank, of {seq.shape} here")
+    _check_bank(bank, config, diff)
     e_warp, e_inter = [], []
     if n >= 2:
         adjacent = [(t, t - 1) for t in range(1, n)]

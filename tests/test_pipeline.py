@@ -482,6 +482,22 @@ def test_restore_validates_config_before_compute():
         pipeline.restore(lq, small_config(steps=0))
 
 
+def test_restore_iter_checks_at_first_next(monkeypatch):
+    # a generator: config, frame size and bank are checked at the first
+    # next(), before any flow is estimated or any step denoised
+    lq = small_video()
+    monkeypatch.setattr(pipeline.flowmod, "estimate_flow", _no_compute)
+    monkeypatch.setattr(pipeline.toydiff, "denoise_step", _no_compute)
+    for cfg, bank, match in (
+        (small_config(steps=0), None, "steps must be in"),
+        (small_config(latent_scale=3), None, "not divisible by latent_scale 3"),
+        (small_config(), pipeline.FlowBank(small_video(seed=1), 7, 4), "other frames in the bank$"),
+    ):
+        batches = pipeline.restore_iter(lq, cfg, bank)
+        with pytest.raises(ValueError, match=match):
+            next(batches)
+
+
 def test_hook_gating_counters(monkeypatch):
     # 7 frames in batches of 3, 3 and 1: merging runs only in the two
     # batches with >= 2 frames, latent warping chains batches 1 and 2
@@ -626,6 +642,58 @@ def test_restore_batch_order_independence_without_chaining():
             assert np.array_equal(head, full[:m]), (n, m)
 
 
+@st.composite
+def _restore_edges(draw):
+    """Edge inputs with both mechanisms on: 1-5 frames, batch_size 1 to n + 1,
+    odd latent sizes, frames smaller than the flow block, tome.r 0, 0.5 or 1,
+    any correspondence variant, and an HLW window overlapping a ToMe window."""
+    scale = draw(st.integers(1, 3))
+    hl, wl = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    n = draw(st.integers(1, 5))
+    # a < b < c < d: windows (a, c) and (b, d) overlap on [b, c)
+    cuts = st.lists(st.sampled_from([0, 0.25, 0.5, 0.75, 1]), min_size=4, max_size=4, unique=True)
+    a, b, c, d = sorted(draw(cuts))
+    hlw, tome = ((a, c),), ((b, d),)
+    if draw(st.booleans()):
+        hlw, tome = tome, hlw
+    variants = pipeline.CORRESPONDENCE_VARIANTS
+    variant = variants[draw(st.sampled_from(sorted(variants)))]
+    cfg = RestoreConfig(
+        steps=draw(st.integers(1, 4)),
+        batch_size=draw(st.integers(1, n + 1)),
+        latent_scale=scale,
+        seed=draw(st.integers(0, 3)),
+        tome_r=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        flow_block=draw(st.sampled_from([3, 5, 7, 9])),
+        flow_search=draw(st.integers(0, 2)),
+        hlw_windows=hlw,
+        tome_windows=tome,
+        **variant,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return FrameSequence([rng.random((hl * scale, wl * scale, 3)) for _ in range(n)]), cfg
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_restore_edges())
+def test_restore_iter_edge_inputs_property(case):
+    lq, cfg = case
+    h, w, _ = lq.shape
+    latent = (h // cfg.latent_scale, w // cfg.latent_scale, 3)
+    plan = plan_batches(len(lq), cfg.batch_size, cfg.seed)
+    batches = list(pipeline.restore_iter(lq, cfg))
+    assert [b.shape for b in batches] == [(stop - start, *latent) for start, stop in plan.batches]
+    full = pipeline.restore_latents(lq, cfg)
+    assert np.array_equal(np.concatenate(batches), full)
+    for m, _ in plan.batches[1:]:  # whole-batch prefixes restore as the full video's
+        assert np.array_equal(pipeline.restore_latents(FrameSequence(lq.frames[:m]), cfg), full[:m])
+    out = pipeline.restore(lq, cfg)
+    assert len(out) == len(lq)
+    for frame, x in zip(out.frames, full):
+        assert np.isfinite(frame).all() and frame.min() >= 0.0 and frame.max() <= 1.0
+        assert np.array_equal(frame, pipeline.decode_latent(x, h, w))
+
+
 def test_temporal_consistency_lengths():
     lq = small_video(n=5)
     e_warp, e_inter = pipeline.temporal_consistency(lq, small_config())
@@ -651,6 +719,20 @@ def test_temporal_consistency_reads_a_bank(monkeypatch):
         pipeline.temporal_consistency(out, small_config(flow_block=5), flow_source=bank)
     with pytest.raises(ValueError, match="5 frames in the bank, 4 here$"):
         pipeline.temporal_consistency(FrameSequence(out.frames[:4]), cfg, flow_source=bank)
+
+
+def test_temporal_consistency_rejects_bank_of_other_frame_shape(monkeypatch):
+    # 4 frames of 32x32 cannot score 4 frames of 16x16: refused before any
+    # flow is estimated, naming both sides, for a bank and for frames alike
+    small, big = small_video(n=4), small_video(n=4, h=32, w=32)
+    cfg = small_config()
+    monkeypatch.setattr(pipeline.flowmod, "estimate_flow", _no_compute)
+    shapes = r"frames of \(32, 32, 3\) in the bank, of \(16, 16, 3\) here$"
+    for source in (pipeline.FlowBank(big, 7, 4), big):
+        with pytest.raises(ValueError, match=shapes):
+            pipeline.temporal_consistency(small, cfg, flow_source=source)
+    with pytest.raises(ValueError, match=r"4 frames in the bank, 3 here; " + shapes):
+        pipeline.temporal_consistency(FrameSequence(small.frames[:3]), cfg, flow_source=big)
 
 
 def test_ablate_shares_one_bank_per_flow_settings(monkeypatch):
