@@ -417,15 +417,18 @@ def temporal_consistency(
     is estimated.
     """
     if isinstance(flow_source, FlowBank):
-        bank = flow_source
+        bank, where = flow_source, "the bank"
     else:
         src = flow_source if flow_source is not None else seq
-        bank = FlowBank(src, config.flow_block, config.flow_search)
+        bank, where = FlowBank(src, config.flow_block, config.flow_search), "flow_source"
     n, theirs = len(seq), bank.seq
-    diff = [f"{len(theirs)} frames in the bank, {n} here"] if len(theirs) != n else []
+    diff = [f"{len(theirs)} frames in {where}, {n} here"] if len(theirs) != n else []
     if theirs.shape != seq.shape:
-        diff.append(f"frames of {theirs.shape} in the bank, of {seq.shape} here")
-    _check_bank(bank, config, diff)
+        diff.append(f"frames of {theirs.shape} in {where}, of {seq.shape} here")
+    if isinstance(flow_source, FlowBank):
+        _check_bank(bank, config, diff)
+    elif diff:  # a bank made here has config's settings
+        raise ValueError(f"flow_source does not match: {'; '.join(diff)}")
     e_warp, e_inter = [], []
     if n >= 2:
         adjacent = [(t, t - 1) for t in range(1, n)]

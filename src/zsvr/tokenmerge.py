@@ -22,6 +22,18 @@ import numpy as np
 
 INVALID = -1
 
+# OpenBLAS's default gemm threading threshold: a product of at most
+# 4 x 65536 multiply-adds runs on one thread, so its bits do not depend on
+# the BLAS thread count.
+BLAS_SERIAL_MADDS = 262144
+
+
+def serial_rows(n_cols: int, inner: int) -> int:
+    """Rows of a block whose (rows, inner) @ (inner, n_cols) product OpenBLAS
+    never threads: max(1, BLAS_SERIAL_MADDS // (n_cols * inner)). The block
+    height is part of the output contract, since the bits depend on it."""
+    return max(1, BLAS_SERIAL_MADDS // (n_cols * inner))
+
 
 class MergeMode(enum.Enum):
     FLOW_DOWN = "flow"
@@ -282,7 +294,9 @@ def hybrid_merge_pass(
     chunk as the target. Output shape equals input shape.
     Flows and confidences are per source frame on the content token grid,
     flows in token units. The cosine scores of every source frame are
-    weighted by the one cached spatial_table of the content grid.
+    weighted by the one cached spatial_table of the content grid. They are
+    computed per source frame in blocks of serial_rows(A, C) source rows, so
+    no (B-1)*A x A array is made and no score product is threaded by the BLAS.
     """
     if mode is MergeMode.FLOW_DOWN and (flows is None or confidences is None):
         raise ValueError("FLOW_DOWN requires flows and confidences")
@@ -297,10 +311,19 @@ def hybrid_merge_pass(
     if mode is MergeMode.FLOW_DOWN:
         targets, criteria = flow_correspondence(h, w, b - 1, flows, confidences)
     else:
-        scores = cosine_scores(src, tar)
-        per_frame = scores.reshape(b - 1, h * w, h * w)
-        np.multiply(per_frame, spatial_table(h, w, R), out=per_frame)
-        targets, criteria = cosine_correspondence(scores)
+        a = h * w
+        table = spatial_table(h, w, R)
+        rows = serial_rows(a, src.shape[1])
+        targets = np.empty(len(src), dtype=np.int64)
+        criteria = np.empty(len(src))
+        for f0 in range(0, len(src), a):
+            for r0 in range(0, a, rows):
+                r1 = min(r0 + rows, a)
+                scores = cosine_scores(src[f0 + r0 : f0 + r1], tar)
+                scores *= table[r0:r1]
+                targets[f0 + r0 : f0 + r1], criteria[f0 + r0 : f0 + r1] = (
+                    cosine_correspondence(scores)
+                )
 
     selected = select_top_r(targets, criteria, r_i)
     merged, slot_to_row = merge(src, tar, targets, selected, src_slots, target_index, b)

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tokenmerge import TokenChunk
+from .tokenmerge import TokenChunk, serial_rows
 
 
 class BlockKind(enum.Enum):
@@ -102,9 +102,10 @@ class ToyDenoiser:
     untrained network stands in for a unit-variance noise estimate and the
     sampling dynamics stay bounded.
 
-    Each instance owns one float64 attention score scratch, sized to the
-    largest token count it has attended so far, so one instance must not
-    serve concurrent calls.
+    Attention over K tokens runs in row blocks of serial_rows(K, width) =
+    max(1, 262144 // (K * width)) queries, so no K x K score array is made
+    and OpenBLAS never threads an attention product. An instance holds no scratch: after construction it is read
+    only, and one instance may serve concurrent calls.
     """
 
     N_BLOCKS = 4  # down, down, up, up
@@ -124,22 +125,26 @@ class ToyDenoiser:
                     for name in ("p", "q", "k", "v")
                 }
             )
-        self._scores = np.empty(0)
 
     def _attend(self, tokens: np.ndarray, block: int) -> np.ndarray:
-        """Joint self-attention over an arbitrary (K, C) token set."""
+        """Joint self-attention over an arbitrary (K, C) token set.
+
+        q is scaled by 1/sqrt(width) once. Then, for each block of
+        serial_rows(K, C) query rows: scores against every key, softmax in
+        place, and @ v into that block's rows of the output.
+        """
         w = self.weights[block]
         q = tokens @ w["q"]
-        k = tokens @ w["k"]
+        q *= 1.0 / math.sqrt(self.width)
+        # k.T stays a view: a contiguous copy would change the product's bits
+        kt = (tokens @ w["k"]).T
         v = tokens @ w["v"]
         n = len(tokens)
-        if self._scores.size < n * n:
-            # release the old block first, so both are never held at once
-            self._scores = None
-            self._scores = np.empty(n * n)
-        scores = np.matmul(q, k.T, out=self._scores[: n * n].reshape(n, n))
-        scores /= math.sqrt(self.width)
-        return _softmax(scores) @ v  # a fresh array: the scratch stays here
+        out = np.empty_like(v)
+        rows = serial_rows(n, v.shape[1])
+        for r0 in range(0, n, rows):
+            np.matmul(_softmax(q[r0 : r0 + rows] @ kt), v, out=out[r0 : r0 + rows])
+        return out
 
     def _block(
         self,

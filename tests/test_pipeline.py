@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -498,6 +501,38 @@ def test_restore_iter_checks_at_first_next(monkeypatch):
             next(batches)
 
 
+RESTORE_DIGEST = """
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+
+from zsvr import cli, pipeline
+
+hq = cli.make_demo_video(n=6, h=88, w=88, seed=0)
+lq = cli.degrade_video(hq, scale=4, noise_std=0.08, seed=0)
+cfg = replace(cli.demo_config(0), batch_size=6, steps=4)
+print(hashlib.sha256(np.stack(pipeline.restore(lq, cfg).frames).tobytes()).hexdigest())
+"""
+
+
+def test_restore_bits_do_not_depend_on_blas_threads():
+    # 22x22 latents: merged attention runs over up to 6 * 484 tokens, and the
+    # cosine pass scores 5 * 484 sources against 484 targets, sizes at which
+    # whole products come out with other bits on 1 and 2 OpenBLAS threads
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-c", RESTORE_DIGEST], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
 def test_hook_gating_counters(monkeypatch):
     # 7 frames in batches of 3, 3 and 1: merging runs only in the two
     # batches with >= 2 frames, latent warping chains batches 1 and 2
@@ -728,10 +763,13 @@ def test_temporal_consistency_rejects_bank_of_other_frame_shape(monkeypatch):
     cfg = small_config()
     monkeypatch.setattr(pipeline.flowmod, "estimate_flow", _no_compute)
     shapes = r"frames of \(32, 32, 3\) in the bank, of \(16, 16, 3\) here$"
-    for source in (pipeline.FlowBank(big, 7, 4), big):
-        with pytest.raises(ValueError, match=shapes):
-            pipeline.temporal_consistency(small, cfg, flow_source=source)
-    with pytest.raises(ValueError, match=r"4 frames in the bank, 3 here; " + shapes):
+    with pytest.raises(ValueError, match="^flow bank does not match: " + shapes):
+        pipeline.temporal_consistency(small, cfg, flow_source=pipeline.FlowBank(big, 7, 4))
+    # frames are named as what the caller passed, not as a bank
+    shapes = shapes.replace("the bank", "flow_source")
+    with pytest.raises(ValueError, match="^flow_source does not match: " + shapes):
+        pipeline.temporal_consistency(small, cfg, flow_source=big)
+    with pytest.raises(ValueError, match=r"4 frames in flow_source, 3 here; " + shapes):
         pipeline.temporal_consistency(FrameSequence(small.frames[:3]), cfg, flow_source=big)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -577,8 +578,12 @@ def test_hybrid_pass_identical_frames_identity():
 
 def test_hybrid_pass_matches_composed_oracle():
     rng = np.random.default_rng(18)
-    for _ in range(10):
-        chunk, target = random_chunk(rng, c=4)
+    # the last two split each source frame into several score row blocks:
+    # serial_rows(256, 16) = 64, and serial_rows(144, 40) = 45, which leaves
+    # a short last block
+    shapes = [dict(c=4)] * 10 + [dict(b=3, h=16, w=16, c=16), dict(b=4, h=12, w=12, c=40)]
+    for shape in shapes:
+        chunk, target = random_chunk(rng, **shape)
         r_i = float(rng.random())
         out = tm.hybrid_merge_pass(chunk, target, MergeMode.COSINE_UP, lambda t: t, r_i, R=4.0)
         # compose the stages by hand
@@ -595,6 +600,20 @@ def test_hybrid_pass_matches_composed_oracle():
         merged, slot_to_row = tm.merge(src, tar, targets, selected, slots, target, b)
         want = tm.unmerge(merged, slot_to_row)
         assert np.array_equal(out, want.reshape(chunk.tokens.shape))
+
+
+def test_cosine_pass_memory_is_bounded():
+    # 8 frames of 16x16 tokens: the 7 source frames' whole (7*256, 256) score
+    # array would be 3.7 MB, and a whole-array pass made three such arrays
+    chunk, target = random_chunk(np.random.default_rng(21), b=8, h=16, w=16, c=16)
+    tm.spatial_table(16, 16, 4.0)  # cached across passes, so not one pass's cost
+    tracemalloc.start()
+    try:
+        tm.hybrid_merge_pass(chunk, target, MergeMode.COSINE_UP, lambda t: t, 0.5, R=4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_hybrid_pass_flow_mode_requires_flows():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -169,8 +170,9 @@ def _attend_fresh(d, tokens, block):
 
 
 def test_attend_score_scratch_matches_fresh_scores():
-    # K grows, shrinks to 1 and grows again, so the scratch is reused both
-    # as a prefix of a larger block and after reallocation
+    # every K here fits in one row block (serial_rows(100, 16) = 163), and
+    # scaling q by 1/4 instead of the scores is exact, so each result keeps
+    # the former formula's bits
     rng = np.random.default_rng(7)
     d = ToyDenoiser(seed=3)
     returned = []
@@ -182,21 +184,39 @@ def test_attend_score_scratch_matches_fresh_scores():
         returned.append((got, got.copy()))
     for got, snapshot in returned:  # no later call wrote into a result
         assert np.array_equal(got, snapshot)
-    assert d._scores.size == 100 * 100  # grown to exactly the largest K**2
 
 
-def test_attend_reuses_score_scratch_at_same_k():
-    k = 300
-    tokens = np.random.default_rng(8).standard_normal((k, 16))
+def test_attend_row_blocks_stay_close_to_former_formula():
+    # 1936 tokens are 242 blocks of 8 rows; only the blocking moves bits
+    tokens = np.random.default_rng(8).standard_normal((1936, 16))
     d = ToyDenoiser(seed=0)
-    d._attend(tokens, 0)
+    got = d._attend(tokens, 1)
+    assert np.abs(got - _attend_fresh(d, tokens, 1)).max() <= 1e-12
+
+
+def test_attend_memory_is_bounded():
+    # the former formula held a 1936 x 1936 float64 score array (30 MB)
+    tokens = np.random.default_rng(8).standard_normal((1936, 16))
+    d = ToyDenoiser(seed=0)
     tracemalloc.start()
     try:
         d._attend(tokens, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < k * k * 8 / 2
+    assert peak < 2 * 2**20
+
+
+def test_one_denoiser_serves_two_threads():
+    rng = np.random.default_rng(10)
+    xs = [rng.standard_normal((2, 24, 24, 3)) for _ in range(6)]
+    d = ToyDenoiser(seed=0)
+    serial = [d(x) for x in xs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for _ in range(3):
+            threaded = list(pool.map(d, xs))
+            for got, want in zip(threaded, serial):
+                assert np.array_equal(got, want)
 
 
 def test_denoise_step_single_step_returns_x0():
