@@ -92,21 +92,6 @@ def _write_atomic(out_dir: str, outputs: tuple[str, ...], write) -> None:
         raise
 
 
-def _write_frames_atomic(seq: FrameSequence, out_dir: str, latents=None) -> None:
-    """Write the frames, and latents/latent_*.rtf if given, then rename once."""
-
-    def write(tmp):
-        mediaio.write_frames(seq, tmp)
-        if latents is not None:
-            os.mkdir(os.path.join(tmp, "latents"))
-            for f, latent in enumerate(latents):
-                mediaio.write_raw_tensor(
-                    latent, os.path.join(tmp, "latents", f"latent_{f:04d}.rtf")
-                )
-
-    _write_atomic(out_dir, RESTORE_OUTPUTS, write)
-
-
 def _load_config(args) -> pipeline.RestoreConfig:
     cfg = pipeline.load_config(args.config)
     if args.seed is not None:
@@ -135,10 +120,22 @@ def cmd_restore(args) -> int:
         cfg.hlw_windows = ()
     if args.no_tome:
         cfg.tome_windows = ()
-    latents = pipeline.restore_latents(seq, cfg)
     h, w, _ = seq.shape
-    restored = FrameSequence([pipeline.decode_latent(x, h, w) for x in latents])
-    _write_frames_atomic(restored, args.out_dir, latents if args.dump_latents else None)
+
+    def write(tmp):  # each batch's frames and latents as restore_iter yields it
+        if args.dump_latents:
+            os.mkdir(os.path.join(tmp, "latents"))
+        start = 0
+        for latents in pipeline.restore_iter(seq, cfg):
+            restored = FrameSequence([pipeline.decode_latent(x, h, w) for x in latents])
+            mediaio.write_frames(restored, tmp, start)
+            if args.dump_latents:
+                for f, latent in enumerate(latents, start):
+                    path = os.path.join(tmp, "latents", f"latent_{f:04d}.rtf")
+                    mediaio.write_raw_tensor(latent, path)
+            start += len(latents)
+
+    _write_atomic(args.out_dir, RESTORE_OUTPUTS, write)
     return 0
 
 

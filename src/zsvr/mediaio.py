@@ -125,10 +125,11 @@ def read_frames(path: str) -> FrameSequence:
     return FrameSequence(frames)
 
 
-def write_frames(seq: FrameSequence, path: str) -> None:
-    """Write a FrameSequence as P6 files frame_0000.ppm, frame_0001.ppm, ..."""
+def write_frames(seq: FrameSequence, path: str, start: int = 0) -> None:
+    """Write a FrameSequence as P6 files frame_0000.ppm, frame_0001.ppm, ...,
+    numbered from start."""
     os.makedirs(path, exist_ok=True)
-    for i, frame in enumerate(seq.frames):
+    for i, frame in enumerate(seq.frames, start):
         raw = np.clip(np.rint(frame * 255.0), 0, 255).astype(np.uint8)
         h, w, _ = raw.shape
         header = f"P6\n{w} {h}\n255\n".encode("ascii")

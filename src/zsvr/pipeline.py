@@ -183,15 +183,18 @@ def plan_batches(n: int, batch_size: int, seed: int) -> BatchPlan:
 @dataclass
 class FlowBank:
     """Block-matching flows and confidences between frames of seq, each
-    estimated the first time it is read and kept.
+    estimated the first time it is read and kept until dropped.
 
     flow_of(i, j) = estimate_flow(frame_i, frame_j) at LQ resolution: sampled
     at frame i's positions, pointing at the corresponding position in frame
     j, so warp(x_j, flow_of(i, j)) aligns frame j's content onto frame i.
     conf_of(i, j) is its forward-backward confidence, which reads flow_of(j,
     i) too; readers threshold it into an occlusion mask at their own
-    flow.tau_occ. flow and conf hold what has been read so far. One bank
-    serves every restore and metric of seq at its block and search.
+    flow.tau_occ. flow and conf hold what has been read and not dropped.
+    One bank serves every restore and metric of seq at its block and search.
+    Only the code that made a bank drops from it (restore_iter and
+    temporal_consistency, each once it has read a pair for the last time);
+    a bank a caller passes in is never pruned.
     """
 
     seq: FrameSequence
@@ -210,6 +213,13 @@ class FlowBank:
         if (i, j) not in self.conf:
             self.conf[(i, j)] = flowmod.fb_confidence(self.flow_of(i, j), self.flow_of(j, i))
         return self.conf[(i, j)]
+
+    def drop(self, i: int, j: int) -> None:
+        """Forget the flows (i, j) and (j, i) and both confidences; a later
+        read estimates them again."""
+        for key in ((i, j), (j, i)):
+            self.flow.pop(key, None)
+            self.conf.pop(key, None)
 
 
 def _check_bank(bank: FlowBank, config: RestoreConfig, diff: list[str]) -> None:
@@ -309,10 +319,12 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
     Batches run in order, each yielded as soon as it is done, with shape
     (batch frames, h / latent_scale, w / latent_scale, 3). bank, if given,
     must hold seq itself and config's flow.block and flow.search; the pairs
-    it has not read yet are estimated as restore reads them. Without one,
-    precompute_flows builds the bank when a step reads flows. Being a
-    generator, it checks config, frame size and bank at the first next(),
-    before any flow is estimated.
+    it has not read yet are estimated as restore reads them, and it keeps
+    every pair. Without one, precompute_flows builds the bank when a step
+    reads flows, and each batch drops its pairs from it before it is
+    yielded, as no later batch reads them. Being a generator, it checks
+    config, frame size and bank at the first next(), before any flow is
+    estimated.
     """
     hlw_on, ratios = step_plan(config)  # validates config first
     h, w, _ = seq.shape
@@ -326,7 +338,8 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
     sched = toydiff.make_schedule(SCHED_T, BETA_START, BETA_END)
     ts = toydiff.step_indices(sched.T, config.steps)
     warps, flow_merges = _flow_readers(config, hlw_on, ratios)
-    if bank is None and (warps or flow_merges):
+    own_bank = bank is None and (warps or flow_merges)
+    if own_bank:
         bank = precompute_flows(seq, config)
     denoiser = ToyDenoiser(channels=3, seed=config.seed)
     grids = toydiff.content_grids(h // scale, w // scale)
@@ -355,8 +368,7 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
         flows = {g: [flowmod.resample_flow(bank.flow_of(m, kf), *g) for m in members] for g in read}
         star, chain = [], None
         if warps:
-            masks = [mask((m, kf)) for m in members]
-            star = list(zip([m - start for m in members], flows[latent], masks))
+            star = [(m - start, f, mask((m, kf))) for m, f in zip(members, flows[latent])]
             if prev_kf is not None:
                 pair = (kf, prev_kf)
                 chain = (flowmod.resample_flow(bank.flow_of(*pair), *latent), mask(pair))
@@ -379,6 +391,12 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
                 for off, f, m in star:
                     x0[off] = latentwarp.blend_warped(x0[off], x0[kf_off], f, m)
             x = x0 if t_prev is None else toydiff.forward_diffuse(x0, t_prev, eps, sched)
+        if own_bank:  # the batch's pairs are read by no later batch
+            for m in members:
+                bank.drop(m, kf)
+            if prev_kf is not None:
+                bank.drop(kf, prev_kf)
+        del flows, confs, fields, star, chain, hook  # generator locals outlive the yield
         yield x
         prev_kf, prev_x0s = kf, iter(kf_x0s)
 
@@ -412,32 +430,38 @@ def temporal_consistency(
     Adjacent and skip-one flows (and occlusion masks for E_warp) are read
     from flow_source: a FlowBank, or frames to estimate a fresh one from,
     by default the measured sequence itself. Pass the LQ input's bank to
-    score restored variants under identical flows, each estimated once. The
-    bank's frames must have seq's count and shape, checked before any flow
-    is estimated.
+    score restored variants under identical flows, each estimated once; it
+    keeps every flow read. A bank made here from frames scores one pair or
+    triple at a time and drops its flows once scored, so it holds a
+    constant number of flows at any length. The bank's frames must have
+    seq's count and shape, checked before any flow is estimated.
     """
-    if isinstance(flow_source, FlowBank):
-        bank, where = flow_source, "the bank"
-    else:
+    own_bank = not isinstance(flow_source, FlowBank)
+    if own_bank:
         src = flow_source if flow_source is not None else seq
         bank, where = FlowBank(src, config.flow_block, config.flow_search), "flow_source"
+    else:
+        bank, where = flow_source, "the bank"
     n, theirs = len(seq), bank.seq
     diff = [f"{len(theirs)} frames in {where}, {n} here"] if len(theirs) != n else []
     if theirs.shape != seq.shape:
         diff.append(f"frames of {theirs.shape} in {where}, of {seq.shape} here")
-    if isinstance(flow_source, FlowBank):
+    if not own_bank:
         _check_bank(bank, config, diff)
     elif diff:  # a bank made here has config's settings
         raise ValueError(f"flow_source does not match: {'; '.join(diff)}")
     e_warp, e_inter = [], []
-    if n >= 2:
-        adjacent = [(t, t - 1) for t in range(1, n)]
-        masks = [flowmod.occlusion_mask(bank.conf_of(*p), config.flow_tau_occ) for p in adjacent]
-        e_warp, _ = metrics.warping_error(seq.frames, [bank.flow_of(*p) for p in adjacent], masks)
-    if n >= 3:
-        fwd2 = [bank.flow_of(t + 1, t - 1) for t in range(1, n - 1)]
-        bwd2 = [bank.flow_of(t - 1, t + 1) for t in range(1, n - 1)]
-        e_inter, _ = metrics.interpolation_error(seq.frames, fwd2, bwd2)
+    for t in range(1, n):
+        mask = flowmod.occlusion_mask(bank.conf_of(t, t - 1), config.flow_tau_occ)
+        flow = bank.flow_of(t, t - 1)
+        e_warp += metrics.warping_error(seq.frames[t - 1 : t + 1], [flow], [mask])[0]
+        if own_bank:
+            bank.drop(t, t - 1)
+    for t in range(1, n - 1):
+        fwd, bwd = bank.flow_of(t + 1, t - 1), bank.flow_of(t - 1, t + 1)
+        e_inter += metrics.interpolation_error(seq.frames[t - 1 : t + 2], [fwd], [bwd])[0]
+        if own_bank:
+            bank.drop(t + 1, t - 1)
     return e_warp, e_inter
 
 

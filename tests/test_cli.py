@@ -250,6 +250,41 @@ def test_restore_dump_latents_failure_leaves_out_untouched(tmp_path, monkeypatch
     assert sorted(os.listdir(tmp_path)) == ["cfg.txt", "in", "o"]
 
 
+def test_restore_streams_and_a_later_batch_failure_leaves_nothing(tmp_path, monkeypatch, capsys):
+    # 4 frames in batches of 3 and 1: batch 1 is on disk before batch 2 runs
+    in_dir, _, _ = _write_video(tmp_path)
+    cfg = _write_config(tmp_path, SMALL_CFG)
+    out = tmp_path / "o"
+    args = ["restore", "--in", str(in_dir), "--out", str(out), "--config", str(cfg), "--dump-latents"]
+    restore_iter = pipeline.restore_iter
+    seen = []
+
+    def failing_in_batch_2(seq, config, bank=None):
+        batches = restore_iter(seq, config, bank)
+        yield next(batches)
+        next(batches)
+        (tmp,) = {p for p in tmp_path.iterdir() if p.name not in ("cfg.txt", "in", "o")}
+        seen.append(_tree(tmp))
+        raise RuntimeError("batch 2 failed")
+
+    monkeypatch.setattr(cli.pipeline, "restore_iter", failing_in_batch_2)
+    assert main(args) == 1
+    assert "batch 2 failed" in capsys.readouterr().err
+    assert sorted(seen[0]) == [f"frame_{f:04d}.ppm" for f in range(3)] + [
+        f"latents/latent_{f:04d}.rtf" for f in range(3)
+    ]
+    assert sorted(os.listdir(tmp_path)) == ["cfg.txt", "in"]
+    # an earlier output stays as it was; the streamed batch-1 files are its prefix
+    monkeypatch.undo()
+    assert main(args) == 0
+    before = _tree(tmp_path)
+    assert all(before[f"o/{name}"] == data for name, data in seen[0].items())
+    monkeypatch.setattr(cli.pipeline, "restore_iter", failing_in_batch_2)
+    assert main(args) == 1
+    assert _tree(tmp_path) == before
+    assert sorted(os.listdir(tmp_path)) == ["cfg.txt", "in", "o"]
+
+
 def test_metrics_command_with_ref(tmp_path):
     in_dir, hq, _ = _write_video(tmp_path)
     ref_dir = tmp_path / "ref"
@@ -302,7 +337,7 @@ def test_no_partial_output_on_failure(tmp_path):
 
 
 def test_restore_refuses_out_dir_with_user_files(tmp_path, capsys):
-    in_dir, _, lq = _write_video(tmp_path)
+    in_dir, _, _ = _write_video(tmp_path)
     cfg = _write_config(tmp_path, SMALL_CFG)
     out = tmp_path / "o"
     args = ["restore", "--in", str(in_dir), "--out", str(out), "--config", str(cfg)]
@@ -315,7 +350,7 @@ def test_restore_refuses_out_dir_with_user_files(tmp_path, capsys):
         assert main(args) == 1
         assert "error:" in capsys.readouterr().err
         with pytest.raises(ValueError, match="notes.txt"):
-            cli._write_frames_atomic(lq, str(out))
+            cli._write_atomic(str(out), cli.RESTORE_OUTPUTS, lambda tmp: None)
         # nothing deleted, changed or left behind
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
         user_file.unlink()

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -350,6 +351,73 @@ def test_restore_rejects_bank_built_on_other_frames(monkeypatch):
         _rejects(monkeypatch, lq, small_config(), bank, "other frames in the bank$")
     match = "other frames in the bank; flow.search 4 in the bank, 3 here$"
     _rejects(monkeypatch, lq, small_config(flow_search=3), pipeline.FlowBank(other, 7, 4), match)
+
+
+def test_bank_drop_forgets_both_directions():
+    lq = small_video(n=3)
+    bank = pipeline.FlowBank(lq, 7, 4)
+    fwd, conf = bank.flow_of(2, 0).copy(), bank.conf_of(1, 0).copy()
+    bank.conf_of(0, 1)
+    bank.drop(0, 1)
+    assert bank.flow.keys() == {(2, 0)} and not bank.conf
+    bank.drop(2, 0)
+    bank.drop(2, 0)  # dropping what the bank does not hold is a no-op
+    assert not bank.flow
+    # a dropped pair read again is estimated again, to the same values
+    assert np.array_equal(bank.flow_of(2, 0), fwd)
+    assert np.array_equal(bank.conf_of(1, 0), conf)
+
+
+def _batch_pairs(plan, b):
+    """Both directions of every pair batch b of plan reads."""
+    kf = plan.keyframe_of[b]
+    start, stop = plan.batches[b]
+    pairs = {(m, kf) for m in range(start, stop) if m != kf}
+    if b > 0:
+        pairs.add((kf, plan.keyframe_of[b - 1]))
+    return pairs | {(j, i) for i, j in pairs}
+
+
+def test_restore_frees_each_finished_batch(monkeypatch):
+    # the bank restore builds itself holds no pair of a batch once that
+    # batch is yielded; a later batch's pairs stay until it is done
+    lq = small_video(n=7)  # batches of 3, 3 and 1
+    cfg = small_config()
+    plan = plan_batches(len(lq), cfg.batch_size, cfg.seed)
+    built = []
+    precompute = pipeline.precompute_flows
+
+    def spy(seq, config):
+        built.append(precompute(seq, config))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "precompute_flows", spy)
+    estimated = []
+    estimate = flowmod.estimate_flow
+
+    def count(*args):
+        estimated.append(args)
+        return estimate(*args)
+
+    monkeypatch.setattr(flowmod, "estimate_flow", count)
+    got = []
+    for b, latents in enumerate(pipeline.restore_iter(lq, cfg)):
+        got.append(latents)
+        (bank,) = built
+        for done in range(b + 1):
+            pairs = _batch_pairs(plan, done)
+            assert not pairs & bank.flow.keys() and not pairs & bank.conf.keys()
+        for later in range(b + 1, len(plan.batches)):
+            assert _batch_pairs(plan, later) <= bank.flow.keys()
+    assert not bank.flow and not bank.conf
+    # each flow estimated once, in precompute_flows; the output is a caller bank's
+    needed = pipeline._needed_pairs(plan)
+    assert len(estimated) == len(needed | {(j, i) for i, j in needed})
+    monkeypatch.undo()
+    caller = pipeline.precompute_flows(lq, cfg)
+    held = dict(caller.flow)
+    assert np.array_equal(np.concatenate(got), pipeline.restore_latents(lq, cfg, caller))
+    assert caller.flow == held  # a caller's bank is never pruned
 
 
 def test_restore_accepts_bank_of_another_plan():
@@ -734,6 +802,36 @@ def test_temporal_consistency_lengths():
     e_warp, e_inter = pipeline.temporal_consistency(lq, small_config())
     assert len(e_warp) == 4
     assert len(e_inter) == 3
+
+
+def test_temporal_consistency_from_frames_holds_constant_memory(monkeypatch):
+    # a bank made from frames drops each pair once scored: the traced peak of
+    # a 12- and a 24-frame clip stays within 4 flows of a 3-frame clip's,
+    # where keeping every flow adds 4 flows and 2 confidences per frame
+    cfg = small_config()
+    estimate = flowmod.estimate_flow
+    calls = []
+
+    def count(*args):
+        calls.append(args)
+        return estimate(*args)
+
+    monkeypatch.setattr(flowmod, "estimate_flow", count)
+
+    def peak(n):
+        seq = small_video(n=n, h=32, w=32)
+        calls.clear()
+        tracemalloc.start()
+        try:
+            pipeline.temporal_consistency(seq, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            assert len(calls) == 2 * (n - 1) + 2 * (n - 2)  # each flow estimated once
+
+    bound = peak(3) + 4 * 32 * 32 * 2 * 8
+    for n in (12, 24):
+        assert peak(n) <= bound, n
 
 
 def test_temporal_consistency_reads_a_bank(monkeypatch):
