@@ -157,18 +157,19 @@ def _pixel_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _weighted_sum(nb: np.ndarray, weights) -> np.ndarray:
-    """sum over k of (nb[k] * a_k) * b_k, left to right, in place in nb.
+    """sum over k of (nb[k] * a_k) * b_k, left to right, as a new array.
 
     nb holds the 4 gathered neighbours (y0, x0), (y0, x1), (y1, x0) and
-    (y1, x1); weights is their 4 (a_k, b_k) pairs. Returns a view of nb[0].
+    (y1, x1); weights is their 4 (a_k, b_k) pairs. nb[1:] is scratch. The
+    result owns its memory, so it does not keep the 4x larger nb alive.
     """
-    out = nb[0]
-    for k, (a, b) in enumerate(weights):
-        t = nb[k]
+    (a0, b0), *rest = weights
+    out = nb[0] * a0
+    out *= b0
+    for t, (a, b) in zip(nb[1:], rest):
         t *= a
         t *= b
-        if k:
-            out += t
+        out += t
     return out
 
 

@@ -192,9 +192,10 @@ class FlowBank:
     i) too; readers threshold it into an occlusion mask at their own
     flow.tau_occ. flow and conf hold what has been read and not dropped.
     One bank serves every restore and metric of seq at its block and search.
-    Only the code that made a bank drops from it (restore_iter and
-    temporal_consistency, each once it has read a pair for the last time);
-    a bank a caller passes in is never pruned.
+    Only the code that made a bank drops from it, each once it has read a
+    pair for the last time: restore_iter before a batch's first step, and
+    temporal_consistency once a pair or triple is scored. A bank a caller
+    passes in is never pruned.
     """
 
     seq: FrameSequence
@@ -321,10 +322,10 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
     must hold seq itself and config's flow.block and flow.search; the pairs
     it has not read yet are estimated as restore reads them, and it keeps
     every pair. Without one, precompute_flows builds the bank when a step
-    reads flows, and each batch drops its pairs from it before it is
-    yielded, as no later batch reads them. Being a generator, it checks
-    config, frame size and bank at the first next(), before any flow is
-    estimated.
+    reads flows, and each batch drops its pairs from it once it has read
+    them, before its first denoising step, as no later step or batch reads
+    them. Being a generator, it checks config, frame size and bank at the
+    first next(), before any flow is estimated.
     """
     hlw_on, ratios = step_plan(config)  # validates config first
     h, w, _ = seq.shape
@@ -377,6 +378,11 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
             for g in merge_grids
         }
         fields = {g: {"flows": flows[g], "confidences": confs[g]} for g in merge_grids}
+        if own_bank:  # every read of the batch's pairs is made, and no later batch reads them
+            for m in members:
+                bank.drop(m, kf)
+            if prev_kf is not None:
+                bank.drop(kf, prev_kf)
 
         kf_x0s = []
         for pos, (t, t_prev) in enumerate(zip(ts, ts[1:] + [None])):
@@ -391,11 +397,6 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
                 for off, f, m in star:
                     x0[off] = latentwarp.blend_warped(x0[off], x0[kf_off], f, m)
             x = x0 if t_prev is None else toydiff.forward_diffuse(x0, t_prev, eps, sched)
-        if own_bank:  # the batch's pairs are read by no later batch
-            for m in members:
-                bank.drop(m, kf)
-            if prev_kf is not None:
-                bank.drop(kf, prev_kf)
         del flows, confs, fields, star, chain, hook  # generator locals outlive the yield
         yield x
         prev_kf, prev_x0s = kf, iter(kf_x0s)

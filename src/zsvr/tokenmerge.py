@@ -134,9 +134,21 @@ def spatial_table(h: int, w: int, R: float) -> np.ndarray:
 
     Entry [i, j] is the factor spatial_weight applies to a source at cell i
     scored against the target at cell j; every source frame shares the table.
+    It is built in place from the (w, w) and (h, h) squared offsets, with no
+    (A, A, 2) temporary; the squared distances are small integers, so it
+    equals spatial_weight(np.ones((A, A)), pos, pos, R) bit for bit.
     """
-    pos = grid_positions(h, w)
-    table = spatial_weight(np.ones((h * w, h * w)), pos, pos, R)
+    if R <= 0:
+        raise ValueError(f"R must be > 0, got {R}")
+    xs, ys = np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64)
+    dx2 = np.subtract.outer(xs, xs) ** 2
+    dy2 = np.subtract.outer(ys, ys) ** 2
+    table = np.empty((h * w, h * w))
+    np.add(dx2[None, :, None, :], dy2[:, None, :, None], out=table.reshape(h, w, h, w))
+    table /= R
+    np.floor(table, out=table)
+    np.negative(table, out=table)
+    np.exp(table, out=table)
     table.setflags(write=False)
     return table
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,6 +371,23 @@ def test_sampling_results_share_no_memory_with_caches():
             assert not any(np.shares_memory(out, a) for a in (grid, fl, *cached))
             out[...] = 7.0
             assert np.array_equal(call(), want)
+
+
+def test_sampling_results_do_not_pin_the_gather_buffer():
+    # the 4 gathered neighbours are 4x a result's size; a result that is a
+    # view of them keeps all 4 alive
+    rng = np.random.default_rng(16)
+    small, grid = rng.random((16, 16, 3)), rng.random((64, 64, 3))
+    fl = rng.uniform(-3, 3, (64, 64, 2))
+    for call in (lambda: flow.bilinear_resample(small, 64, 64), lambda: flow.warp(grid, fl)):
+        call()  # fills the coordinate and tap caches
+        tracemalloc.start()
+        try:
+            out = call()
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (64, 64, 3) and live < 2 * out.nbytes
 
 
 def test_warp_2d_grid():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from zsvr import flow as flowmod
-from zsvr import latentwarp, pipeline
+from zsvr import latentwarp, pipeline, toydiff
 from zsvr.cli import degrade_video, make_demo_video
 from zsvr.mediaio import FrameSequence
 from zsvr.pipeline import RestoreConfig, parse_config, plan_batches
@@ -418,6 +418,37 @@ def test_restore_frees_each_finished_batch(monkeypatch):
     held = dict(caller.flow)
     assert np.array_equal(np.concatenate(got), pipeline.restore_latents(lq, cfg, caller))
     assert caller.flow == held  # a caller's bank is never pruned
+
+
+def test_restore_drops_a_batchs_pairs_before_it_denoises(monkeypatch):
+    # a batch reads its pairs once, before its first step, so the bank
+    # restore builds itself holds none of them while the batch denoises;
+    # a later batch's pairs stay until that batch has read them
+    lq = small_video(n=7)  # batches of 3, 3 and 1
+    cfg = small_config()
+    plan = plan_batches(len(lq), cfg.batch_size, cfg.seed)
+    built, held = [], []
+    precompute, step = pipeline.precompute_flows, toydiff.denoise_step
+
+    def spy(seq, config):
+        built.append(precompute(seq, config))
+        return built[-1]
+
+    def record(*args):
+        (bank,) = built
+        held.append((set(bank.flow), set(bank.conf)))
+        return step(*args)
+
+    monkeypatch.setattr(pipeline, "precompute_flows", spy)
+    monkeypatch.setattr(toydiff, "denoise_step", record)
+    for _ in pipeline.restore_iter(lq, cfg):
+        pass
+    assert len(held) == len(plan.batches) * cfg.steps
+    for k, (flows, confs) in enumerate(held):
+        b = k // cfg.steps
+        assert not _batch_pairs(plan, b) & (flows | confs)
+        for later in range(b + 1, len(plan.batches)):
+            assert _batch_pairs(plan, later) <= flows
 
 
 def test_restore_accepts_bank_of_another_plan():

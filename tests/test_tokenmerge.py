@@ -186,6 +186,36 @@ def test_spatial_weight_rejects_bad_R():
         tm.spatial_weight(np.ones((1, 1)), np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
 
 
+def test_spatial_table_equals_spatial_weight_bit_for_bit():
+    # the in-place build takes squared offsets per axis; spatial_weight
+    # takes them per (x, y) pair and sums over the pair
+    grids = [(1, 1), (2, 3), (4, 4), (5, 7), (8, 8), (9, 11), (16, 16), (22, 22), (32, 32)]
+    for h, w in grids:
+        pos = tm.grid_positions(h, w)
+        ones = np.ones((h * w, h * w))
+        for R in (0.5, 1.0, 3.0, 4.0, 7.3, math.inf, 1e-300, 1e300):
+            table = tm.spatial_table.__wrapped__(h, w, R)  # uncached: 8 MB at 32x32
+            assert not table.flags.writeable
+            assert np.array_equal(table, tm.spatial_weight(ones, pos, pos, R)), (h, w, R)
+
+
+def test_spatial_table_builds_without_pair_temporaries():
+    # the (256, 256) table is 0.5 MB; a build through (A, A, 2)
+    # temporaries peaks at about 2.5 MB
+    tracemalloc.start()
+    try:
+        table = tm.spatial_table.__wrapped__(16, 16, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 2**19 and peak < 2**20
+
+
+def test_spatial_table_rejects_bad_R():
+    with pytest.raises(ValueError):
+        tm.spatial_table.__wrapped__(2, 2, 0.0)
+
+
 # ---------------------------------------------------------------- correspondence
 
 
