@@ -95,10 +95,16 @@ def split_src_tar(tokens: np.ndarray, target_index: int):
     return src, tokens[target_index], src_slots
 
 
-def cosine_scores(src: np.ndarray, tar: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity; zero-norm vectors score 0 against everything."""
+def cosine_scores(
+    src: np.ndarray, tar: np.ndarray, tar_norms: np.ndarray | None = None
+) -> np.ndarray:
+    """Pairwise cosine similarity; zero-norm vectors score 0 against everything.
+
+    tar_norms, if given, must be np.linalg.norm(tar, axis=1); a caller that
+    scores many source blocks against one tar computes it once.
+    """
     sn = np.linalg.norm(src, axis=1)
-    tn = np.linalg.norm(tar, axis=1)
+    tn = np.linalg.norm(tar, axis=1) if tar_norms is None else tar_norms
     dots = src @ tar.T
     denom = np.multiply.outer(sn, tn)
     nonzero = denom > 0
@@ -308,7 +314,8 @@ def hybrid_merge_pass(
     flows in token units. The cosine scores of every source frame are
     weighted by the one cached spatial_table of the content grid. They are
     computed per source frame in blocks of serial_rows(A, C) source rows, so
-    no (B-1)*A x A array is made and no score product is threaded by the BLAS.
+    no (B-1)*A x A array is made and no score product is threaded by the BLAS;
+    the target's norms are computed once per pass.
     """
     if mode is MergeMode.FLOW_DOWN and (flows is None or confidences is None):
         raise ValueError("FLOW_DOWN requires flows and confidences")
@@ -326,12 +333,13 @@ def hybrid_merge_pass(
         a = h * w
         table = spatial_table(h, w, R)
         rows = serial_rows(a, src.shape[1])
+        tar_norms = np.linalg.norm(tar, axis=1)
         targets = np.empty(len(src), dtype=np.int64)
         criteria = np.empty(len(src))
         for f0 in range(0, len(src), a):
             for r0 in range(0, a, rows):
                 r1 = min(r0 + rows, a)
-                scores = cosine_scores(src[f0 + r0 : f0 + r1], tar)
+                scores = cosine_scores(src[f0 + r0 : f0 + r1], tar, tar_norms)
                 scores *= table[r0:r1]
                 targets[f0 + r0 : f0 + r1], criteria[f0 + r0 : f0 + r1] = (
                     cosine_correspondence(scores)

@@ -85,14 +85,6 @@ def content_grids(h: int, w: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (h, w), ((h + 1) // 2, (w + 1) // 2)
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    """Row softmax computed in place in x, which it returns."""
-    x -= x.max(axis=-1, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
-    return x
-
-
 class ToyDenoiser:
     """Seeded pseudo-random denoiser; same seed gives bit-identical weights.
 
@@ -104,8 +96,12 @@ class ToyDenoiser:
 
     Attention over K tokens runs in row blocks of serial_rows(K, width) =
     max(1, 262144 // (K * width)) queries, so no K x K score array is made
-    and OpenBLAS never threads an attention product. An instance holds no scratch: after construction it is read
-    only, and one instance may serve concurrent calls.
+    and OpenBLAS never threads an attention product. The keys are held as
+    one C-contiguous (width, K) array, and each block's softmax is
+    normalised after its product with the values. The block height, the key
+    layout and that order are all part of the output contract: each
+    changes the bits. An instance holds no scratch: after construction it
+    is read only, and one instance may serve concurrent calls.
     """
 
     N_BLOCKS = 4  # down, down, up, up
@@ -129,21 +125,36 @@ class ToyDenoiser:
     def _attend(self, tokens: np.ndarray, block: int) -> np.ndarray:
         """Joint self-attention over an arbitrary (K, C) token set.
 
-        q is scaled by 1/sqrt(width) once. Then, for each block of
-        serial_rows(K, C) query rows: scores against every key, softmax in
-        place, and @ v into that block's rows of the output.
+        q is scaled by 1/sqrt(width) once, and the keys are copied to a
+        C-contiguous (C, K) array, so OpenBLAS does not repack a transposed
+        operand for every block. Then, for each block of serial_rows(K, C)
+        query rows: scores against every key, in one (rows, K) buffer that
+        every block reuses; exp of the scores less their row maximum; @ v
+        into that block's rows of the output; and those (rows, C) rows
+        divided by the row sums of the exps, as FlashAttention defers the
+        normalisation. Each row sum is at least 1, since the row maximum
+        contributes exp(0).
         """
         w = self.weights[block]
         q = tokens @ w["q"]
         q *= 1.0 / math.sqrt(self.width)
-        # k.T stays a view: a contiguous copy would change the product's bits
-        kt = (tokens @ w["k"]).T
+        kt = np.ascontiguousarray((tokens @ w["k"]).T)
         v = tokens @ w["v"]
         n = len(tokens)
         out = np.empty_like(v)
         rows = serial_rows(n, v.shape[1])
+        # one score buffer for every block: with the copied keys, a fresh
+        # (rows, K) array per block left holes in the heap, and the peak RSS
+        # of repeated restores crept up by about 2 MB
+        scores = np.empty((min(rows, n), n))
         for r0 in range(0, n, rows):
-            np.matmul(_softmax(q[r0 : r0 + rows] @ kt), v, out=out[r0 : r0 + rows])
+            x = scores[: min(rows, n - r0)]
+            np.matmul(q[r0 : r0 + rows], kt, out=x)
+            x -= x.max(axis=-1, keepdims=True)
+            np.exp(x, out=x)
+            o = out[r0 : r0 + rows]
+            np.matmul(x, v, out=o)
+            o /= x.sum(axis=-1, keepdims=True)
         return out
 
     def _block(

@@ -148,9 +148,13 @@ def _score_inputs(draw):
 @given(_score_inputs())
 def test_cosine_scores_equals_former_formula_property(case):
     src, tar = case
-    got, want = tm.cosine_scores(src, tar), cosine_scores_oracle(src, tar)
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    want = cosine_scores_oracle(src, tar)
+    for got in (
+        tm.cosine_scores(src, tar),
+        tm.cosine_scores(src, tar, np.linalg.norm(tar, axis=1)),
+    ):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_cosine_scores_matches_oracle():
@@ -644,6 +648,29 @@ def test_cosine_pass_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_cosine_pass_with_precomputed_norms_is_bit_identical(monkeypatch):
+    # the pass computes the target norms once and passes them to every
+    # cosine_scores call; recomputing them in each call gives the same bits
+    rng = np.random.default_rng(23)
+    chunks = [random_chunk(rng, b=8, h=16, w=16, c=16), random_chunk(rng, b=3, h=5, w=7, c=4)]
+    tokens = chunks[1][0].tokens
+    tokens[:, ::3] = 0.0  # zero-norm targets and sources score 0
+    cosine_scores = tm.cosine_scores
+    given_norms = []
+
+    def without_norms(src, tar, tar_norms=None):
+        given_norms.append(tar_norms is not None)
+        return cosine_scores(src, tar)
+
+    for chunk, target in chunks:
+        want = tm.hybrid_merge_pass(chunk, target, MergeMode.COSINE_UP, lambda t: t, 0.7, R=4.0)
+        monkeypatch.setattr(tm, "cosine_scores", without_norms)
+        got = tm.hybrid_merge_pass(chunk, target, MergeMode.COSINE_UP, lambda t: t, 0.7, R=4.0)
+        monkeypatch.setattr(tm, "cosine_scores", cosine_scores)
+        assert np.array_equal(got, want)
+    assert given_norms and all(given_norms)
 
 
 def test_hybrid_pass_flow_mode_requires_flows():

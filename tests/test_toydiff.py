@@ -4,8 +4,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zsvr import toydiff
 from zsvr.toydiff import (
     BlockKind,
     ToyDenoiser,
@@ -159,20 +160,36 @@ def test_attention_hook_sees_all_blocks():
 
 
 def _attend_fresh(d, tokens, block):
-    """The former ToyDenoiser._attend: a fresh score matrix on every call."""
+    """ToyDenoiser._attend as one row block: a fresh score matrix against
+    contiguous keys, normalised after the product with the values."""
+    w = d.weights[block]
+    q = tokens @ w["q"]
+    kt = np.ascontiguousarray((tokens @ w["k"]).T)
+    v = tokens @ w["v"]
+    scores = q @ kt
+    scores /= math.sqrt(d.width)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    return (scores @ v) / scores.sum(axis=-1, keepdims=True)
+
+
+def _attend_textbook(d, tokens, block):
+    """softmax(q k^T / sqrt(width)) v, with the probabilities normalised
+    before the product with the values."""
     w = d.weights[block]
     q = tokens @ w["q"]
     k = tokens @ w["k"]
     v = tokens @ w["v"]
-    scores = q @ k.T
-    scores /= math.sqrt(d.width)
-    return toydiff._softmax(scores) @ v
+    scores = q @ k.T / math.sqrt(d.width)
+    p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    return p @ v
 
 
 def test_attend_score_scratch_matches_fresh_scores():
     # every K here fits in one row block (serial_rows(100, 16) = 163), and
     # scaling q by 1/4 instead of the scores is exact, so each result keeps
-    # the former formula's bits
+    # the one-block formula's bits
     rng = np.random.default_rng(7)
     d = ToyDenoiser(seed=3)
     returned = []
@@ -187,11 +204,37 @@ def test_attend_score_scratch_matches_fresh_scores():
 
 
 def test_attend_row_blocks_stay_close_to_former_formula():
-    # 1936 tokens are 242 blocks of 8 rows; only the blocking moves bits
+    # 1936 tokens are 242 blocks of 8 rows
     tokens = np.random.default_rng(8).standard_normal((1936, 16))
     d = ToyDenoiser(seed=0)
     got = d._attend(tokens, 1)
-    assert np.abs(got - _attend_fresh(d, tokens, 1)).max() <= 1e-12
+    assert np.abs(got - _attend_textbook(d, tokens, 1)).max() <= 1e-12
+
+
+@st.composite
+def _attend_inputs(draw):
+    # K = 8m + r covers every residue mod 8 evenly; OpenBLAS takes another
+    # edge kernel when K mod 8 is 1-4
+    k = 8 * draw(st.integers(0, 87)) + draw(st.integers(1, 8))
+    scale = 10.0 ** draw(st.floats(-3.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((k, 16)) * scale, draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_attend_inputs())
+def test_attend_is_a_close_convex_combination_of_values_property(case):
+    tokens, block = case
+    d = ToyDenoiser(seed=0)
+    got = d._attend(tokens, block)
+    v = tokens @ d.weights[block]["v"]
+    # every output is a convex combination of rows of v, so max |v| is the
+    # scale of the result
+    tol = 1e-12 * np.abs(v).max()
+    assert np.isfinite(got).all()
+    assert np.abs(got - _attend_textbook(d, tokens, block)).max() <= tol
+    assert np.all(got >= v.min(axis=0) - tol)
+    assert np.all(got <= v.max(axis=0) + tol)
 
 
 def test_attend_memory_is_bounded():
