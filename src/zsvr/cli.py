@@ -215,7 +215,8 @@ def make_demo_video(
 
 
 def degrade_video(seq: FrameSequence, scale: int, noise_std: float, seed: int) -> FrameSequence:
-    """Downsample by `scale`, upsample back, add per-frame Gaussian noise."""
+    """Downsample by `scale`, upsample back, add per-frame Gaussian noise, and
+    round to 8 bits, so the frames equal what write_frames stores."""
     h, w, _ = seq.shape
     out = []
     for f, frame in enumerate(seq.frames):
@@ -223,7 +224,7 @@ def degrade_video(seq: FrameSequence, scale: int, noise_std: float, seed: int) -
         up = flowmod.bilinear_resample(small, h, w)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDE, f]))
         noisy = up + noise_std * rng.standard_normal(up.shape)
-        out.append(np.clip(noisy, 0.0, 1.0))
+        out.append(np.rint(np.clip(noisy, 0.0, 1.0) * 255) / 255)
     return FrameSequence(out)
 
 

@@ -1,7 +1,9 @@
 """Image quality and temporal-consistency metrics.
 
-Temporal metrics consume flows in the warp convention of the flow module:
-a field aligning frame j onto frame i is estimate_flow(frame_i, frame_j).
+Temporal metrics score one adjacent pair (E_warp) or one triple (E_inter) per
+call; pipeline.temporal_consistency loops over a sequence. They consume flows
+in the warp convention of the flow module: a field aligning frame j onto
+frame i is estimate_flow(frame_i, frame_j).
 """
 
 from __future__ import annotations
@@ -56,62 +58,25 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     return float((num / den).mean())
 
 
-def warping_error(
-    frames: list[np.ndarray],
-    flows: list[np.ndarray],
-    masks: list[np.ndarray] | None = None,
-) -> tuple[list[float], float]:
-    """Flicker measure between adjacent frames.
-
-    Per pair t: mean over non-occluded pixels of the squared channel norm of
-    frame_t - warp(frame_{t-1}, flows[t-1]). masks[t-1] marks occluded pixels
-    with 1; None means no occlusions. Returns (per-pair values, mean).
+def warping_error(prev: np.ndarray, cur: np.ndarray, flow: np.ndarray, mask: np.ndarray) -> float:
+    """Flicker between adjacent frames: the mean over non-occluded pixels of the
+    squared channel norm of cur - warp(prev, flow). mask marks occluded pixels
+    with 1; an all-occluded pair scores 0.
     """
-    n = len(frames)
-    if n < 2:
-        raise ValueError(f"too short: need at least 2 frames, got {n}")
-    if len(flows) != n - 1:
-        raise ValueError(f"need {n - 1} flows for {n} frames, got {len(flows)}")
-    if masks is not None and len(masks) != n - 1:
-        raise ValueError(f"need {n - 1} masks, got {len(masks)}")
-    per_pair = []
-    for t in range(1, n):
-        warped = warp(frames[t - 1], flows[t - 1])
-        sq = ((np.asarray(frames[t], dtype=np.float64) - warped) ** 2).sum(axis=2)
-        if masks is not None:
-            valid = masks[t - 1] == 0
-            value = float(sq[valid].mean()) if valid.any() else 0.0
-        else:
-            value = float(sq.mean())
-        per_pair.append(value)
-    return per_pair, float(np.mean(per_pair))
+    sq = ((np.asarray(cur, dtype=np.float64) - warp(prev, flow)) ** 2).sum(axis=2)
+    valid = mask == 0
+    return float(sq[valid].mean()) if valid.any() else 0.0
 
 
 def interpolation_error(
-    frames: list[np.ndarray],
-    flows_fwd: list[np.ndarray],
-    flows_bwd: list[np.ndarray],
-) -> tuple[list[float], float]:
-    """Error of reconstructing each frame from its two temporal neighbors.
+    prev: np.ndarray, cur: np.ndarray, nxt: np.ndarray, flow_fwd: np.ndarray, flow_bwd: np.ndarray
+) -> float:
+    """Error of reconstructing cur from its two temporal neighbors.
 
-    flows_fwd[t-1] aligns frame_{t-1} onto frame_{t+1}'s geometry (i.e.
-    estimate_flow(frame_{t+1}, frame_{t-1})); flows_bwd[t-1] the reverse.
-    Frame t is estimated as the pixel mean of both half-flow warps; the error
-    is the RMS difference scaled by 255. Returns (per-triple values, mean).
+    flow_fwd aligns prev onto nxt's geometry (estimate_flow(nxt, prev)),
+    flow_bwd the reverse. cur is estimated as the pixel mean of both half-flow
+    warps; the error is the RMS difference scaled by 255.
     """
-    n = len(frames)
-    if n < 3:
-        raise ValueError(f"too short: need at least 3 frames, got {n}")
-    if len(flows_fwd) != n - 2 or len(flows_bwd) != n - 2:
-        raise ValueError(
-            f"need {n - 2} forward and backward flows, got "
-            f"{len(flows_fwd)} and {len(flows_bwd)}"
-        )
-    per_triple = []
-    for t in range(1, n - 1):
-        from_prev = warp(frames[t - 1], 0.5 * flows_fwd[t - 1])
-        from_next = warp(frames[t + 1], 0.5 * flows_bwd[t - 1])
-        est = 0.5 * (from_prev + from_next)
-        diff = est - np.asarray(frames[t], dtype=np.float64)
-        per_triple.append(float(np.sqrt(np.mean(diff**2)) * 255.0))
-    return per_triple, float(np.mean(per_triple))
+    est = 0.5 * (warp(prev, 0.5 * flow_fwd) + warp(nxt, 0.5 * flow_bwd))
+    diff = est - np.asarray(cur, dtype=np.float64)
+    return float(np.sqrt(np.mean(diff**2)) * 255.0)

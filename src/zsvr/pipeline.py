@@ -28,7 +28,7 @@ import numpy as np
 from . import flow as flowmod
 from . import latentwarp, metrics, toydiff
 from .mediaio import FrameSequence
-from .tokenmerge import MergeMode, anneal_ratio, hybrid_merge_pass
+from .tokenmerge import MergeMode, anneal_ratio, flow_correspondence, hybrid_merge_pass
 from .toydiff import BlockKind, ToyDenoiser
 
 # Fixed toy noise schedule; the step count is configurable, the schedule not.
@@ -302,16 +302,17 @@ def _flow_readers(config: RestoreConfig, hlw_on: list, ratios: list) -> tuple[bo
 
 
 def _merge_attention(
-    config: RestoreConfig, fields: dict, r_i: float, target: int, kind, chunk, attention
+    config: RestoreConfig, matches: dict, r_i: float, target: int, kind, chunk, attention
 ):
     """Attention hook: one hybrid merge pass toward batch frame target at merge ratio r_i.
 
-    fields maps each content token grid to the batch's merge flows and
-    confidences on that grid, as hybrid_merge_pass takes them.
+    matches maps each content token grid to the batch's flow-guided
+    (targets, criteria) on that grid, made once per batch, as
+    hybrid_merge_pass takes them.
     """
     mode = config.down_mode if kind is BlockKind.DOWN else config.up_mode
-    kwargs = fields[chunk.content] if mode is MergeMode.FLOW_DOWN else {"R": config.tome_R}
-    return hybrid_merge_pass(chunk, target, mode, attention, r_i, **kwargs)
+    kwargs = {"matches": matches[chunk.content]} if mode is MergeMode.FLOW_DOWN else {}
+    return hybrid_merge_pass(chunk, target, mode, attention, r_i, R=config.tome_R, **kwargs)
 
 
 def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | None = None):
@@ -363,7 +364,7 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
 
         # Every bank read of the batch: member flows resampled once per grid
         # that reads them, star masks, the chain's flow and mask, merge
-        # confidences.
+        # confidences. The flow-guided matches are fixed for the batch.
         merge_grids = set(grids) if members and flow_merges else set()
         read = merge_grids | ({latent} if warps else set())
         flows = {g: [flowmod.resample_flow(bank.flow_of(m, kf), *g) for m in members] for g in read}
@@ -373,11 +374,12 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
             if prev_kf is not None:
                 pair = (kf, prev_kf)
                 chain = (flowmod.resample_flow(bank.flow_of(*pair), *latent), mask(pair))
-        confs = {
-            g: [flowmod.bilinear_resample(bank.conf_of(m, kf), *g) for m in members]
+        matches = {
+            g: flow_correspondence(
+                *g, flows[g], [flowmod.bilinear_resample(bank.conf_of(m, kf), *g) for m in members]
+            )
             for g in merge_grids
         }
-        fields = {g: {"flows": flows[g], "confidences": confs[g]} for g in merge_grids}
         if own_bank:  # every read of the batch's pairs is made, and no later batch reads them
             for m in members:
                 bank.drop(m, kf)
@@ -388,7 +390,7 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
         for pos, (t, t_prev) in enumerate(zip(ts, ts[1:] + [None])):
             hook = None
             if members and ratios[pos] > 0.0:
-                hook = functools.partial(_merge_attention, config, fields, ratios[pos], kf_off)
+                hook = functools.partial(_merge_attention, config, matches, ratios[pos], kf_off)
             x0, eps = toydiff.denoise_step(x, t, denoiser, sched, hook)
             if hlw_on[pos]:
                 if chain is not None:
@@ -397,7 +399,7 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
                 for off, f, m in star:
                     x0[off] = latentwarp.blend_warped(x0[off], x0[kf_off], f, m)
             x = x0 if t_prev is None else toydiff.forward_diffuse(x0, t_prev, eps, sched)
-        del flows, confs, fields, star, chain, hook  # generator locals outlive the yield
+        del flows, matches, star, chain, hook  # generator locals outlive the yield
         yield x
         prev_kf, prev_x0s = kf, iter(kf_x0s)
 
@@ -455,12 +457,12 @@ def temporal_consistency(
     for t in range(1, n):
         mask = flowmod.occlusion_mask(bank.conf_of(t, t - 1), config.flow_tau_occ)
         flow = bank.flow_of(t, t - 1)
-        e_warp += metrics.warping_error(seq.frames[t - 1 : t + 1], [flow], [mask])[0]
+        e_warp.append(metrics.warping_error(seq.frames[t - 1], seq.frames[t], flow, mask))
         if own_bank:
             bank.drop(t, t - 1)
     for t in range(1, n - 1):
         fwd, bwd = bank.flow_of(t + 1, t - 1), bank.flow_of(t - 1, t + 1)
-        e_inter += metrics.interpolation_error(seq.frames[t - 1 : t + 2], [fwd], [bwd])[0]
+        e_inter.append(metrics.interpolation_error(*seq.frames[t - 1 : t + 2], fwd, bwd))
         if own_bank:
             bank.drop(t + 1, t - 1)
     return e_warp, e_inter

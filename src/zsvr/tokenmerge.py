@@ -166,26 +166,19 @@ def cosine_correspondence(scores: np.ndarray):
     return targets, criteria.astype(np.float64)
 
 
-def flow_correspondence(
-    h: int,
-    w: int,
-    n_src_frames: int,
-    flows: list[np.ndarray],
-    confidences: list[np.ndarray],
-):
+def flow_correspondence(h: int, w: int, flows: list[np.ndarray], confidences: list[np.ndarray]):
     """Flow-guided correspondence on an (h, w) token grid.
 
     flows[f] is the (h, w, 2) displacement field from source frame f toward
     the target frame in token units; confidences[f] the matching (h, w)
     forward-backward confidence. A source token at grid position X maps to
     target cell round(X + flow(X)) with criterion sigma(X); displaced
-    positions outside the grid are INVALID with criterion 0.
+    positions outside the grid are INVALID with criterion 0. Returns
+    (targets, criteria), one entry per source token in frame order, as
+    hybrid_merge_pass takes them as matches.
     """
-    if len(flows) != n_src_frames or len(confidences) != n_src_frames:
-        raise ValueError(
-            f"need one flow and confidence per source frame "
-            f"({n_src_frames}), got {len(flows)} and {len(confidences)}"
-        )
+    if len(flows) != len(confidences):
+        raise ValueError(f"need one confidence per flow, got {len(flows)} and {len(confidences)}")
     fl = np.stack(flows)
     if fl.shape[1:3] != (h, w):
         raise ValueError(f"flows have shape {fl.shape[1:3]}, expected {(h, w)}")
@@ -301,8 +294,7 @@ def hybrid_merge_pass(
     attention,
     r_i: float,
     R: float | None = None,
-    flows: list[np.ndarray] | None = None,
-    confidences: list[np.ndarray] | None = None,
+    matches: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Full merge pipeline around one attention call; returns (B, A, C) tokens.
 
@@ -310,15 +302,17 @@ def hybrid_merge_pass(
     weighted cosine) -> select top r_i -> merge -> attention over the merged
     tokens -> unmerge -> restore padding, with frame target_index of the
     chunk as the target. Output shape equals input shape.
-    Flows and confidences are per source frame on the content token grid,
-    flows in token units. The cosine scores of every source frame are
-    weighted by the one cached spatial_table of the content grid. They are
-    computed per source frame in blocks of serial_rows(A, C) source rows, so
-    no (B-1)*A x A array is made and no score product is threaded by the BLAS;
-    the target's norms are computed once per pass.
+    matches is the flow-guided (targets, criteria) of the (B-1)*A source
+    tokens on the content token grid, as flow_correspondence returns them;
+    flows are fixed for a batch, so a caller computes them once for all its
+    passes. The cosine scores of every source frame are weighted by the one
+    cached spatial_table of the content grid. They are computed per source
+    frame in blocks of serial_rows(A, C) source rows, so no (B-1)*A x A array
+    is made and no score product is threaded by the BLAS; the target's norms
+    are computed once per pass.
     """
-    if mode is MergeMode.FLOW_DOWN and (flows is None or confidences is None):
-        raise ValueError("FLOW_DOWN requires flows and confidences")
+    if mode is MergeMode.FLOW_DOWN and matches is None:
+        raise ValueError("FLOW_DOWN requires matches")
     if mode is MergeMode.COSINE_UP and R is None:
         raise ValueError("COSINE_UP requires R")
 
@@ -328,7 +322,9 @@ def hybrid_merge_pass(
     src, tar, src_slots = split_src_tar(tokens, target_index)
 
     if mode is MergeMode.FLOW_DOWN:
-        targets, criteria = flow_correspondence(h, w, b - 1, flows, confidences)
+        targets, criteria = matches
+        if len(targets) != len(src):
+            raise ValueError(f"matches for {len(targets)} source tokens, the chunk has {len(src)}")
     else:
         a = h * w
         table = spatial_table(h, w, R)

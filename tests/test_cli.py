@@ -418,6 +418,21 @@ def test_demo_byte_identical_runs(tmp_path):
 
 
 
+def test_restore_of_demo_lq_reproduces_ours_and_baseline(tmp_path):
+    # the demo restores its LQ frames as lq/ stores them, in 8 bits, so
+    # restoring lq/ with the demo's config writes the same bytes
+    demo = tmp_path / "demo"
+    assert main(["demo", "--frames", "8", "--seed", "0", "--out", str(demo)]) == 0
+    text = "steps = 10\nbatch_size = 8\nlatent_scale = 4\nseed = 0\n"
+    assert pipeline.parse_config(text) == demo_config(0)
+    cfg = _write_config(tmp_path, text)
+    for name, flags in (("ours", []), ("baseline", ["--no-hlw", "--no-tome"])):
+        out = tmp_path / name
+        args = ["restore", "--in", str(demo / "lq"), "--out", str(out), "--config", str(cfg)]
+        assert main(args + flags) == 0
+        assert _tree(out) == _tree(demo / name)
+
+
 def test_demo_estimates_each_flow_once(tmp_path, monkeypatch):
     # ours and both scores read one LQ bank: each flow the demo reads is
     # estimated once, and scoring each output from fresh LQ frames writes

@@ -79,12 +79,12 @@ def test_ssim_rejects_tiny_frames():
         metrics.ssim(np.zeros((4, 4, 3)), np.zeros((4, 4, 3)))
 
 
+NO_OCCLUSION = np.zeros((8, 8))
+
+
 def test_warping_error_static_video():
-    frames = [np.random.default_rng(4).random((8, 8, 3))] * 4
-    flows = [np.zeros((8, 8, 2))] * 3
-    per_pair, mean = metrics.warping_error(frames, flows)
-    assert per_pair == [0.0, 0.0, 0.0]
-    assert mean == 0.0
+    frame = np.random.default_rng(4).random((8, 8, 3))
+    assert metrics.warping_error(frame, frame, np.zeros((8, 8, 2)), NO_OCCLUSION) == 0.0
 
 
 def test_warping_error_exact_warp_is_zero():
@@ -92,8 +92,7 @@ def test_warping_error_exact_warp_is_zero():
     f0 = rng.random((8, 8, 3))
     fl = rng.uniform(-1, 1, (8, 8, 2))
     f1 = warp(f0, fl)
-    per_pair, mean = metrics.warping_error([f0, f1], [fl])
-    assert mean <= 1e-24
+    assert metrics.warping_error(f0, f1, fl, NO_OCCLUSION) <= 1e-24
 
 
 def test_warping_error_matches_scalar_oracle():
@@ -101,8 +100,8 @@ def test_warping_error_matches_scalar_oracle():
     frames = [rng.random((6, 6, 3)) for _ in range(3)]
     flows = [rng.uniform(-1, 1, (6, 6, 2)) for _ in range(2)]
     masks = [(rng.random((6, 6)) < 0.3).astype(float) for _ in range(2)]
-    per_pair, mean = metrics.warping_error(frames, flows, masks)
     for t in range(1, 3):
+        got = metrics.warping_error(frames[t - 1], frames[t], flows[t - 1], masks[t - 1])
         warped = warp(frames[t - 1], flows[t - 1])
         total, count = 0.0, 0
         for y in range(6):
@@ -113,41 +112,19 @@ def test_warping_error_matches_scalar_oracle():
                         sq += (frames[t][y, x, c] - warped[y, x, c]) ** 2
                     total += sq
                     count += 1
-        assert per_pair[t - 1] == pytest.approx(total / count, abs=1e-6)
-    assert mean == pytest.approx(np.mean(per_pair))
+        assert got == pytest.approx(total / count, abs=1e-6)
 
 
 def test_warping_error_all_occluded_pair_is_zero():
     rng = np.random.default_rng(7)
-    frames = [rng.random((4, 4, 3)) for _ in range(2)]
-    per_pair, mean = metrics.warping_error(
-        frames, [np.zeros((4, 4, 2))], [np.ones((4, 4))]
-    )
-    assert per_pair == [0.0]
-
-
-def test_warping_error_count_validation():
-    frames = [np.zeros((4, 4, 3))] * 3
-    with pytest.raises(ValueError, match="flows"):
-        metrics.warping_error(frames, [np.zeros((4, 4, 2))])
+    f0, f1 = (rng.random((4, 4, 3)) for _ in range(2))
+    assert metrics.warping_error(f0, f1, np.zeros((4, 4, 2)), np.ones((4, 4))) == 0.0
 
 
 def test_interpolation_error_static_video():
-    frames = [np.random.default_rng(8).random((8, 8, 3))] * 3
-    flows = [np.zeros((8, 8, 2))]
-    per_triple, mean = metrics.interpolation_error(frames, flows, flows)
-    assert mean == 0.0
-
-
-def test_warping_error_too_short():
-    with pytest.raises(ValueError, match="too short"):
-        metrics.warping_error([np.zeros((4, 4, 3))], [])
-
-
-def test_interpolation_error_too_short():
-    frames = [np.zeros((4, 4, 3))] * 2
-    with pytest.raises(ValueError, match="too short"):
-        metrics.interpolation_error(frames, [], [])
+    frame = np.random.default_rng(8).random((8, 8, 3))
+    flow = np.zeros((8, 8, 2))
+    assert metrics.interpolation_error(frame, frame, frame, flow, flow) == 0.0
 
 
 def test_interpolation_error_constant_translation_interior():
@@ -166,8 +143,7 @@ def test_interpolation_error_constant_translation_interior():
     est = 0.5 * (est_prev + est_next)
     assert np.abs(est[:, 8:-8] - interior[1]).max() <= 1e-12
     # full-frame metric is nonzero only because of border clamping
-    per_triple, _ = metrics.interpolation_error(frames, [fwd], [bwd])
-    assert per_triple[0] < 60.0
+    assert metrics.interpolation_error(*frames, fwd, bwd) < 60.0
 
 
 def test_interpolation_error_matches_scalar_oracle():
@@ -175,8 +151,8 @@ def test_interpolation_error_matches_scalar_oracle():
     frames = [rng.random((6, 6, 3)) for _ in range(4)]
     fwd = [rng.uniform(-1, 1, (6, 6, 2)) for _ in range(2)]
     bwd = [rng.uniform(-1, 1, (6, 6, 2)) for _ in range(2)]
-    per_triple, mean = metrics.interpolation_error(frames, fwd, bwd)
     for t in range(1, 3):
+        got = metrics.interpolation_error(*frames[t - 1 : t + 2], fwd[t - 1], bwd[t - 1])
         ep = warp(frames[t - 1], 0.5 * fwd[t - 1])
         en = warp(frames[t + 1], 0.5 * bwd[t - 1])
         total = 0.0
@@ -186,22 +162,23 @@ def test_interpolation_error_matches_scalar_oracle():
                     d = 0.5 * (ep[y, x, c] + en[y, x, c]) - frames[t][y, x, c]
                     total += d * d
         want = math.sqrt(total / (6 * 6 * 3)) * 255.0
-        assert per_triple[t - 1] == pytest.approx(want, abs=1e-6)
+        assert got == pytest.approx(want, abs=1e-6)
 
 
 def test_monotone_degradation_static_video():
     rng = np.random.default_rng(11)
     base = rng.random((16, 16, 3)) * 0.5 + 0.25
-    flows = [np.zeros((16, 16, 2))] * 3
+    flow = np.zeros((16, 16, 2))
+    mask = np.zeros((16, 16))
     means_w, means_i = [], []
     for amp in (0.01, 0.05, 0.1):
         frames = [
             np.clip(base + amp * np.random.default_rng(100 + i).standard_normal(base.shape), 0, 1)
             for i in range(4)
         ]
-        _, mw = metrics.warping_error(frames, flows)
-        _, mi = metrics.interpolation_error(frames, flows[:2], flows[:2])
-        means_w.append(mw)
-        means_i.append(mi)
+        means_w.append(np.mean([metrics.warping_error(*frames[t - 1 : t + 1], flow, mask)
+                                for t in range(1, 4)]))
+        means_i.append(np.mean([metrics.interpolation_error(*frames[t - 1 : t + 2], flow, flow)
+                                for t in range(1, 3)]))
     assert means_w[0] < means_w[1] < means_w[2]
     assert means_i[0] < means_i[1] < means_i[2]

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from zsvr import flow as flowmod
-from zsvr import latentwarp, pipeline, toydiff
+from zsvr import latentwarp, pipeline, tokenmerge, toydiff
 from zsvr.cli import degrade_video, make_demo_video
 from zsvr.mediaio import FrameSequence
 from zsvr.pipeline import RestoreConfig, parse_config, plan_batches
@@ -665,6 +666,48 @@ def test_hook_gating_counters(monkeypatch):
     counts.update(merge=0, blend=0)
     pipeline.restore(lq, small_config(hlw_windows=(), tome_windows=()))
     assert counts == {"merge": 0, "blend": 0}
+
+
+class _MatchesPerPass:
+    """Unpacks to flow_correspondence(*args), made afresh at each unpacking,
+    so each merge pass computes its own matches: the reference for matches
+    made once per batch and grid. Each unpacking appends to unpacked."""
+
+    def __init__(self, unpacked: list, *args):
+        self.unpacked, self.args = unpacked, args
+
+    def __iter__(self):
+        self.unpacked.append(self.args[:2])
+        return iter(tokenmerge.flow_correspondence(*self.args))
+
+
+def test_flow_matches_made_once_per_batch_and_grid(monkeypatch):
+    # 7 frames in batches of 3, 3 and 1: the two batches with members each
+    # make one set of matches per content grid of the 8x8 latent, which every
+    # flow-guided pass of the batch reads
+    lq = small_video(n=7)
+    correspondence = pipeline.flow_correspondence
+    grids = toydiff.content_grids(8, 8)
+    # default: flow-guided in the 2 down blocks; flow_flow: in all 4
+    for overrides, flow_blocks in (({}, 2), (pipeline.CORRESPONDENCE_VARIANTS["flow_flow"], 4)):
+        cfg = small_config(**overrides)
+        calls = []
+
+        def spy(h, w, flows, confidences):
+            calls.append((h, w))
+            return correspondence(h, w, flows, confidences)
+
+        monkeypatch.setattr(pipeline, "flow_correspondence", spy)
+        got = pipeline.restore_latents(lq, cfg)
+        assert sorted(calls) == sorted(grids * 2)
+        # the same latents, bit for bit, as when each pass made its own matches
+        unpacked = []
+        monkeypatch.setattr(
+            pipeline, "flow_correspondence", functools.partial(_MatchesPerPass, unpacked)
+        )
+        want = pipeline.restore_latents(lq, cfg)
+        assert len(unpacked) == flow_blocks * cfg.steps * 2
+        assert np.array_equal(got, want)
 
 
 def test_step_plan_windows_and_anneal():

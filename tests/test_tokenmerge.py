@@ -247,7 +247,7 @@ def test_flow_correspondence_zero_flow():
     h, w = 3, 4
     flows = [np.zeros((h, w, 2))]
     confs = [np.ones((h, w))]
-    targets, criteria = tm.flow_correspondence(h, w, 1, flows, confs)
+    targets, criteria = tm.flow_correspondence(h, w, flows, confs)
     assert np.array_equal(targets, np.arange(h * w))
     assert np.all(criteria == 1.0)
 
@@ -257,7 +257,7 @@ def test_flow_correspondence_unit_shift_bounds():
     fl = np.zeros((h, w, 2))
     fl[:, :, 0] = 1.0
     conf = np.full((h, w), 0.7)
-    targets, criteria = tm.flow_correspondence(h, w, 1, [fl], [conf])
+    targets, criteria = tm.flow_correspondence(h, w, [fl], [conf])
     # row-major grid: left column maps one cell right, right column leaves
     assert list(targets) == [1, INVALID, 3, INVALID]
     assert list(criteria) == [0.7, 0.0, 0.7, 0.0]
@@ -270,7 +270,7 @@ def test_flow_correspondence_matches_oracle():
         nf = int(rng.integers(1, 4))
         flows = [rng.integers(-3, 4, (h, w, 2)).astype(float) for _ in range(nf)]
         confs = [rng.random((h, w)) for _ in range(nf)]
-        targets, criteria = tm.flow_correspondence(h, w, nf, flows, confs)
+        targets, criteria = tm.flow_correspondence(h, w, flows, confs)
         row = 0
         for f in range(nf):
             for y in range(h):
@@ -287,16 +287,16 @@ def test_flow_correspondence_matches_oracle():
 
 
 def test_flow_correspondence_missing_flow():
-    with pytest.raises(ValueError, match="per source frame"):
-        tm.flow_correspondence(2, 2, 2, [np.zeros((2, 2, 2))], [np.ones((2, 2))])
+    with pytest.raises(ValueError, match="one confidence per flow"):
+        tm.flow_correspondence(2, 2, [np.zeros((2, 2, 2))], [np.ones((2, 2))] * 2)
 
 
 def test_flow_correspondence_wrong_grid():
     with pytest.raises(ValueError, match="expected"):
-        tm.flow_correspondence(2, 2, 1, [np.zeros((2, 3, 2))], [np.ones((2, 3))])
+        tm.flow_correspondence(2, 2, [np.zeros((2, 3, 2))], [np.ones((2, 3))])
     with pytest.raises(ValueError):
         tm.flow_correspondence(
-            2, 2, 2, [np.zeros((2, 2, 2)), np.zeros((2, 3, 2))], [np.ones((2, 2))] * 2
+            2, 2, [np.zeros((2, 2, 2)), np.zeros((2, 3, 2))], [np.ones((2, 2))] * 2
         )
 
 
@@ -440,7 +440,7 @@ def test_merge_unmerge_match_oracle_property(case):
     if mode is MergeMode.COSINE_UP:
         targets, criteria = tm.cosine_correspondence(weighted)
     else:
-        targets, criteria = tm.flow_correspondence(h, w, b - 1, flows, confs)
+        targets, criteria = tm.flow_correspondence(h, w, flows, confs)
     selected = tm.select_top_r(targets, criteria, r_i)
     args = (src, tar, targets, selected, slots, target, b)
     merged, slot_to_row = tm.merge(*args)
@@ -467,6 +467,12 @@ def test_merge_unmerge_match_oracle_property(case):
     assert np.array_equal(out, merged[slot_to_row])
     alone = np.bincount(slot_to_row)[slot_to_row] == 1
     assert np.array_equal(out[alone], chunk.tokens.reshape(-1, c)[alone])
+
+    # the whole pass fed these flow matches composes the same stages
+    if mode is MergeMode.FLOW_DOWN:
+        matches = (targets, criteria)
+        got = tm.hybrid_merge_pass(chunk, target, mode, lambda t: t, r_i, matches=matches)
+        assert np.array_equal(got, out.reshape(chunk.tokens.shape))
 
 
 def test_merge_empty_set_passthrough():
@@ -636,6 +642,27 @@ def test_hybrid_pass_matches_composed_oracle():
         assert np.array_equal(out, want.reshape(chunk.tokens.shape))
 
 
+def test_flow_pass_matches_composed_oracle():
+    # padded chunks: matches live on the content grid, padding passes through
+    rng = np.random.default_rng(23)
+    for b, (h, w), layout in [(2, (3, 3), (3, 3)), (3, (3, 2), (4, 4)), (4, (5, 4), (6, 5))]:
+        tokens = rng.standard_normal((b, layout[0] * layout[1], 6))
+        chunk, target = TokenChunk(tokens, layout, (h, w)), int(rng.integers(0, b))
+        flows = [rng.uniform(-2, 2, (h, w, 2)) for _ in range(b - 1)]
+        confs = [rng.random((h, w)) for _ in range(b - 1)]
+        targets, criteria = tm.flow_correspondence(h, w, flows, confs)
+        r_i = float(rng.random())
+        out = tm.hybrid_merge_pass(
+            chunk, target, MergeMode.FLOW_DOWN, lambda t: t, r_i, matches=(targets, criteria)
+        )
+        stripped = tm.strip_padding(chunk)
+        src, tar, slots = tm.split_src_tar(stripped, target)
+        selected = tm.select_top_r(targets, criteria, r_i)
+        merged, slot_to_row = tm.merge(src, tar, targets, selected, slots, target, b)
+        want = tm.restore_padding(chunk, tm.unmerge(merged, slot_to_row).reshape(stripped.shape))
+        assert np.array_equal(out, want)
+
+
 def test_cosine_pass_memory_is_bounded():
     # 8 frames of 16x16 tokens: the 7 source frames' whole (7*256, 256) score
     # array would be 3.7 MB, and a whole-array pass made three such arrays
@@ -687,10 +714,22 @@ def test_hybrid_pass_shape_preserved_flow_mode():
     chunk, target = random_chunk(rng, b=3, h=4, w=4, c=4)
     flows = [rng.uniform(-1, 1, (4, 4, 2)) for _ in range(2)]
     confs = [rng.random((4, 4)) for _ in range(2)]
-    out = tm.hybrid_merge_pass(
-        chunk, target, MergeMode.FLOW_DOWN, lambda t: t, 0.6, flows=flows, confidences=confs
-    )
+    matches = tm.flow_correspondence(4, 4, flows, confs)
+    mode = MergeMode.FLOW_DOWN
+    out = tm.hybrid_merge_pass(chunk, target, mode, lambda t: t, 0.6, matches=matches)
     assert out.shape == chunk.tokens.shape
+
+
+def test_hybrid_pass_rejects_matches_of_another_source_count():
+    # (B-1)*A = 2*16 source tokens; matches made for one or three source frames
+    rng = np.random.default_rng(24)
+    chunk, target = random_chunk(rng, b=3, h=4, w=4, c=4)
+    mode = MergeMode.FLOW_DOWN
+    for n_frames in (1, 3):
+        flows = [np.zeros((4, 4, 2))] * n_frames
+        matches = tm.flow_correspondence(4, 4, flows, [np.ones((4, 4))] * n_frames)
+        with pytest.raises(ValueError, match="32"):
+            tm.hybrid_merge_pass(chunk, target, mode, lambda t: t, 0.5, matches=matches)
 
 
 def test_hybrid_pass_padding_never_merged_with_content():
