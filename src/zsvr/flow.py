@@ -22,7 +22,8 @@ def _as_3d(img: np.ndarray) -> np.ndarray:
 
 
 # float64 values per buffer of a candidate group, so that the group's
-# error/cost and row-sum buffers stay in a core's L2 cache
+# error/cost and row-sum buffers stay in a core's L2 cache; an int32 group
+# holds twice as many values in the same bytes
 GROUP_BUDGET = 32768
 
 
@@ -36,6 +37,18 @@ def _box_pass(src: np.ndarray, out: np.ndarray, length: int, step: int, block: i
         out[:length] += src[k * step : k * step + length]
 
 
+def _codes(img: np.ndarray) -> np.ndarray | None:
+    """The uint8 codes k of a float array whose every value is exactly k/255
+    with k in [0, 255], that is rint(x*255)/255 == x; None for any other
+    array (NaN, inf, values off the 8-bit grid, non-float dtypes)."""
+    if img.dtype.kind != "f":
+        return None
+    q = np.rint(img * 255)
+    if not (np.array_equal(q / 255, img) and np.all((q >= 0) & (q <= 255))):
+        return None
+    return q.astype(np.uint8)
+
+
 def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> np.ndarray:
     """Exhaustive SSD block matching within +-search pixels.
 
@@ -45,22 +58,31 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     per-pixel squared error summed over channels in order, then over the
     block as a sum of row sums, in raster offset order.
 
+    On 8-bit inputs the costs are exact, so the tie rule holds for every
+    exact tie of the true SSD. 8-bit means both frames are uint8 codes, or
+    both are float arrays whose values are each exactly k/255 with k in
+    [0, 255]. The costs are then integer SSDs of the codes: in int32 while
+    block**2 * channels * 255**2 < 2**31 (block <= 104 at 3 channels), else
+    in float64, which holds them exactly too. Any other input is matched in
+    float64 on its values, where a tie is an exact tie of the rounded costs.
+
     Layout: every plane has one flat row stride W = max(w + 2*search,
     w + block - 1). With half = block // 2, src sits at columns
     [half, half + w) of W-wide rows, and dst, edge-padded by search, is
     stored flat after a lead of half values, so each candidate's window is
     one contiguous run starting at (search + dy) * W + search + dx.
 
-    Candidates are taken in sorted order, GROUP_BUDGET // S at a time (at
-    least one), where S = (h + block - 1) * W is one candidate's flat
-    segment. A candidate's squared error, summed over channels, fills rows
-    [half, half + h) of its segment, and the x edge clamp fills the columns
-    around them. The row pass is then block - 1 adds of shifted runs over
-    the whole group's flat range at once, the y edge clamp fills the rows
-    above and below, and the column pass does the same with shifts of W, so
-    candidate i's cost lands at [i*S, i*S + h*W). Every valid output reads
-    only its own segment. Selection is a strict < running minimum over the
-    candidates in sorted order.
+    Candidates are taken in sorted order, GROUP_BUDGET // S at a time for
+    float64 costs and twice that for int32 (at least one), where
+    S = (h + block - 1) * W is one candidate's flat segment. A candidate's
+    squared error, summed over channels, fills rows [half, half + h) of its
+    segment, and the x edge clamp fills the columns around them. The row
+    pass is then block - 1 adds of shifted runs over the whole group's flat
+    range at once, the y edge clamp fills the rows above and below, and the
+    column pass does the same with shifts of W, so candidate i's cost lands
+    at [i*S, i*S + h*W). Every valid output reads only its own segment.
+    Selection is a strict < running minimum over the candidates in sorted
+    order.
     """
     if src.shape != dst.shape:
         raise ValueError(f"shape mismatch: {src.shape} vs {dst.shape}")
@@ -68,9 +90,21 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
         raise ValueError("block must be >= 1")
     if search < 0:
         raise ValueError("search must be >= 0")
-    src = _as_3d(np.asarray(src, dtype=np.float64))
-    dst = _as_3d(np.asarray(dst, dtype=np.float64))
+    a, b = (src, dst) if src.dtype == dst.dtype == np.uint8 else (_codes(src), _codes(dst))
+    dtype = np.float64
+    if a is not None and b is not None:
+        src, dst = a, b
+        channels = 1 if src.ndim == 2 else src.shape[2]
+        if block * block * channels * 255**2 < 2**31:
+            dtype = np.int32
+    return _match(_as_3d(np.asarray(src, dtype)), _as_3d(np.asarray(dst, dtype)), block, search)
+
+
+def _match(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> np.ndarray:
+    """estimate_flow's block matching of two (h, w, c) arrays of one dtype,
+    float64 or int32, whose costs are computed in that dtype."""
     h, w, c = src.shape
+    dtype = src.dtype
 
     candidates = sorted(
         (dy * dy + dx * dx, dy, dx)
@@ -83,13 +117,13 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     S = (h + block - 1) * W
     offsets = [(search + dy) * W + search + dx for _, dy, dx in candidates]
 
-    src_flat = np.zeros((c, h, W))
+    src_flat = np.zeros((c, h, W), dtype)
     src_flat[:, :, half : half + w] = src.transpose(2, 0, 1)
     src_flat = src_flat.reshape(c, n)
     hp = h + 2 * search
     # one spare row: the last candidate's window ends up to 2 * search
     # values past the padded rows
-    dst_flat = np.zeros((c, (hp + 1) * W))
+    dst_flat = np.zeros((c, (hp + 1) * W), dtype)
     dst_rows = dst_flat[:, half : half + hp * W].reshape(c, hp, W)
     s = search
     dst_rows[:, s : s + h, s : s + w] = dst.transpose(2, 0, 1)
@@ -98,15 +132,16 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     dst_rows[:, :s, : w + 2 * s] = dst_rows[:, s : s + 1, : w + 2 * s]
     dst_rows[:, s + h :, : w + 2 * s] = dst_rows[:, s + h - 1 : s + h, : w + 2 * s]
 
-    group = max(1, min(len(candidates), GROUP_BUDGET // S))
-    sq = np.empty((c, n))
+    group = max(1, min(len(candidates), GROUP_BUDGET * 8 // (dtype.itemsize * S)))
+    sq = np.empty((c, n), dtype)
     # err holds the group's squared errors, then its block costs
-    err = np.zeros(group * S)
-    rows = np.zeros(group * S)
+    err = np.zeros(group * S, dtype)
+    rows = np.zeros(group * S, dtype)
     err_3d = err.reshape(group, h + block - 1, W)
     rows_3d = rows.reshape(group, h + block - 1, W)
     better = np.empty(n, dtype=bool)
-    best_cost = np.full(n, np.inf)
+    # every int32 cost is below 2**31, so at most the initial maximum
+    best_cost = np.full(n, np.inf if dtype.kind == "f" else np.iinfo(dtype).max, dtype)
     best_k = np.zeros(n, dtype=np.intp)
     for k0 in range(0, len(candidates), group):
         g = min(group, len(candidates) - k0)
@@ -128,7 +163,8 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
         # only reads its own row, and the columns from w + block - 1 on are
         # scratch; a column sum for one of the first h rows of a segment only
         # reads that segment. Sums of squares are never -0.0, so starting
-        # from the first term equals starting from zero.
+        # from the first term equals starting from zero. Scratch values may
+        # wrap in int32; no valid output reads them.
         _box_pass(err, rows, g * S - (block - 1), 1, block)
         rows_g = rows_3d[:g]
         rows_g[:, :half] = rows_g[:, half : half + 1]

@@ -196,6 +196,15 @@ class FlowBank:
     pair for the last time: restore_iter before a batch's first step, and
     temporal_consistency once a pair or triple is scored. A bank a caller
     passes in is never pruned.
+
+    codes holds each frame's uint8 codes, or None for a frame that is not
+    8-bit, made the first time a flow reads the frame: h * w * 3 bytes a
+    frame, an eighth of the float frame. So a frame is checked for 8-bit
+    values once, however many flows read it, and a pair of 8-bit frames is
+    matched by estimate_flow's exact integer path on their codes. Codes
+    stay until the bank goes, except that temporal_consistency frees a
+    frame's codes from a bank it made once it has read the frame for the
+    last time.
     """
 
     seq: FrameSequence
@@ -203,10 +212,18 @@ class FlowBank:
     search: int
     flow: dict = field(default_factory=dict)
     conf: dict = field(default_factory=dict)
+    codes: dict = field(default_factory=dict)
+
+    def _codes_of(self, i: int) -> np.ndarray | None:
+        if i not in self.codes:
+            self.codes[i] = flowmod._codes(self.seq.frames[i])
+        return self.codes[i]
 
     def flow_of(self, i: int, j: int) -> np.ndarray:
         if (i, j) not in self.flow:
-            src, dst = self.seq.frames[i], self.seq.frames[j]
+            src, dst = self._codes_of(i), self._codes_of(j)
+            if src is None or dst is None:
+                src, dst = self.seq.frames[i], self.seq.frames[j]
             self.flow[(i, j)] = flowmod.estimate_flow(src, dst, self.block, self.search)
         return self.flow[(i, j)]
 
@@ -435,9 +452,11 @@ def temporal_consistency(
     by default the measured sequence itself. Pass the LQ input's bank to
     score restored variants under identical flows, each estimated once; it
     keeps every flow read. A bank made here from frames scores one pair or
-    triple at a time and drops its flows once scored, so it holds a
-    constant number of flows at any length. The bank's frames must have
-    seq's count and shape, checked before any flow is estimated.
+    triple at a time, in one sweep over the frames, and drops its flows
+    once scored and a frame's codes once no later item reads the frame, so
+    it holds a constant number of flows and codes at any length. The
+    bank's frames must have seq's count and shape, checked before any flow
+    is estimated.
     """
     own_bank = not isinstance(flow_source, FlowBank)
     if own_bank:
@@ -460,11 +479,13 @@ def temporal_consistency(
         e_warp.append(metrics.warping_error(seq.frames[t - 1], seq.frames[t], flow, mask))
         if own_bank:
             bank.drop(t, t - 1)
-    for t in range(1, n - 1):
-        fwd, bwd = bank.flow_of(t + 1, t - 1), bank.flow_of(t - 1, t + 1)
-        e_inter.append(metrics.interpolation_error(*seq.frames[t - 1 : t + 2], fwd, bwd))
-        if own_bank:
-            bank.drop(t + 1, t - 1)
+        if t < 2:
+            continue
+        fwd, bwd = bank.flow_of(t, t - 2), bank.flow_of(t - 2, t)
+        e_inter.append(metrics.interpolation_error(*seq.frames[t - 2 : t + 1], fwd, bwd))
+        if own_bank:  # no later pair or triple reads frame t - 2
+            bank.drop(t, t - 2)
+            bank.codes.pop(t - 2, None)
     return e_warp, e_inter
 
 

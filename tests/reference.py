@@ -3,8 +3,11 @@
 The hook-free sampler and per-frame baseline are the mechanism-off oracles
 that `restore` with both window lists empty must equal bit for bit.
 split_blends reads restore's latent-warping calls back by batch and step.
-Nothing in the package calls them.
+estimate_flow_exact is block matching on 8-bit frames with exact integer
+costs. Nothing in the package calls them.
 """
+
+import numpy as np
 
 from zsvr import pipeline, toydiff
 from zsvr.mediaio import FrameSequence
@@ -60,3 +63,39 @@ def split_blends(calls, plan, steps):
         batches.append(rows)
     assert next(calls, None) is None, "more blend_warped calls than the plan makes"
     return batches
+
+
+def estimate_flow_exact(src, dst, block, search):
+    """Exhaustive SSD block matching on 8-bit frames, with exact costs.
+
+    src and dst are uint8 codes or floats k/255. A candidate's cost is the
+    SSD of the int64 codes over the edge-clamped block, taken from a
+    summed-area table, so it is exact whatever the order of summation. The
+    first candidate in (|d|^2, dy, dx) order with the least cost wins, as
+    estimate_flow's tie rule states.
+    """
+
+    def codes(img):
+        k = img.astype(np.int64) if img.dtype == np.uint8 else np.rint(img * 255).astype(np.int64)
+        return k[:, :, None] if k.ndim == 2 else k
+
+    s, d = codes(src), codes(dst)
+    h, w, _ = s.shape
+    lo, hi = block // 2, block - 1 - block // 2
+    cands = sorted(
+        (dy * dy + dx * dx, dy, dx)
+        for dy in range(-search, search + 1)
+        for dx in range(-search, search + 1)
+    )
+    costs = np.empty((len(cands), h, w), dtype=np.int64)
+    for k, (_, dy, dx) in enumerate(cands):
+        ys = np.clip(np.arange(h) + dy, 0, h - 1)
+        xs = np.clip(np.arange(w) + dx, 0, w - 1)
+        err = ((s - d[np.ix_(ys, xs)]) ** 2).sum(axis=2)
+        sat = np.zeros((h + block, w + block), dtype=np.int64)
+        sat[1:, 1:] = np.pad(err, ((lo, hi), (lo, hi)), mode="edge").cumsum(0).cumsum(1)
+        costs[k] = sat[block:, block:] - sat[:h, block:] - sat[block:, :w] + sat[:h, :w]
+    best = costs.argmin(axis=0)
+    du = np.array([dx for _, _, dx in cands], dtype=np.float64)
+    dv = np.array([dy for _, dy, _ in cands], dtype=np.float64)
+    return np.stack([du[best], dv[best]], axis=2)

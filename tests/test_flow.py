@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsvr import cli, flow, mediaio
+from reference import estimate_flow_exact
+from zsvr import cli, flow, mediaio, pipeline
+from zsvr.mediaio import FrameSequence
 
 
 def warp_oracle(grid, fl):
@@ -194,6 +196,114 @@ def test_estimate_flow_matches_oracle_across_candidate_groups(monkeypatch):
         assert np.array_equal(flow.estimate_flow(src, dst, block=block, search=search), want)
 
 
+def _matched_dtypes(monkeypatch):
+    """The dtypes estimate_flow's costs are computed in, one per later call."""
+    dtypes, match = [], flow._match
+
+    def spy(src, dst, block, search):
+        dtypes.append(src.dtype)
+        return match(src, dst, block, search)
+
+    monkeypatch.setattr(flow, "_match", spy)
+    return dtypes
+
+
+@st.composite
+def _eight_bit_cases(draw):
+    h = draw(st.integers(1, 12))
+    w = draw(st.integers(1, 12))
+    shape = (h, w) if draw(st.booleans()) else (h, w, 3)
+    # a few codes from the whole 8-bit range, so ties and flat regions are
+    # common and squared errors reach 255**2
+    levels = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src, dst = (rng.choice(levels, shape).astype(np.uint8) for _ in range(2))
+    if draw(st.booleans()):
+        src, dst = src / 255, dst / 255
+    # one group, one candidate per group, or a few per group
+    budget = draw(st.sampled_from([flow.GROUP_BUDGET, 1, 2000]))
+    return src, dst, draw(st.integers(1, 15)), draw(st.integers(0, 6)), budget
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_eight_bit_cases())
+def test_estimate_flow_on_eight_bit_frames_is_exact(case):
+    # block and search may exceed the frame, so clamping covers whole patches
+    src, dst, block, search, budget = case
+    want = estimate_flow_exact(src, dst, block, search)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "GROUP_BUDGET", budget)
+        dtypes = _matched_dtypes(mp)
+        assert np.array_equal(flow.estimate_flow(src, dst, block, search), want)
+    assert dtypes == [np.int32]
+
+
+@pytest.mark.parametrize(
+    "shape, block, dtype",
+    [
+        ((2, 3, 3), 104, np.int32),
+        ((2, 3, 3), 105, np.float64),
+        ((3, 2), 181, np.int32),
+        ((3, 2), 182, np.float64),
+    ],
+)
+def test_estimate_flow_int32_bound(monkeypatch, shape, block, dtype):
+    # costs are int32 while block**2 * channels * 255**2 < 2**31; codes 0 and
+    # 255 take them to the bound, and above it the codes are matched in
+    # float64, which holds their costs exactly too
+    rng = np.random.default_rng(block)
+    src, dst = (rng.choice([0, 255], shape).astype(np.uint8) for _ in range(2))
+    dtypes = _matched_dtypes(monkeypatch)
+    for a, b in ((src, dst), (src / 255, dst / 255)):
+        want = estimate_flow_exact(a, b, block, 1)
+        assert np.array_equal(flow.estimate_flow(a, b, block, 1), want)
+    assert dtypes == [dtype, dtype]
+
+
+def test_bank_and_estimate_flow_give_one_flow_per_eight_bit_pair(monkeypatch):
+    # the bank, estimate_flow on float k/255 frames and on their uint8 codes
+    # agree, and the bank checks each frame for 8-bit values once, however
+    # many flows read it, dropped and read again
+    rng = np.random.default_rng(27)
+    codes = [rng.choice([0, 1, 2, 128, 255], (9, 11, 3)).astype(np.uint8) for _ in range(4)]
+    seq = FrameSequence([c / 255 for c in codes])
+    pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+    want = {}
+    for i, j in pairs:
+        want[(i, j)] = estimate_flow_exact(codes[i], codes[j], 5, 2)
+        assert np.array_equal(flow.estimate_flow(codes[i], codes[j], 5, 2), want[(i, j)])
+        assert np.array_equal(flow.estimate_flow(seq.frames[i], seq.frames[j], 5, 2), want[(i, j)])
+    checked, to_codes = [], flow._codes
+
+    def spy(img):
+        checked.append(next(k for k, f in enumerate(seq.frames) if f is img))
+        return to_codes(img)
+
+    monkeypatch.setattr(flow, "_codes", spy)
+    bank = pipeline.FlowBank(seq, 5, 2)
+    for i, j in pairs + pairs[::-1]:
+        assert np.array_equal(bank.flow_of(i, j), want[(i, j)])
+        bank.conf_of(i, j)
+        bank.drop(i, j)
+    assert sorted(checked) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("off_grid", ["nudged", "above 1", "nan"])
+def test_off_grid_frames_take_the_float_path(monkeypatch, off_grid):
+    rng = np.random.default_rng(28)
+    src = rng.integers(0, 3, (7, 8, 3)) / 255
+    dst = rng.integers(0, 3, (7, 8, 3)) / 255
+    src[3, 4, 1] = {"nudged": src[3, 4, 1] + 1e-9, "above 1": 256 / 255, "nan": np.nan}[off_grid]
+    dtypes = _matched_dtypes(monkeypatch)
+    got = flow.estimate_flow(src, dst, 3, 2)
+    assert dtypes == [np.float64]
+    assert np.array_equal(got, estimate_flow_oracle(src, dst, 3, 2))
+    if off_grid == "nudged":  # a bank matches the pair on its float frames
+        bank = pipeline.FlowBank(FrameSequence([src, dst]), 3, 2)
+        assert np.array_equal(bank.flow_of(0, 1), got)
+        assert dtypes == [np.float64, np.float64]
+
+
 # (frames, size, block, search, pairs) of the golden digests: the benchmark's
 # demo24 and ablate8 flow settings on the seed-0 demo LQ clip
 GOLDEN_CASES = {
@@ -211,7 +321,8 @@ GOLDEN_CASES = {
 
 
 def _golden_flows(tmp_path, case):
-    # the seed-0 demo LQ clip as the benchmark reads it back from disk; block
+    # the seed-0 demo LQ clip as the benchmark reads it back from disk, so
+    # its 8-bit frames take estimate_flow's exact integer path; block
     # matching and bilinear sampling use no BLAS, so these outputs are the
     # same on any IEEE host
     n, size, block, search, pairs = GOLDEN_CASES[case]
@@ -232,7 +343,7 @@ def _sha(arrays):
 @pytest.mark.parametrize(
     "case, digest",
     [
-        ("64x64-b7-s4", "5a82edfa174cbf0a130b101eadc82cd0681f760c158fbde0eaf24b8c49a527fa"),
+        ("64x64-b7-s4", "bf41020b6f8d513ede9e6d12756e02cc2dc72601981c512fda7e35a29611a950"),
         ("32x32-b5-s2", "b067e1e461d36d6128988e0773c4d7e694d316473f580d6641140654d844fbcb"),
     ],
     ids=list(GOLDEN_CASES),
@@ -268,7 +379,7 @@ def _sampling_outputs(frames, pairs, flows):
 @pytest.mark.parametrize(
     "case, digest",
     [
-        ("64x64-b7-s4", "70a154638bcacb7e6ff28db164e2d1d53b15f185777864d20b15461b2984560a"),
+        ("64x64-b7-s4", "5a6e08629b0243bfcd80339a7d76f5e7c7ff848a87fdc9c36c9b4b48b64b2003"),
         ("32x32-b5-s2", "a33b28c0a563d1c00b92b3342066e3502923ba454f455a5bf8f81684d02e4de0"),
     ],
     ids=list(GOLDEN_CASES),

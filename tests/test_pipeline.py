@@ -246,8 +246,10 @@ def test_precompute_flows_confidence_only_for_read_pairs(monkeypatch):
     assert bank.flow.keys() == read | {(j, i) for i, j in read}
     for (fwd, bwd), (i, j) in zip(calls, sorted(read)):
         assert fwd is bank.flow[(i, j)] and bwd is bank.flow[(j, i)]
-    # the bank holds its frames, its block-matching settings and their output, no masks
-    assert [f.name for f in fields(pipeline.FlowBank)] == ["seq", "block", "search", "flow", "conf"]
+    # the bank holds its frames, its block-matching settings, their output
+    # and the frames' 8-bit codes, no masks
+    names = ["seq", "block", "search", "flow", "conf", "codes"]
+    assert [f.name for f in fields(pipeline.FlowBank)] == names
     assert (bank.seq, bank.block, bank.search) == (seq, 7, 4)
 
 
@@ -887,7 +889,7 @@ def test_temporal_consistency_from_frames_holds_constant_memory(monkeypatch):
     calls = []
 
     def count(*args):
-        calls.append(args)
+        calls.append(None)  # not args: they would keep each frame's codes alive
         return estimate(*args)
 
     monkeypatch.setattr(flowmod, "estimate_flow", count)
