@@ -54,9 +54,11 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
 
     Ties are broken toward the smallest displacement magnitude, then raster
     order of the displacement, so flat regions report zero motion. Patch
-    sampling clamps at image borders. The cost of a candidate is the
-    per-pixel squared error summed over channels in order, then over the
-    block as a sum of row sums, in raster offset order.
+    sampling clamps at image borders, so a displacement past max(h, w) - 1
+    costs exactly what a nearer one tried before it costs; search is capped
+    there, with the same flow. The cost of a candidate is the per-pixel
+    squared error summed over channels in order, then over the block as a
+    sum of row sums, in raster offset order.
 
     On 8-bit inputs the costs are exact, so the tie rule holds for every
     exact tie of the true SSD. 8-bit means both frames are uint8 codes, or
@@ -90,6 +92,7 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
         raise ValueError("block must be >= 1")
     if search < 0:
         raise ValueError("search must be >= 0")
+    search = min(search, max(src.shape[:2]) - 1)
     a, b = (src, dst) if src.dtype == dst.dtype == np.uint8 else (_codes(src), _codes(dst))
     dtype = np.float64
     if a is not None and b is not None:

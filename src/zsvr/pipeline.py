@@ -202,9 +202,9 @@ class FlowBank:
     frame, an eighth of the float frame. So a frame is checked for 8-bit
     values once, however many flows read it, and a pair of 8-bit frames is
     matched by estimate_flow's exact integer path on their codes. Codes
-    stay until the bank goes, except that temporal_consistency frees a
-    frame's codes from a bank it made once it has read the frame for the
-    last time.
+    stay until the bank goes, except that precompute_flows and, in a bank
+    it made, temporal_consistency free a frame's codes once they have read
+    it for the last time. A later read of the frame makes its codes again.
     """
 
     seq: FrameSequence
@@ -266,10 +266,18 @@ def precompute_flows(seq: FrameSequence, config: RestoreConfig) -> FlowBank:
     The reads are eager, not left to restore, so that each flow is estimated
     here: perfbench checks the estimate_flow calls made inside this function
     against len(bank.flow). Each pair's confidence estimates both directions.
+    A frame's codes are freed once its last pair is read, so the bank holds
+    none: restore reads no other pair. (Freeing them all at the end instead
+    read 0.3 to 1.9 MB more peak RSS on perfbench's demo24, in every run.)
     """
     bank = FlowBank(seq, config.flow_block, config.flow_search)
-    for i, j in sorted(_needed_pairs(plan_batches(len(seq), config.batch_size, config.seed))):
+    pairs = sorted(_needed_pairs(plan_batches(len(seq), config.batch_size, config.seed)))
+    last = {f: k for k, pair in enumerate(pairs) for f in pair}
+    for k, (i, j) in enumerate(pairs):
         bank.conf_of(i, j)
+        for f in (i, j):
+            if last[f] == k:
+                bank.codes.pop(f)
     return bank
 
 
@@ -312,24 +320,19 @@ def step_plan(config: RestoreConfig) -> tuple[list[bool], list[float]]:
     return hlw_on, ratios
 
 
-def _flow_readers(config: RestoreConfig, hlw_on: list, ratios: list) -> tuple[bool, bool]:
-    """Given config's step_plan, does restore read flows to warp latents, and to
-    merge tokens along them?"""
-    return any(hlw_on), any(ratios) and MergeMode.FLOW_DOWN in (config.down_mode, config.up_mode)
-
-
 def _merge_attention(
     config: RestoreConfig, matches: dict, r_i: float, target: int, kind, chunk, attention
 ):
     """Attention hook: one hybrid merge pass toward batch frame target at merge ratio r_i.
 
-    matches maps each content token grid to the batch's flow-guided
-    (targets, criteria) on that grid, made once per batch, as
-    hybrid_merge_pass takes them.
+    The block kind picks config.down_mode or up_mode. A FLOW_DOWN pass gets
+    matches[content grid], the batch's flow-guided (targets, criteria) made
+    once per batch, and a COSINE_UP pass gets config.tome_R.
     """
     mode = config.down_mode if kind is BlockKind.DOWN else config.up_mode
-    kwargs = {"matches": matches[chunk.content]} if mode is MergeMode.FLOW_DOWN else {}
-    return hybrid_merge_pass(chunk, target, mode, attention, r_i, R=config.tome_R, **kwargs)
+    if mode is MergeMode.FLOW_DOWN:
+        return hybrid_merge_pass(chunk, target, attention, r_i, matches=matches[chunk.content])
+    return hybrid_merge_pass(chunk, target, attention, r_i, R=config.tome_R)
 
 
 def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | None = None):
@@ -356,11 +359,12 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
     plan = plan_batches(len(seq), config.batch_size, config.seed)
     sched = toydiff.make_schedule(SCHED_T, BETA_START, BETA_END)
     ts = toydiff.step_indices(sched.T, config.steps)
-    warps, flow_merges = _flow_readers(config, hlw_on, ratios)
+    warps = any(hlw_on)
+    flow_merges = any(ratios) and MergeMode.FLOW_DOWN in (config.down_mode, config.up_mode)
     own_bank = bank is None and (warps or flow_merges)
     if own_bank:
         bank = precompute_flows(seq, config)
-    denoiser = ToyDenoiser(channels=3, seed=config.seed)
+    denoiser = ToyDenoiser(config.seed)
     grids = toydiff.content_grids(h // scale, w // scale)
     latent = grids[0]
     # Masks are the bank's confidences thresholded at this config's flow.tau_occ.
@@ -512,30 +516,22 @@ STAGE_VARIANTS = {
 }
 
 
-def ablate(seq: FrameSequence, config: RestoreConfig, variants: dict | None = None) -> dict:
-    """Run restore under correspondence and stage variants; emit a metrics table.
+def ablate(seq: FrameSequence, config: RestoreConfig) -> dict:
+    """Restore seq under each of CORRESPONDENCE_VARIANTS and STAGE_VARIANTS
+    applied to config; return a table of each variant's mean E_warp and E_inter.
 
-    Variants with the same flow.block and flow.search share one FlowBank,
-    built only once a variant reads flows; the built-in variants override
-    neither, so they all share one. Each restored variant is scored under
-    flows estimated afresh from seq, as perfbench's expected call counts
-    assume.
+    No variant overrides batch_size, seed, flow.block or flow.search, so one
+    FlowBank, precomputed for config before the first variant, serves every
+    restore. Each restored variant is scored under flows estimated afresh
+    from seq, as perfbench's expected call counts assume.
     """
+    config.validate()
+    bank = precompute_flows(seq, config)
     table: dict = {}
-    groups = variants or {
-        "correspondence": CORRESPONDENCE_VARIANTS,
-        "stages": STAGE_VARIANTS,
-    }
-    banks: dict = {}
-    for group, entries in groups.items():
+    for group, entries in (("correspondence", CORRESPONDENCE_VARIANTS), ("stages", STAGE_VARIANTS)):
         rows = table[group] = {}
         for name, overrides in entries.items():
-            cfg = replace(config, **overrides)
-            steps = step_plan(cfg)
-            key = (cfg.flow_block, cfg.flow_search)
-            if key not in banks and any(_flow_readers(cfg, *steps)):
-                banks[key] = precompute_flows(seq, cfg)
-            restored = restore(seq, cfg, bank=banks.get(key))
+            restored = restore(seq, replace(config, **overrides), bank=bank)
             e_warp, e_inter = temporal_consistency(restored, config, flow_source=seq)
             rows[name] = {
                 "e_warp_mean": float(np.mean(e_warp)) if e_warp else None,

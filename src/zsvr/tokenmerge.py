@@ -290,7 +290,6 @@ def restore_padding(chunk: TokenChunk, content_tokens: np.ndarray) -> np.ndarray
 def hybrid_merge_pass(
     chunk: TokenChunk,
     target_index: int,
-    mode: MergeMode,
     attention,
     r_i: float,
     R: float | None = None,
@@ -298,30 +297,28 @@ def hybrid_merge_pass(
 ) -> np.ndarray:
     """Full merge pipeline around one attention call; returns (B, A, C) tokens.
 
-    strip padding -> split -> correspondence (flow-guided or spatially
-    weighted cosine) -> select top r_i -> merge -> attention over the merged
-    tokens -> unmerge -> restore padding, with frame target_index of the
-    chunk as the target. Output shape equals input shape.
-    matches is the flow-guided (targets, criteria) of the (B-1)*A source
-    tokens on the content token grid, as flow_correspondence returns them;
-    flows are fixed for a batch, so a caller computes them once for all its
-    passes. The cosine scores of every source frame are weighted by the one
-    cached spatial_table of the content grid. They are computed per source
-    frame in blocks of serial_rows(A, C) source rows, so no (B-1)*A x A array
-    is made and no score product is threaded by the BLAS; the target's norms
-    are computed once per pass.
+    strip padding -> split -> correspondence -> select top r_i -> merge ->
+    attention over the merged tokens -> unmerge -> restore padding, with
+    frame target_index of the chunk as the target; output shape equals
+    input shape. Exactly one of matches and R is given. matches makes the
+    pass flow-guided: the (targets, criteria) of the (B-1)*A source tokens
+    on the content token grid, as flow_correspondence returns them, which a
+    caller computes once for all its passes, as flows are fixed for a
+    batch. R makes it spatially weighted cosine: every source frame's scores
+    are weighted by the one cached spatial_table(h, w, R) of the content
+    grid. They are computed per source frame in blocks of serial_rows(A, C)
+    source rows, so no (B-1)*A x A array is made and no score product is
+    threaded by the BLAS; the target's norms are computed once per pass.
     """
-    if mode is MergeMode.FLOW_DOWN and matches is None:
-        raise ValueError("FLOW_DOWN requires matches")
-    if mode is MergeMode.COSINE_UP and R is None:
-        raise ValueError("COSINE_UP requires R")
+    if (R is None) == (matches is None):
+        raise ValueError("give exactly one of R (cosine) and matches (flow-guided)")
 
     tokens = strip_padding(chunk)
     b = tokens.shape[0]
     h, w = chunk.content
     src, tar, src_slots = split_src_tar(tokens, target_index)
 
-    if mode is MergeMode.FLOW_DOWN:
+    if matches is not None:
         targets, criteria = matches
         if len(targets) != len(src):
             raise ValueError(f"matches for {len(targets)} source tokens, the chunk has {len(src)}")

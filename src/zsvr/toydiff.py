@@ -88,11 +88,12 @@ def content_grids(h: int, w: int) -> tuple[tuple[int, int], tuple[int, int]]:
 class ToyDenoiser:
     """Seeded pseudo-random denoiser; same seed gives bit-identical weights.
 
-    Latent channels are embedded to a wider token width before the blocks
-    (cosine matching needs a non-trivial feature dimension) and projected
-    back afterwards. The predicted noise is RMS-normalized per frame so the
-    untrained network stands in for a unit-variance noise estimate and the
-    sampling dynamics stay bounded.
+    Its shape is fixed and its seed is its one parameter: the 3 latent
+    channels (an RGB frame, area-downsampled) are embedded to a token width
+    of 16 before the blocks (cosine matching needs a non-trivial feature
+    dimension) and projected back afterwards. The predicted noise is
+    RMS-normalized per frame so the untrained network stands in for a
+    unit-variance noise estimate and the sampling dynamics stay bounded.
 
     Attention over K tokens runs in row blocks of serial_rows(K, width) =
     max(1, 262144 // (K * width)) queries, so no K x K score array is made
@@ -105,10 +106,11 @@ class ToyDenoiser:
     """
 
     N_BLOCKS = 4  # down, down, up, up
+    channels = 3
+    width = 16
 
-    def __init__(self, channels: int = 3, seed: int = 0, width: int = 16):
-        self.channels = channels
-        self.width = width
+    def __init__(self, seed: int):
+        channels, width = self.channels, self.width
         rng = np.random.default_rng(seed)
         scale = 1.0 / math.sqrt(width)
         self.w_in = rng.standard_normal((channels, width)) / math.sqrt(channels)

@@ -31,7 +31,7 @@ def per_frame_baseline(seq, config):
     scale = config.latent_scale
     hl, wl = h // scale, w // scale
     sched = toydiff.make_schedule(pipeline.SCHED_T, pipeline.BETA_START, pipeline.BETA_END)
-    denoiser = ToyDenoiser(channels=3, seed=config.seed)
+    denoiser = ToyDenoiser(config.seed)
     out = []
     for f, frame in enumerate(seq.frames):
         x0 = pipeline.encode_latent(frame, scale)[None]

@@ -288,6 +288,47 @@ def test_bank_and_estimate_flow_give_one_flow_per_eight_bit_pair(monkeypatch):
     assert sorted(checked) == [0, 1, 2, 3]
 
 
+def _matched_searches(monkeypatch):
+    """The search radius estimate_flow's kernel runs at, one per later call."""
+    searches, match = [], flow._match
+
+    def spy(src, dst, block, search):
+        searches.append(search)
+        return match(src, dst, block, search)
+
+    monkeypatch.setattr(flow, "_match", spy)
+    return searches
+
+
+@pytest.mark.parametrize("eight_bit", [True, False], ids=["8-bit", "float"])
+@pytest.mark.parametrize("shape, block", [((1, 1), 1), ((3, 5, 3), 3), ((6, 2), 5), ((2, 3), 7)])
+def test_search_is_capped_with_the_same_flow(monkeypatch, eight_bit, shape, block):
+    # a displacement of more than max(h, w) - 1 reads only clamped border
+    # pixels, so it costs what a nearer candidate tried first costs; four
+    # levels make such equal costs common
+    rng = np.random.default_rng(sum(shape) + block)
+    src, dst = (rng.choice([0, 85, 170, 255], shape) / 255 for _ in range(2))
+    uncapped = estimate_flow_exact
+    if not eight_bit:
+        src, dst, uncapped = src + 0.25, dst + 0.25, estimate_flow_oracle
+    cap = max(shape[:2]) - 1
+    searches = _matched_searches(monkeypatch)
+    want = flow.estimate_flow(src, dst, block, cap)
+    for search in (cap + 1, cap + 3, cap + 7):
+        assert np.array_equal(uncapped(src, dst, block, search), want)
+        assert np.array_equal(flow.estimate_flow(src, dst, block, search), want)
+    assert searches == [cap] * 4
+
+
+def test_huge_search_runs_at_the_cap(monkeypatch):
+    rng = np.random.default_rng(29)
+    src, dst = (rng.integers(0, 256, (8, 8, 3)).astype(np.uint8) for _ in range(2))
+    searches = _matched_searches(monkeypatch)
+    got = flow.estimate_flow(src, dst, 3, 10**6)
+    assert np.array_equal(got, flow.estimate_flow(src, dst, 3, 7))
+    assert searches == [7, 7]
+
+
 @pytest.mark.parametrize("off_grid", ["nudged", "above 1", "nan"])
 def test_off_grid_frames_take_the_float_path(monkeypatch, off_grid):
     rng = np.random.default_rng(28)

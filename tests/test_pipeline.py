@@ -253,6 +253,20 @@ def test_precompute_flows_confidence_only_for_read_pairs(monkeypatch):
     assert (bank.seq, bank.block, bank.search) == (seq, 7, 4)
 
 
+def test_precomputed_bank_holds_no_codes():
+    # restore reads no pair past the plan's, so precompute_flows frees every
+    # frame's 8-bit codes; a later read of another pair makes them again
+    lq = small_video()
+    cfg = small_config()
+    bank = pipeline.precompute_flows(lq, cfg)
+    assert bank.codes == {} and bank.flow
+    out = pipeline.restore(lq, cfg)
+    want = pipeline.temporal_consistency(out, cfg, flow_source=lq)
+    held = set(bank.flow)
+    assert pipeline.temporal_consistency(out, cfg, flow_source=bank) == want
+    assert set(bank.codes) == {i for pair in set(bank.flow) - held for i in pair}
+
+
 @st.composite
 def _bank_reads(draw):
     """A small random clip, block-matching settings and a random order of
@@ -743,14 +757,6 @@ def test_restore_reads_no_flows_unless_a_step_uses_them(monkeypatch):
     for cfg, expected in zip(configs, with_bank):
         out = pipeline.restore(lq, cfg)
         assert all(np.array_equal(a, b) for a, b in zip(out.frames, expected.frames))
-    monkeypatch.undo()  # the metrics estimate their own flows; no bank may be built
-    monkeypatch.setattr(pipeline, "precompute_flows", refuse)
-    variants = {
-        "stages": {"off_off": pipeline.STAGE_VARIANTS["off_off"]},
-        "v": {"cos_no_hlw": dict(hlw_windows=(), **cosine), "r0": dict(hlw_windows=(), tome_r=0.0)},
-    }
-    table = pipeline.ablate(lq, small_config(), variants=variants)
-    assert table["stages"]["off_off"] == table["v"]["r0"]
 
 
 def test_keyframe_chain_links_batches_step_by_step(monkeypatch):
@@ -947,44 +953,41 @@ def test_temporal_consistency_rejects_bank_of_other_frame_shape(monkeypatch):
         pipeline.temporal_consistency(FrameSequence(small.frames[:3]), cfg, flow_source=big)
 
 
-def test_ablate_shares_one_bank_per_flow_settings(monkeypatch):
+def test_ablate_restores_every_variant_on_one_bank(monkeypatch):
     lq = small_video(n=4, h=16, w=16)
     cfg = small_config(batch_size=2)
-    built = []
-    precompute = pipeline.precompute_flows
+    banks, restored = [], []
+    precompute, restore = pipeline.precompute_flows, pipeline.restore
 
-    def counting_precompute(seq, config):
-        built.append((config.batch_size, config.flow_block))
-        return precompute(seq, config)
+    def spy_precompute(seq, config):
+        banks.append(precompute(seq, config))
+        return banks[-1]
 
-    monkeypatch.setattr(pipeline, "precompute_flows", counting_precompute)
-    pipeline.ablate(lq, cfg)
-    assert built == [(2, cfg.flow_block)]
+    def spy_restore(seq, config, bank=None):
+        restored.append((config, bank))
+        return restore(seq, config, bank)
 
-    built.clear()
-    variants = {"v": {
-        "a": {}, "b": dict(flow_block=5), "c": dict(batch_size=3), "d": {}, "e": dict(flow_tau_occ=0.5)
-    }}
-    table = pipeline.ablate(lq, cfg, variants=variants)
-    # another batch plan or tau_occ reads the same bank
-    assert built == [(2, cfg.flow_block), (2, 5)]
-    assert set(table) == {"v"}  # only the groups run, no empty ones
-    assert table["v"]["a"] == table["v"]["d"]
-    alone = pipeline.ablate(lq, cfg, variants={"v": {"c": dict(batch_size=3)}})
-    assert table["v"]["c"] == alone["v"]["c"]
+    monkeypatch.setattr(pipeline, "precompute_flows", spy_precompute)
+    monkeypatch.setattr(pipeline, "restore", spy_restore)
+    table = pipeline.ablate(lq, cfg)
+    grid = {**pipeline.CORRESPONDENCE_VARIANTS, **pipeline.STAGE_VARIANTS}
+    assert len(banks) == 1 and len(restored) == len(grid) == 10
+    assert all(bank is banks[0] for _, bank in restored)
+    assert [c for c, _ in restored] == [replace(cfg, **ov) for ov in grid.values()]
+    # a restore that makes its own bank scores the same
+    monkeypatch.undo()
+    headline = pipeline.restore(lq, replace(cfg, **grid["flow_cos_spatial"]))
+    e_warp, e_inter = pipeline.temporal_consistency(headline, cfg, flow_source=lq)
+    row = table["correspondence"]["flow_cos_spatial"]
+    assert (row["e_warp_mean"], row["e_inter_mean"]) == (np.mean(e_warp), np.mean(e_inter))
 
 
 def test_ablate_table_shape():
     lq = small_video(n=4, h=16, w=16)
-    cfg = small_config(batch_size=2)
-    variants = {
-        "correspondence": {
-            "flow_flow": pipeline.CORRESPONDENCE_VARIANTS["flow_flow"],
-        },
-        "stages": {"off_off": pipeline.STAGE_VARIANTS["off_off"]},
-    }
-    table = pipeline.ablate(lq, cfg, variants=variants)
-    assert set(table) == {"correspondence", "stages"}
-    row = table["correspondence"]["flow_flow"]
-    assert set(row) == {"e_warp_mean", "e_warp_mean_x1000", "e_inter_mean"}
-    assert row["e_warp_mean_x1000"] == pytest.approx(1e3 * row["e_warp_mean"])
+    table = pipeline.ablate(lq, small_config(batch_size=2))
+    assert list(table) == ["correspondence", "stages"]
+    assert list(table["correspondence"]) == list(pipeline.CORRESPONDENCE_VARIANTS)
+    assert list(table["stages"]) == list(pipeline.STAGE_VARIANTS)
+    for row in (*table["correspondence"].values(), *table["stages"].values()):
+        assert set(row) == {"e_warp_mean", "e_warp_mean_x1000", "e_inter_mean"}
+        assert row["e_warp_mean_x1000"] == pytest.approx(1e3 * row["e_warp_mean"])

@@ -471,7 +471,7 @@ def test_merge_unmerge_match_oracle_property(case):
     # the whole pass fed these flow matches composes the same stages
     if mode is MergeMode.FLOW_DOWN:
         matches = (targets, criteria)
-        got = tm.hybrid_merge_pass(chunk, target, mode, lambda t: t, r_i, matches=matches)
+        got = tm.hybrid_merge_pass(chunk, target, lambda t: t, r_i, matches=matches)
         assert np.array_equal(got, out.reshape(chunk.tokens.shape))
 
 
@@ -604,7 +604,7 @@ def test_restore_padding_rejects_wrong_layout():
 def test_hybrid_pass_r_zero_identity():
     rng = np.random.default_rng(16)
     chunk, target = random_chunk(rng, b=3, h=3, w=3, c=4)
-    out = tm.hybrid_merge_pass(chunk, target, MergeMode.COSINE_UP, lambda t: t, 0.0, R=4.0)
+    out = tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.0, R=4.0)
     assert np.array_equal(out, chunk.tokens)
 
 
@@ -612,7 +612,7 @@ def test_hybrid_pass_identical_frames_identity():
     rng = np.random.default_rng(17)
     frame = rng.standard_normal((1, 9, 4))
     chunk = TokenChunk(np.repeat(frame, 2, axis=0), (3, 3), (3, 3))
-    out = tm.hybrid_merge_pass(chunk, 0, MergeMode.COSINE_UP, lambda t: t, 1.0, R=4.0)
+    out = tm.hybrid_merge_pass(chunk, 0, lambda t: t, 1.0, R=4.0)
     assert np.abs(out - chunk.tokens).max() <= 1e-12
 
 
@@ -625,7 +625,7 @@ def test_hybrid_pass_matches_composed_oracle():
     for shape in shapes:
         chunk, target = random_chunk(rng, **shape)
         r_i = float(rng.random())
-        out = tm.hybrid_merge_pass(chunk, target, MergeMode.COSINE_UP, lambda t: t, r_i, R=4.0)
+        out = tm.hybrid_merge_pass(chunk, target, lambda t: t, r_i, R=4.0)
         # compose the stages by hand
         stripped = tm.strip_padding(chunk)
         src, tar, slots = tm.split_src_tar(stripped, target)
@@ -652,9 +652,7 @@ def test_flow_pass_matches_composed_oracle():
         confs = [rng.random((h, w)) for _ in range(b - 1)]
         targets, criteria = tm.flow_correspondence(h, w, flows, confs)
         r_i = float(rng.random())
-        out = tm.hybrid_merge_pass(
-            chunk, target, MergeMode.FLOW_DOWN, lambda t: t, r_i, matches=(targets, criteria)
-        )
+        out = tm.hybrid_merge_pass(chunk, target, lambda t: t, r_i, matches=(targets, criteria))
         stripped = tm.strip_padding(chunk)
         src, tar, slots = tm.split_src_tar(stripped, target)
         selected = tm.select_top_r(targets, criteria, r_i)
@@ -670,7 +668,7 @@ def test_cosine_pass_memory_is_bounded():
     tm.spatial_table(16, 16, 4.0)  # cached across passes, so not one pass's cost
     tracemalloc.start()
     try:
-        tm.hybrid_merge_pass(chunk, target, MergeMode.COSINE_UP, lambda t: t, 0.5, R=4.0)
+        tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.5, R=4.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -692,21 +690,23 @@ def test_cosine_pass_with_precomputed_norms_is_bit_identical(monkeypatch):
         return cosine_scores(src, tar)
 
     for chunk, target in chunks:
-        want = tm.hybrid_merge_pass(chunk, target, MergeMode.COSINE_UP, lambda t: t, 0.7, R=4.0)
+        want = tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.7, R=4.0)
         monkeypatch.setattr(tm, "cosine_scores", without_norms)
-        got = tm.hybrid_merge_pass(chunk, target, MergeMode.COSINE_UP, lambda t: t, 0.7, R=4.0)
+        got = tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.7, R=4.0)
         monkeypatch.setattr(tm, "cosine_scores", cosine_scores)
         assert np.array_equal(got, want)
     assert given_norms and all(given_norms)
 
 
-def test_hybrid_pass_flow_mode_requires_flows():
+def test_hybrid_pass_takes_exactly_one_of_R_and_matches():
+    # matches makes the pass flow-guided and R makes it cosine; both or
+    # neither names no correspondence
     rng = np.random.default_rng(19)
-    chunk, target = random_chunk(rng)
-    with pytest.raises(ValueError, match="requires"):
-        tm.hybrid_merge_pass(chunk, target, MergeMode.FLOW_DOWN, lambda t: t, 0.5)
-    with pytest.raises(ValueError, match="requires"):
-        tm.hybrid_merge_pass(chunk, target, MergeMode.COSINE_UP, lambda t: t, 0.5)
+    chunk, target = random_chunk(rng, b=3, h=4, w=4, c=4)
+    matches = tm.flow_correspondence(4, 4, [np.zeros((4, 4, 2))] * 2, [np.ones((4, 4))] * 2)
+    for kwargs in ({}, dict(R=4.0, matches=matches)):
+        with pytest.raises(ValueError, match="exactly one of R"):
+            tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.5, **kwargs)
 
 
 def test_hybrid_pass_shape_preserved_flow_mode():
@@ -715,8 +715,7 @@ def test_hybrid_pass_shape_preserved_flow_mode():
     flows = [rng.uniform(-1, 1, (4, 4, 2)) for _ in range(2)]
     confs = [rng.random((4, 4)) for _ in range(2)]
     matches = tm.flow_correspondence(4, 4, flows, confs)
-    mode = MergeMode.FLOW_DOWN
-    out = tm.hybrid_merge_pass(chunk, target, mode, lambda t: t, 0.6, matches=matches)
+    out = tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.6, matches=matches)
     assert out.shape == chunk.tokens.shape
 
 
@@ -724,12 +723,11 @@ def test_hybrid_pass_rejects_matches_of_another_source_count():
     # (B-1)*A = 2*16 source tokens; matches made for one or three source frames
     rng = np.random.default_rng(24)
     chunk, target = random_chunk(rng, b=3, h=4, w=4, c=4)
-    mode = MergeMode.FLOW_DOWN
     for n_frames in (1, 3):
         flows = [np.zeros((4, 4, 2))] * n_frames
         matches = tm.flow_correspondence(4, 4, flows, [np.ones((4, 4))] * n_frames)
         with pytest.raises(ValueError, match="32"):
-            tm.hybrid_merge_pass(chunk, target, mode, lambda t: t, 0.5, matches=matches)
+            tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.5, matches=matches)
 
 
 def test_hybrid_pass_padding_never_merged_with_content():
@@ -740,7 +738,7 @@ def test_hybrid_pass_padding_never_merged_with_content():
     grid[:, 3, :, :] = pad_marker
     grid[:, :, 3, :] = pad_marker
     chunk = TokenChunk(grid.reshape(2, 16, 3), (4, 4), (3, 3))
-    out = tm.hybrid_merge_pass(chunk, 0, MergeMode.COSINE_UP, lambda t: t, 1.0, R=4.0)
+    out = tm.hybrid_merge_pass(chunk, 0, lambda t: t, 1.0, R=4.0)
     out_grid = out.reshape(2, 4, 4, 3)
     assert np.all(out_grid[:, 3, :, :] == pad_marker)
     assert np.all(out_grid[:, :, 3, :] == pad_marker)
@@ -752,4 +750,4 @@ def test_hybrid_pass_rejects_shape_changing_attention():
     rng = np.random.default_rng(22)
     chunk, target = random_chunk(rng, b=3, h=2, w=2, c=3)
     with pytest.raises(ValueError, match="shape"):
-        tm.hybrid_merge_pass(chunk, target, MergeMode.COSINE_UP, lambda t: t[:-1], 0.0, R=4.0)
+        tm.hybrid_merge_pass(chunk, target, lambda t: t[:-1], 0.0, R=4.0)
