@@ -21,7 +21,7 @@ import numpy as np
 
 from . import flow as flowmod
 from . import mediaio, metrics, pipeline
-from .mediaio import FrameSequence
+from .mediaio import FrameSequence, float_frame
 
 
 def _umask() -> int:
@@ -147,8 +147,10 @@ def _report_for(seq, cfg, ref=None, meta=None, flow_source=None) -> dict:
     e_warp, e_inter = pipeline.temporal_consistency(seq, cfg, flow_source)
     psnr, ssim = [], []
     if ref is not None:
-        psnr = [metrics.psnr(a, b) for a, b in zip(seq.frames, ref.frames)]
-        ssim = [metrics.ssim(a, b) for a, b in zip(seq.frames, ref.frames)]
+        for a, b in zip(seq.frames, ref.frames):
+            a, b = float_frame(a), float_frame(b)
+            psnr.append(metrics.psnr(a, b))
+            ssim.append(metrics.ssim(a, b))
     return mediaio.report_to_dict(psnr, ssim, e_warp, e_inter, meta)
 
 
@@ -216,7 +218,7 @@ def make_demo_video(
 
 def degrade_video(seq: FrameSequence, scale: int, noise_std: float, seed: int) -> FrameSequence:
     """Downsample by `scale`, upsample back, add per-frame Gaussian noise, and
-    round to 8 bits, so the frames equal what write_frames stores."""
+    round to uint8 frames, as an 8-bit source holds them."""
     h, w, _ = seq.shape
     out = []
     for f, frame in enumerate(seq.frames):
@@ -224,8 +226,13 @@ def degrade_video(seq: FrameSequence, scale: int, noise_std: float, seed: int) -
         up = flowmod.bilinear_resample(small, h, w)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDE, f]))
         noisy = up + noise_std * rng.standard_normal(up.shape)
-        out.append(np.rint(np.clip(noisy, 0.0, 1.0) * 255) / 255)
+        out.append(np.rint(np.clip(noisy, 0.0, 1.0) * 255).astype(np.uint8))
     return FrameSequence(out)
+
+
+# zsvr demo --frames at most: make_demo_video's texture has (n + 68)**2 * 3
+# values at 64x64, 27 MB at this bound, and 2.4 GB at n = 10000
+MAX_DEMO_FRAMES = 1000
 
 
 def demo_config(seed: int) -> pipeline.RestoreConfig:
@@ -255,13 +262,16 @@ def cmd_demo(args) -> int:
     return 0
 
 
-def _int_at_least(lo: int):
-    """argparse type: an integer >= lo, so a bad value is a usage error."""
+def _int_at_least(lo: int, hi: int | None = None):
+    """argparse type: an integer >= lo, and <= hi if given, so a bad value is
+    a usage error."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -311,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("demo", help="synthetic end-to-end comparison")
     pd.add_argument("--out", dest="out_dir", required=True)
     pd.add_argument("--seed", type=_int_at_least(0), default=0)
-    pd.add_argument("--frames", type=_int_at_least(1), default=24)
+    pd.add_argument("--frames", type=_int_at_least(1, MAX_DEMO_FRAMES), default=24)
     pd.set_defaults(func=cmd_demo)
     return p
 

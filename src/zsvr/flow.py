@@ -26,6 +26,11 @@ def _as_3d(img: np.ndarray) -> np.ndarray:
 # holds twice as many values in the same bytes
 GROUP_BUDGET = 32768
 
+# most values in one plane of estimate_flow, max(h + block - 1,
+# h + 2*search + 1) rows of W: 4K UHD frames (2160x3840) at block 7 and
+# search 4 need 8.35 M
+PLANE_BUDGET = 2**24
+
 
 def _box_pass(src: np.ndarray, out: np.ndarray, length: int, step: int, block: int) -> None:
     """out[:length] = src[:length] + src[step:] + ... + src[(block-1)*step:], in order."""
@@ -85,6 +90,13 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     at [i*S, i*S + h*W). Every valid output reads only its own segment.
     Selection is a strict < running minimum over the candidates in sorted
     order.
+
+    Memory: the cost and row-sum buffers hold at least S values each, and
+    the padded dst plane (h + 2*search + 1) * W a channel. Before anything
+    is allocated, a block and search whose taller plane, max(S,
+    (h + 2*search + 1) * W), exceeds PLANE_BUDGET values are refused. So
+    whatever block and search are set, a call's buffers stay below about 20
+    planes' worth at 3 channels, 2.7 GB as float64 at the budget.
     """
     if src.shape != dst.shape:
         raise ValueError(f"shape mismatch: {src.shape} vs {dst.shape}")
@@ -92,7 +104,12 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
         raise ValueError("block must be >= 1")
     if search < 0:
         raise ValueError("search must be >= 0")
-    search = min(search, max(src.shape[:2]) - 1)
+    h, w = src.shape[:2]
+    search = min(search, max(h, w) - 1)
+    plane = max(h + block - 1, h + 2 * search + 1) * max(w + 2 * search, w + block - 1)
+    if plane > PLANE_BUDGET:
+        raise ValueError(f"block {block} and search {search} on {h}x{w} frames need planes "
+                         f"of {plane} values, over flow.PLANE_BUDGET = {PLANE_BUDGET}")
     a, b = (src, dst) if src.dtype == dst.dtype == np.uint8 else (_codes(src), _codes(dst))
     dtype = np.float64
     if a is not None and b is not None:

@@ -33,22 +33,24 @@ class FormatError(ValueError):
 
 @dataclass
 class FrameSequence:
-    """Ordered RGB frames with values in [0, 1]."""
+    """Ordered RGB frames of one dtype: uint8 codes k, which stand for the
+    values k/255 (frames read from 8-bit sources), or floats in [0, 1].
+    Readers that need values take them from float_frame."""
 
     frames: list[np.ndarray]
 
     def __post_init__(self):
         if not self.frames:
             raise ValueError("FrameSequence requires at least one frame")
-        shape = self.frames[0].shape
+        shape, dtype = self.frames[0].shape, self.frames[0].dtype
         if len(shape) != 3 or shape[2] != 3 or shape[0] < 1 or shape[1] < 1:
             raise ValueError(f"frames must have shape (h, w, 3), got {shape}")
+        if dtype != np.uint8 and dtype.kind != "f":
+            raise ValueError(f"frames must be uint8 or float, got {dtype}")
         for i, f in enumerate(self.frames):
-            if f.shape != shape:
-                raise ValueError(
-                    f"frame {i} has shape {f.shape}, expected {shape}"
-                )
-            if not np.isfinite(f).all() or f.min() < 0.0 or f.max() > 1.0:
+            if (f.shape, f.dtype) != (shape, dtype):
+                raise ValueError(f"frame {i} is {f.dtype} {f.shape}, frame 0 is {dtype} {shape}")
+            if dtype.kind == "f" and not (np.isfinite(f).all() and 0.0 <= f.min() <= f.max() <= 1.0):
                 raise ValueError(f"frame {i} has values outside [0, 1]")
 
     def __len__(self):
@@ -57,6 +59,12 @@ class FrameSequence:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.frames[0].shape
+
+
+def float_frame(frame: np.ndarray) -> np.ndarray:
+    """A FrameSequence frame's values: uint8 codes k as float64 k/255, float
+    frames as they are."""
+    return frame.astype(np.float64) / 255.0 if frame.dtype == np.uint8 else frame
 
 
 def _pnm_token(data: bytes, pos: int, path: str) -> tuple[bytes, int]:
@@ -76,7 +84,7 @@ def _pnm_number(data: bytes, pos: int, path: str) -> tuple[int, int]:
 
 
 def _read_pnm(path: str) -> np.ndarray:
-    """Decode one binary PNM file into an (h, w, 3) float array in [0, 1]."""
+    """Decode one binary PNM file into an (h, w, 3) uint8 array."""
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -100,14 +108,12 @@ def _read_pnm(path: str) -> np.ndarray:
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    img = raw.astype(np.float64) / 255.0
-    if channels == 1:
-        img = np.repeat(img, 3, axis=2)
-    return img
+    return np.repeat(raw, 3, axis=2) if channels == 1 else raw.copy()
 
 
 def read_frames(path: str) -> FrameSequence:
-    """Read all PNM files in a directory, in lexicographic filename order."""
+    """Read all PNM files in a directory, in lexicographic filename order,
+    as uint8 frames; a P5 file's gray channel is repeated to 3."""
     names = sorted(
         n
         for n in os.listdir(path)
@@ -127,15 +133,17 @@ def read_frames(path: str) -> FrameSequence:
 
 def write_frames(seq: FrameSequence, path: str, start: int = 0) -> None:
     """Write a FrameSequence as P6 files frame_0000.ppm, frame_0001.ppm, ...,
-    numbered from start."""
+    numbered from start: uint8 frames as they are, float frames rounded to
+    the nearest code."""
     os.makedirs(path, exist_ok=True)
     for i, frame in enumerate(seq.frames, start):
-        raw = np.clip(np.rint(frame * 255.0), 0, 255).astype(np.uint8)
-        h, w, _ = raw.shape
+        if frame.dtype != np.uint8:
+            frame = np.clip(np.rint(frame * 255.0), 0, 255).astype(np.uint8)
+        h, w, _ = frame.shape
         header = f"P6\n{w} {h}\n255\n".encode("ascii")
         with open(os.path.join(path, f"frame_{i:04d}.ppm"), "wb") as fh:
             fh.write(header)
-            fh.write(raw.tobytes())
+            fh.write(frame.tobytes())
 
 
 def read_flo(path: str) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import flow as flowmod
 from . import latentwarp, metrics, toydiff
-from .mediaio import FrameSequence
+from .mediaio import FrameSequence, float_frame
 from .tokenmerge import MergeMode, anneal_ratio, flow_correspondence, hybrid_merge_pass
 from .toydiff import BlockKind, ToyDenoiser
 
@@ -196,15 +196,6 @@ class FlowBank:
     pair for the last time: restore_iter before a batch's first step, and
     temporal_consistency once a pair or triple is scored. A bank a caller
     passes in is never pruned.
-
-    codes holds each frame's uint8 codes, or None for a frame that is not
-    8-bit, made the first time a flow reads the frame: h * w * 3 bytes a
-    frame, an eighth of the float frame. So a frame is checked for 8-bit
-    values once, however many flows read it, and a pair of 8-bit frames is
-    matched by estimate_flow's exact integer path on their codes. Codes
-    stay until the bank goes, except that precompute_flows and, in a bank
-    it made, temporal_consistency free a frame's codes once they have read
-    it for the last time. A later read of the frame makes its codes again.
     """
 
     seq: FrameSequence
@@ -212,19 +203,11 @@ class FlowBank:
     search: int
     flow: dict = field(default_factory=dict)
     conf: dict = field(default_factory=dict)
-    codes: dict = field(default_factory=dict)
-
-    def _codes_of(self, i: int) -> np.ndarray | None:
-        if i not in self.codes:
-            self.codes[i] = flowmod._codes(self.seq.frames[i])
-        return self.codes[i]
 
     def flow_of(self, i: int, j: int) -> np.ndarray:
         if (i, j) not in self.flow:
-            src, dst = self._codes_of(i), self._codes_of(j)
-            if src is None or dst is None:
-                src, dst = self.seq.frames[i], self.seq.frames[j]
-            self.flow[(i, j)] = flowmod.estimate_flow(src, dst, self.block, self.search)
+            frames = self.seq.frames
+            self.flow[(i, j)] = flowmod.estimate_flow(frames[i], frames[j], self.block, self.search)
         return self.flow[(i, j)]
 
     def conf_of(self, i: int, j: int) -> np.ndarray:
@@ -266,18 +249,10 @@ def precompute_flows(seq: FrameSequence, config: RestoreConfig) -> FlowBank:
     The reads are eager, not left to restore, so that each flow is estimated
     here: perfbench checks the estimate_flow calls made inside this function
     against len(bank.flow). Each pair's confidence estimates both directions.
-    A frame's codes are freed once its last pair is read, so the bank holds
-    none: restore reads no other pair. (Freeing them all at the end instead
-    read 0.3 to 1.9 MB more peak RSS on perfbench's demo24, in every run.)
     """
     bank = FlowBank(seq, config.flow_block, config.flow_search)
-    pairs = sorted(_needed_pairs(plan_batches(len(seq), config.batch_size, config.seed)))
-    last = {f: k for k, pair in enumerate(pairs) for f in pair}
-    for k, (i, j) in enumerate(pairs):
+    for i, j in sorted(_needed_pairs(plan_batches(len(seq), config.batch_size, config.seed))):
         bank.conf_of(i, j)
-        for f in (i, j):
-            if last[f] == k:
-                bank.codes.pop(f)
     return bank
 
 
@@ -379,7 +354,7 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
         frames, kf_off = range(start, stop), kf - start
         members = [f for f in frames if f != kf]
 
-        x0s = np.stack([encode_latent(seq.frames[f], scale) for f in frames])
+        x0s = np.stack([encode_latent(float_frame(seq.frames[f]), scale) for f in frames])
         eps0 = np.stack([frame_noise(config.seed, f, (*latent, 3)) for f in frames])
         x = toydiff.forward_diffuse(x0s, ts[0], eps0, sched)
 
@@ -457,8 +432,7 @@ def temporal_consistency(
     score restored variants under identical flows, each estimated once; it
     keeps every flow read. A bank made here from frames scores one pair or
     triple at a time, in one sweep over the frames, and drops its flows
-    once scored and a frame's codes once no later item reads the frame, so
-    it holds a constant number of flows and codes at any length. The
+    once scored, so it holds a constant number of flows at any length. The
     bank's frames must have seq's count and shape, checked before any flow
     is estimated.
     """
@@ -476,20 +450,20 @@ def temporal_consistency(
         _check_bank(bank, config, diff)
     elif diff:  # a bank made here has config's settings
         raise ValueError(f"flow_source does not match: {'; '.join(diff)}")
+    value = lambda i: float_frame(seq.frames[i])
     e_warp, e_inter = [], []
     for t in range(1, n):
         mask = flowmod.occlusion_mask(bank.conf_of(t, t - 1), config.flow_tau_occ)
         flow = bank.flow_of(t, t - 1)
-        e_warp.append(metrics.warping_error(seq.frames[t - 1], seq.frames[t], flow, mask))
+        e_warp.append(metrics.warping_error(value(t - 1), value(t), flow, mask))
         if own_bank:
             bank.drop(t, t - 1)
         if t < 2:
             continue
         fwd, bwd = bank.flow_of(t, t - 2), bank.flow_of(t - 2, t)
-        e_inter.append(metrics.interpolation_error(*seq.frames[t - 2 : t + 1], fwd, bwd))
-        if own_bank:  # no later pair or triple reads frame t - 2
+        e_inter.append(metrics.interpolation_error(value(t - 2), value(t - 1), value(t), fwd, bwd))
+        if own_bank:
             bank.drop(t, t - 2)
-            bank.codes.pop(t - 2, None)
     return e_warp, e_inter
 
 

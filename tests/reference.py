@@ -10,7 +10,7 @@ costs. Nothing in the package calls them.
 import numpy as np
 
 from zsvr import pipeline, toydiff
-from zsvr.mediaio import FrameSequence
+from zsvr.mediaio import FrameSequence, float_frame
 from zsvr.toydiff import ToyDenoiser
 
 
@@ -34,7 +34,7 @@ def per_frame_baseline(seq, config):
     denoiser = ToyDenoiser(config.seed)
     out = []
     for f, frame in enumerate(seq.frames):
-        x0 = pipeline.encode_latent(frame, scale)[None]
+        x0 = pipeline.encode_latent(float_frame(frame), scale)[None]
         eps = pipeline.frame_noise(config.seed, f, (hl, wl, 3))[None]
         ts = toydiff.step_indices(sched.T, config.steps)
         x = toydiff.forward_diffuse(x0, ts[0], eps, sched)

@@ -378,7 +378,7 @@ def test_criterion_10_format_fidelity(tmp_path):
     mediaio.write_frames(seq, str(tmp_path / "frames"))
     back = mediaio.read_frames(str(tmp_path / "frames"))
     worst = max(
-        float(np.abs(a - b).max()) for a, b in zip(seq.frames, back.frames)
+        float(np.abs(a - mediaio.float_frame(b)).max()) for a, b in zip(seq.frames, back.frames)
     )
     assert worst <= 1.0 / 510.0 + 1e-15
     print(

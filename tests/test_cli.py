@@ -54,6 +54,7 @@ def _fail_if_called(*args, **kwargs):
         ("ablate", "--seed", "-1"),
         ("demo", "--seed", "-1"),
         ("demo", "--frames", "0"),
+        ("demo", "--frames", str(cli.MAX_DEMO_FRAMES + 1)),
     ],
 )
 def test_bad_argument_value_is_usage_error(tmp_path, monkeypatch, capsys, cmd, flag, value):
@@ -71,8 +72,15 @@ def test_bad_argument_value_is_usage_error(tmp_path, monkeypatch, capsys, cmd, f
     with pytest.raises(SystemExit) as exc:
         main([cmd, "--out", str(out), *args, flag, value])
     assert exc.value.code == 2
-    assert f"argument {flag}: must be >=" in capsys.readouterr().err
+    bound = "<=" if int(value) > 0 else ">="
+    assert f"argument {flag}: must be {bound}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_demo_frames_bounds_are_inclusive():
+    parse = cli.build_parser().parse_args
+    for n in (1, cli.MAX_DEMO_FRAMES):
+        assert parse(["demo", "--out", "o", "--frames", str(n)]).frames == n
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -161,6 +169,16 @@ def test_flow_failure_leaves_out_untouched(tmp_path, monkeypatch, capsys):
     assert sorted(os.listdir(tmp_path)) == ["flows", "in"]
 
 
+def test_flow_refuses_oversized_block_before_matching(tmp_path, monkeypatch, capsys):
+    # block 100000 on 16x16 frames would ask for about 10**10 values a plane
+    in_dir, _, _ = _write_video(tmp_path, n=2)
+    monkeypatch.setattr(cli.flowmod, "_match", _fail_if_called)
+    out = tmp_path / "flows"
+    assert main(["flow", "--in", str(in_dir), "--out", str(out), "--block", "100000"]) == 1
+    assert "error: block 100000 and search 4 on 16x16 frames need planes of" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["in"]
+
+
 def test_flow_refuses_out_dir_with_user_files(tmp_path, capsys):
     in_dir, _, _ = _write_video(tmp_path, n=3)
     out = tmp_path / "flows"
@@ -204,7 +222,7 @@ def test_restore_no_flags_match_baseline(tmp_path):
     decoded = mediaio.read_frames(str(in_dir))
     want = per_frame_baseline(decoded, cfg)
     for a, b in zip(got.frames, want.frames):
-        assert np.abs(a - b).max() <= 1.0 / 510.0 + 1e-12
+        assert np.abs(mediaio.float_frame(a) - b).max() <= 1.0 / 510.0 + 1e-12
 
 
 def test_restore_dump_latents(tmp_path):
@@ -225,7 +243,7 @@ def test_restore_dump_latents(tmp_path):
     got = mediaio.read_frames(str(out))
     restored = pipeline.restore(decoded, pipeline.parse_config(SMALL_CFG))
     for a, b in zip(got.frames, restored.frames):
-        assert np.abs(a - b).max() <= 1.0 / 510.0 + 1e-12
+        assert np.abs(mediaio.float_frame(a) - b).max() <= 1.0 / 510.0 + 1e-12
 
 
 def test_restore_dump_latents_failure_leaves_out_untouched(tmp_path, monkeypatch, capsys):
@@ -472,11 +490,12 @@ def test_make_demo_video_properties():
 
 
 def test_degrade_video_properties():
+    # uint8 frames, as an 8-bit source holds them, whose values differ
+    # visibly from the HQ frames
     hq = make_demo_video(n=3, h=16, w=16, seed=0)
     lq = degrade_video(hq, 2, 0.1, seed=0)
-    assert lq.shape == hq.shape
-    assert lq.frames[0].min() >= 0.0 and lq.frames[0].max() <= 1.0
-    assert np.abs(hq.frames[0] - lq.frames[0]).mean() > 0.01
+    assert lq.shape == hq.shape and all(f.dtype == np.uint8 for f in lq.frames)
+    assert np.abs(hq.frames[0] - mediaio.float_frame(lq.frames[0])).mean() > 0.01
 
 
 def _make_demo_video_scipy(n, h, w, seed):

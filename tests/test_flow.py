@@ -261,31 +261,38 @@ def test_estimate_flow_int32_bound(monkeypatch, shape, block, dtype):
 
 
 def test_bank_and_estimate_flow_give_one_flow_per_eight_bit_pair(monkeypatch):
-    # the bank, estimate_flow on float k/255 frames and on their uint8 codes
-    # agree, and the bank checks each frame for 8-bit values once, however
-    # many flows read it, dropped and read again
+    # a bank of uint8 frames, a bank of their float k/255 twins and
+    # estimate_flow on either agree, through reads, drops and re-reads. The
+    # uint8 bank's frames reach the exact integer path as they are; only
+    # float frames are checked for 8-bit values, each time they are matched
     rng = np.random.default_rng(27)
     codes = [rng.choice([0, 1, 2, 128, 255], (9, 11, 3)).astype(np.uint8) for _ in range(4)]
-    seq = FrameSequence([c / 255 for c in codes])
+    twins = [c / 255 for c in codes]
     pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
     want = {}
     for i, j in pairs:
         want[(i, j)] = estimate_flow_exact(codes[i], codes[j], 5, 2)
         assert np.array_equal(flow.estimate_flow(codes[i], codes[j], 5, 2), want[(i, j)])
-        assert np.array_equal(flow.estimate_flow(seq.frames[i], seq.frames[j], 5, 2), want[(i, j)])
+        assert np.array_equal(flow.estimate_flow(twins[i], twins[j], 5, 2), want[(i, j)])
     checked, to_codes = [], flow._codes
 
     def spy(img):
-        checked.append(next(k for k, f in enumerate(seq.frames) if f is img))
+        checked.append(img.dtype)
         return to_codes(img)
 
     monkeypatch.setattr(flow, "_codes", spy)
-    bank = pipeline.FlowBank(seq, 5, 2)
-    for i, j in pairs + pairs[::-1]:
-        assert np.array_equal(bank.flow_of(i, j), want[(i, j)])
-        bank.conf_of(i, j)
-        bank.drop(i, j)
-    assert sorted(checked) == [0, 1, 2, 3]
+    dtypes = _matched_dtypes(monkeypatch)
+    for frames in (codes, twins):
+        bank = pipeline.FlowBank(FrameSequence(frames), 5, 2)
+        for i, j in pairs + pairs[::-1]:
+            assert np.array_equal(bank.flow_of(i, j), want[(i, j)])
+            bank.conf_of(i, j)
+            bank.drop(i, j)
+        if frames is codes:
+            assert checked == []
+    # each read estimates both directions once: 48 matches per bank
+    assert dtypes == [np.int32] * 96
+    assert checked == [np.float64] * 96
 
 
 def _matched_searches(monkeypatch):
@@ -327,6 +334,40 @@ def test_huge_search_runs_at_the_cap(monkeypatch):
     got = flow.estimate_flow(src, dst, 3, 10**6)
     assert np.array_equal(got, flow.estimate_flow(src, dst, 3, 7))
     assert searches == [7, 7]
+
+
+def _plane(h, w, block, search):
+    """Values in estimate_flow's taller plane, with search already capped."""
+    return max(h + block - 1, h + 2 * search + 1) * max(w + 2 * search, w + block - 1)
+
+
+@pytest.mark.parametrize("block, search", [(9, 0), (3, 4), (1, 10**6)], ids=["block", "search", "capped"])
+@pytest.mark.parametrize("eight_bit", [True, False], ids=["uint8", "float"])
+def test_planes_over_the_budget_are_refused_before_any_buffer(monkeypatch, block, search, eight_bit):
+    rng = np.random.default_rng(31)
+    src, dst = (rng.integers(0, 256, (6, 5, 3)).astype(np.uint8) for _ in range(2))
+    if not eight_bit:
+        src, dst = src / 255 + 1e-9, dst / 255
+    want = flow.estimate_flow(src, dst, block, search)
+    plane = _plane(6, 5, block, min(search, 5))
+    checked, to_codes = [], flow._codes
+    monkeypatch.setattr(flow, "_codes", lambda img: checked.append(img) or to_codes(img))
+    matched = _matched_searches(monkeypatch)
+    monkeypatch.setattr(flow, "PLANE_BUDGET", plane)
+    assert np.array_equal(flow.estimate_flow(src, dst, block, search), want)
+    assert len(matched) == 1
+    checked.clear()
+    monkeypatch.setattr(flow, "PLANE_BUDGET", plane - 1)
+    with pytest.raises(ValueError, match=f"need planes of {plane} values, over flow.PLANE_BUDGET"):
+        flow.estimate_flow(src, dst, block, search)
+    assert checked == [] and len(matched) == 1
+
+
+def test_default_budget_admits_large_frames_at_default_settings():
+    block, search = pipeline.RestoreConfig.flow_block, pipeline.RestoreConfig.flow_search
+    assert _plane(2160, 3840, block, search) <= flow.PLANE_BUDGET  # 4K UHD
+    # and test_estimate_flow_int32_bound's thin frames at blocks up to 182
+    assert max(_plane(3, 2, 182, 1), _plane(2, 3, 182, 1)) < 34_000
 
 
 @pytest.mark.parametrize("off_grid", ["nudged", "above 1", "nan"])
@@ -371,7 +412,7 @@ def _golden_flows(tmp_path, case):
     mediaio.write_frames(cli.degrade_video(hq, scale=4, noise_std=0.08, seed=0), str(tmp_path))
     frames = mediaio.read_frames(str(tmp_path)).frames
     flows = [flow.estimate_flow(frames[i], frames[j], block, search) for i, j in pairs]
-    return frames, pairs, flows
+    return [mediaio.float_frame(f) for f in frames], pairs, flows
 
 
 def _sha(arrays):

@@ -32,8 +32,9 @@ def test_read_frames_gray_p5(tmp_path):
     seq = mediaio.read_frames(str(tmp_path))
     assert len(seq) == 3
     for f in seq.frames:
-        assert f.shape == (4, 4, 3)
-        assert np.allclose(f, 128 / 255)
+        # uint8 codes, the gray channel repeated to 3
+        assert f.shape == (4, 4, 3) and f.dtype == np.uint8
+        assert (f == 128).all()
 
 
 def test_read_frames_empty_dir(tmp_path):
@@ -45,7 +46,7 @@ def test_read_frames_lexicographic_order(tmp_path):
     for name, val in (("b.pgm", 20), ("a.pgm", 10), ("c.pgm", 30)):
         _write_pnm(tmp_path / name, "P5", 2, 2, bytes([val] * 4))
     seq = mediaio.read_frames(str(tmp_path))
-    got = [int(round(f[0, 0, 0] * 255)) for f in seq.frames]
+    got = [int(f[0, 0, 0]) for f in seq.frames]
     assert got == [10, 20, 30]
 
 
@@ -66,7 +67,7 @@ def test_p6_gradient_roundtrip(tmp_path):
     mediaio.write_frames(seq, str(out))
     back = mediaio.read_frames(str(out))
     for a, b in zip(seq.frames, back.frames):
-        assert np.abs(a - b).max() <= 1.0 / 510.0 + 1e-12
+        assert np.abs(a - mediaio.float_frame(b)).max() <= 1.0 / 510.0 + 1e-12
 
 
 def test_write_frames_extremes(tmp_path):
@@ -117,7 +118,7 @@ def test_pnm_header_fields_are_ascii_digits(tmp_path, header):
 def test_pnm_header_comment(tmp_path):
     _write_pnm(tmp_path / "f.pgm", "P5", 2, 2, bytes([7] * 4), comment="made by hand")
     seq = mediaio.read_frames(str(tmp_path))
-    assert np.allclose(seq.frames[0], 7 / 255)
+    assert (seq.frames[0] == 7).all()
 
 
 def test_read_frames_inconsistent_shapes(tmp_path):
@@ -134,6 +135,32 @@ def test_frame_sequence_validation():
         FrameSequence([np.full((2, 2, 3), 1.5)])
     with pytest.raises(ValueError):
         FrameSequence([np.zeros((2, 2))])
+
+
+def test_frame_sequence_holds_one_dtype_of_uint8_or_float():
+    codes = np.arange(12, dtype=np.uint8).reshape(2, 2, 3) * 23  # 0 to 253
+    assert FrameSequence([codes, codes]).frames[1] is codes
+    for dtype in (np.float32, np.float64):
+        FrameSequence([(codes / 255).astype(dtype)] * 2)
+    with pytest.raises(ValueError, match=r"frame 1 is float64 \(4, 1, 3\), frame 0 is uint8 \(2, 2, 3\)"):
+        FrameSequence([codes, codes.reshape(4, 1, 3) / 255])
+    with pytest.raises(ValueError, match=r"frame 1 is float64 \(2, 2, 3\), frame 0 is uint8"):
+        FrameSequence([codes, codes / 255])
+    with pytest.raises(ValueError, match="frame 2 is uint8 .*, frame 0 is float64"):
+        FrameSequence([codes / 255, codes / 255, codes])
+    for dtype in (np.int64, np.uint16, bool):
+        with pytest.raises(ValueError, match=f"must be uint8 or float, got {np.dtype(dtype)}"):
+            FrameSequence([codes.astype(dtype)])
+
+
+def test_float_frame_is_the_codes_over_255():
+    codes = np.arange(256, dtype=np.uint8).reshape(16, 16, 1).repeat(3, axis=2)
+    got = mediaio.float_frame(codes)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, codes.astype(np.float64) / 255.0)
+    # the same bits as k/255 for every code, and float frames pass through
+    assert got[..., 0].ravel().tolist() == [k / 255 for k in range(256)]
+    assert mediaio.float_frame(got) is got
 
 
 def test_flo_zero_flow(tmp_path):
@@ -223,7 +250,8 @@ def _pnm_write(path, frames):
 
 
 def _pnm_read(path):
-    return np.stack(mediaio.read_frames(os.path.dirname(path)).frames)
+    # the codes' values: float k/255 frames round-trip bit for bit
+    return np.stack([mediaio.float_frame(f) for f in mediaio.read_frames(os.path.dirname(path)).frames])
 
 
 def _flo_write(path, flow):
@@ -341,7 +369,7 @@ def test_pnm_mutated_header_field_property(tmp_path_factory):
             if valid:
                 assert got.shape == (h2, w2, 3)
         if not isinstance(got, FormatError):
-            assert np.rint(got * 255).astype(np.uint8).tobytes() == raw.tobytes()
+            assert got.dtype == np.uint8 and got.tobytes() == raw.tobytes()
 
     check()
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from zsvr import flow as flowmod
-from zsvr import latentwarp, pipeline, tokenmerge, toydiff
+from zsvr import latentwarp, mediaio, pipeline, tokenmerge, toydiff
 from zsvr.cli import degrade_video, make_demo_video
 from zsvr.mediaio import FrameSequence
 from zsvr.pipeline import RestoreConfig, parse_config, plan_batches
@@ -246,25 +246,26 @@ def test_precompute_flows_confidence_only_for_read_pairs(monkeypatch):
     assert bank.flow.keys() == read | {(j, i) for i, j in read}
     for (fwd, bwd), (i, j) in zip(calls, sorted(read)):
         assert fwd is bank.flow[(i, j)] and bwd is bank.flow[(j, i)]
-    # the bank holds its frames, its block-matching settings, their output
-    # and the frames' 8-bit codes, no masks
-    names = ["seq", "block", "search", "flow", "conf", "codes"]
+    # the bank holds its frames, its block-matching settings and their
+    # output, no masks and no copy of the frames in another format
+    names = ["seq", "block", "search", "flow", "conf"]
     assert [f.name for f in fields(pipeline.FlowBank)] == names
     assert (bank.seq, bank.block, bank.search) == (seq, 7, 4)
 
 
-def test_precomputed_bank_holds_no_codes():
-    # restore reads no pair past the plan's, so precompute_flows frees every
-    # frame's 8-bit codes; a later read of another pair makes them again
+def test_precomputed_bank_scores_as_its_frames():
+    # a bank precomputed from uint8 LQ frames scores a restore as those
+    # frames do, and keeps both the plan's pairs and those it had to estimate
     lq = small_video()
     cfg = small_config()
     bank = pipeline.precompute_flows(lq, cfg)
-    assert bank.codes == {} and bank.flow
+    held = set(bank.flow)
     out = pipeline.restore(lq, cfg)
     want = pipeline.temporal_consistency(out, cfg, flow_source=lq)
-    held = set(bank.flow)
     assert pipeline.temporal_consistency(out, cfg, flow_source=bank) == want
-    assert set(bank.codes) == {i for pair in set(bank.flow) - held for i in pair}
+    n = len(lq)
+    scored = {(t, t - d) for d in (1, 2) for t in range(d, n)}
+    assert set(bank.flow) == held | scored | {(j, i) for i, j in scored}
 
 
 @st.composite
@@ -879,6 +880,61 @@ def test_restore_iter_edge_inputs_property(case):
         assert np.array_equal(frame, pipeline.decode_latent(x, h, w))
 
 
+@st.composite
+def _eight_bit_clips(draw):
+    """uint8 frames of a few levels or of the whole 8-bit range, and a small
+    restore config with random block-matching settings."""
+    n, h, w = draw(st.integers(1, 4)), 2 * draw(st.integers(2, 5)), 2 * draw(st.integers(2, 5))
+    levels = draw(st.sampled_from([[0, 1, 2], [0, 128, 255], list(range(256))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = [rng.choice(levels, (h, w, 3)).astype(np.uint8) for _ in range(n)]
+    cfg = small_config(
+        steps=draw(st.integers(2, 4)),
+        batch_size=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 3)),
+        flow_block=draw(st.integers(1, 5)),
+        flow_search=draw(st.integers(0, 3)),
+    )
+    return codes, cfg
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_eight_bit_clips())
+def test_uint8_frames_and_their_float_twins_give_the_same_bits(tmp_path_factory, case):
+    codes, cfg = case
+    seqs = [FrameSequence(codes), FrameSequence([mediaio.float_frame(c) for c in codes])]
+    assert [s.frames[0].dtype for s in seqs] == [np.uint8, np.float64]
+    latents = [pipeline.restore_latents(s, cfg) for s in seqs]
+    assert latents[0].tobytes() == latents[1].tobytes()
+    banks = [pipeline.precompute_flows(s, cfg) for s in seqs]
+    assert banks[0].flow.keys() == banks[1].flow.keys()
+    for key in banks[0].flow:
+        assert banks[0].flow[key].tobytes() == banks[1].flow[key].tobytes()
+    for key in banks[0].conf:
+        assert banks[0].conf[key].tobytes() == banks[1].conf[key].tobytes()
+    scores = [pipeline.temporal_consistency(s, cfg) for s in seqs]
+    assert scores[0] == scores[1]
+    written = []
+    for s in seqs:
+        d = tmp_path_factory.mktemp("frames")
+        mediaio.write_frames(s, str(d))
+        written.append({p.name: p.read_bytes() for p in d.iterdir()})
+    assert written[0] == written[1]
+
+
+def test_restore_refuses_an_oversized_block_before_denoising(monkeypatch):
+    # flow.block 100000 on 16x16 frames would ask for about 10**10 values a
+    # plane; restore_iter refuses it at its first next()
+    lq = small_video()
+    fail = mock.Mock(side_effect=AssertionError("ran past the check"))
+    monkeypatch.setattr(flowmod, "_match", fail)
+    monkeypatch.setattr(toydiff, "denoise_step", fail)
+    batches = pipeline.restore_iter(lq, small_config(flow_block=100_000))
+    with pytest.raises(ValueError, match="block 100000 and search 4 on 16x16 frames"):
+        next(batches)
+    fail.assert_not_called()
+
+
 def test_temporal_consistency_lengths():
     lq = small_video(n=5)
     e_warp, e_inter = pipeline.temporal_consistency(lq, small_config())
@@ -895,7 +951,7 @@ def test_temporal_consistency_from_frames_holds_constant_memory(monkeypatch):
     calls = []
 
     def count(*args):
-        calls.append(None)  # not args: they would keep each frame's codes alive
+        calls.append(None)
         return estimate(*args)
 
     monkeypatch.setattr(flowmod, "estimate_flow", count)
