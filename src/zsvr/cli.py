@@ -107,6 +107,7 @@ def cmd_flow(args) -> int:
         for t in range(len(bank.seq) - 1):
             mediaio.write_flo(bank.flow_of(t + 1, t), os.path.join(tmp, f"flow_{t:04d}.flo"))
             mediaio.write_raw_tensor(bank.conf_of(t + 1, t), os.path.join(tmp, f"conf_{t:04d}.rtf"))
+            bank.drop(t + 1, t)
 
     _write_atomic(args.out_dir, FLOW_OUTPUTS, write)
     return 0

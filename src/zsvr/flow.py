@@ -42,18 +42,6 @@ def _box_pass(src: np.ndarray, out: np.ndarray, length: int, step: int, block: i
         out[:length] += src[k * step : k * step + length]
 
 
-def _codes(img: np.ndarray) -> np.ndarray | None:
-    """The uint8 codes k of a float array whose every value is exactly k/255
-    with k in [0, 255], that is rint(x*255)/255 == x; None for any other
-    array (NaN, inf, values off the 8-bit grid, non-float dtypes)."""
-    if img.dtype.kind != "f":
-        return None
-    q = np.rint(img * 255)
-    if not (np.array_equal(q / 255, img) and np.all((q >= 0) & (q <= 255))):
-        return None
-    return q.astype(np.uint8)
-
-
 def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> np.ndarray:
     """Exhaustive SSD block matching within +-search pixels.
 
@@ -65,13 +53,13 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     squared error summed over channels in order, then over the block as a
     sum of row sums, in raster offset order.
 
-    On 8-bit inputs the costs are exact, so the tie rule holds for every
-    exact tie of the true SSD. 8-bit means both frames are uint8 codes, or
-    both are float arrays whose values are each exactly k/255 with k in
-    [0, 255]. The costs are then integer SSDs of the codes: in int32 while
-    block**2 * channels * 255**2 < 2**31 (block <= 104 at 3 channels), else
-    in float64, which holds them exactly too. Any other input is matched in
-    float64 on its values, where a tie is an exact tie of the rounded costs.
+    A uint8 frame pairs only with a uint8 frame; a mixed pair is refused
+    before anything is allocated. On two uint8 frames the costs are exact
+    integer SSDs of the codes, so the tie rule holds for every exact tie of
+    the true SSD: in int32 while block**2 * channels * 255**2 < 2**31
+    (block <= 104 at 3 channels), else in float64, which holds them exactly
+    too. Any other pair is matched in float64 on its values, whatever they
+    are, where a tie is an exact tie of the rounded costs.
 
     Layout: every plane has one flat row stride W = max(w + 2*search,
     w + block - 1). With half = block // 2, src sits at columns
@@ -100,6 +88,8 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     """
     if src.shape != dst.shape:
         raise ValueError(f"shape mismatch: {src.shape} vs {dst.shape}")
+    if (src.dtype == np.uint8) != (dst.dtype == np.uint8):
+        raise ValueError(f"dtype mismatch: {src.dtype} vs {dst.dtype}: uint8 pairs only with uint8")
     if block < 1:
         raise ValueError("block must be >= 1")
     if search < 0:
@@ -110,13 +100,9 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     if plane > PLANE_BUDGET:
         raise ValueError(f"block {block} and search {search} on {h}x{w} frames need planes "
                          f"of {plane} values, over flow.PLANE_BUDGET = {PLANE_BUDGET}")
-    a, b = (src, dst) if src.dtype == dst.dtype == np.uint8 else (_codes(src), _codes(dst))
-    dtype = np.float64
-    if a is not None and b is not None:
-        src, dst = a, b
-        channels = 1 if src.ndim == 2 else src.shape[2]
-        if block * block * channels * 255**2 < 2**31:
-            dtype = np.int32
+    channels = 1 if src.ndim == 2 else src.shape[2]
+    exact = src.dtype == np.uint8 and block * block * channels * 255**2 < 2**31
+    dtype = np.int32 if exact else np.float64
     return _match(_as_3d(np.asarray(src, dtype)), _as_3d(np.asarray(dst, dtype)), block, search)
 
 

@@ -19,8 +19,16 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
+def require_values(*frames: np.ndarray) -> None:
+    """Refuse uint8 frames: the metrics read values in [0, 1], and codes
+    0-255 read as values give a wrong number, not an error."""
+    if any(np.asarray(f).dtype == np.uint8 for f in frames):
+        raise ValueError("uint8 codes, not values in [0, 1]: convert them with mediaio.float_frame")
+
+
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio with peak 1.0; identical frames give inf."""
+    require_values(a, b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     mse = float(np.mean((np.asarray(a, dtype=np.float64) - b) ** 2))
@@ -31,6 +39,7 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean SSIM over non-overlapping 8x8 windows of the channel-mean luminance."""
+    require_values(a, b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     la = np.asarray(a, dtype=np.float64)
@@ -63,6 +72,7 @@ def warping_error(prev: np.ndarray, cur: np.ndarray, flow: np.ndarray, mask: np.
     squared channel norm of cur - warp(prev, flow). mask marks occluded pixels
     with 1; an all-occluded pair scores 0.
     """
+    require_values(prev, cur)
     sq = ((np.asarray(cur, dtype=np.float64) - warp(prev, flow)) ** 2).sum(axis=2)
     valid = mask == 0
     return float(sq[valid].mean()) if valid.any() else 0.0
@@ -77,6 +87,7 @@ def interpolation_error(
     flow_bwd the reverse. cur is estimated as the pixel mean of both half-flow
     warps; the error is the RMS difference scaled by 255.
     """
+    require_values(prev, cur, nxt)
     est = 0.5 * (warp(prev, 0.5 * flow_fwd) + warp(nxt, 0.5 * flow_bwd))
     diff = est - np.asarray(cur, dtype=np.float64)
     return float(np.sqrt(np.mean(diff**2)) * 255.0)

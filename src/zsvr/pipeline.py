@@ -188,14 +188,17 @@ class FlowBank:
     flow_of(i, j) = estimate_flow(frame_i, frame_j) at LQ resolution: sampled
     at frame i's positions, pointing at the corresponding position in frame
     j, so warp(x_j, flow_of(i, j)) aligns frame j's content onto frame i.
-    conf_of(i, j) is its forward-backward confidence, which reads flow_of(j,
-    i) too; readers threshold it into an occlusion mask at their own
-    flow.tau_occ. flow and conf hold what has been read and not dropped.
+    seq's frames go to estimate_flow as they are, so a bank of uint8 frames
+    gets exact integer costs and a bank of float frames is matched on its
+    values. conf_of(i, j) is its forward-backward confidence, which reads
+    flow_of(j, i) too; readers threshold it into an occlusion mask at their
+    own flow.tau_occ. flow and conf hold what has been read and not dropped.
     One bank serves every restore and metric of seq at its block and search.
     Only the code that made a bank drops from it, each once it has read a
-    pair for the last time: restore_iter before a batch's first step, and
-    temporal_consistency once a pair or triple is scored. A bank a caller
-    passes in is never pruned.
+    pair for the last time: restore_iter before a batch's first step,
+    temporal_consistency once a pair or triple is scored, and `zsvr flow`
+    once a pair's files are written. A bank a caller passes in is never
+    pruned.
     """
 
     seq: FrameSequence
@@ -257,7 +260,8 @@ def precompute_flows(seq: FrameSequence, config: RestoreConfig) -> FlowBank:
 
 
 def encode_latent(frame: np.ndarray, scale: int) -> np.ndarray:
-    """Area-downsample a frame by an integer factor."""
+    """Area-downsample a frame of values by an integer factor."""
+    metrics.require_values(frame)
     h, w, c = frame.shape
     if h % scale or w % scale:
         raise ValueError(

@@ -68,15 +68,16 @@ def split_blends(calls, plan, steps):
 def estimate_flow_exact(src, dst, block, search):
     """Exhaustive SSD block matching on 8-bit frames, with exact costs.
 
-    src and dst are uint8 codes or floats k/255. A candidate's cost is the
-    SSD of the int64 codes over the edge-clamped block, taken from a
-    summed-area table, so it is exact whatever the order of summation. The
-    first candidate in (|d|^2, dy, dx) order with the least cost wins, as
-    estimate_flow's tie rule states.
+    src and dst are uint8 codes. A candidate's cost is the SSD of the int64
+    codes over the edge-clamped block, taken from a summed-area table, so it
+    is exact whatever the order of summation. The first candidate in
+    (|d|^2, dy, dx) order with the least cost wins, as estimate_flow's tie
+    rule states.
     """
 
     def codes(img):
-        k = img.astype(np.int64) if img.dtype == np.uint8 else np.rint(img * 255).astype(np.int64)
+        assert img.dtype == np.uint8, f"uint8 codes only, got {img.dtype}"
+        k = img.astype(np.int64)
         return k[:, :, None] if k.ndim == 2 else k
 
     s, d = codes(src), codes(dst)

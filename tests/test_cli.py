@@ -142,6 +142,48 @@ def test_flow_command_outputs(tmp_path):
     assert conf.min() > 0.0 and conf.max() <= 1.0
 
 
+def test_flow_command_drops_each_pair_once_written(tmp_path, monkeypatch):
+    # at each write the bank holds at most the written pair's two flows and
+    # its confidence, each flow is estimated once, and a run that keeps
+    # every pair writes the same bytes
+    n = 5
+    in_dir, _, _ = _write_video(tmp_path, n=n)
+    args = ["flow", "--in", str(in_dir), "--block", "5", "--search", "2", "--out"]
+    kept = tmp_path / "kept"
+    with monkeypatch.context() as mp:
+        mp.setattr(pipeline.FlowBank, "drop", lambda self, i, j: None)
+        assert main(args + [str(kept)]) == 0
+    banks, held, calls = [], [], []
+    make_bank, estimate = pipeline.FlowBank, pipeline.flowmod.estimate_flow
+    write_flo, write_raw_tensor = mediaio.write_flo, mediaio.write_raw_tensor
+
+    def bank(*a):
+        banks.append(make_bank(*a))
+        return banks[-1]
+
+    def holding(write):
+        def spy(arr, path):
+            held.append((sorted(banks[0].flow), sorted(banks[0].conf)))
+            write(arr, path)
+        return spy
+
+    monkeypatch.setattr(pipeline, "FlowBank", bank)
+    monkeypatch.setattr(pipeline.flowmod, "estimate_flow", lambda *a: calls.append(1) or estimate(*a))
+    monkeypatch.setattr(mediaio, "write_flo", holding(write_flo))
+    monkeypatch.setattr(mediaio, "write_raw_tensor", holding(write_raw_tensor))
+    assert main(args + [str(tmp_path / "flows")]) == 0
+    assert len(calls) == 2 * (n - 1)
+    # the .flo write holds its flow; the .rtf write its confidence and the
+    # two flows that confidence reads
+    assert held == [
+        entry
+        for t in range(n - 1)
+        for entry in (([(t + 1, t)], []), ([(t, t + 1), (t + 1, t)], [(t + 1, t)]))
+    ]
+    assert banks[0].flow == {} and banks[0].conf == {}
+    assert _tree(tmp_path / "flows") == _tree(kept)
+
+
 def test_flow_failure_leaves_out_untouched(tmp_path, monkeypatch, capsys):
     in_dir, _, _ = _write_video(tmp_path, n=3)
     out = tmp_path / "flows"
@@ -477,6 +519,36 @@ def test_demo_estimates_each_flow_once(tmp_path, monkeypatch):
     )
     assert main(args + [str(tmp_path / "fresh")]) == 0
     assert _tree(tmp_path / "shared") == _tree(tmp_path / "fresh")
+
+def test_every_command_estimates_its_flows_on_uint8_pairs(tmp_path, monkeypatch):
+    # frames read from disk and the demo's LQ frames are uint8, so every flow
+    # a command reads takes estimate_flow's exact integer path
+    in_dir, hq, _ = _write_video(tmp_path)
+    ref_dir = tmp_path / "ref"
+    mediaio.write_frames(hq, str(ref_dir))
+    cfg = str(_write_config(tmp_path, SMALL_CFG))
+    estimate = pipeline.flowmod.estimate_flow
+    dtypes = []
+
+    def spy(src, dst, block, search):
+        dtypes.append((src.dtype, dst.dtype))
+        return estimate(src, dst, block, search)
+
+    monkeypatch.setattr(pipeline.flowmod, "estimate_flow", spy)
+    i, o = ["--in", str(in_dir)], lambda name: ["--out", str(tmp_path / name)]
+    commands = {
+        "demo": DEMO_ARGS + [str(tmp_path / "demo")],
+        "flow": ["flow", *i, *o("flows")],
+        "restore": ["restore", *i, "--config", cfg, *o("restored")],
+        "ablate": ["ablate", *i, "--config", cfg, *o("ablate.json")],
+        "metrics": ["metrics", *i, *o("m.json")],
+        "metrics --ref": ["metrics", *i, "--ref", str(ref_dir), *o("m_ref.json")],
+    }
+    for name, args in commands.items():
+        dtypes.clear()
+        assert main(args) == 0, name
+        assert dtypes and set(dtypes) == {(np.dtype(np.uint8),) * 2}, name
+
 
 def test_make_demo_video_properties():
     seq = make_demo_video(n=6, h=32, w=32, seed=1)

@@ -116,6 +116,10 @@ def estimate_flow_oracle(src, dst, block, search):
     return out
 
 
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("called")
+
+
 def test_estimate_flow_identity():
     rng = np.random.default_rng(0)
     img = rng.random((12, 14, 3))
@@ -137,6 +141,18 @@ def test_estimate_flow_translation_interior():
 def test_estimate_flow_shape_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         flow.estimate_flow(np.zeros((4, 4)), np.zeros((5, 4)), 7, 4)
+
+
+@pytest.mark.parametrize("block", [3, 10**6], ids=["small", "over budget"])
+def test_mixed_uint8_and_float_pair_is_refused_before_any_buffer(monkeypatch, block):
+    # codes 0-255 matched against values 0-1 would give flows, not an
+    # error; the pair is refused before the plane check and any matching
+    rng = np.random.default_rng(32)
+    codes = rng.integers(0, 256, (8, 8, 3)).astype(np.uint8)
+    monkeypatch.setattr(flow, "_match", _fail_if_called)
+    for src, dst in ((codes, codes / 255), (codes / 255, codes)):
+        with pytest.raises(ValueError, match=f"dtype mismatch: {src.dtype} vs {dst.dtype}"):
+            flow.estimate_flow(src, dst, block, 2)
 
 
 def test_estimate_flow_matches_oracle():
@@ -218,8 +234,6 @@ def _eight_bit_cases(draw):
     levels = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     src, dst = (rng.choice(levels, shape).astype(np.uint8) for _ in range(2))
-    if draw(st.booleans()):
-        src, dst = src / 255, dst / 255
     # one group, one candidate per group, or a few per group
     budget = draw(st.sampled_from([flow.GROUP_BUDGET, 1, 2000]))
     return src, dst, draw(st.integers(1, 15)), draw(st.integers(0, 6)), budget
@@ -254,17 +268,16 @@ def test_estimate_flow_int32_bound(monkeypatch, shape, block, dtype):
     rng = np.random.default_rng(block)
     src, dst = (rng.choice([0, 255], shape).astype(np.uint8) for _ in range(2))
     dtypes = _matched_dtypes(monkeypatch)
-    for a, b in ((src, dst), (src / 255, dst / 255)):
-        want = estimate_flow_exact(a, b, block, 1)
-        assert np.array_equal(flow.estimate_flow(a, b, block, 1), want)
-    assert dtypes == [dtype, dtype]
+    want = estimate_flow_exact(src, dst, block, 1)
+    assert np.array_equal(flow.estimate_flow(src, dst, block, 1), want)
+    assert dtypes == [dtype]
 
 
 def test_bank_and_estimate_flow_give_one_flow_per_eight_bit_pair(monkeypatch):
-    # a bank of uint8 frames, a bank of their float k/255 twins and
-    # estimate_flow on either agree, through reads, drops and re-reads. The
-    # uint8 bank's frames reach the exact integer path as they are; only
-    # float frames are checked for 8-bit values, each time they are matched
+    # a bank of uint8 frames and estimate_flow on them agree with the exact
+    # reference through reads, drops and re-reads, every match in int32. The
+    # frames' float k/255 twins are float frames like any other: matched on
+    # their values in float64, as the float oracle matches them
     rng = np.random.default_rng(27)
     codes = [rng.choice([0, 1, 2, 128, 255], (9, 11, 3)).astype(np.uint8) for _ in range(4)]
     twins = [c / 255 for c in codes]
@@ -273,26 +286,18 @@ def test_bank_and_estimate_flow_give_one_flow_per_eight_bit_pair(monkeypatch):
     for i, j in pairs:
         want[(i, j)] = estimate_flow_exact(codes[i], codes[j], 5, 2)
         assert np.array_equal(flow.estimate_flow(codes[i], codes[j], 5, 2), want[(i, j)])
-        assert np.array_equal(flow.estimate_flow(twins[i], twins[j], 5, 2), want[(i, j)])
-    checked, to_codes = [], flow._codes
-
-    def spy(img):
-        checked.append(img.dtype)
-        return to_codes(img)
-
-    monkeypatch.setattr(flow, "_codes", spy)
     dtypes = _matched_dtypes(monkeypatch)
-    for frames in (codes, twins):
-        bank = pipeline.FlowBank(FrameSequence(frames), 5, 2)
-        for i, j in pairs + pairs[::-1]:
-            assert np.array_equal(bank.flow_of(i, j), want[(i, j)])
-            bank.conf_of(i, j)
-            bank.drop(i, j)
-        if frames is codes:
-            assert checked == []
-    # each read estimates both directions once: 48 matches per bank
-    assert dtypes == [np.int32] * 96
-    assert checked == [np.float64] * 96
+    bank = pipeline.FlowBank(FrameSequence(codes), 5, 2)
+    for i, j in pairs + pairs[::-1]:
+        assert np.array_equal(bank.flow_of(i, j), want[(i, j)])
+        bank.conf_of(i, j)
+        bank.drop(i, j)
+    # each read estimates both directions once: 48 matches
+    assert dtypes == [np.int32] * 48
+    bank = pipeline.FlowBank(FrameSequence(twins), 5, 2)
+    for i, j in pairs[:3]:
+        assert np.array_equal(bank.flow_of(i, j), estimate_flow_oracle(twins[i], twins[j], 5, 2))
+    assert dtypes[48:] == [np.float64] * 3
 
 
 def _matched_searches(monkeypatch):
@@ -314,10 +319,10 @@ def test_search_is_capped_with_the_same_flow(monkeypatch, eight_bit, shape, bloc
     # pixels, so it costs what a nearer candidate tried first costs; four
     # levels make such equal costs common
     rng = np.random.default_rng(sum(shape) + block)
-    src, dst = (rng.choice([0, 85, 170, 255], shape) / 255 for _ in range(2))
+    src, dst = (rng.choice([0, 85, 170, 255], shape).astype(np.uint8) for _ in range(2))
     uncapped = estimate_flow_exact
     if not eight_bit:
-        src, dst, uncapped = src + 0.25, dst + 0.25, estimate_flow_oracle
+        src, dst, uncapped = src / 255 + 0.25, dst / 255 + 0.25, estimate_flow_oracle
     cap = max(shape[:2]) - 1
     searches = _matched_searches(monkeypatch)
     want = flow.estimate_flow(src, dst, block, cap)
@@ -347,20 +352,17 @@ def test_planes_over_the_budget_are_refused_before_any_buffer(monkeypatch, block
     rng = np.random.default_rng(31)
     src, dst = (rng.integers(0, 256, (6, 5, 3)).astype(np.uint8) for _ in range(2))
     if not eight_bit:
-        src, dst = src / 255 + 1e-9, dst / 255
+        src, dst = src / 255, dst / 255
     want = flow.estimate_flow(src, dst, block, search)
     plane = _plane(6, 5, block, min(search, 5))
-    checked, to_codes = [], flow._codes
-    monkeypatch.setattr(flow, "_codes", lambda img: checked.append(img) or to_codes(img))
     matched = _matched_searches(monkeypatch)
     monkeypatch.setattr(flow, "PLANE_BUDGET", plane)
     assert np.array_equal(flow.estimate_flow(src, dst, block, search), want)
     assert len(matched) == 1
-    checked.clear()
     monkeypatch.setattr(flow, "PLANE_BUDGET", plane - 1)
     with pytest.raises(ValueError, match=f"need planes of {plane} values, over flow.PLANE_BUDGET"):
         flow.estimate_flow(src, dst, block, search)
-    assert checked == [] and len(matched) == 1
+    assert len(matched) == 1
 
 
 def test_default_budget_admits_large_frames_at_default_settings():

@@ -1,9 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from zsvr import metrics
+from zsvr import cli, mediaio, metrics, pipeline
 from zsvr.flow import warp
 
 
@@ -182,3 +183,32 @@ def test_monotone_degradation_static_video():
                                 for t in range(1, 3)]))
     assert means_w[0] < means_w[1] < means_w[2]
     assert means_i[0] < means_i[1] < means_i[2]
+
+
+_READERS = {
+    "psnr": lambda f, a, fl, m: metrics.psnr(f, a),
+    "psnr b": lambda f, a, fl, m: metrics.psnr(a, f),
+    "ssim": lambda f, a, fl, m: metrics.ssim(f, a),
+    "ssim b": lambda f, a, fl, m: metrics.ssim(a, f),
+    "warping_error prev": lambda f, a, fl, m: metrics.warping_error(f, a, fl, m),
+    "warping_error cur": lambda f, a, fl, m: metrics.warping_error(a, f, fl, m),
+    "interpolation_error prev": lambda f, a, fl, m: metrics.interpolation_error(f, a, a, fl, fl),
+    "interpolation_error cur": lambda f, a, fl, m: metrics.interpolation_error(a, f, a, fl, fl),
+    "interpolation_error nxt": lambda f, a, fl, m: metrics.interpolation_error(a, a, f, fl, fl),
+    "encode_latent": lambda f, a, fl, m: pipeline.encode_latent(f, 2),
+    "degrade_video": lambda f, a, fl, m: cli.degrade_video(mediaio.FrameSequence([f]), 2, 0.1, 0),
+}
+
+
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_uint8_codes_are_refused_where_values_are_read(reader):
+    # a code frame against itself plus one reads 48.1 dB as values; read as
+    # codes against a peak of 1.0 it would read 0.0 dB, so codes are refused
+    # wherever values in [0, 1] are read, and the message names the conversion
+    codes = np.random.default_rng(12).integers(0, 255, (8, 8, 3)).astype(np.uint8)
+    a, b = mediaio.float_frame(codes), mediaio.float_frame(codes + 1)
+    assert metrics.psnr(a, b) == pytest.approx(48.13, abs=0.01)
+    call = functools.partial(_READERS[reader], a=a, fl=np.zeros((8, 8, 2)), m=np.zeros((8, 8)))
+    call(a)
+    with pytest.raises(ValueError, match=r"uint8 codes.*mediaio\.float_frame"):
+        call(codes)
