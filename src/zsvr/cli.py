@@ -104,9 +104,11 @@ def cmd_flow(args) -> int:
     bank = pipeline.FlowBank(mediaio.read_frames(args.in_dir), args.block, args.search)
 
     def write(tmp):
+        digits = mediaio.index_digits(len(bank.seq) - 1)
         for t in range(len(bank.seq) - 1):
-            mediaio.write_flo(bank.flow_of(t + 1, t), os.path.join(tmp, f"flow_{t:04d}.flo"))
-            mediaio.write_raw_tensor(bank.conf_of(t + 1, t), os.path.join(tmp, f"conf_{t:04d}.rtf"))
+            index = f"{t:0{digits}d}"
+            mediaio.write_flo(bank.flow_of(t + 1, t), os.path.join(tmp, f"flow_{index}.flo"))
+            mediaio.write_raw_tensor(bank.conf_of(t + 1, t), os.path.join(tmp, f"conf_{index}.rtf"))
             bank.drop(t + 1, t)
 
     _write_atomic(args.out_dir, FLOW_OUTPUTS, write)
@@ -127,12 +129,13 @@ def cmd_restore(args) -> int:
         if args.dump_latents:
             os.mkdir(os.path.join(tmp, "latents"))
         start = 0
+        digits = mediaio.index_digits(len(seq))
         for latents in pipeline.restore_iter(seq, cfg):
             restored = FrameSequence([pipeline.decode_latent(x, h, w) for x in latents])
-            mediaio.write_frames(restored, tmp, start)
+            mediaio.write_frames(restored, tmp, start, len(seq))
             if args.dump_latents:
                 for f, latent in enumerate(latents, start):
-                    path = os.path.join(tmp, "latents", f"latent_{f:04d}.rtf")
+                    path = os.path.join(tmp, "latents", f"latent_{f:0{digits}d}.rtf")
                     mediaio.write_raw_tensor(latent, path)
             start += len(latents)
 

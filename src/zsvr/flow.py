@@ -21,9 +21,11 @@ def _as_3d(img: np.ndarray) -> np.ndarray:
     return img[:, :, None] if img.ndim == 2 else img
 
 
-# float64 values per buffer of a candidate group, so that the group's
-# error/cost and row-sum buffers stay in a core's L2 cache; an int32 group
-# holds twice as many values in the same bytes
+# float64 values per buffer of a candidate group, so that a group's buffers
+# stay in a core's L2 cache: a float64 group holds GROUP_BUDGET // S
+# candidates, and an int32 group, whose values take half the bytes,
+# 2 * GROUP_BUDGET // S (each at least one). An int32 group is whole rows
+# of dy while a row fits, else part of one row
 GROUP_BUDGET = 32768
 
 # most values in one plane of estimate_flow, max(h + block - 1,
@@ -32,14 +34,53 @@ GROUP_BUDGET = 32768
 PLANE_BUDGET = 2**24
 
 
-def _box_pass(src: np.ndarray, out: np.ndarray, length: int, step: int, block: int) -> None:
-    """out[:length] = src[:length] + src[step:] + ... + src[(block-1)*step:], in order."""
+def _box_pass(src: np.ndarray, out: np.ndarray, step: int, block: int) -> None:
+    """out[p] = src[p] + src[p + step] + ... + src[p + (block-1)*step], in
+    that order, for every p < len(src) - (block-1)*step."""
+    length = len(src) - (block - 1) * step
     if block == 1:
         np.copyto(out[:length], src[:length])
         return
     np.add(src[:length], src[step : step + length], out=out[:length])
     for k in range(2, block):
         out[:length] += src[k * step : k * step + length]
+
+
+def _box_pass_doubling(src: np.ndarray, out: np.ndarray, step: int, block: int) -> None:
+    """_box_pass's sums of integer src, in another order; src is scratch after.
+
+    run[p] = src[p] + ... + src[p + (span-1)*step] for span = 1, 2, 4, ...,
+    each run from the last by one shifted add, and acc gathers the runs the
+    bits of block select, low bits first. A run is doubled in place unless
+    acc still reads its buffer: a forward shift in place reads each value
+    before it is written, and numpy copies nothing for it. Values from
+    len(src) - (block-1)*step on are scratch.
+    """
+    size = len(src)
+    run, acc, covered, span = src, None, 0, 1
+    while True:
+        if block & span:
+            if acc is None:
+                acc = run
+            else:
+                k = covered * step
+                into = out if 2 * span > block else acc
+                np.add(acc[: size - k], run[k:], out=into[: size - k])
+                acc = into
+            covered += span
+        if 2 * span > block:
+            break
+        k = span * step
+        if acc is None:
+            into = out
+        elif acc is run:
+            into = out if run is src else src
+        else:
+            into = run
+        np.add(run[: size - k], run[k:], out=into[: size - k])
+        run, span = into, 2 * span
+    if acc is not out:  # block 1
+        np.copyto(out, acc)
 
 
 def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> np.ndarray:
@@ -50,41 +91,57 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     sampling clamps at image borders, so a displacement past max(h, w) - 1
     costs exactly what a nearer one tried before it costs; search is capped
     there, with the same flow. The cost of a candidate is the per-pixel
-    squared error summed over channels in order, then over the block as a
-    sum of row sums, in raster offset order.
+    squared error summed over channels, then over the block as a sum of row
+    sums.
 
     A uint8 frame pairs only with a uint8 frame; a mixed pair is refused
-    before anything is allocated. On two uint8 frames the costs are exact
-    integer SSDs of the codes, so the tie rule holds for every exact tie of
-    the true SSD: in int32 while block**2 * channels * 255**2 < 2**31
-    (block <= 104 at 3 channels), else in float64, which holds them exactly
-    too. Any other pair is matched in float64 on its values, whatever they
-    are, where a tie is an exact tie of the rounded costs.
+    before anything is allocated. Two uint8 frames whose costs fit int32,
+    block**2 * channels * 255**2 < 2**31 (block <= 104 at 3 channels), take
+    the int32 kernel. Each of its costs is the exact SSD of the codes,
+    whatever order it is summed in, so the tie rule holds for every exact
+    tie of the true SSD. Any other pair takes the float64 kernel, which
+    sums each cost in one fixed order: over channels in order, then row
+    sums in raster offset order. On codes above the int32 bound its costs
+    are exact too; on values, a tie is an exact tie of the rounded costs.
 
-    Layout: every plane has one flat row stride W = max(w + 2*search,
-    w + block - 1). With half = block // 2, src sits at columns
-    [half, half + w) of W-wide rows, and dst, edge-padded by search, is
-    stored flat after a lead of half values, so each candidate's window is
-    one contiguous run starting at (search + dy) * W + search + dx.
+    Layout, shared by both kernels: every plane has one flat row stride
+    W = max(w + 2*search, w + block - 1). With half = block // 2, src sits
+    at columns [half, half + w) of W-wide rows, and dst, edge-padded by
+    search, is stored flat after a lead of half values, so each candidate's
+    window is one contiguous run of n = h * W values starting at
+    (search + dy) * W + search + dx.
 
-    Candidates are taken in sorted order, GROUP_BUDGET // S at a time for
-    float64 costs and twice that for int32 (at least one), where
-    S = (h + block - 1) * W is one candidate's flat segment. A candidate's
-    squared error, summed over channels, fills rows [half, half + h) of its
-    segment, and the x edge clamp fills the columns around them. The row
-    pass is then block - 1 adds of shifted runs over the whole group's flat
-    range at once, the y edge clamp fills the rows above and below, and the
-    column pass does the same with shifts of W, so candidate i's cost lands
-    at [i*S, i*S + h*W). Every valid output reads only its own segment.
-    Selection is a strict < running minimum over the candidates in sorted
-    order.
+    Candidates are taken in groups. Each candidate of a group has a flat
+    segment of S = (h + block - 1) * W values. Its squared error, summed
+    over channels, fills rows [half, half + h) of its segment, and the x
+    edge clamp fills the columns around them. The row pass then sums runs
+    of block values over the whole group's flat range at once, the y edge
+    clamp fills the rows above and below, and the column pass does the
+    same with a stride of W. So candidate i's cost lands at [i*S, i*S + n),
+    and every valid output reads only its own segment.
+      * float64: GROUP_BUDGET // S candidates at a time (at least one), in
+        tie-break order. Each pass is block - 1 adds of shifted runs, and
+        selection is a strict < running minimum in that order.
+      * int32: 2 * GROUP_BUDGET // S candidates at a time (at least one),
+        in whole rows of dy (2*search + 1 candidates) while a row fits,
+        else in parts of one row. A group's windows are one slice of a
+        read-only strided view of the padded dst plane, so each channel's
+        subtract, square and sum is one numpy call per group. Each pass
+        sums by doubling, runs of 2, 4, 8, ... values combined by the bits
+        of block, so block 7 takes 4 adds, not 6. The winner is the least
+        packed key cost << bits | rank, where rank is the candidate's place
+        in tie-break order: one minimum over the group, then a running
+        minimum across groups. The least key has the least cost, and of
+        equal costs the first rank, which is the strict < scan's winner.
+        The keys are int32 while block**2 * channels * 255**2 << bits
+        < 2**31, else int64.
 
-    Memory: the cost and row-sum buffers hold at least S values each, and
-    the padded dst plane (h + 2*search + 1) * W a channel. Before anything
-    is allocated, a block and search whose taller plane, max(S,
+    Memory: a group's buffers hold at least S values each, and the padded
+    dst plane (h + 2*search + 1) * W a channel. Before anything is
+    allocated, a block and search whose taller plane, max(S,
     (h + 2*search + 1) * W), exceeds PLANE_BUDGET values are refused. So
-    whatever block and search are set, a call's buffers stay below about 20
-    planes' worth at 3 channels, 2.7 GB as float64 at the budget.
+    whatever block and search are set, a call's buffers stay below about
+    20 planes' worth at 3 channels, 2.7 GB as float64 at the budget.
     """
     if src.shape != dst.shape:
         raise ValueError(f"shape mismatch: {src.shape} vs {dst.shape}")
@@ -106,30 +163,37 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     return _match(_as_3d(np.asarray(src, dtype)), _as_3d(np.asarray(dst, dtype)), block, search)
 
 
+@functools.lru_cache(maxsize=16)
+def _candidates(search: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of the (2*search + 1)**2 displacements of a search.
+
+    du and dv are the dx and dy of each candidate, as floats, in tie-break
+    order (dy**2 + dx**2, dy, dx). rank[(dy + search) * (2*search + 1) +
+    dx + search] is the place of candidate (dy, dx) in that order.
+    """
+    d = np.arange(-search, search + 1)
+    dy, dx = np.repeat(d, len(d)), np.tile(d, len(d))
+    order = np.lexsort((dx, dy, dy * dy + dx * dx))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    tables = (dx[order].astype(np.float64), dy[order].astype(np.float64), rank)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
 def _match(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> np.ndarray:
     """estimate_flow's block matching of two (h, w, c) arrays of one dtype,
-    float64 or int32, whose costs are computed in that dtype."""
+    int32 codes or float64 values, whose costs are computed in that dtype."""
     h, w, c = src.shape
-    dtype = src.dtype
-
-    candidates = sorted(
-        (dy * dy + dx * dx, dy, dx)
-        for dy in range(-search, search + 1)
-        for dx in range(-search, search + 1)
-    )
     half = block // 2
     W = max(w + 2 * search, w + block - 1)
-    n = h * W
-    S = (h + block - 1) * W
-    offsets = [(search + dy) * W + search + dx for _, dy, dx in candidates]
-
-    src_flat = np.zeros((c, h, W), dtype)
+    src_flat = np.zeros((c, h, W), src.dtype)
     src_flat[:, :, half : half + w] = src.transpose(2, 0, 1)
-    src_flat = src_flat.reshape(c, n)
     hp = h + 2 * search
     # one spare row: the last candidate's window ends up to 2 * search
     # values past the padded rows
-    dst_flat = np.zeros((c, (hp + 1) * W), dtype)
+    dst_flat = np.zeros((c, (hp + 1) * W), dst.dtype)
     dst_rows = dst_flat[:, half : half + hp * W].reshape(c, hp, W)
     s = search
     dst_rows[:, s : s + h, s : s + w] = dst.transpose(2, 0, 1)
@@ -138,21 +202,33 @@ def _match(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> np.ndar
     dst_rows[:, :s, : w + 2 * s] = dst_rows[:, s : s + 1, : w + 2 * s]
     dst_rows[:, s + h :, : w + 2 * s] = dst_rows[:, s + h - 1 : s + h, : w + 2 * s]
 
-    group = max(1, min(len(candidates), GROUP_BUDGET * 8 // (dtype.itemsize * S)))
-    sq = np.empty((c, n), dtype)
+    kernel = _match_codes if src.dtype == np.int32 else _match_values
+    best = kernel(src_flat.reshape(c, h * W), dst_flat, h, w, block, search)
+    du, dv, _ = _candidates(search)
+    best = best.reshape(h, W)[:, :w]
+    return np.stack([du[best], dv[best]], axis=2)
+
+
+def _match_values(src_flat, dst_flat, h: int, w: int, block: int, search: int) -> np.ndarray:
+    """The float64 kernel: the winning rank at each of the n flat pixels."""
+    c, n = src_flat.shape
+    W = n // h
+    S = (h + block - 1) * W
+    du, dv, _ = _candidates(search)
+    offsets = ((search + dv) * W + search + du).astype(np.intp).tolist()
+    group = max(1, min(len(offsets), GROUP_BUDGET // S))
+    sq = np.empty((c, n))
     # err holds the group's squared errors, then its block costs
-    err = np.zeros(group * S, dtype)
-    rows = np.zeros(group * S, dtype)
-    err_3d = err.reshape(group, h + block - 1, W)
-    rows_3d = rows.reshape(group, h + block - 1, W)
+    err = np.zeros(group * S)
+    rows = np.zeros(group * S)
+    lead = block // 2 * W
     better = np.empty(n, dtype=bool)
-    # every int32 cost is below 2**31, so at most the initial maximum
-    best_cost = np.full(n, np.inf if dtype.kind == "f" else np.iinfo(dtype).max, dtype)
+    best_cost = np.full(n, np.inf)
     best_k = np.zeros(n, dtype=np.intp)
-    for k0 in range(0, len(candidates), group):
-        g = min(group, len(candidates) - k0)
+    for k0 in range(0, len(offsets), group):
+        g = min(group, len(offsets) - k0)
         for i, off in enumerate(offsets[k0 : k0 + g]):
-            e = err[i * S + half * W : i * S + half * W + n]
+            e = err[i * S + lead : i * S + lead + n]
             np.subtract(src_flat, dst_flat[:, off : off + n], out=sq)
             np.multiply(sq, sq, out=sq)
             if c == 1:
@@ -161,21 +237,10 @@ def _match(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> np.ndar
                 np.add(sq[0], sq[1], out=e)
                 for ch in range(2, c):
                     e += sq[ch]
-        err_g = err_3d[:g, half : half + h]
-        err_g[:, :, :half] = err_g[:, :, half : half + 1]
-        err_g[:, :, half + w : w + block - 1] = err_g[:, :, half + w - 1 : half + w]
-        # separable block sum in a fixed offset order, so exact ties resolve
-        # by candidate order alone. A row sum for one of the first w columns
-        # only reads its own row, and the columns from w + block - 1 on are
-        # scratch; a column sum for one of the first h rows of a segment only
-        # reads that segment. Sums of squares are never -0.0, so starting
-        # from the first term equals starting from zero. Scratch values may
-        # wrap in int32; no valid output reads them.
-        _box_pass(err, rows, g * S - (block - 1), 1, block)
-        rows_g = rows_3d[:g]
-        rows_g[:, :half] = rows_g[:, half : half + 1]
-        rows_g[:, half + h :] = rows_g[:, half + h - 1 : half + h]
-        _box_pass(rows, err, g * S - (block - 1) * W, W, block)
+        # block sums in a fixed offset order, so exact ties resolve by
+        # candidate order alone. Sums of squares are never -0.0, so starting
+        # from the first term equals starting from zero
+        _block_costs(err[: g * S], rows[: g * S], h, w, W, block, _box_pass)
         for i in range(g):
             cost = err[i * S : i * S + n]
             np.less(cost, best_cost, out=better)
@@ -183,10 +248,76 @@ def _match(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> np.ndar
             # fmin keeps best_cost where cost is NaN, as < does
             np.fmin(best_cost, cost, out=best_cost)
             np.putmask(best_k, better, k0 + i)
-    best_k = best_k.reshape(h, W)[:, :w]
-    du = np.array([dx for _, _, dx in candidates], dtype=np.float64)
-    dv = np.array([dy for _, dy, _ in candidates], dtype=np.float64)
-    return np.stack([du[best_k], dv[best_k]], axis=2)
+    return best_k
+
+
+def _match_codes(src_flat, dst_flat, h: int, w: int, block: int, search: int) -> np.ndarray:
+    """The int32 kernel: the winning rank at each of the n flat pixels."""
+    c, n = src_flat.shape
+    W = n // h
+    S = (h + block - 1) * W
+    side = 2 * search + 1
+    it = dst_flat.itemsize
+    # windows[dy + search, dx + search] is candidate (dy, dx)'s (c, n) window
+    windows = np.lib.stride_tricks.as_strided(
+        dst_flat, (side, side, c, n), (W * it, it, dst_flat.strides[0], it), writeable=False
+    )
+    per_group = max(1, 2 * GROUP_BUDGET // S)
+    rows, cols = (min(side, per_group // side), side) if per_group >= side else (1, per_group)
+    # err holds a group's squared errors summed over channels, then its
+    # block costs and keys; scratch one channel's squared errors at a time,
+    # then the row sums. No valid output reads a value an earlier group
+    # left, and scratch values may wrap
+    err = np.empty((rows * cols, S), np.int32)
+    scratch = np.empty(rows * cols * S, np.int32)
+    lead = block // 2 * W
+    bits = (side * side - 1).bit_length()
+    wide = (block * block * c * 255**2) << bits >= 2**31
+    key_dtype = np.int64 if wide else np.int32
+    rank = _candidates(search)[2].astype(key_dtype).reshape(side, side)
+    keys = np.empty((rows * cols, n), key_dtype) if wide else err[:, :n]
+    best = np.full(n, np.iinfo(key_dtype).max, key_dtype)
+    for r0 in range(0, side, rows):
+        r1 = min(side, r0 + rows)
+        for x0 in range(0, side, cols):
+            x1 = min(side, x0 + cols)
+            g = (r1 - r0) * (x1 - x0)
+            e = err[:g, lead : lead + n]
+            sq = scratch[: g * n].reshape(g, n)
+            for ch in range(c):
+                np.subtract(src_flat[ch], windows[r0:r1, x0:x1, ch], out=sq.reshape(r1 - r0, x1 - x0, n))
+                if ch == 0:
+                    np.multiply(sq, sq, out=e)
+                else:
+                    np.multiply(sq, sq, out=sq)
+                    e += sq
+            _block_costs(err[:g].reshape(-1), scratch[: g * S], h, w, W, block, _box_pass_doubling)
+            np.left_shift(err[:g, :n], bits, out=keys[:g], dtype=key_dtype)
+            keys[:g] |= rank[r0:r1, x0:x1].reshape(g, 1)
+            np.minimum(best, np.minimum.reduce(keys[:g], axis=0), out=best)
+    return best & ((1 << bits) - 1)
+
+
+def _block_costs(err, rows, h: int, w: int, W: int, block: int, box_pass) -> None:
+    """A group's block costs, in place in the flat err.
+
+    err holds the squared errors in rows [half, half + h) of each segment of
+    h + block - 1 rows of W, and gets each candidate's costs at the start of
+    its segment; rows, of err's length, is scratch. box_pass(src, out, step,
+    block) sums the runs of block values.
+    """
+    half = block // 2
+    err_g = err.reshape(-1, h + block - 1, W)[:, half : half + h]
+    err_g[:, :, :half] = err_g[:, :, half : half + 1]
+    err_g[:, :, half + w : w + block - 1] = err_g[:, :, half + w - 1 : half + w]
+    # a row sum for one of the first w columns only reads its own row, and
+    # the columns from w + block - 1 on are scratch; a column sum for one of
+    # the first h rows of a segment only reads that segment
+    box_pass(err, rows, 1, block)
+    rows_g = rows.reshape(-1, h + block - 1, W)
+    rows_g[:, :half] = rows_g[:, half : half + 1]
+    rows_g[:, half + h :] = rows_g[:, half + h - 1 : half + h]
+    box_pass(rows, err, W, block)
 
 
 @functools.lru_cache(maxsize=16)

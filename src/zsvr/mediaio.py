@@ -131,17 +131,27 @@ def read_frames(path: str) -> FrameSequence:
     return FrameSequence(frames)
 
 
-def write_frames(seq: FrameSequence, path: str, start: int = 0) -> None:
+def index_digits(count: int) -> int:
+    """Digits of the zero-padded index in every name of an output of count
+    numbered files: 4 below 10 000, else those of the last index, so that
+    lexicographic order is index order."""
+    return max(4, len(str(count - 1)))
+
+
+def write_frames(seq: FrameSequence, path: str, start: int = 0, count: int | None = None) -> None:
     """Write a FrameSequence as P6 files frame_0000.ppm, frame_0001.ppm, ...,
     numbered from start: uint8 frames as they are, float frames rounded to
-    the nearest code."""
+    the nearest code. count is the number of frames in the whole output,
+    start + len(seq) unless a caller writes it in parts; it sets the digits
+    of every name (index_digits)."""
+    digits = index_digits(start + len(seq) if count is None else count)
     os.makedirs(path, exist_ok=True)
     for i, frame in enumerate(seq.frames, start):
         if frame.dtype != np.uint8:
             frame = np.clip(np.rint(frame * 255.0), 0, 255).astype(np.uint8)
         h, w, _ = frame.shape
         header = f"P6\n{w} {h}\n255\n".encode("ascii")
-        with open(os.path.join(path, f"frame_{i:04d}.ppm"), "wb") as fh:
+        with open(os.path.join(path, f"frame_{i:0{digits}d}.ppm"), "wb") as fh:
             fh.write(header)
             fh.write(frame.tobytes())
 

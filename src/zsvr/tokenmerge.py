@@ -106,7 +106,11 @@ def cosine_scores(
     sn = np.linalg.norm(src, axis=1)
     tn = np.linalg.norm(tar, axis=1) if tar_norms is None else tar_norms
     dots = src @ tar.T
-    denom = np.multiply.outer(sn, tn)
+    denom = sn[:, None] * tn
+    if sn.size and tn.size and sn.min() * tn.min() > 0:
+        # every denominator is at least this product, so none is zero
+        dots /= denom
+        return dots
     nonzero = denom > 0
     np.divide(dots, denom, out=dots, where=nonzero)
     dots[~nonzero] = 0.0
@@ -161,9 +165,9 @@ def spatial_table(h: int, w: int, R: float) -> np.ndarray:
 
 def cosine_correspondence(scores: np.ndarray):
     """Per source row: (argmax target index, max score); ties to smallest index."""
-    targets = np.argmax(scores, axis=1).astype(np.int64)
+    targets = np.argmax(scores, axis=1).astype(np.int64, copy=False)
     criteria = scores[np.arange(scores.shape[0]), targets]
-    return targets, criteria.astype(np.float64)
+    return targets, criteria.astype(np.float64, copy=False)
 
 
 def flow_correspondence(h: int, w: int, flows: list[np.ndarray], confidences: list[np.ndarray]):
@@ -226,10 +230,13 @@ def merge(
     (B*A,) int64 array, is the row that holds that slot's value. Every row is
     hit at least once, so the rows partition the B*A slots.
     """
-    a = tar.shape[0]
+    a, c = tar.shape
     into = targets[selected]
     sums = tar.copy()
-    np.add.at(sums, into, src[selected])
+    # one flat index per added value, in the order of selected, so each sum
+    # adds its terms in the same order as row-wise np.add.at, and faster
+    flat = (into[:, None] * c + np.arange(c)).reshape(-1)
+    np.add.at(sums.reshape(-1), flat, src[selected].reshape(-1))
     sums /= (np.bincount(into, minlength=a) + 1)[:, None]
     kept = np.ones(src.shape[0], dtype=bool)
     kept[selected] = False

@@ -273,6 +273,22 @@ def test_estimate_flow_int32_bound(monkeypatch, shape, block, dtype):
     assert dtypes == [dtype]
 
 
+@pytest.mark.parametrize("block", [9, 10])
+def test_estimate_flow_key_width_bound(monkeypatch, block):
+    # the int32 kernel packs cost << 7 | rank for search 4's 81 candidates,
+    # in int32 keys while block**2 * 3 * 255**2 << 7 < 2**31 (block 9) and
+    # int64 above (block 10). dst is mostly src's inverse, so many costs
+    # come near the bound, where an int32 key at block 10 would wrap
+    assert (9 * 9 * 3 * 255**2) << 7 < 2**31 <= (10 * 10 * 3 * 255**2) << 7
+    rng = np.random.default_rng(block)
+    src = rng.choice([0, 255], (5, 6, 3)).astype(np.uint8)
+    dst = np.where(rng.random((5, 6, 1)) < 0.2, src, 255 - src).astype(np.uint8)
+    dtypes = _matched_dtypes(monkeypatch)
+    want = estimate_flow_exact(src, dst, block, 4)
+    assert np.array_equal(flow.estimate_flow(src, dst, block, 4), want)
+    assert dtypes == [np.int32]
+
+
 def test_bank_and_estimate_flow_give_one_flow_per_eight_bit_pair(monkeypatch):
     # a bank of uint8 frames and estimate_flow on them agree with the exact
     # reference through reads, drops and re-reads, every match in int32. The

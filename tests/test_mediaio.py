@@ -79,6 +79,20 @@ def test_write_frames_extremes(tmp_path):
     assert p1.endswith(bytes([255] * 18))
 
 
+def test_frames_past_ten_thousand_read_back_in_order(tmp_path):
+    # 4-digit names would put frame_10000 before frame_1001; every name of
+    # an output of 10 001 frames gets 5 digits instead, also when it is
+    # written in parts, as zsvr restore writes its batches
+    frames = [np.array([[[k % 256, k // 256, 0]]], np.uint8) for k in range(10_001)]
+    mediaio.write_frames(FrameSequence(frames[:5000]), str(tmp_path), 0, len(frames))
+    mediaio.write_frames(FrameSequence(frames[5000:]), str(tmp_path), 5000)
+    names = sorted(os.listdir(tmp_path))
+    assert names[0] == "frame_00000.ppm" and names[-1] == "frame_10000.ppm"
+    back = mediaio.read_frames(str(tmp_path)).frames
+    assert len(back) == len(frames)
+    assert all(np.array_equal(a, b) for a, b in zip(frames, back))
+
+
 def test_pnm_bad_magic(tmp_path):
     _write_pnm(tmp_path / "f.pnm", "P3", 2, 2, bytes(12))
     with pytest.raises(FormatError, match="magic"):
