@@ -116,6 +116,11 @@ def cmd_flow(args) -> int:
 
 
 def cmd_restore(args) -> int:
+    # the input's frames match RESTORE_OUTPUTS, so _check_replaceable passes it
+    dirs = args.in_dir, args.out_dir
+    if all(map(os.path.exists, dirs)) and os.path.samefile(*dirs):
+        raise ValueError(f"--out {args.out_dir} is the --in directory; "
+                         "refusing to replace its frames")
     _check_replaceable(args.out_dir, RESTORE_OUTPUTS)
     seq = mediaio.read_frames(args.in_dir)
     cfg = _load_config(args)

@@ -21,11 +21,11 @@ def _as_3d(img: np.ndarray) -> np.ndarray:
     return img[:, :, None] if img.ndim == 2 else img
 
 
-# float64 values per buffer of a candidate group, so that a group's buffers
-# stay in a core's L2 cache: a float64 group holds GROUP_BUDGET // S
+# 8-byte units per buffer of a candidate group, so that a group's buffers
+# stay in a core's L2 cache: an int64 group holds GROUP_BUDGET // S
 # candidates, and an int32 group, whose values take half the bytes,
-# 2 * GROUP_BUDGET // S (each at least one). An int32 group is whole rows
-# of dy while a row fits, else part of one row
+# 2 * GROUP_BUDGET // S (each at least one). A group is whole rows of dy
+# while a row fits, else part of one row
 GROUP_BUDGET = 32768
 
 # most values in one plane of estimate_flow, max(h + block - 1,
@@ -35,19 +35,8 @@ PLANE_BUDGET = 2**24
 
 
 def _box_pass(src: np.ndarray, out: np.ndarray, step: int, block: int) -> None:
-    """out[p] = src[p] + src[p + step] + ... + src[p + (block-1)*step], in
-    that order, for every p < len(src) - (block-1)*step."""
-    length = len(src) - (block - 1) * step
-    if block == 1:
-        np.copyto(out[:length], src[:length])
-        return
-    np.add(src[:length], src[step : step + length], out=out[:length])
-    for k in range(2, block):
-        out[:length] += src[k * step : k * step + length]
-
-
-def _box_pass_doubling(src: np.ndarray, out: np.ndarray, step: int, block: int) -> None:
-    """_box_pass's sums of integer src, in another order; src is scratch after.
+    """out[p] = src[p] + src[p + step] + ... + src[p + (block-1)*step] for
+    every p < len(src) - (block-1)*step, on integer src; src is scratch after.
 
     run[p] = src[p] + ... + src[p + (span-1)*step] for span = 1, 2, 4, ...,
     each run from the last by one shifted add, and acc gathers the runs the
@@ -84,31 +73,28 @@ def _box_pass_doubling(src: np.ndarray, out: np.ndarray, step: int, block: int) 
 
 
 def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> np.ndarray:
-    """Exhaustive SSD block matching within +-search pixels.
+    """Exhaustive SSD block matching of uint8 frames within +-search pixels.
 
     Ties are broken toward the smallest displacement magnitude, then raster
     order of the displacement, so flat regions report zero motion. Patch
     sampling clamps at image borders, so a displacement past max(h, w) - 1
     costs exactly what a nearer one tried before it costs; search is capped
-    there, with the same flow. The cost of a candidate is the per-pixel
-    squared error summed over channels, then over the block as a sum of row
-    sums.
+    there, with the same flow. The cost of a candidate is the SSD of the
+    codes over the block and its channels, an exact integer in any order of
+    summation, so the tie rule decides every exact tie of the true SSD.
 
-    A uint8 frame pairs only with a uint8 frame; a mixed pair is refused
-    before anything is allocated. Two uint8 frames whose costs fit int32,
-    block**2 * channels * 255**2 < 2**31 (block <= 104 at 3 channels), take
-    the int32 kernel. Each of its costs is the exact SSD of the codes,
-    whatever order it is summed in, so the tie rule holds for every exact
-    tie of the true SSD. Any other pair takes the float64 kernel, which
-    sums each cost in one fixed order: over channels in order, then row
-    sums in raster offset order. On codes above the int32 bound its costs
-    are exact too; on values, a tie is an exact tie of the rounded costs.
+    Both frames are uint8 codes with at least one channel; any other frame
+    is refused before anything is allocated. Float frames in [0, 1] are
+    matched on their nearest codes: convert them with mediaio.code_frame,
+    the rounding write_frames does. Costs are int32 while
+    block**2 * channels * 255**2 < 2**31 (block <= 104 at 3 channels), else
+    int64.
 
-    Layout, shared by both kernels: every plane has one flat row stride
-    W = max(w + 2*search, w + block - 1). With half = block // 2, src sits
-    at columns [half, half + w) of W-wide rows, and dst, edge-padded by
-    search, is stored flat after a lead of half values, so each candidate's
-    window is one contiguous run of n = h * W values starting at
+    Layout: every plane has one flat row stride W = max(w + 2*search,
+    w + block - 1). With half = block // 2, src sits at columns
+    [half, half + w) of W-wide rows, and dst, edge-padded by search, is
+    stored flat after a lead of half values, so each candidate's window is
+    one contiguous run of n = h * W values starting at
     (search + dy) * W + search + dx.
 
     Candidates are taken in groups. Each candidate of a group has a flat
@@ -118,48 +104,54 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     of block values over the whole group's flat range at once, the y edge
     clamp fills the rows above and below, and the column pass does the
     same with a stride of W. So candidate i's cost lands at [i*S, i*S + n),
-    and every valid output reads only its own segment.
-      * float64: GROUP_BUDGET // S candidates at a time (at least one), in
-        tie-break order. Each pass is block - 1 adds of shifted runs, and
-        selection is a strict < running minimum in that order.
-      * int32: 2 * GROUP_BUDGET // S candidates at a time (at least one),
-        in whole rows of dy (2*search + 1 candidates) while a row fits,
-        else in parts of one row. A group's windows are one slice of a
-        read-only strided view of the padded dst plane, so each channel's
-        subtract, square and sum is one numpy call per group. Each pass
-        sums by doubling, runs of 2, 4, 8, ... values combined by the bits
-        of block, so block 7 takes 4 adds, not 6. The winner is the least
-        packed key cost << bits | rank, where rank is the candidate's place
-        in tie-break order: one minimum over the group, then a running
-        minimum across groups. The least key has the least cost, and of
-        equal costs the first rank, which is the strict < scan's winner.
-        The keys are int32 while block**2 * channels * 255**2 << bits
-        < 2**31, else int64.
+    and every valid output reads only its own segment. A group is
+    2 * GROUP_BUDGET // S candidates with int32 costs, GROUP_BUDGET // S
+    with int64 (at least one), in whole rows of dy (2*search + 1
+    candidates) while a row fits, else in parts of one row. A group's
+    windows are one slice of a read-only strided view of the padded dst
+    plane, so each channel's subtract, square and sum is one numpy call per
+    group. Each pass sums by doubling, runs of 2, 4, 8, ... values combined
+    by the bits of block, so block 7 takes 4 adds, not 6. The winner is the
+    least packed key cost << bits | rank, where rank is the candidate's
+    place in tie-break order: one minimum over the group, then a running
+    minimum across groups. The least key has the least cost, and of equal
+    costs the first rank. The keys are int32 while
+    block**2 * channels * 255**2 << bits < 2**31, else int64; a block and
+    search whose keys would reach 2**63 are refused before anything is
+    allocated.
 
     Memory: a group's buffers hold at least S values each, and the padded
     dst plane (h + 2*search + 1) * W a channel. Before anything is
     allocated, a block and search whose taller plane, max(S,
     (h + 2*search + 1) * W), exceeds PLANE_BUDGET values are refused. So
     whatever block and search are set, a call's buffers stay below about
-    20 planes' worth at 3 channels, 2.7 GB as float64 at the budget.
+    20 planes' worth at 3 channels, 2.7 GB as int64 at the budget.
     """
     if src.shape != dst.shape:
         raise ValueError(f"shape mismatch: {src.shape} vs {dst.shape}")
-    if (src.dtype == np.uint8) != (dst.dtype == np.uint8):
-        raise ValueError(f"dtype mismatch: {src.dtype} vs {dst.dtype}: uint8 pairs only with uint8")
+    for frame in (src, dst):
+        if frame.dtype != np.uint8:
+            raise ValueError(f"block matching reads uint8 codes, not {frame.dtype}: "
+                             "convert the frame with mediaio.code_frame")
     if block < 1:
         raise ValueError("block must be >= 1")
     if search < 0:
         raise ValueError("search must be >= 0")
+    channels = 1 if src.ndim == 2 else src.shape[2]
+    if channels < 1:
+        raise ValueError(f"frames of shape {src.shape} have no channel")
     h, w = src.shape[:2]
     search = min(search, max(h, w) - 1)
     plane = max(h + block - 1, h + 2 * search + 1) * max(w + 2 * search, w + block - 1)
     if plane > PLANE_BUDGET:
         raise ValueError(f"block {block} and search {search} on {h}x{w} frames need planes "
                          f"of {plane} values, over flow.PLANE_BUDGET = {PLANE_BUDGET}")
-    channels = 1 if src.ndim == 2 else src.shape[2]
-    exact = src.dtype == np.uint8 and block * block * channels * 255**2 < 2**31
-    dtype = np.int32 if exact else np.float64
+    top = block * block * channels * 255**2  # the largest cost
+    key = top << ((2 * search + 1) ** 2 - 1).bit_length()
+    if key >= 2**63:
+        raise ValueError(f"block {block} and search {search} at {channels} channels need "
+                         f"keys of {key.bit_length()} bits, over int64's 63")
+    dtype = np.int32 if top < 2**31 else np.int64
     return _match(_as_3d(np.asarray(src, dtype)), _as_3d(np.asarray(dst, dtype)), block, search)
 
 
@@ -183,13 +175,15 @@ def _candidates(search: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _match(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> np.ndarray:
-    """estimate_flow's block matching of two (h, w, c) arrays of one dtype,
-    int32 codes or float64 values, whose costs are computed in that dtype."""
+    """estimate_flow's block matching of two (h, w, c) arrays of codes, int32
+    or int64, whose costs are computed in that dtype."""
     h, w, c = src.shape
     half = block // 2
     W = max(w + 2 * search, w + block - 1)
+    n, S = h * W, (h + block - 1) * W
     src_flat = np.zeros((c, h, W), src.dtype)
     src_flat[:, :, half : half + w] = src.transpose(2, 0, 1)
+    src_flat = src_flat.reshape(c, n)
     hp = h + 2 * search
     # one spare row: the last candidate's window ends up to 2 * search
     # values past the padded rows
@@ -202,80 +196,26 @@ def _match(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> np.ndar
     dst_rows[:, :s, : w + 2 * s] = dst_rows[:, s : s + 1, : w + 2 * s]
     dst_rows[:, s + h :, : w + 2 * s] = dst_rows[:, s + h - 1 : s + h, : w + 2 * s]
 
-    kernel = _match_codes if src.dtype == np.int32 else _match_values
-    best = kernel(src_flat.reshape(c, h * W), dst_flat, h, w, block, search)
-    du, dv, _ = _candidates(search)
-    best = best.reshape(h, W)[:, :w]
-    return np.stack([du[best], dv[best]], axis=2)
-
-
-def _match_values(src_flat, dst_flat, h: int, w: int, block: int, search: int) -> np.ndarray:
-    """The float64 kernel: the winning rank at each of the n flat pixels."""
-    c, n = src_flat.shape
-    W = n // h
-    S = (h + block - 1) * W
-    du, dv, _ = _candidates(search)
-    offsets = ((search + dv) * W + search + du).astype(np.intp).tolist()
-    group = max(1, min(len(offsets), GROUP_BUDGET // S))
-    sq = np.empty((c, n))
-    # err holds the group's squared errors, then its block costs
-    err = np.zeros(group * S)
-    rows = np.zeros(group * S)
-    lead = block // 2 * W
-    better = np.empty(n, dtype=bool)
-    best_cost = np.full(n, np.inf)
-    best_k = np.zeros(n, dtype=np.intp)
-    for k0 in range(0, len(offsets), group):
-        g = min(group, len(offsets) - k0)
-        for i, off in enumerate(offsets[k0 : k0 + g]):
-            e = err[i * S + lead : i * S + lead + n]
-            np.subtract(src_flat, dst_flat[:, off : off + n], out=sq)
-            np.multiply(sq, sq, out=sq)
-            if c == 1:
-                np.copyto(e, sq[0])
-            else:
-                np.add(sq[0], sq[1], out=e)
-                for ch in range(2, c):
-                    e += sq[ch]
-        # block sums in a fixed offset order, so exact ties resolve by
-        # candidate order alone. Sums of squares are never -0.0, so starting
-        # from the first term equals starting from zero
-        _block_costs(err[: g * S], rows[: g * S], h, w, W, block, _box_pass)
-        for i in range(g):
-            cost = err[i * S : i * S + n]
-            np.less(cost, best_cost, out=better)
-            # equals copying cost where better: costs are never -0.0, and
-            # fmin keeps best_cost where cost is NaN, as < does
-            np.fmin(best_cost, cost, out=best_cost)
-            np.putmask(best_k, better, k0 + i)
-    return best_k
-
-
-def _match_codes(src_flat, dst_flat, h: int, w: int, block: int, search: int) -> np.ndarray:
-    """The int32 kernel: the winning rank at each of the n flat pixels."""
-    c, n = src_flat.shape
-    W = n // h
-    S = (h + block - 1) * W
     side = 2 * search + 1
     it = dst_flat.itemsize
     # windows[dy + search, dx + search] is candidate (dy, dx)'s (c, n) window
     windows = np.lib.stride_tricks.as_strided(
         dst_flat, (side, side, c, n), (W * it, it, dst_flat.strides[0], it), writeable=False
     )
-    per_group = max(1, 2 * GROUP_BUDGET // S)
+    per_group = max(1, GROUP_BUDGET * 8 // (S * it))
     rows, cols = (min(side, per_group // side), side) if per_group >= side else (1, per_group)
     # err holds a group's squared errors summed over channels, then its
     # block costs and keys; scratch one channel's squared errors at a time,
     # then the row sums. No valid output reads a value an earlier group
     # left, and scratch values may wrap
-    err = np.empty((rows * cols, S), np.int32)
-    scratch = np.empty(rows * cols * S, np.int32)
-    lead = block // 2 * W
+    err = np.empty((rows * cols, S), src.dtype)
+    scratch = np.empty(rows * cols * S, src.dtype)
+    lead = half * W
     bits = (side * side - 1).bit_length()
-    wide = (block * block * c * 255**2) << bits >= 2**31
-    key_dtype = np.int64 if wide else np.int32
-    rank = _candidates(search)[2].astype(key_dtype).reshape(side, side)
-    keys = np.empty((rows * cols, n), key_dtype) if wide else err[:, :n]
+    key_dtype = np.int64 if (block * block * c * 255**2) << bits >= 2**31 else np.int32
+    du, dv, rank = _candidates(search)
+    rank = rank.astype(key_dtype).reshape(side, side)
+    keys = err[:, :n] if err.dtype == key_dtype else np.empty((rows * cols, n), key_dtype)
     best = np.full(n, np.iinfo(key_dtype).max, key_dtype)
     for r0 in range(0, side, rows):
         r1 = min(side, r0 + rows)
@@ -291,20 +231,20 @@ def _match_codes(src_flat, dst_flat, h: int, w: int, block: int, search: int) ->
                 else:
                     np.multiply(sq, sq, out=sq)
                     e += sq
-            _block_costs(err[:g].reshape(-1), scratch[: g * S], h, w, W, block, _box_pass_doubling)
+            _block_costs(err[:g].reshape(-1), scratch[: g * S], h, w, W, block)
             np.left_shift(err[:g, :n], bits, out=keys[:g], dtype=key_dtype)
             keys[:g] |= rank[r0:r1, x0:x1].reshape(g, 1)
             np.minimum(best, np.minimum.reduce(keys[:g], axis=0), out=best)
-    return best & ((1 << bits) - 1)
+    best = (best & ((1 << bits) - 1)).reshape(h, W)[:, :w]
+    return np.stack([du[best], dv[best]], axis=2)
 
 
-def _block_costs(err, rows, h: int, w: int, W: int, block: int, box_pass) -> None:
+def _block_costs(err, rows, h: int, w: int, W: int, block: int) -> None:
     """A group's block costs, in place in the flat err.
 
     err holds the squared errors in rows [half, half + h) of each segment of
     h + block - 1 rows of W, and gets each candidate's costs at the start of
-    its segment; rows, of err's length, is scratch. box_pass(src, out, step,
-    block) sums the runs of block values.
+    its segment; rows, of err's length, is scratch.
     """
     half = block // 2
     err_g = err.reshape(-1, h + block - 1, W)[:, half : half + h]
@@ -313,11 +253,11 @@ def _block_costs(err, rows, h: int, w: int, W: int, block: int, box_pass) -> Non
     # a row sum for one of the first w columns only reads its own row, and
     # the columns from w + block - 1 on are scratch; a column sum for one of
     # the first h rows of a segment only reads that segment
-    box_pass(err, rows, 1, block)
+    _box_pass(err, rows, 1, block)
     rows_g = rows.reshape(-1, h + block - 1, W)
     rows_g[:, :half] = rows_g[:, half : half + 1]
     rows_g[:, half + h :] = rows_g[:, half + h - 1 : half + h]
-    box_pass(rows, err, W, block)
+    _box_pass(rows, err, W, block)
 
 
 @functools.lru_cache(maxsize=16)

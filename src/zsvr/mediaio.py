@@ -67,6 +67,15 @@ def float_frame(frame: np.ndarray) -> np.ndarray:
     return frame.astype(np.float64) / 255.0 if frame.dtype == np.uint8 else frame
 
 
+def code_frame(frame: np.ndarray) -> np.ndarray:
+    """A FrameSequence frame's uint8 codes: uint8 frames as they are, float
+    frames rounded to the nearest code, rint(255 v) (halves to even). This
+    is what write_frames writes and read_frames reads back."""
+    if frame.dtype == np.uint8:
+        return frame
+    return np.clip(np.rint(frame * 255.0), 0, 255).astype(np.uint8)
+
+
 def _pnm_token(data: bytes, pos: int, path: str) -> tuple[bytes, int]:
     """The PNM header token after offset pos, and the offset just past it."""
     m = _PNM_TOKEN.match(data, _PNM_BLANK.match(data, pos).end())
@@ -139,16 +148,13 @@ def index_digits(count: int) -> int:
 
 
 def write_frames(seq: FrameSequence, path: str, start: int = 0, count: int | None = None) -> None:
-    """Write a FrameSequence as P6 files frame_0000.ppm, frame_0001.ppm, ...,
-    numbered from start: uint8 frames as they are, float frames rounded to
-    the nearest code. count is the number of frames in the whole output,
-    start + len(seq) unless a caller writes it in parts; it sets the digits
-    of every name (index_digits)."""
+    """Write a FrameSequence's code_frames as P6 files frame_0000.ppm,
+    frame_0001.ppm, ..., numbered from start. count is the number of frames
+    in the whole output, start + len(seq) unless a caller writes it in
+    parts; it sets the digits of every name (index_digits)."""
     digits = index_digits(start + len(seq) if count is None else count)
     os.makedirs(path, exist_ok=True)
-    for i, frame in enumerate(seq.frames, start):
-        if frame.dtype != np.uint8:
-            frame = np.clip(np.rint(frame * 255.0), 0, 255).astype(np.uint8)
+    for i, frame in enumerate(map(code_frame, seq.frames), start):
         h, w, _ = frame.shape
         header = f"P6\n{w} {h}\n255\n".encode("ascii")
         with open(os.path.join(path, f"frame_{i:0{digits}d}.ppm"), "wb") as fh:

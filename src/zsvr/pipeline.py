@@ -27,7 +27,7 @@ import numpy as np
 
 from . import flow as flowmod
 from . import latentwarp, metrics, toydiff
-from .mediaio import FrameSequence, float_frame
+from .mediaio import FrameSequence, code_frame, float_frame
 from .tokenmerge import MergeMode, anneal_ratio, flow_correspondence, hybrid_merge_pass
 from .toydiff import BlockKind, ToyDenoiser
 
@@ -188,17 +188,18 @@ class FlowBank:
     flow_of(i, j) = estimate_flow(frame_i, frame_j) at LQ resolution: sampled
     at frame i's positions, pointing at the corresponding position in frame
     j, so warp(x_j, flow_of(i, j)) aligns frame j's content onto frame i.
-    seq's frames go to estimate_flow as they are, so a bank of uint8 frames
-    gets exact integer costs and a bank of float frames is matched on its
-    values. conf_of(i, j) is its forward-backward confidence, which reads
-    flow_of(j, i) too; readers threshold it into an occlusion mask at their
-    own flow.tau_occ. flow and conf hold what has been read and not dropped.
-    One bank serves every restore and metric of seq at its block and search.
-    Only the code that made a bank drops from it, each once it has read a
-    pair for the last time: restore_iter before a batch's first step,
-    temporal_consistency once a pair or triple is scored, and `zsvr flow`
-    once a pair's files are written. A bank a caller passes in is never
-    pruned.
+    seq's frames go to estimate_flow as their mediaio.code_frame: uint8
+    frames as they are, float frames rounded to the nearest code, so a bank
+    of float frames reads the flows of the 8-bit frames write_frames would
+    write for them. conf_of(i, j) is its forward-backward confidence, which
+    reads flow_of(j, i) too; readers threshold it into an occlusion mask at
+    their own flow.tau_occ. flow and conf hold what has been read and not
+    dropped. One bank serves every restore and metric of seq at its block
+    and search. Only the code that made a bank drops from it, each once it
+    has read a pair for the last time: restore_iter before a batch's first
+    step, temporal_consistency once a pair or triple is scored, and
+    `zsvr flow` once a pair's files are written. A bank a caller passes in
+    is never pruned.
     """
 
     seq: FrameSequence
@@ -209,8 +210,8 @@ class FlowBank:
 
     def flow_of(self, i: int, j: int) -> np.ndarray:
         if (i, j) not in self.flow:
-            frames = self.seq.frames
-            self.flow[(i, j)] = flowmod.estimate_flow(frames[i], frames[j], self.block, self.search)
+            src, dst = (code_frame(self.seq.frames[k]) for k in (i, j))
+            self.flow[(i, j)] = flowmod.estimate_flow(src, dst, self.block, self.search)
         return self.flow[(i, j)]
 
     def conf_of(self, i: int, j: int) -> np.ndarray:

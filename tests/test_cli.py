@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -418,6 +419,22 @@ def test_restore_refuses_out_dir_with_user_files(tmp_path, capsys):
 
 def _tree(root):
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_restore_refuses_its_input_as_out(tmp_path, monkeypatch, capsys):
+    # a frame directory holds only frame_*.ppm, which restore writes, so
+    # _check_replaceable alone would let restore replace its own input
+    in_dir, _, _ = _write_video(tmp_path)
+    cfg = _write_config(tmp_path, SMALL_CFG)
+    link = tmp_path / "link"
+    link.symlink_to(in_dir)
+    before = _tree(in_dir)
+    monkeypatch.setattr(cli.mediaio, "read_frames", mock.Mock(side_effect=AssertionError("read")))
+    for out in (in_dir, f"{in_dir}/", link):
+        assert main(["restore", "--in", str(in_dir), "--out", str(out), "--config", str(cfg)]) == 1
+        assert f"--out {out} is the --in directory" in capsys.readouterr().err
+    assert _tree(in_dir) == before
+    assert sorted(os.listdir(tmp_path)) == ["cfg.txt", "in", "link"]
 
 
 DEMO_ARGS = ["demo", "--frames", "3", "--seed", "2", "--out"]

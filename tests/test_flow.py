@@ -69,67 +69,24 @@ def fb_confidence_oracle(f_fwd, f_bwd):
     return out
 
 
-def estimate_flow_oracle(src, dst, block, search):
-    """Exhaustive per-pixel SSD block matching with clamped patch sampling.
-
-    The per-pixel squared error is channel-summed first and the block cost
-    accumulates as a row sum of column sums, mirroring the implementation's
-    addition order so exact ties resolve identically.
-    """
-    src = src[:, :, None] if src.ndim == 2 else src
-    dst = dst[:, :, None] if dst.ndim == 2 else dst
-    h, w, c = src.shape
-    half = block // 2
-    cands = sorted(
-        (dy * dy + dx * dx, dy, dx)
-        for dy in range(-search, search + 1)
-        for dx in range(-search, search + 1)
-    )
-    out = np.zeros((h, w, 2))
-
-    def err_at(y, x, dy, dx):
-        dyy = min(max(y + dy, 0), h - 1)
-        dxx = min(max(x + dx, 0), w - 1)
-        e = 0.0
-        for ch in range(c):
-            diff = src[y, x, ch] - dst[dyy, dxx, ch]
-            e += diff * diff
-        return e
-
-    for y in range(h):
-        for x in range(w):
-            best = math.inf
-            best_d = (0, 0)
-            for _, dy, dx in cands:
-                cost = 0.0
-                for oy in range(-half, block - half):
-                    sy = min(max(y + oy, 0), h - 1)
-                    row = 0.0
-                    for ox in range(-half, block - half):
-                        sx = min(max(x + ox, 0), w - 1)
-                        row += err_at(sy, sx, dy, dx)
-                    cost += row
-                if cost < best:
-                    best = cost
-                    best_d = (dx, dy)
-            out[y, x] = best_d
-    return out
-
-
 def _fail_if_called(*args, **kwargs):
     raise AssertionError("called")
 
 
+def _codes(rng, shape):
+    return rng.integers(0, 256, shape).astype(np.uint8)
+
+
 def test_estimate_flow_identity():
     rng = np.random.default_rng(0)
-    img = rng.random((12, 14, 3))
+    img = _codes(rng, (12, 14, 3))
     fl = flow.estimate_flow(img, img, block=5, search=3)
     assert np.array_equal(fl, np.zeros((12, 14, 2)))
 
 
 def test_estimate_flow_translation_interior():
     rng = np.random.default_rng(1)
-    wide = rng.random((20, 40, 3))
+    wide = _codes(rng, (20, 40, 3))
     src = wide[:, 0:20]
     dst = wide[:, 3:23]  # dst is src shifted left: content moves -3 in x
     fl = flow.estimate_flow(src, dst, block=7, search=4)
@@ -140,76 +97,7 @@ def test_estimate_flow_translation_interior():
 
 def test_estimate_flow_shape_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        flow.estimate_flow(np.zeros((4, 4)), np.zeros((5, 4)), 7, 4)
-
-
-@pytest.mark.parametrize("block", [3, 10**6], ids=["small", "over budget"])
-def test_mixed_uint8_and_float_pair_is_refused_before_any_buffer(monkeypatch, block):
-    # codes 0-255 matched against values 0-1 would give flows, not an
-    # error; the pair is refused before the plane check and any matching
-    rng = np.random.default_rng(32)
-    codes = rng.integers(0, 256, (8, 8, 3)).astype(np.uint8)
-    monkeypatch.setattr(flow, "_match", _fail_if_called)
-    for src, dst in ((codes, codes / 255), (codes / 255, codes)):
-        with pytest.raises(ValueError, match=f"dtype mismatch: {src.dtype} vs {dst.dtype}"):
-            flow.estimate_flow(src, dst, block, 2)
-
-
-def test_estimate_flow_matches_oracle():
-    rng = np.random.default_rng(2)
-    for _ in range(3):
-        src = rng.random((7, 8))
-        dst = rng.random((7, 8))
-        got = flow.estimate_flow(src, dst, block=3, search=2)
-        want = estimate_flow_oracle(src, dst, block=3, search=2)
-        assert np.array_equal(got, want)
-
-
-@st.composite
-def _flow_cases(draw):
-    h = draw(st.integers(1, 12))
-    w = draw(st.integers(1, 12))
-    shape = (h, w) if draw(st.booleans()) else (h, w, 3)
-    # few levels, so equal block costs (ties) are common
-    levels = draw(st.integers(1, 4))
-    cells = st.integers(0, levels)
-    n = int(np.prod(shape))
-    src = np.array(draw(st.lists(cells, min_size=n, max_size=n))).reshape(shape) / 4
-    dst = np.array(draw(st.lists(cells, min_size=n, max_size=n))).reshape(shape) / 4
-    return src, dst, draw(st.integers(1, 9)), draw(st.integers(0, 6))
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(_flow_cases())
-def test_estimate_flow_matches_oracle_property(case):
-    # block and search may exceed the frame, so clamping covers whole patches
-    src, dst, block, search = case
-    got = flow.estimate_flow(src, dst, block=block, search=search)
-    want = estimate_flow_oracle(src, dst, block=block, search=search)
-    assert np.array_equal(got, want)
-
-
-def test_estimate_flow_matches_oracle_across_candidate_groups(monkeypatch):
-    # the smallest search whose candidates span two or more groups of the
-    # kernel's budget with a partial last group; few levels, so equal costs
-    # fall on both sides of a group boundary
-    h = w = 12
-    block = 3
-    for search in range(1, 20):
-        W = max(w + 2 * search, w + block - 1)
-        S = (h + block - 1) * W  # one candidate's flat segment
-        k = (2 * search + 1) ** 2
-        group = max(1, flow.GROUP_BUDGET // S)
-        if k > group and k % group:
-            break
-    assert k > group and k % group
-    rng = np.random.default_rng(14)
-    src = rng.integers(0, 2, (h, w)) / 4
-    dst = rng.integers(0, 2, (h, w)) / 4
-    want = estimate_flow_oracle(src, dst, block=block, search=search)
-    for budget in (flow.GROUP_BUDGET, S, 3 * S, 1):
-        monkeypatch.setattr(flow, "GROUP_BUDGET", budget)
-        assert np.array_equal(flow.estimate_flow(src, dst, block=block, search=search), want)
+        flow.estimate_flow(np.zeros((4, 4), np.uint8), np.zeros((5, 4), np.uint8), 7, 4)
 
 
 def _matched_dtypes(monkeypatch):
@@ -222,6 +110,57 @@ def _matched_dtypes(monkeypatch):
 
     monkeypatch.setattr(flow, "_match", spy)
     return dtypes
+
+
+@pytest.mark.parametrize("block", [3, 10**6], ids=["small", "over budget"])
+def test_non_uint8_frames_are_refused_before_any_buffer(monkeypatch, block):
+    # block matching reads codes only: float values in [0, 1], or codes in a
+    # wider dtype, are refused before the plane check and any matching,
+    # whichever frame of the pair they are
+    rng = np.random.default_rng(32)
+    codes = _codes(rng, (8, 8, 3))
+    monkeypatch.setattr(flow, "_match", _fail_if_called)
+    pairs = [(codes, codes / 255), (codes / 255, codes), (codes / 255, codes / 255)]
+    wider = (np.float32, np.int8, np.int32, np.uint16, bool)
+    pairs += [(codes.astype(t), codes.astype(t)) for t in wider]
+    for src, dst in pairs:
+        bad = src.dtype if src.dtype != np.uint8 else dst.dtype
+        with pytest.raises(ValueError, match=f"reads uint8 codes, not {bad}: .*mediaio.code_frame"):
+            flow.estimate_flow(src, dst, block, 2)
+
+
+def test_zero_channel_frames_are_refused_before_any_buffer(monkeypatch):
+    # with no channel to sum, the costs would be whatever an unfilled
+    # buffer held
+    monkeypatch.setattr(flow, "_match", _fail_if_called)
+    empty = np.zeros((6, 7, 0), np.uint8)
+    with pytest.raises(ValueError, match=r"frames of shape \(6, 7, 0\) have no channel"):
+        flow.estimate_flow(empty, empty, 3, 2)
+
+
+def test_estimate_flow_matches_oracle_across_candidate_groups(monkeypatch):
+    # groups of one candidate, of parts of a row with a shorter last part,
+    # of whole rows with a shorter last group, and one group, for int32
+    # costs and int64 ones (block 182 on one channel); codes 0 and 1 only,
+    # so equal costs fall on both sides of a group boundary
+    search = 2
+    side = 2 * search + 1
+    rng = np.random.default_rng(14)
+    dtypes = _matched_dtypes(monkeypatch)
+    for (h, w), block, itemsize in (((12, 12), 3, 4), ((3, 5), 182, 8)):
+        src, dst = (rng.integers(0, 2, (h, w)).astype(np.uint8) for _ in range(2))
+        want = estimate_flow_exact(src, dst, block, search)
+        S = (h + block - 1) * max(w + 2 * search, w + block - 1)  # one candidate's segment
+        for per_group in (1, 2, side - 1, 2 * side, side * side):
+            if per_group < side:
+                assert per_group == 1 or side % per_group  # a shorter last part
+            elif per_group < side * side:
+                assert side % (per_group // side)  # a shorter last group
+            budget = per_group * S * itemsize // 8
+            assert max(1, budget * 8 // (S * itemsize)) == per_group
+            monkeypatch.setattr(flow, "GROUP_BUDGET", budget)
+            assert np.array_equal(flow.estimate_flow(src, dst, block, search), want)
+    assert dtypes == [np.int32] * 5 + [np.int64] * 5
 
 
 @st.composite
@@ -256,17 +195,19 @@ def test_estimate_flow_on_eight_bit_frames_is_exact(case):
     "shape, block, dtype",
     [
         ((2, 3, 3), 104, np.int32),
-        ((2, 3, 3), 105, np.float64),
+        ((2, 3, 3), 105, np.int64),
         ((3, 2), 181, np.int32),
-        ((3, 2), 182, np.float64),
+        ((3, 2), 182, np.int64),
     ],
 )
 def test_estimate_flow_int32_bound(monkeypatch, shape, block, dtype):
-    # costs are int32 while block**2 * channels * 255**2 < 2**31; codes 0 and
-    # 255 take them to the bound, and above it the codes are matched in
-    # float64, which holds their costs exactly too
+    # costs are int32 while block**2 * channels * 255**2 < 2**31, and above
+    # it int64. dst is src's inverse, so zero motion costs exactly that
+    # product: past 2**31 at blocks 105 and 182, where an int32 cost would
+    # wrap to the least
     rng = np.random.default_rng(block)
-    src, dst = (rng.choice([0, 255], shape).astype(np.uint8) for _ in range(2))
+    src = rng.choice([0, 255], shape).astype(np.uint8)
+    dst = 255 - src
     dtypes = _matched_dtypes(monkeypatch)
     want = estimate_flow_exact(src, dst, block, 1)
     assert np.array_equal(flow.estimate_flow(src, dst, block, 1), want)
@@ -291,9 +232,9 @@ def test_estimate_flow_key_width_bound(monkeypatch, block):
 
 def test_bank_and_estimate_flow_give_one_flow_per_eight_bit_pair(monkeypatch):
     # a bank of uint8 frames and estimate_flow on them agree with the exact
-    # reference through reads, drops and re-reads, every match in int32. The
-    # frames' float k/255 twins are float frames like any other: matched on
-    # their values in float64, as the float oracle matches them
+    # reference through reads, drops and re-reads, every match in int32. A
+    # bank of the frames' float k/255 twins matches their codes: the same
+    # flows, in int32 too
     rng = np.random.default_rng(27)
     codes = [rng.choice([0, 1, 2, 128, 255], (9, 11, 3)).astype(np.uint8) for _ in range(4)]
     twins = [c / 255 for c in codes]
@@ -311,9 +252,9 @@ def test_bank_and_estimate_flow_give_one_flow_per_eight_bit_pair(monkeypatch):
     # each read estimates both directions once: 48 matches
     assert dtypes == [np.int32] * 48
     bank = pipeline.FlowBank(FrameSequence(twins), 5, 2)
-    for i, j in pairs[:3]:
-        assert np.array_equal(bank.flow_of(i, j), estimate_flow_oracle(twins[i], twins[j], 5, 2))
-    assert dtypes[48:] == [np.float64] * 3
+    for i, j in pairs:
+        assert np.array_equal(bank.flow_of(i, j), want[(i, j)])
+    assert dtypes[48:] == [np.int32] * 12
 
 
 def _matched_searches(monkeypatch):
@@ -328,22 +269,18 @@ def _matched_searches(monkeypatch):
     return searches
 
 
-@pytest.mark.parametrize("eight_bit", [True, False], ids=["8-bit", "float"])
 @pytest.mark.parametrize("shape, block", [((1, 1), 1), ((3, 5, 3), 3), ((6, 2), 5), ((2, 3), 7)])
-def test_search_is_capped_with_the_same_flow(monkeypatch, eight_bit, shape, block):
+def test_search_is_capped_with_the_same_flow(monkeypatch, shape, block):
     # a displacement of more than max(h, w) - 1 reads only clamped border
     # pixels, so it costs what a nearer candidate tried first costs; four
     # levels make such equal costs common
     rng = np.random.default_rng(sum(shape) + block)
     src, dst = (rng.choice([0, 85, 170, 255], shape).astype(np.uint8) for _ in range(2))
-    uncapped = estimate_flow_exact
-    if not eight_bit:
-        src, dst, uncapped = src / 255 + 0.25, dst / 255 + 0.25, estimate_flow_oracle
     cap = max(shape[:2]) - 1
     searches = _matched_searches(monkeypatch)
     want = flow.estimate_flow(src, dst, block, cap)
     for search in (cap + 1, cap + 3, cap + 7):
-        assert np.array_equal(uncapped(src, dst, block, search), want)
+        assert np.array_equal(estimate_flow_exact(src, dst, block, search), want)
         assert np.array_equal(flow.estimate_flow(src, dst, block, search), want)
     assert searches == [cap] * 4
 
@@ -363,12 +300,9 @@ def _plane(h, w, block, search):
 
 
 @pytest.mark.parametrize("block, search", [(9, 0), (3, 4), (1, 10**6)], ids=["block", "search", "capped"])
-@pytest.mark.parametrize("eight_bit", [True, False], ids=["uint8", "float"])
-def test_planes_over_the_budget_are_refused_before_any_buffer(monkeypatch, block, search, eight_bit):
+def test_planes_over_the_budget_are_refused_before_any_buffer(monkeypatch, block, search):
     rng = np.random.default_rng(31)
-    src, dst = (rng.integers(0, 256, (6, 5, 3)).astype(np.uint8) for _ in range(2))
-    if not eight_bit:
-        src, dst = src / 255, dst / 255
+    src, dst = (_codes(rng, (6, 5, 3)) for _ in range(2))
     want = flow.estimate_flow(src, dst, block, search)
     plane = _plane(6, 5, block, min(search, 5))
     matched = _matched_searches(monkeypatch)
@@ -388,20 +322,46 @@ def test_default_budget_admits_large_frames_at_default_settings():
     assert max(_plane(3, 2, 182, 1), _plane(2, 3, 182, 1)) < 34_000
 
 
-@pytest.mark.parametrize("off_grid", ["nudged", "above 1", "nan"])
-def test_off_grid_frames_take_the_float_path(monkeypatch, off_grid):
-    rng = np.random.default_rng(28)
-    src = rng.integers(0, 3, (7, 8, 3)) / 255
-    dst = rng.integers(0, 3, (7, 8, 3)) / 255
-    src[3, 4, 1] = {"nudged": src[3, 4, 1] + 1e-9, "above 1": 256 / 255, "nan": np.nan}[off_grid]
+def test_keys_past_63_bits_are_refused_before_any_buffer(monkeypatch):
+    # cost << bits | rank must fit int64. On 1x1450 frames search 1449 has
+    # 2899**2 candidates, 24 bits of rank, and planes within PLANE_BUDGET up
+    # to block 2800; at 3 channels block 1678 is the largest whose keys fit,
+    # and at 1 channel block 2800 still fits
+    matched = []
+    monkeypatch.setattr(flow, "_match", lambda src, dst, *args: matched.append((src.dtype, *args)))
+    frame = np.zeros((1, 1450, 3), np.uint8)
+    assert _plane(1, 1450, 2800, 1449) <= flow.PLANE_BUDGET
+    assert (1678**2 * 3 * 255**2) << 24 < 2**63 <= (1679**2 * 3 * 255**2) << 24
+    assert (2800**2 * 255**2) << 24 < 2**63
+    flow.estimate_flow(frame, frame, 1678, 1449)
+    flow.estimate_flow(frame[:, :, 0], frame[:, :, 0], 2800, 1449)
+    assert matched == [(np.int64, 1678, 1449), (np.int64, 2800, 1449)]
+    for block, bits in ((1679, 64), (2800, 65)):
+        need = f"block {block} and search 1449 at 3 channels need keys of {bits} bits"
+        with pytest.raises(ValueError, match=need):
+            flow.estimate_flow(frame, frame, block, 1449)
+    assert len(matched) == 2
+
+
+def test_bank_of_float_frames_is_the_bank_of_their_codes(monkeypatch):
+    # a float frame is matched on its nearest codes, which write_frames would
+    # write for it; values a hair either side of the halfway point between
+    # two codes go to the code on their side
+    rng = np.random.default_rng(33)
+    floats, codes = [], []
+    for _ in range(3):
+        k = rng.integers(0, 255, (7, 9, 3))
+        above = rng.random(k.shape) < 0.5
+        floats.append((k + 0.5 + np.where(above, 1e-9, -1e-9)) / 255)
+        codes.append((k + above).astype(np.uint8))
+    assert all(np.array_equal(mediaio.code_frame(f), c) for f, c in zip(floats, codes))
     dtypes = _matched_dtypes(monkeypatch)
-    got = flow.estimate_flow(src, dst, 3, 2)
-    assert dtypes == [np.float64]
-    assert np.array_equal(got, estimate_flow_oracle(src, dst, 3, 2))
-    if off_grid == "nudged":  # a bank matches the pair on its float frames
-        bank = pipeline.FlowBank(FrameSequence([src, dst]), 3, 2)
-        assert np.array_equal(bank.flow_of(0, 1), got)
-        assert dtypes == [np.float64, np.float64]
+    banks = [pipeline.FlowBank(FrameSequence(frames), 5, 2) for frames in (floats, codes)]
+    for i, j in ((0, 1), (1, 0), (0, 2), (2, 1)):
+        want = estimate_flow_exact(codes[i], codes[j], 5, 2)
+        for bank in banks:
+            assert np.array_equal(bank.flow_of(i, j), want)
+    assert dtypes == [np.int32] * 8
 
 
 # (frames, size, block, search, pairs) of the golden digests: the benchmark's

@@ -177,6 +177,21 @@ def test_float_frame_is_the_codes_over_255():
     assert mediaio.float_frame(got) is got
 
 
+def test_code_frame_is_the_nearest_code_that_write_frames_writes(tmp_path):
+    # uint8 frames pass through; a float value goes to its nearest code, also
+    # a hair either side of the halfway point between two codes
+    codes = np.arange(256, dtype=np.uint8).reshape(16, 16, 1).repeat(3, axis=2)
+    assert mediaio.code_frame(codes) is codes
+    assert np.array_equal(mediaio.code_frame(mediaio.float_frame(codes)), codes)
+    k = np.arange(255, dtype=np.float64).reshape(15, 17, 1).repeat(3, axis=2)
+    for side in (-1e-9, 1e-9):
+        frame = (k + 0.5 + side) / 255
+        got = mediaio.code_frame(frame)
+        assert got.dtype == np.uint8 and np.array_equal(got, k + (side > 0))
+        mediaio.write_frames(FrameSequence([frame]), str(tmp_path / str(side)))
+        assert np.array_equal(mediaio.read_frames(str(tmp_path / str(side))).frames[0], got)
+
+
 def test_flo_zero_flow(tmp_path):
     import struct
 

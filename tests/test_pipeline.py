@@ -274,7 +274,7 @@ def _bank_reads(draw):
     flow and confidence reads between distinct frames."""
     n, h, w = draw(st.integers(2, 4)), draw(st.integers(3, 12)), draw(st.integers(3, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    seq = FrameSequence([rng.random((h, w, 3)) for _ in range(n)])
+    seq = FrameSequence([rng.integers(0, 256, (h, w, 3)).astype(np.uint8) for _ in range(n)])
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     reads = draw(st.lists(st.tuples(st.sampled_from(["flow", "conf"]), pair), max_size=12))
     return seq, draw(st.integers(1, 5)), draw(st.integers(0, 3)), reads
@@ -903,8 +903,8 @@ def _eight_bit_clips(draw):
 def test_uint8_frames_and_their_float_twins_give_the_same_bits(tmp_path_factory, case):
     # with both mechanisms off no flow is read, so a uint8 sequence and its
     # float k/255 twin restore alike; scored under the uint8 sequence's
-    # flows they score alike, and they write the same bytes. The twin's own
-    # flows are matched on its values, and may differ at exact ties
+    # flows, or each under its own, which are its codes' flows, they score
+    # alike, and they write the same bytes
     codes, cfg = case
     seqs = [FrameSequence(codes), FrameSequence([mediaio.float_frame(c) for c in codes])]
     assert [s.frames[0].dtype for s in seqs] == [np.uint8, np.float64]
@@ -913,6 +913,7 @@ def test_uint8_frames_and_their_float_twins_give_the_same_bits(tmp_path_factory,
     assert latents[0].tobytes() == latents[1].tobytes()
     scores = [pipeline.temporal_consistency(s, cfg, flow_source=seqs[0]) for s in seqs]
     assert scores[0] == scores[1]
+    assert pipeline.temporal_consistency(seqs[1], cfg) == scores[0]
     written = []
     for s in seqs:
         d = tmp_path_factory.mktemp("frames")
