@@ -84,7 +84,8 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     summation, so the tie rule decides every exact tie of the true SSD.
 
     Both frames are uint8 codes with at least one channel; any other frame
-    is refused before anything is allocated. Float frames in [0, 1] are
+    is refused before anything is allocated. Frames with no row or no column
+    give an empty (h, w, 2) flow. Float frames in [0, 1] are
     matched on their nearest codes: convert them with mediaio.code_frame,
     the rounding write_frames does. Costs are int32 while
     block**2 * channels * 255**2 < 2**31 (block <= 104 at 3 channels), else
@@ -141,6 +142,8 @@ def estimate_flow(src: np.ndarray, dst: np.ndarray, block: int, search: int) -> 
     if channels < 1:
         raise ValueError(f"frames of shape {src.shape} have no channel")
     h, w = src.shape[:2]
+    if h == 0 or w == 0:
+        return np.zeros((h, w, 2))
     search = min(search, max(h, w) - 1)
     plane = max(h + block - 1, h + 2 * search + 1) * max(w + 2 * search, w + block - 1)
     if plane > PLANE_BUDGET:
@@ -262,27 +265,38 @@ def _block_costs(err, rows, h: int, w: int, W: int, block: int) -> None:
 
 @functools.lru_cache(maxsize=16)
 def _pixel_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only float (h*w, 1) column and row coordinates of an (h, w) grid."""
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64).reshape(2, h * w, 1)
+    """Read-only float (h*w,) column and row coordinates of an (h, w) grid."""
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64).reshape(2, h * w)
     xs.setflags(write=False)
     ys.setflags(write=False)
     return xs, ys
 
 
-def _weighted_sum(nb: np.ndarray, weights) -> np.ndarray:
-    """sum over k of (nb[k] * a_k) * b_k, left to right, as a new array.
+def _weighted_sum(values: np.ndarray, idx: np.ndarray, first, second) -> np.ndarray:
+    """Bilinear sums of P pixels, as a new (P, c) array.
 
-    nb holds the 4 gathered neighbours (y0, x0), (y0, x1), (y1, x0) and
-    (y1, x1); weights is their 4 (a_k, b_k) pairs. nb[1:] is scratch. The
-    result owns its memory, so it does not keep the 4x larger nb alive.
+    values is an (n, c) array and idx the (4, P) flat indices of each
+    pixel's neighbours (y0, x0), (y0, x1), (y1, x0) and (y1, x1). Neighbour
+    k = 2*ky + kx gets the weights first and second broadcast to (2, 2, P)
+    at [ky, kx]: x weights are shaped (2, P), y weights (2, 1, P). The sum
+    is ((t_0 + t_1) + t_2) + t_3 of t_k = (values[idx[k]] * first_k) *
+    second_k. The neighbours are gathered channel-major, as c planes of 4P
+    values, so each of the two multiplies is one numpy call over all 4
+    neighbours along the pixels, not along the 2-3 channels of a pixel, and
+    the last add writes the (P, c) result. Every value takes the same
+    operations in the same order as in a pixel-major gather, so the bits do
+    not change. The result does not keep the 4x larger gather alive.
     """
-    (a0, b0), *rest = weights
-    out = nb[0] * a0
-    out *= b0
-    for t, (a, b) in zip(nb[1:], rest):
-        t *= a
-        t *= b
-        out += t
+    c, p = values.shape[1], idx.shape[1]
+    nb = np.take(values.T, idx, axis=1)
+    taps = nb.reshape(c, 2, 2, p)
+    taps *= first
+    taps *= second
+    acc = nb[:, 0]
+    acc += nb[:, 1]
+    acc += nb[:, 2]
+    out = np.empty((p, c))
+    np.add(acc, nb[:, 3], out=out.T)
     return out
 
 
@@ -297,26 +311,27 @@ def warp(grid: np.ndarray, flow: np.ndarray) -> np.ndarray:
     h, w, c = grid.shape
     xs, ys = _pixel_grid(h, w)
     fl = flow.reshape(h * w, 2)
-    px = xs + fl[:, :1]
-    py = ys + fl[:, 1:]
+    px = xs + fl[:, 0]
+    py = ys + fl[:, 1]
     np.clip(px, 0.0, w - 1.0, out=px)
     np.clip(py, 0.0, h - 1.0, out=py)
 
     x0 = np.floor(px).astype(np.intp)
     y0 = np.floor(py).astype(np.intp)
-    fx = px - x0
-    fy = py - y0
-    cx = 1 - fx
-    cy = 1 - fy
-    x0, y0 = x0[:, 0], y0[:, 0]
+    # the weights 1 - fx, fx by kx and 1 - fy, fy by ky
+    wx = np.empty((2, h * w))
+    wy = np.empty((2, 1, h * w))
+    np.subtract(px, x0, out=wx[1])
+    np.subtract(py, y0, out=wy[1, 0])
+    np.subtract(1, wx[1], out=wx[0])
+    np.subtract(1, wy[1, 0], out=wy[0, 0])
     idx = np.empty((4, h * w), dtype=np.intp)
     np.multiply(y0, w, out=idx[0])
     idx[0] += x0
     np.add(idx[0], x0 < w - 1, out=idx[1])
     np.add(idx[0], w * (y0 < h - 1), out=idx[2])
     np.add(idx[2], x0 < w - 1, out=idx[3])
-    nb = np.take(grid.reshape(h * w, c), idx, axis=0)
-    out = _weighted_sum(nb, ((cx, cy), (fx, cy), (cx, fy), (fx, fy))).reshape(h, w, c)
+    out = _weighted_sum(grid.reshape(h * w, c), idx, wx, wy).reshape(h, w, c)
     return out[:, :, 0] if squeeze else out
 
 
@@ -344,21 +359,26 @@ def occlusion_mask(conf: np.ndarray, tau_occ: float) -> np.ndarray:
 def _resample_taps(h: int, w: int, h2: int, w2: int) -> tuple[np.ndarray, ...]:
     """Read-only bilinear taps from an (h, w) grid to (h2, w2).
 
-    The flat (4, h2, w2) indices of the 4 neighbours of each target pixel,
-    and the weights 1 - fy, fy as (h2, 1, 1) and 1 - fx, fx as (1, w2, 1).
+    The flat (4, h2*w2) indices of the 4 neighbours of each target pixel,
+    the weights 1 - fy, fy of its row as (2, 1, h2*w2), and 1 - fx, fx of
+    its column as (2, h2*w2), as _weighted_sum takes them.
     """
     ys = np.clip((np.arange(h2) + 0.5) * h / h2 - 0.5, 0.0, h - 1.0)
     xs = np.clip((np.arange(w2) + 0.5) * w / w2 - 0.5, 0.0, w - 1.0)
     y0 = np.floor(ys).astype(np.intp)
     x0 = np.floor(xs).astype(np.intp)
-    fy = (ys - y0)[:, None, None]
-    fx = (xs - x0)[None, :, None]
+    fy = (ys - y0)[:, None]
+    fx = xs - x0
     idx = np.empty((4, h2, w2), dtype=np.intp)
     idx[0] = (y0 * w)[:, None] + x0
     idx[1] = idx[0] + (x0 < w - 1)
     idx[2] = idx[0] + (w * (y0 < h - 1))[:, None]
     idx[3] = idx[2] + (x0 < w - 1)
-    taps = (idx, 1 - fy, fy, 1 - fx, fx)
+    wy = np.empty((2, 1, h2, w2))
+    wy[0, 0], wy[1, 0] = 1 - fy, fy
+    wx = np.empty((2, h2, w2))
+    wx[0], wx[1] = 1 - fx, fx
+    taps = (idx.reshape(4, -1), wy.reshape(2, 1, -1), wx.reshape(2, -1))
     for a in taps:
         a.setflags(write=False)
     return taps
@@ -371,12 +391,13 @@ def bilinear_resample(grid: np.ndarray, h2: int, w2: int) -> np.ndarray:
     """
     if h2 < 1 or w2 < 1:
         raise ValueError("target size must be >= 1")
+    if grid.shape[0] < 1 or grid.shape[1] < 1:
+        raise ValueError(f"cannot resample an empty grid of shape {grid.shape}")
     squeeze = grid.ndim == 2
     grid = _as_3d(np.asarray(grid, dtype=np.float64))
     h, w, c = grid.shape
-    idx, cy, fy, cx, fx = _resample_taps(h, w, h2, w2)
-    nb = np.take(grid.reshape(h * w, c), idx, axis=0)
-    out = _weighted_sum(nb, ((cy, cx), (cy, fx), (fy, cx), (fy, fx)))
+    idx, wy, wx = _resample_taps(h, w, h2, w2)
+    out = _weighted_sum(grid.reshape(h * w, c), idx, wy, wx).reshape(h2, w2, c)
     return out[:, :, 0] if squeeze else out
 
 
@@ -394,6 +415,8 @@ def resample_mask(mask: np.ndarray, h2: int, w2: int) -> np.ndarray:
     if h2 < 1 or w2 < 1:
         raise ValueError("target size must be >= 1")
     h, w = mask.shape[:2]
+    if h < 1 or w < 1:
+        raise ValueError(f"cannot resample an empty mask of shape {mask.shape}")
     ys = np.minimum(((np.arange(h2) + 0.5) * h / h2).astype(int), h - 1)
     xs = np.minimum(((np.arange(w2) + 0.5) * w / w2).astype(int), w - 1)
     return mask[np.ix_(ys, xs)]

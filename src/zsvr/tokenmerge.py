@@ -96,14 +96,19 @@ def split_src_tar(tokens: np.ndarray, target_index: int):
 
 
 def cosine_scores(
-    src: np.ndarray, tar: np.ndarray, tar_norms: np.ndarray | None = None
+    src: np.ndarray,
+    tar: np.ndarray,
+    tar_norms: np.ndarray | None = None,
+    src_norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pairwise cosine similarity; zero-norm vectors score 0 against everything.
 
-    tar_norms, if given, must be np.linalg.norm(tar, axis=1); a caller that
-    scores many source blocks against one tar computes it once.
+    tar_norms and src_norms, if given, must be np.linalg.norm(tar, axis=1)
+    and np.linalg.norm(src, axis=1); a caller that scores many source blocks
+    against one tar computes both once, as a row's norm does not depend on
+    the rows beside it.
     """
-    sn = np.linalg.norm(src, axis=1)
+    sn = np.linalg.norm(src, axis=1) if src_norms is None else src_norms
     tn = np.linalg.norm(tar, axis=1) if tar_norms is None else tar_norms
     dots = src @ tar.T
     denom = sn[:, None] * tn
@@ -198,7 +203,11 @@ def flow_correspondence(h: int, w: int, flows: list[np.ndarray], confidences: li
 def select_top_r(targets: np.ndarray, criteria: np.ndarray, r_i: float) -> np.ndarray:
     """Indices of the floor(r_i * N) valid pairs with the largest criterion.
 
-    Ties go to the smaller source index; INVALID pairs are never selected.
+    Ties go to the smaller source index; INVALID pairs are never selected,
+    and a NaN criterion ranks below every number. The result is in source
+    order. In O(N): np.partition finds the k-th largest valid criterion,
+    every larger one is selected, and the pairs equal to it fill the rest
+    in source order, as a sort by (descending criterion, index) would.
     """
     if not 0.0 <= r_i <= 1.0:
         raise ValueError(f"r_i must be in [0, 1], got {r_i}")
@@ -207,8 +216,18 @@ def select_top_r(targets: np.ndarray, criteria: np.ndarray, r_i: float) -> np.nd
     valid = np.flatnonzero(targets != INVALID)
     if k == 0 or len(valid) == 0:
         return np.empty(0, dtype=np.int64)
-    order = valid[np.lexsort((valid, -criteria[valid]))]
-    return np.sort(order[: min(k, len(valid))])
+    if k >= len(valid):
+        return valid
+    # negated, as the sort was: NaN sorts last either way, and -0.0 == 0.0
+    neg = -criteria[valid]
+    kth = np.partition(neg, k - 1)[k - 1]
+    if kth == kth:
+        chosen, ties = neg < kth, neg == kth
+    else:
+        ties = np.isnan(neg)
+        chosen = ~ties
+    chosen[np.flatnonzero(ties)[: k - np.count_nonzero(chosen)]] = True
+    return valid[chosen]
 
 
 def merge(
@@ -315,7 +334,8 @@ def hybrid_merge_pass(
     are weighted by the one cached spatial_table(h, w, R) of the content
     grid. They are computed per source frame in blocks of serial_rows(A, C)
     source rows, so no (B-1)*A x A array is made and no score product is
-    threaded by the BLAS; the target's norms are computed once per pass.
+    threaded by the BLAS; the target's and the sources' norms are computed
+    once per pass.
     """
     if (R is None) == (matches is None):
         raise ValueError("give exactly one of R (cosine) and matches (flow-guided)")
@@ -334,16 +354,16 @@ def hybrid_merge_pass(
         table = spatial_table(h, w, R)
         rows = serial_rows(a, src.shape[1])
         tar_norms = np.linalg.norm(tar, axis=1)
+        src_norms = np.linalg.norm(src, axis=1)
         targets = np.empty(len(src), dtype=np.int64)
         criteria = np.empty(len(src))
         for f0 in range(0, len(src), a):
             for r0 in range(0, a, rows):
                 r1 = min(r0 + rows, a)
-                scores = cosine_scores(src[f0 + r0 : f0 + r1], tar, tar_norms)
+                s0, s1 = f0 + r0, f0 + r1
+                scores = cosine_scores(src[s0:s1], tar, tar_norms, src_norms[s0:s1])
                 scores *= table[r0:r1]
-                targets[f0 + r0 : f0 + r1], criteria[f0 + r0 : f0 + r1] = (
-                    cosine_correspondence(scores)
-                )
+                targets[s0:s1], criteria[s0:s1] = cosine_correspondence(scores)
 
     selected = select_top_r(targets, criteria, r_i)
     merged, slot_to_row = merge(src, tar, targets, selected, src_slots, target_index, b)

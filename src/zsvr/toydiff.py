@@ -85,6 +85,23 @@ def content_grids(h: int, w: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (h, w), ((h + 1) // 2, (w + 1) // 2)
 
 
+# most score values of one stack of attention row blocks: 512 KB of float64
+STACK_SCORES = 65536
+
+
+def _softmax_v(
+    q: np.ndarray, kt: np.ndarray, v: np.ndarray, x: np.ndarray, out: np.ndarray
+) -> None:
+    """out = softmax(q @ kt) @ v for a (rows, C) block of queries or a
+    (g, rows, C) stack of them, normalised after the product with v; x is
+    the scores' buffer, of q's leading shape by K."""
+    np.matmul(q, kt, out=x)
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    np.matmul(x, v, out=out)
+    out /= x.sum(axis=-1, keepdims=True)
+
+
 class ToyDenoiser:
     """Seeded pseudo-random denoiser; same seed gives bit-identical weights.
 
@@ -97,12 +114,16 @@ class ToyDenoiser:
 
     Attention over K tokens runs in row blocks of serial_rows(K, width) =
     max(1, 262144 // (K * width)) queries, so no K x K score array is made
-    and OpenBLAS never threads an attention product. The keys are held as
+    and OpenBLAS never threads an attention product. The blocks are taken
+    in stacks of at most STACK_SCORES score values, one numpy call per step
+    for a whole stack, but still one gemm per block. The keys are held as
     one C-contiguous (width, K) array, and each block's softmax is
     normalised after its product with the values. The block height, the key
     layout and that order are all part of the output contract: each
-    changes the bits. An instance holds no scratch: after construction it
-    is read only, and one instance may serve concurrent calls.
+    changes the bits. The stacking is not, since numpy multiplies a stack
+    block by block and every other step works row by row. An instance
+    holds no scratch: after construction it is read only, and one instance
+    may serve concurrent calls.
     """
 
     N_BLOCKS = 4  # down, down, up, up
@@ -129,34 +150,41 @@ class ToyDenoiser:
 
         q is scaled by 1/sqrt(width) once, and the keys are copied to a
         C-contiguous (C, K) array, so OpenBLAS does not repack a transposed
-        operand for every block. Then, for each block of serial_rows(K, C)
-        query rows: scores against every key, in one (rows, K) buffer that
-        every block reuses; exp of the scores less their row maximum; @ v
-        into that block's rows of the output; and those (rows, C) rows
+        operand for every block. The query rows are cut into blocks of
+        serial_rows(K, C) rows, the last block short when K is not a
+        multiple, and the whole blocks are taken g at a time, g = max(1,
+        STACK_SCORES // (rows * K)). For each stack: scores against every
+        key, one gemm per block, into one (g, rows, K) buffer that every
+        stack reuses; exp of the scores less their row maximum; @ v into the
+        stack's rows of the output, again one gemm per block; and those rows
         divided by the row sums of the exps, as FlashAttention defers the
         normalisation. Each row sum is at least 1, since the row maximum
-        contributes exp(0).
+        contributes exp(0). The short block takes the same steps alone.
+        Every step but the products works row by row, so no bit depends on
+        how many blocks share a stack. 0 tokens give a (0, C) result.
         """
         w = self.weights[block]
         q = tokens @ w["q"]
         q *= 1.0 / math.sqrt(self.width)
         kt = np.ascontiguousarray((tokens @ w["k"]).T)
         v = tokens @ w["v"]
-        n = len(tokens)
+        n, c = v.shape
         out = np.empty_like(v)
-        rows = serial_rows(n, v.shape[1])
-        # one score buffer for every block: with the copied keys, a fresh
-        # (rows, K) array per block left holes in the heap, and the peak RSS
-        # of repeated restores crept up by about 2 MB
-        scores = np.empty((min(rows, n), n))
-        for r0 in range(0, n, rows):
-            x = scores[: min(rows, n - r0)]
-            np.matmul(q[r0 : r0 + rows], kt, out=x)
-            x -= x.max(axis=-1, keepdims=True)
-            np.exp(x, out=x)
-            o = out[r0 : r0 + rows]
-            np.matmul(x, v, out=o)
-            o /= x.sum(axis=-1, keepdims=True)
+        if n == 0:
+            return out
+        rows = min(serial_rows(n, c), n)
+        whole = n - n % rows
+        g = max(1, min(whole // rows, STACK_SCORES // (rows * n)))
+        # one score buffer for every stack: with the copied keys, a fresh
+        # array per block left holes in the heap, and the peak RSS of
+        # repeated restores crept up by about 2 MB
+        scores = np.empty((g, rows, n))
+        for r0 in range(0, whole, g * rows):
+            k = min(g, (whole - r0) // rows)
+            span, stack = slice(r0, r0 + k * rows), (k, rows, c)
+            _softmax_v(q[span].reshape(stack), kt, v, scores[:k], out[span].reshape(stack))
+        if whole < n:
+            _softmax_v(q[whole:], kt, v, scores[0, : n - whole], out[whole:])
         return out
 
     def _block(

@@ -4,13 +4,18 @@ The hook-free sampler and per-frame baseline are the mechanism-off oracles
 that `restore` with both window lists empty must equal bit for bit.
 split_blends reads restore's latent-warping calls back by batch and step.
 estimate_flow_exact is block matching on 8-bit frames with exact integer
-costs. Nothing in the package calls them.
+costs. attend_blocks is attention one row block per call, and
+select_top_r_lexsort top-r selection by a full sort. Nothing in the package
+calls them.
 """
+
+import math
 
 import numpy as np
 
 from zsvr import pipeline, toydiff
 from zsvr.mediaio import FrameSequence, float_frame
+from zsvr.tokenmerge import INVALID, serial_rows
 from zsvr.toydiff import ToyDenoiser
 
 
@@ -100,3 +105,42 @@ def estimate_flow_exact(src, dst, block, search):
     du = np.array([dx for _, _, dx in cands], dtype=np.float64)
     dv = np.array([dy for _, dy, _ in cands], dtype=np.float64)
     return np.stack([du[best], dv[best]], axis=2)
+
+
+def attend_blocks(denoiser, tokens, block):
+    """ToyDenoiser._attend with every row block in its own numpy calls.
+
+    The same q, contiguous keys and v, and blocks of serial_rows(K, C)
+    query rows, the last one short; each block's scores go into one reused
+    buffer, less their row maximum, exp, @ v, then divided by the row sums.
+    """
+    w = denoiser.weights[block]
+    q = tokens @ w["q"]
+    q *= 1.0 / math.sqrt(denoiser.width)
+    kt = np.ascontiguousarray((tokens @ w["k"]).T)
+    v = tokens @ w["v"]
+    n = len(tokens)
+    out = np.empty_like(v)
+    rows = serial_rows(n, v.shape[1])
+    scores = np.empty((min(rows, n), n))
+    for r0 in range(0, n, rows):
+        x = scores[: min(rows, n - r0)]
+        np.matmul(q[r0 : r0 + rows], kt, out=x)
+        x -= x.max(axis=-1, keepdims=True)
+        np.exp(x, out=x)
+        o = out[r0 : r0 + rows]
+        np.matmul(x, v, out=o)
+        o /= x.sum(axis=-1, keepdims=True)
+    return out
+
+
+def select_top_r_lexsort(targets, criteria, r_i):
+    """select_top_r by a full sort: the valid pairs ordered by descending
+    criterion, then by source index, the first floor(r_i * N) returned in
+    source order."""
+    k = math.floor(r_i * len(targets))
+    valid = np.flatnonzero(targets != INVALID)
+    if k == 0 or len(valid) == 0:
+        return np.empty(0, dtype=np.int64)
+    order = valid[np.lexsort((valid, -criteria[valid]))]
+    return np.sort(order[: min(k, len(valid))])

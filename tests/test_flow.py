@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -136,6 +137,14 @@ def test_zero_channel_frames_are_refused_before_any_buffer(monkeypatch):
     empty = np.zeros((6, 7, 0), np.uint8)
     with pytest.raises(ValueError, match=r"frames of shape \(6, 7, 0\) have no channel"):
         flow.estimate_flow(empty, empty, 3, 2)
+
+
+def test_empty_frames_give_an_empty_flow():
+    for shape in ((0, 0, 3), (0, 5, 3), (4, 0, 3)):
+        empty = np.zeros(shape, np.uint8)
+        for block, search in ((1, 0), (7, 4)):
+            got = flow.estimate_flow(empty, empty, block, search)
+            assert got.shape == shape[:2] + (2,) and got.dtype == np.float64
 
 
 def test_estimate_flow_matches_oracle_across_candidate_groups(monkeypatch):
@@ -675,3 +684,15 @@ def test_resample_mask_preserves_binary():
     out = flow.resample_mask(mask, 5, 7)
     assert out.shape == (5, 7)
     assert set(np.unique(out)) <= {0.0, 1.0}
+
+
+def test_resampling_refuses_an_empty_source_grid(monkeypatch):
+    monkeypatch.setattr(flow, "_resample_taps", _fail_if_called)
+    for grid in (np.zeros((0, 4, 3)), np.zeros((4, 0, 2)), np.zeros((0, 4))):
+        shape = re.escape(str(grid.shape))
+        for resample in (flow.bilinear_resample, flow.resample_mask):
+            with pytest.raises(ValueError, match=f"empty .* of shape {shape}"):
+                resample(grid, 3, 3)
+        if grid.ndim == 3 and grid.shape[2] == 2:
+            with pytest.raises(ValueError, match=f"empty grid of shape {shape}"):
+                flow.resample_flow(grid, 3, 3)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import select_top_r_lexsort
 from zsvr import tokenmerge as tm
 from zsvr.tokenmerge import (
     INVALID,
@@ -330,6 +331,25 @@ def test_select_top_r_monotone_in_r():
     criteria = rng.random(20)
     sizes = [len(tm.select_top_r(targets, criteria, r)) for r in np.linspace(0, 1, 11)]
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
+
+
+def test_select_top_r_matches_lexsort_reference():
+    # ties, +-0.0, NaN and INVALID targets, at r_i of 0 and 1, k at or above
+    # the valid count, and all targets INVALID
+    rng = np.random.default_rng(26)
+    pools = ([0.0, -0.0, 0.5], [1.0, 2.0], [0.0, np.nan, 1.0, -np.inf, np.inf], None)
+    for case in range(600):
+        n = int(rng.integers(0, 40))
+        targets = rng.integers(INVALID, 4, n)
+        if case % 10 == 0:
+            targets[:] = INVALID
+        pool = pools[case % len(pools)]
+        criteria = rng.random(n) if pool is None else rng.choice(pool, n)
+        n_valid = int((targets != INVALID).sum())
+        for r_i in (0.0, 1.0, rng.random(), n_valid / max(n, 1), 1 / max(n, 1)):
+            got = tm.select_top_r(targets, criteria, r_i)
+            want = select_top_r_lexsort(targets, criteria, r_i)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -676,8 +696,9 @@ def test_cosine_pass_memory_is_bounded():
 
 
 def test_cosine_pass_with_precomputed_norms_is_bit_identical(monkeypatch):
-    # the pass computes the target norms once and passes them to every
-    # cosine_scores call; recomputing them in each call gives the same bits
+    # the pass computes the target and source norms once and passes them to
+    # every cosine_scores call; recomputing them in each call gives the
+    # same bits
     rng = np.random.default_rng(23)
     chunks = [random_chunk(rng, b=8, h=16, w=16, c=16), random_chunk(rng, b=3, h=5, w=7, c=4)]
     tokens = chunks[1][0].tokens
@@ -685,8 +706,8 @@ def test_cosine_pass_with_precomputed_norms_is_bit_identical(monkeypatch):
     cosine_scores = tm.cosine_scores
     given_norms = []
 
-    def without_norms(src, tar, tar_norms=None):
-        given_norms.append(tar_norms is not None)
+    def without_norms(src, tar, tar_norms=None, src_norms=None):
+        given_norms.append(tar_norms is not None and src_norms is not None)
         return cosine_scores(src, tar)
 
     for chunk, target in chunks:

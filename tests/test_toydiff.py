@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zsvr import toydiff
+from zsvr.tokenmerge import serial_rows
 from zsvr.toydiff import (
     BlockKind,
     ToyDenoiser,
@@ -17,7 +19,7 @@ from zsvr.toydiff import (
     step_indices,
 )
 
-from reference import sample
+from reference import attend_blocks, sample
 
 
 def test_make_schedule_single_step():
@@ -235,6 +237,40 @@ def test_attend_is_a_close_convex_combination_of_values_property(case):
     assert np.abs(got - _attend_textbook(d, tokens, block)).max() <= tol
     assert np.all(got >= v.min(axis=0) - tol)
     assert np.all(got <= v.max(axis=0) + tol)
+
+
+def test_attend_stacks_match_per_block_reference(monkeypatch):
+    # K = 8m + r over every residue mod 8. At 1929-1944 tokens the blocks
+    # are 8 rows, 4 to a stack, with a shorter last stack, and a short last
+    # block except at K = 1936. Smaller budgets make stacks of 2 blocks of
+    # 53-55 rows at K near 300, and stacks of one block
+    rng = np.random.default_rng(24)
+    d = ToyDenoiser(seed=0)
+    sizes = {65536: range(1929, 1945), 32768: range(297, 305), 4096: [1999, 2003]}
+    for budget, ks in sizes.items():
+        monkeypatch.setattr(toydiff, "STACK_SCORES", budget)
+        for k in ks:
+            rows = serial_rows(k, d.width)
+            assert k // rows > max(1, budget // (rows * k))  # several stacks
+            tokens = rng.standard_normal((k, d.width))
+            for block in range(d.N_BLOCKS):
+                assert np.array_equal(d._attend(tokens, block), attend_blocks(d, tokens, block))
+
+
+def test_attention_maps_zero_tokens_to_zero_rows():
+    # a hook may hand the attention callable an empty token set
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((2, 4, 4, 3))
+    empty = []
+
+    def hook(kind, chunk, attn):
+        empty.append(attn(np.empty((0, chunk.tokens.shape[2]))))
+        return np.stack([attn(t) for t in chunk.tokens])
+
+    d = ToyDenoiser(seed=0)
+    assert np.array_equal(d(x, attention_hook=hook), d(x))
+    assert len(empty) == d.N_BLOCKS
+    assert all(e.shape == (0, d.width) for e in empty)
 
 
 def test_attend_memory_is_bounded():
