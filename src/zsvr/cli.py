@@ -125,9 +125,9 @@ def cmd_restore(args) -> int:
     seq = mediaio.read_frames(args.in_dir)
     cfg = _load_config(args)
     if args.no_hlw:
-        cfg.hlw_windows = ()
+        cfg.hlw_until = 0.0
     if args.no_tome:
-        cfg.tome_windows = ()
+        cfg.tome_until = 0.0
     h, w, _ = seq.shape
 
     def write(tmp):  # each batch's frames and latents as restore_iter yields it
@@ -256,7 +256,7 @@ def cmd_demo(args) -> int:
     # ours reads one LQ bank, and both outputs are scored under its flows: like for like
     bank = pipeline.FlowBank(lq, cfg.flow_block, cfg.flow_search)
     ours = pipeline.restore(lq, cfg, bank)
-    baseline = pipeline.restore(lq, replace(cfg, hlw_windows=(), tome_windows=()))
+    baseline = pipeline.restore(lq, replace(cfg, hlw_until=0.0, tome_until=0.0))
     report = {
         name: _report_for(seq, cfg, hq, {"variant": name, "seed": args.seed}, flow_source=bank)
         for name, seq in (("baseline", baseline), ("ours", ours))

@@ -300,6 +300,29 @@ def _weighted_sum(values: np.ndarray, idx: np.ndarray, first, second) -> np.ndar
     return out
 
 
+def _taps(px: np.ndarray, py: np.ndarray, h: int, w: int) -> tuple[np.ndarray, ...]:
+    """Bilinear taps of P points (px, py), clamped to an (h, w) grid.
+
+    The flat (4, P) indices of each point's neighbours, in _weighted_sum's
+    order, its weights 1 - fx, fx as (2, P) and 1 - fy, fy as (2, 1, P).
+    """
+    x0 = np.floor(px).astype(np.intp)
+    y0 = np.floor(py).astype(np.intp)
+    wx = np.empty((2, len(px)))
+    wy = np.empty((2, 1, len(px)))
+    np.subtract(px, x0, out=wx[1])
+    np.subtract(py, y0, out=wy[1, 0])
+    np.subtract(1, wx[1], out=wx[0])
+    np.subtract(1, wy[1, 0], out=wy[0, 0])
+    idx = np.empty((4, len(px)), dtype=np.intp)
+    np.multiply(y0, w, out=idx[0])
+    idx[0] += x0
+    np.add(idx[0], x0 < w - 1, out=idx[1])
+    np.add(idx[0], w * (y0 < h - 1), out=idx[2])
+    np.add(idx[2], x0 < w - 1, out=idx[3])
+    return idx, wx, wy
+
+
 def warp(grid: np.ndarray, flow: np.ndarray) -> np.ndarray:
     """Backward warp with bilinear sampling and clamped coordinates."""
     if flow.shape[:2] != grid.shape[:2]:
@@ -315,22 +338,7 @@ def warp(grid: np.ndarray, flow: np.ndarray) -> np.ndarray:
     py = ys + fl[:, 1]
     np.clip(px, 0.0, w - 1.0, out=px)
     np.clip(py, 0.0, h - 1.0, out=py)
-
-    x0 = np.floor(px).astype(np.intp)
-    y0 = np.floor(py).astype(np.intp)
-    # the weights 1 - fx, fx by kx and 1 - fy, fy by ky
-    wx = np.empty((2, h * w))
-    wy = np.empty((2, 1, h * w))
-    np.subtract(px, x0, out=wx[1])
-    np.subtract(py, y0, out=wy[1, 0])
-    np.subtract(1, wx[1], out=wx[0])
-    np.subtract(1, wy[1, 0], out=wy[0, 0])
-    idx = np.empty((4, h * w), dtype=np.intp)
-    np.multiply(y0, w, out=idx[0])
-    idx[0] += x0
-    np.add(idx[0], x0 < w - 1, out=idx[1])
-    np.add(idx[0], w * (y0 < h - 1), out=idx[2])
-    np.add(idx[2], x0 < w - 1, out=idx[3])
+    idx, wx, wy = _taps(px, py, h, w)
     out = _weighted_sum(grid.reshape(h * w, c), idx, wx, wy).reshape(h, w, c)
     return out[:, :, 0] if squeeze else out
 
@@ -357,28 +365,10 @@ def occlusion_mask(conf: np.ndarray, tau_occ: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _resample_taps(h: int, w: int, h2: int, w2: int) -> tuple[np.ndarray, ...]:
-    """Read-only bilinear taps from an (h, w) grid to (h2, w2).
-
-    The flat (4, h2*w2) indices of the 4 neighbours of each target pixel,
-    the weights 1 - fy, fy of its row as (2, 1, h2*w2), and 1 - fx, fx of
-    its column as (2, h2*w2), as _weighted_sum takes them.
-    """
+    """Read-only _taps of every pixel center of (h2, w2) on an (h, w) grid."""
     ys = np.clip((np.arange(h2) + 0.5) * h / h2 - 0.5, 0.0, h - 1.0)
     xs = np.clip((np.arange(w2) + 0.5) * w / w2 - 0.5, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.floor(xs).astype(np.intp)
-    fy = (ys - y0)[:, None]
-    fx = xs - x0
-    idx = np.empty((4, h2, w2), dtype=np.intp)
-    idx[0] = (y0 * w)[:, None] + x0
-    idx[1] = idx[0] + (x0 < w - 1)
-    idx[2] = idx[0] + (w * (y0 < h - 1))[:, None]
-    idx[3] = idx[2] + (x0 < w - 1)
-    wy = np.empty((2, 1, h2, w2))
-    wy[0, 0], wy[1, 0] = 1 - fy, fy
-    wx = np.empty((2, h2, w2))
-    wx[0], wx[1] = 1 - fx, fx
-    taps = (idx.reshape(4, -1), wy.reshape(2, 1, -1), wx.reshape(2, -1))
+    taps = _taps(np.tile(xs, h2), np.repeat(ys, w2), h, w)
     for a in taps:
         a.setflags(write=False)
     return taps
@@ -396,7 +386,8 @@ def bilinear_resample(grid: np.ndarray, h2: int, w2: int) -> np.ndarray:
     squeeze = grid.ndim == 2
     grid = _as_3d(np.asarray(grid, dtype=np.float64))
     h, w, c = grid.shape
-    idx, wy, wx = _resample_taps(h, w, h2, w2)
+    idx, wx, wy = _resample_taps(h, w, h2, w2)
+    # y weights first, (v * fy) * fx, unlike warp's (v * fx) * fy: the two round differently
     out = _weighted_sum(grid.reshape(h * w, c), idx, wy, wx).reshape(h2, w2, c)
     return out[:, :, 0] if squeeze else out
 

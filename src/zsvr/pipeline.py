@@ -4,14 +4,14 @@ restore_iter() makes a restore's constants once (which mechanisms run in
 each step, the flow bank, the sampler), then takes one batch at a time through
 the toy DDIM sampler and yields its latents; restore_latents() concatenates
 them and restore() decodes each batch as it comes.
-Hierarchical latent warping runs in the steps of its windows, on the predicted
-clean latents between the denoiser's prediction and the DDIM update: the batch
-keyframe is chained from the previous batch's keyframe (its clean-latent
-prediction at the same step, after its own chain blend: the only state that
-crosses batches), then propagated star-shaped to the batch members. Token
-merging toward the keyframe wraps every self-attention in the steps of its
-windows where the annealed merge ratio is positive: flow-guided in down
-blocks, spatially weighted cosine in up blocks.
+Hierarchical latent warping runs in the leading step fraction hlw_until, on
+the predicted clean latents between the denoiser's prediction and the DDIM
+update: the batch keyframe is chained from the previous batch's keyframe (its
+clean-latent prediction at the same step, after its own chain blend: the only
+state that crosses batches), then propagated star-shaped to the batch
+members. Token merging toward the keyframe wraps every self-attention in the
+leading step fraction tome_until where the annealed merge ratio is positive:
+flow-guided in down blocks, spatially weighted cosine in up blocks.
 
 The "encoder/decoder" is area downsampling / bilinear upsampling, not a VAE:
 latents are downsampled frames. This is a deliberate desk-scale substitution.
@@ -28,7 +28,9 @@ import numpy as np
 from . import flow as flowmod
 from . import latentwarp, metrics, toydiff
 from .mediaio import FrameSequence, code_frame, float_frame
-from .tokenmerge import MergeMode, anneal_ratio, flow_correspondence, hybrid_merge_pass
+from .tokenmerge import (
+    MergeMode, anneal_ratio, check_table_size, flow_correspondence, hybrid_merge_pass
+)
 from .toydiff import BlockKind, ToyDenoiser
 
 # Fixed toy noise schedule; the step count is configurable, the schedule not.
@@ -37,19 +39,11 @@ BETA_START = 1e-4
 BETA_END = 0.02
 
 
-def _hlw_until(text: str) -> tuple[tuple[float, float], ...]:
-    """Config key hlw_until = v: latent warping in the leading step fraction v."""
-    v = float(text)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError("hlw_until must be in [0, 1]")
-    return ((0.0, v),) if v > 0 else ()
-
-
 _CONFIG_KEYS = {
     "batch_size": ("batch_size", int),
     "steps": ("steps", int),
     "seed": ("seed", int),
-    "hlw_until": ("hlw_windows", _hlw_until),
+    "hlw_until": ("hlw_until", float),
     "tome.i_beg": ("tome_i_beg", int),
     "tome.i_end": ("tome_i_end", int),
     "tome.delta": ("tome_delta", float),
@@ -79,9 +73,10 @@ class RestoreConfig:
     # Ablation knobs (not config-file keys).
     down_mode: MergeMode = MergeMode.FLOW_DOWN
     up_mode: MergeMode = MergeMode.COSINE_UP
-    # Step-fraction windows [lo, hi) in which each mechanism runs; empty is off.
-    hlw_windows: tuple[tuple[float, float], ...] = ((0.0, 0.2),)
-    tome_windows: tuple[tuple[float, float], ...] = ((0.0, 1.0),)
+    # Each mechanism runs in the steps pos with pos / steps < until, so 0 is
+    # off; hlw_until is also the config key of that name.
+    hlw_until: float = 0.2
+    tome_until: float = 1.0
 
     def validate(self) -> None:
         if self.batch_size < 1:
@@ -106,10 +101,9 @@ class RestoreConfig:
         if beg >= end:
             default = " (default: 60% of steps, below steps)" if self.tome_i_beg is None else ""
             raise ValueError(f"tome.i_beg {beg}{default} must be < tome.i_end {end}")
-        for name in ("hlw_windows", "tome_windows"):
-            for lo, hi in getattr(self, name):
-                if not 0.0 <= lo < hi <= 1.0:
-                    raise ValueError(f"{name} entry ({lo}, {hi}) needs 0 <= lo < hi <= 1")
+        for key in ("hlw_until", "tome_until"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"{key} must be in [0, 1]")
 
     def anneal_range(self) -> tuple[int, int]:
         default_beg = min(round(0.6 * self.steps), self.steps - 1)
@@ -118,12 +112,12 @@ class RestoreConfig:
         return beg, end
 
     def active_tome_windows(self) -> tuple[tuple[float, float], ...]:
-        return self.tome_windows
+        return ((0.0, self.tome_until),) if self.tome_until > 0 else ()
 
     @property
     def tome_enabled(self) -> bool:
         """Read-only; like active_tome_windows, kept only until perfbench reads step_plan."""
-        return bool(self.tome_windows)
+        return self.tome_until > 0
 
 
 def parse_config(text: str) -> RestoreConfig:
@@ -282,19 +276,15 @@ def frame_noise(seed: int, frame_index: int, shape: tuple[int, ...]) -> np.ndarr
     return rng.standard_normal(shape)
 
 
-def _in_windows(frac: float, windows) -> bool:
-    return any(lo <= frac < hi for lo, hi in windows)
-
-
 def step_plan(config: RestoreConfig) -> tuple[list[bool], list[float]]:
     """Per denoising step: does latent warping run, and at which merge ratio (0: none)."""
     config.validate()
     beg, end = config.anneal_range()
     fracs = [pos / config.steps for pos in range(config.steps)]
-    hlw_on = [_in_windows(f, config.hlw_windows) for f in fracs]
+    hlw_on = [f < config.hlw_until for f in fracs]
     ratios = [
         anneal_ratio(pos, config.tome_r, config.tome_delta, beg, end)
-        if _in_windows(f, config.tome_windows) else 0.0
+        if f < config.tome_until else 0.0
         for pos, f in enumerate(fracs)
     ]
     return hlw_on, ratios
@@ -325,8 +315,9 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
     every pair. Without one, precompute_flows builds the bank when a step
     reads flows, and each batch drops its pairs from it once it has read
     them, before its first denoising step, as no later step or batch reads
-    them. Being a generator, it checks config, frame size and bank at the
-    first next(), before any flow is estimated.
+    them. Being a generator, it checks config, frame size, bank and, when a
+    cosine merge pass will run, the size of its spatial table at the first
+    next(), before any flow is estimated.
     """
     hlw_on, ratios = step_plan(config)  # validates config first
     h, w, _ = seq.shape
@@ -335,17 +326,21 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
         raise ValueError(f"frame size {h}x{w} not divisible by latent_scale {scale}")
     if bank is not None:
         _check_bank(bank, config, ["other frames in the bank"] if bank.seq is not seq else [])
-
     plan = plan_batches(len(seq), config.batch_size, config.seed)
+    grids = toydiff.content_grids(h // scale, w // scale)
+    merges = any(ratios) and any(b - a > 1 for a, b in plan.batches)  # as the loop gates its hook
+    modes = config.down_mode, config.up_mode
+    flow_merges = merges and MergeMode.FLOW_DOWN in modes
+    if merges and MergeMode.COSINE_UP in modes:
+        check_table_size(*grids[0])  # grids[0], the latent grid, is the larger one
+
     sched = toydiff.make_schedule(SCHED_T, BETA_START, BETA_END)
     ts = toydiff.step_indices(sched.T, config.steps)
     warps = any(hlw_on)
-    flow_merges = any(ratios) and MergeMode.FLOW_DOWN in (config.down_mode, config.up_mode)
     own_bank = bank is None and (warps or flow_merges)
     if own_bank:
         bank = precompute_flows(seq, config)
     denoiser = ToyDenoiser(config.seed)
-    grids = toydiff.content_grids(h // scale, w // scale)
     latent = grids[0]
     # Masks are the bank's confidences thresholded at this config's flow.tau_occ.
     mask = lambda p: flowmod.resample_mask(
@@ -481,17 +476,14 @@ CORRESPONDENCE_VARIANTS = {
     "flow_cos_spatial": dict(down_mode=MergeMode.FLOW_DOWN, up_mode=MergeMode.COSINE_UP),
 }
 
-# Step-fraction thirds standing in for early/mid/late denoising stages.
-_EARLY = (0.0, 1.0 / 3.0)
-_MID = (1.0 / 3.0, 2.0 / 3.0)
-_LATE = (2.0 / 3.0, 1.0)
-
+# Leading step fractions of none, the first third (early), two thirds or all
+# steps, standing in for the early/mid/late denoising stages.
 STAGE_VARIANTS = {
-    "off_off": dict(hlw_windows=[], tome_windows=[]),
-    "early_early": dict(hlw_windows=[_EARLY], tome_windows=[_EARLY]),
-    "earlymid_all": dict(hlw_windows=[_EARLY, _MID], tome_windows=[_EARLY, _MID, _LATE]),
-    "all_all": dict(hlw_windows=[_EARLY, _MID, _LATE], tome_windows=[_EARLY, _MID, _LATE]),
-    "early_all": dict(hlw_windows=[_EARLY], tome_windows=[_EARLY, _MID, _LATE]),
+    "off_off": dict(hlw_until=0.0, tome_until=0.0),
+    "early_early": dict(hlw_until=1.0 / 3.0, tome_until=1.0 / 3.0),
+    "earlymid_all": dict(hlw_until=2.0 / 3.0, tome_until=1.0),
+    "all_all": dict(hlw_until=1.0, tome_until=1.0),
+    "early_all": dict(hlw_until=1.0 / 3.0, tome_until=1.0),
 }
 
 

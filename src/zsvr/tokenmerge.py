@@ -27,6 +27,11 @@ INVALID = -1
 # the BLAS thread count.
 BLAS_SERIAL_MADDS = 262144
 
+# Most values a spatial_table may hold, (h*w)**2 float64 values for an (h, w)
+# content grid: 2 GiB at this bound, a 128x128 grid (512x512 frames at
+# latent_scale 4); a 160x120 grid (640x480 frames) would need 2.7 GiB.
+TABLE_BUDGET = 2**28
+
 
 def serial_rows(n_cols: int, inner: int) -> int:
     """Rows of a block whose (rows, inner) @ (inner, n_cols) product OpenBLAS
@@ -143,6 +148,15 @@ def spatial_weight(
     return scores * np.exp(-tau)
 
 
+def check_table_size(h: int, w: int) -> None:
+    """Refuse an (h, w) content grid whose spatial_table exceeds TABLE_BUDGET values."""
+    if (h * w) ** 2 > TABLE_BUDGET:
+        raise ValueError(
+            f"the spatial table of a {h}x{w} token grid has {(h * w) ** 2} values, over "
+            f"tokenmerge.TABLE_BUDGET = {TABLE_BUDGET}: raise latent_scale or merge by flow only"
+        )
+
+
 @functools.lru_cache(maxsize=16)
 def spatial_table(h: int, w: int, R: float) -> np.ndarray:
     """Read-only (A, A) spatial weights between the cells of an (h, w) grid.
@@ -151,10 +165,12 @@ def spatial_table(h: int, w: int, R: float) -> np.ndarray:
     scored against the target at cell j; every source frame shares the table.
     It is built in place from the (w, w) and (h, h) squared offsets, with no
     (A, A, 2) temporary; the squared distances are small integers, so it
-    equals spatial_weight(np.ones((A, A)), pos, pos, R) bit for bit.
+    equals spatial_weight(np.ones((A, A)), pos, pos, R) bit for bit. A grid
+    over check_table_size's bound is refused before anything is allocated.
     """
     if R <= 0:
         raise ValueError(f"R must be > 0, got {R}")
+    check_table_size(h, w)
     xs, ys = np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64)
     dx2 = np.subtract.outer(xs, xs) ** 2
     dy2 = np.subtract.outer(ys, ys) ** 2

@@ -234,11 +234,11 @@ def test_criterion_5_hook_neutrality():
     cfg = pipeline.RestoreConfig(steps=6, batch_size=4, latent_scale=2, seed=3)
     base = per_frame_baseline(lq, cfg)
 
-    off = replace(cfg, hlw_windows=(), tome_windows=())
+    off = replace(cfg, hlw_until=0.0, tome_until=0.0)
     out_off = pipeline.restore(lq, off)
     assert all(np.array_equal(a, b) for a, b in zip(out_off.frames, base.frames))
 
-    r0 = replace(cfg, hlw_windows=(), tome_r=0.0)
+    r0 = replace(cfg, hlw_until=0.0, tome_r=0.0)
     out_r0 = pipeline.restore(lq, r0)
     assert all(np.array_equal(a, b) for a, b in zip(out_r0.frames, base.frames))
     print(

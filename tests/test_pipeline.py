@@ -59,19 +59,24 @@ def test_parse_config_all_keys():
     )
     assert cfg.batch_size == 4
     assert cfg.steps == 12
-    assert cfg.hlw_windows == ((0.0, 0.3),)
+    assert cfg.hlw_until == 0.3
     assert cfg.tome_i_beg == 6 and cfg.tome_i_end == 12
     assert cfg.tome_R == 2.0
     assert cfg.flow_tau_occ == 0.25
 
 
 def test_parse_config_hlw_until_is_one_leading_window():
-    assert parse_config("hlw_until = 0.3").hlw_windows == ((0.0, 0.3),)
-    assert parse_config("hlw_until = 0").hlw_windows == ()
-    assert RestoreConfig().hlw_windows == ((0.0, 0.2),)
-    for bad in ("1.5", "-0.1"):
-        with pytest.raises(ValueError, match="bad value for hlw_until"):
+    assert parse_config("hlw_until = 0.3").hlw_until == 0.3
+    assert parse_config("hlw_until = 0").hlw_until == 0.0
+    assert (RestoreConfig().hlw_until, RestoreConfig().tome_until) == (0.2, 1.0)
+    # steps 0-2 of 10 lie below 0.3; step 3 (3 / 10 == 0.3) does not
+    hlw_on, _ = pipeline.step_plan(parse_config("steps = 10\nhlw_until = 0.3"))
+    assert hlw_on == [True] * 3 + [False] * 7
+    for bad in ("1.5", "-0.1", "nan", "inf"):
+        with pytest.raises(ValueError, match=r"hlw_until must be in \[0, 1\]"):
             parse_config(f"hlw_until = {bad}")
+    with pytest.raises(ValueError, match="line 1: bad value for hlw_until: 'early'"):
+        parse_config("hlw_until = early")
 
 
 def test_parse_config_rejects_negative_seed():
@@ -138,11 +143,12 @@ def test_parse_config_rejects_nan_and_keeps_inf_R():
 
 
 def test_config_validation_rejects_bad_windows():
-    for name in ("hlw_windows", "tome_windows"):
-        for window in ((-0.1, 0.5), (0.5, 0.5), (0.6, 0.4), (0.5, 1.1)):
-            with pytest.raises(ValueError, match=name):
-                RestoreConfig(**{name: [(0.0, 0.2), window]}).validate()
-        RestoreConfig(**{name: [(0.0, 1.0)]}).validate()
+    for key in ("hlw_until", "tome_until"):
+        for bad in (-0.1, -1e-300, 1.0 + 2**-52, math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"{key} must be in \[0, 1\]"):
+                RestoreConfig(**{key: bad}).validate()
+        for good in (0.0, 0.5, 1.0):
+            RestoreConfig(**{key: good}).validate()
     for overrides in pipeline.STAGE_VARIANTS.values():
         RestoreConfig(**overrides).validate()
 
@@ -519,7 +525,7 @@ def test_frame_noise_independent_and_deterministic():
 
 def test_restore_disabled_equals_per_frame_baseline():
     lq = small_video()
-    cfg = small_config(hlw_windows=(), tome_windows=())
+    cfg = small_config(hlw_until=0.0, tome_until=0.0)
     out = pipeline.restore(lq, cfg)
     base = per_frame_baseline(lq, cfg)
     for a, b in zip(out.frames, base.frames):
@@ -529,7 +535,7 @@ def test_restore_disabled_equals_per_frame_baseline():
 def test_restore_single_step_with_both_mechanisms():
     lq = small_video(n=4)
     cfg = parse_config("steps = 1\nbatch_size = 3\nlatent_scale = 2\nhlw_until = 1")
-    assert cfg.hlw_windows and cfg.tome_windows and cfg.tome_r > 0
+    assert cfg.hlw_until == cfg.tome_until == 1.0 and cfg.tome_r > 0
     out = pipeline.restore(lq, cfg)
     assert len(out) == 4
     assert all(np.isfinite(f).all() for f in out.frames)
@@ -537,13 +543,13 @@ def test_restore_single_step_with_both_mechanisms():
 
 def test_restore_anneal_tail_runs_no_merge_pass():
     # steps 6..9 lie past the anneal end (ramp 1): their ratio is exactly 0, so
-    # they run the hookless per-frame attention, as a window ending at 0.6 does
+    # they run the hookless per-frame attention, as tome_until = 0.6 does
     lq = FrameSequence([np.random.default_rng(f).random((16, 16, 3)) for f in range(5)])
     cfg = RestoreConfig(
-        steps=10, batch_size=5, latent_scale=2, hlw_windows=(), tome_i_beg=2, tome_i_end=6
+        steps=10, batch_size=5, latent_scale=2, hlw_until=0.0, tome_i_beg=2, tome_i_end=6
     )
     tail = pipeline.restore(lq, cfg)
-    windowed = pipeline.restore(lq, replace(cfg, tome_windows=((0.0, 0.6),)))
+    windowed = pipeline.restore(lq, replace(cfg, tome_until=0.6))
     for a, b in zip(tail.frames, windowed.frames):
         assert np.array_equal(a, b)
 
@@ -561,8 +567,8 @@ def _restore_shapes(draw):
         seed=draw(st.integers(0, 3)),
         flow_block=draw(st.sampled_from([3, 5, 7, 9])),
         flow_search=draw(st.integers(0, 2)),
-        hlw_windows=(),
-        tome_windows=(),
+        hlw_until=0.0,
+        tome_until=0.0,
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return FrameSequence([rng.random((hl * scale, wl * scale, 3)) for _ in range(n)]), cfg
@@ -671,9 +677,9 @@ def test_hook_gating_counters(monkeypatch):
     n_blocks = ToyDenoiser.N_BLOCKS
     blends_per_step = sum(size - 1 for size in sizes) + len(sizes) - 1
     # steps 4: anneal from step 2 to 4, r_i > 0 at every step
-    for windows, active in (([(0.0, 1.0)], 4), ([(0.5, 1.0)], 2), ([(0.0, 0.25)], 1), ([], 0)):
+    for until, active in ((1.0, 4), (0.5, 2), (0.25, 1), (0.0, 0)):
         counts.update(merge=0, blend=0)
-        pipeline.restore(lq, small_config(hlw_windows=windows, tome_windows=windows))
+        pipeline.restore(lq, small_config(hlw_until=until, tome_until=until))
         assert counts["merge"] == n_blocks * active * 2
         assert counts["blend"] == blends_per_step * active
     # the default HLW window (0, 0.2) holds only step 0 of 4
@@ -681,7 +687,7 @@ def test_hook_gating_counters(monkeypatch):
     pipeline.restore(lq, small_config())
     assert counts == {"merge": n_blocks * 4 * 2, "blend": blends_per_step}
     counts.update(merge=0, blend=0)
-    pipeline.restore(lq, small_config(hlw_windows=(), tome_windows=()))
+    pipeline.restore(lq, small_config(hlw_until=0.0, tome_until=0.0))
     assert counts == {"merge": 0, "blend": 0}
 
 
@@ -732,21 +738,92 @@ def test_step_plan_windows_and_anneal():
     ramp_mid = 0.8 * math.cos(0.25 * math.pi)
     for kw, hlw_on, ratios in (
         ({}, [True, False, False, False], [0.8, 0.8, 0.8, ramp_mid]),
-        (dict(hlw_windows=[(0.5, 1.0)], tome_windows=[(0.0, 0.5)]),
-         [False, False, True, True], [0.8, 0.8, 0.0, 0.0]),
-        (dict(hlw_windows=(), tome_windows=()), [False] * 4, [0.0] * 4),
+        (dict(hlw_until=0.5, tome_until=0.5), [True, True, False, False], [0.8, 0.8, 0.0, 0.0]),
+        (dict(hlw_until=1.0, tome_until=0.25), [True] * 4, [0.8, 0.0, 0.0, 0.0]),
+        (dict(hlw_until=0.0, tome_until=0.0), [False] * 4, [0.0] * 4),
         (dict(tome_r=0.0), [True, False, False, False], [0.0] * 4),
     ):
         assert pipeline.step_plan(small_config(**kw)) == (hlw_on, ratios)
+
+
+def test_stage_variants_plan_the_steps_of_the_thirds_they_replace():
+    # The stage variants and the default config once listed [lo, hi) windows
+    # of step fractions, and a step ran a mechanism iff any(lo <= f < hi).
+    # Unions of adjacent thirds are one leading fraction, so every plan holds.
+    early, mid, late = (0.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0), (2.0 / 3.0, 1.0)
+    windows = {
+        "off_off": ([], []),
+        "early_early": ([early], [early]),
+        "earlymid_all": ([early, mid], [early, mid, late]),
+        "all_all": ([early, mid, late], [early, mid, late]),
+        "early_all": ([early], [early, mid, late]),
+    }
+    assert list(windows) == list(pipeline.STAGE_VARIANTS)
+    cases = [(pipeline.STAGE_VARIANTS[name], w) for name, w in windows.items()]
+    cases.append(({}, ([(0.0, 0.2)], [(0.0, 1.0)])))
+    for steps in range(1, 101):
+        for overrides, (hlw, tome) in cases:
+            cfg = RestoreConfig(steps=steps, **overrides)
+            beg, end = cfg.anneal_range()
+            runs = lambda pos, ws: any(lo <= pos / steps < hi for lo, hi in ws)
+            want = (
+                [runs(pos, hlw) for pos in range(steps)],
+                [tokenmerge.anneal_ratio(pos, cfg.tome_r, cfg.tome_delta, beg, end)
+                 if runs(pos, tome) else 0.0 for pos in range(steps)],
+            )
+            assert pipeline.step_plan(cfg) == want, (steps, overrides)
+
+
+def test_restore_refuses_an_oversized_spatial_table_before_any_flow(monkeypatch):
+    # a 129x128 latent's table would hold 16512**2 > TABLE_BUDGET values (2.03 GiB)
+    lq = FrameSequence([np.zeros((129, 128, 3), np.uint8)] * 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("flow estimated before the table size was checked")
+
+    monkeypatch.setattr(flowmod, "estimate_flow", refuse)
+    cfg = RestoreConfig(steps=1, batch_size=2, latent_scale=1)
+    assert (129 * 128) ** 2 > tokenmerge.TABLE_BUDGET >= (128 * 128) ** 2
+    for variant in ("flow_cos_spatial", "cos_flow", "cos_cos"):
+        overrides = pipeline.CORRESPONDENCE_VARIANTS[variant]
+        with pytest.raises(ValueError, match="spatial table of a 129x128 token grid"):
+            next(pipeline.restore_iter(lq, replace(cfg, **overrides)))
+    # with no cosine pass to run, the restore goes on to estimate its flows
+    flow_only = pipeline.CORRESPONDENCE_VARIANTS["flow_flow"]
+    for kw in (flow_only, dict(tome_until=0.0), dict(tome_r=0.0), dict(batch_size=1)):
+        with pytest.raises(AssertionError, match="flow estimated"):
+            next(pipeline.restore_iter(lq, replace(cfg, **kw)))
+
+
+@pytest.mark.parametrize("h, w, scale, refused", [
+    (240, 320, 4, False),  # QVGA: an 80x60 latent, a 184 MB table
+    (512, 512, 4, False),  # a 128x128 latent, the largest table, 2 GiB
+    (480, 640, 8, False),
+    (480, 640, 4, True),   # a 160x120 latent, 2.7 GiB
+    (516, 512, 4, True),
+])
+def test_default_restore_table_check_by_frame_size(monkeypatch, h, w, scale, refused):
+    # the check passes or refuses before any flow is estimated, and no table is built
+    lq = FrameSequence([np.zeros((h, w, 3), np.uint8)] * 2)
+
+    def reached(*args, **kwargs):
+        raise AssertionError("flow estimated")
+
+    monkeypatch.setattr(flowmod, "estimate_flow", reached)
+    cfg = RestoreConfig(latent_scale=scale)
+    assert cfg.up_mode is MergeMode.COSINE_UP
+    with pytest.raises(ValueError if refused else AssertionError,
+                       match="spatial table" if refused else "flow estimated"):
+        next(pipeline.restore_iter(lq, cfg))
 
 
 def test_restore_reads_no_flows_unless_a_step_uses_them(monkeypatch):
     lq = small_video()
     cosine = dict(down_mode=MergeMode.COSINE_UP, up_mode=MergeMode.COSINE_UP)
     configs = [
-        small_config(hlw_windows=(), tome_windows=()),
-        small_config(hlw_windows=(), **cosine),
-        small_config(hlw_windows=(), tome_r=0.0),
+        small_config(hlw_until=0.0, tome_until=0.0),
+        small_config(hlw_until=0.0, **cosine),
+        small_config(hlw_until=0.0, tome_r=0.0),
     ]
     with_bank = [pipeline.restore(lq, c, pipeline.precompute_flows(lq, c)) for c in configs]
 
@@ -763,7 +840,7 @@ def test_restore_reads_no_flows_unless_a_step_uses_them(monkeypatch):
 def test_keyframe_chain_links_batches_step_by_step(monkeypatch):
     # 7 frames in batches of 3, 3 and 1, latent warping in every step
     lq = small_video(n=7)
-    cfg = small_config(hlw_windows=[(0.0, 1.0)], tome_windows=())
+    cfg = small_config(hlw_until=1.0, tome_until=0.0)
     plan = plan_batches(len(lq), cfg.batch_size, cfg.seed)
     blend = latentwarp.blend_warped
     calls = []  # (own, source, flow, mask, result) in call order
@@ -803,7 +880,7 @@ def test_keyframe_chain_links_batches_step_by_step(monkeypatch):
 
 def test_restore_zero_merge_ratio_equals_baseline():
     lq = small_video()
-    cfg = small_config(hlw_windows=(), tome_r=0.0)
+    cfg = small_config(hlw_until=0.0, tome_r=0.0)
     out = pipeline.restore(lq, cfg)
     base = per_frame_baseline(lq, cfg)
     for a, b in zip(out.frames, base.frames):
@@ -815,13 +892,13 @@ def test_restore_batch_order_independence_without_chaining():
     # its own and earlier frames: a whole-batch prefix restores as in the full
     # video. 20x12 frames have an odd 5x3 inner grid, so padding runs.
     for n, (h, w), batch, hlw in (
-        (6, (16, 16), 3, ()),
-        (7, (16, 16), 3, [(0.0, 0.5)]),
-        (8, (20, 12), 3, [(0.0, 0.5)]),
-        (9, (16, 16), 4, [(0.0, 0.5)]),
+        (6, (16, 16), 3, 0.0),
+        (7, (16, 16), 3, 0.5),
+        (8, (20, 12), 3, 0.5),
+        (9, (16, 16), 4, 0.5),
     ):
         lq = small_video(n=n, h=h, w=w)
-        cfg = small_config(batch_size=batch, hlw_windows=hlw)
+        cfg = small_config(batch_size=batch, hlw_until=hlw)
         full = pipeline.restore_latents(lq, cfg)
         for m in range(batch, n, batch):
             head = pipeline.restore_latents(FrameSequence(lq.frames[:m]), cfg)
@@ -832,16 +909,12 @@ def test_restore_batch_order_independence_without_chaining():
 def _restore_edges(draw):
     """Edge inputs with both mechanisms on: 1-5 frames, batch_size 1 to n + 1,
     odd latent sizes, frames smaller than the flow block, tome.r 0, 0.5 or 1,
-    any correspondence variant, and an HLW window overlapping a ToMe window."""
+    any correspondence variant, and each mechanism in any leading step fraction,
+    0 (off) and 1 (every step) included."""
     scale = draw(st.integers(1, 3))
     hl, wl = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     n = draw(st.integers(1, 5))
-    # a < b < c < d: windows (a, c) and (b, d) overlap on [b, c)
-    cuts = st.lists(st.sampled_from([0, 0.25, 0.5, 0.75, 1]), min_size=4, max_size=4, unique=True)
-    a, b, c, d = sorted(draw(cuts))
-    hlw, tome = ((a, c),), ((b, d),)
-    if draw(st.booleans()):
-        hlw, tome = tome, hlw
+    until = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
     variants = pipeline.CORRESPONDENCE_VARIANTS
     variant = variants[draw(st.sampled_from(sorted(variants)))]
     cfg = RestoreConfig(
@@ -852,8 +925,8 @@ def _restore_edges(draw):
         tome_r=draw(st.sampled_from([0.0, 0.5, 1.0])),
         flow_block=draw(st.sampled_from([3, 5, 7, 9])),
         flow_search=draw(st.integers(0, 2)),
-        hlw_windows=hlw,
-        tome_windows=tome,
+        hlw_until=draw(until),
+        tome_until=draw(until),
         **variant,
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -908,7 +981,7 @@ def test_uint8_frames_and_their_float_twins_give_the_same_bits(tmp_path_factory,
     codes, cfg = case
     seqs = [FrameSequence(codes), FrameSequence([mediaio.float_frame(c) for c in codes])]
     assert [s.frames[0].dtype for s in seqs] == [np.uint8, np.float64]
-    off = replace(cfg, hlw_windows=(), tome_windows=())
+    off = replace(cfg, hlw_until=0.0, tome_until=0.0)
     latents = [pipeline.restore_latents(s, off) for s in seqs]
     assert latents[0].tobytes() == latents[1].tobytes()
     scores = [pipeline.temporal_consistency(s, cfg, flow_source=seqs[0]) for s in seqs]

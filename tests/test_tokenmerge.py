@@ -221,6 +221,25 @@ def test_spatial_table_rejects_bad_R():
         tm.spatial_table.__wrapped__(2, 2, 0.0)
 
 
+def test_spatial_table_refuses_grids_over_its_budget_before_allocating(monkeypatch):
+    # 129x128 is the first grid past the 2**28 values of a 128x128 table
+    tracemalloc.start()
+    try:
+        for h, w in ((129, 128), (128, 129), (1, 16385), (256, 256), (1024, 1024)):
+            with pytest.raises(ValueError, match=f"a {h}x{w} token grid has {(h * w) ** 2} values"):
+                tm.spatial_table.__wrapped__(h, w, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    # the bound itself, on small grids: at most TABLE_BUDGET values
+    monkeypatch.setattr(tm, "TABLE_BUDGET", 36)
+    assert tm.spatial_table.__wrapped__(2, 3, 4.0).shape == (6, 6)
+    for h, w in ((1, 7), (7, 1), (3, 3)):
+        with pytest.raises(ValueError, match="TABLE_BUDGET = 36"):
+            tm.spatial_table.__wrapped__(h, w, 4.0)
+
+
 # ---------------------------------------------------------------- correspondence
 
 
