@@ -29,7 +29,7 @@ from . import flow as flowmod
 from . import latentwarp, metrics, toydiff
 from .mediaio import FrameSequence, code_frame, float_frame
 from .tokenmerge import (
-    MergeMode, anneal_ratio, check_table_size, flow_correspondence, hybrid_merge_pass
+    MergeMode, anneal_ratio, flow_correspondence, hybrid_merge_pass, spatial_table
 )
 from .toydiff import BlockKind, ToyDenoiser
 
@@ -291,18 +291,19 @@ def step_plan(config: RestoreConfig) -> tuple[list[bool], list[float]]:
 
 
 def _merge_attention(
-    config: RestoreConfig, matches: dict, r_i: float, target: int, kind, chunk, attention
+    config: RestoreConfig, matches, tables, r_i: float, target: int, kind, chunk, attention
 ):
     """Attention hook: one hybrid merge pass toward batch frame target at merge ratio r_i.
 
     The block kind picks config.down_mode or up_mode. A FLOW_DOWN pass gets
     matches[content grid], the batch's flow-guided (targets, criteria) made
-    once per batch, and a COSINE_UP pass gets config.tome_R.
+    once per batch, and a COSINE_UP pass gets tables[content grid], the
+    grid's spatial_table at config.tome_R made once per restore.
     """
     mode = config.down_mode if kind is BlockKind.DOWN else config.up_mode
     if mode is MergeMode.FLOW_DOWN:
         return hybrid_merge_pass(chunk, target, attention, r_i, matches=matches[chunk.content])
-    return hybrid_merge_pass(chunk, target, attention, r_i, R=config.tome_R)
+    return hybrid_merge_pass(chunk, target, attention, r_i, table=tables[chunk.content])
 
 
 def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | None = None):
@@ -315,9 +316,10 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
     every pair. Without one, precompute_flows builds the bank when a step
     reads flows, and each batch drops its pairs from it once it has read
     them, before its first denoising step, as no later step or batch reads
-    them. Being a generator, it checks config, frame size, bank and, when a
-    cosine merge pass will run, the size of its spatial table at the first
-    next(), before any flow is estimated.
+    them. Being a generator, it checks config, frame size and bank at the
+    first next(), and then, when a cosine merge pass will run, builds each
+    content grid's spatial table, kept until the restore ends, before any
+    flow is estimated.
     """
     hlw_on, ratios = step_plan(config)  # validates config first
     h, w, _ = seq.shape
@@ -331,8 +333,9 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
     merges = any(ratios) and any(b - a > 1 for a, b in plan.batches)  # as the loop gates its hook
     modes = config.down_mode, config.up_mode
     flow_merges = merges and MergeMode.FLOW_DOWN in modes
-    if merges and MergeMode.COSINE_UP in modes:
-        check_table_size(*grids[0])  # grids[0], the latent grid, is the larger one
+    cosine_merges = merges and MergeMode.COSINE_UP in modes
+    # grids[0], the latent grid, is the larger one, so a refused grid allocates nothing
+    tables = {g: spatial_table(*g, config.tome_R) for g in grids} if cosine_merges else {}
 
     sched = toydiff.make_schedule(SCHED_T, BETA_START, BETA_END)
     ts = toydiff.step_indices(sched.T, config.steps)
@@ -386,7 +389,7 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
         for pos, (t, t_prev) in enumerate(zip(ts, ts[1:] + [None])):
             hook = None
             if members and ratios[pos] > 0.0:
-                hook = functools.partial(_merge_attention, config, matches, ratios[pos], kf_off)
+                hook = functools.partial(_merge_attention, config, matches, tables, ratios[pos], kf_off)
             x0, eps = toydiff.denoise_step(x, t, denoiser, sched, hook)
             if hlw_on[pos]:
                 if chain is not None:

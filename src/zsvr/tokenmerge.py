@@ -14,7 +14,6 @@ r is annealed toward zero late in denoising.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -141,23 +140,13 @@ def spatial_weight(
     Positions are token-grid (x, y) coordinates on the frame plane; the frame
     offset is ignored, only spatial position matters.
     """
-    if R <= 0:
+    if not R > 0:
         raise ValueError(f"R must be > 0, got {R}")
     d2 = ((src_pos[:, None, :] - tar_pos[None, :, :]) ** 2).sum(axis=2)
     tau = np.floor(d2 / R)
     return scores * np.exp(-tau)
 
 
-def check_table_size(h: int, w: int) -> None:
-    """Refuse an (h, w) content grid whose spatial_table exceeds TABLE_BUDGET values."""
-    if (h * w) ** 2 > TABLE_BUDGET:
-        raise ValueError(
-            f"the spatial table of a {h}x{w} token grid has {(h * w) ** 2} values, over "
-            f"tokenmerge.TABLE_BUDGET = {TABLE_BUDGET}: raise latent_scale or merge by flow only"
-        )
-
-
-@functools.lru_cache(maxsize=16)
 def spatial_table(h: int, w: int, R: float) -> np.ndarray:
     """Read-only (A, A) spatial weights between the cells of an (h, w) grid.
 
@@ -166,11 +155,16 @@ def spatial_table(h: int, w: int, R: float) -> np.ndarray:
     It is built in place from the (w, w) and (h, h) squared offsets, with no
     (A, A, 2) temporary; the squared distances are small integers, so it
     equals spatial_weight(np.ones((A, A)), pos, pos, R) bit for bit. A grid
-    over check_table_size's bound is refused before anything is allocated.
+    whose table would exceed TABLE_BUDGET values is refused before anything
+    is allocated.
     """
-    if R <= 0:
+    if not R > 0:
         raise ValueError(f"R must be > 0, got {R}")
-    check_table_size(h, w)
+    if (h * w) ** 2 > TABLE_BUDGET:
+        raise ValueError(
+            f"the spatial table of a {h}x{w} token grid has {(h * w) ** 2} values, over "
+            f"tokenmerge.TABLE_BUDGET = {TABLE_BUDGET}: raise latent_scale or merge by flow only"
+        )
     xs, ys = np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64)
     dx2 = np.subtract.outer(xs, xs) ** 2
     dy2 = np.subtract.outer(ys, ys) ** 2
@@ -334,7 +328,7 @@ def hybrid_merge_pass(
     target_index: int,
     attention,
     r_i: float,
-    R: float | None = None,
+    table: np.ndarray | None = None,
     matches: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Full merge pipeline around one attention call; returns (B, A, C) tokens.
@@ -342,23 +336,21 @@ def hybrid_merge_pass(
     strip padding -> split -> correspondence -> select top r_i -> merge ->
     attention over the merged tokens -> unmerge -> restore padding, with
     frame target_index of the chunk as the target; output shape equals
-    input shape. Exactly one of matches and R is given. matches makes the
-    pass flow-guided: the (targets, criteria) of the (B-1)*A source tokens
-    on the content token grid, as flow_correspondence returns them, which a
-    caller computes once for all its passes, as flows are fixed for a
-    batch. R makes it spatially weighted cosine: every source frame's scores
-    are weighted by the one cached spatial_table(h, w, R) of the content
-    grid. They are computed per source frame in blocks of serial_rows(A, C)
-    source rows, so no (B-1)*A x A array is made and no score product is
-    threaded by the BLAS; the target's and the sources' norms are computed
-    once per pass.
+    input shape. Exactly one of matches and table is given, each made once
+    by the caller for all its passes on the content token grid. matches
+    makes the pass flow-guided: the (targets, criteria) of the (B-1)*A
+    source tokens, as flow_correspondence returns them for a batch's fixed
+    flows. table makes it spatially weighted cosine: every source frame's
+    scores are weighted by the content grid's spatial_table. They are
+    computed per source frame in blocks of serial_rows(A, C) source rows, so
+    no (B-1)*A x A array is made and no score product is threaded by the
+    BLAS; the target's and the sources' norms are computed once per pass.
     """
-    if (R is None) == (matches is None):
-        raise ValueError("give exactly one of R (cosine) and matches (flow-guided)")
+    if (table is None) == (matches is None):
+        raise ValueError("give exactly one of table (cosine) and matches (flow-guided)")
 
     tokens = strip_padding(chunk)
     b = tokens.shape[0]
-    h, w = chunk.content
     src, tar, src_slots = split_src_tar(tokens, target_index)
 
     if matches is not None:
@@ -366,8 +358,7 @@ def hybrid_merge_pass(
         if len(targets) != len(src):
             raise ValueError(f"matches for {len(targets)} source tokens, the chunk has {len(src)}")
     else:
-        a = h * w
-        table = spatial_table(h, w, R)
+        a = len(tar)
         rows = serial_rows(a, src.shape[1])
         tar_norms = np.linalg.norm(tar, axis=1)
         src_norms = np.linalg.norm(src, axis=1)

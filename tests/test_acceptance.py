@@ -39,7 +39,7 @@ def test_criterion_1_merge_unmerge_algebra():
         target = int(rng.integers(0, b))
         chunk = TokenChunk(tokens=tokens, layout=(h, w), content=(h, w))
         # (a) r_i = 0 with identity attention is bit-identical
-        out0 = tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.0, R=4.0)
+        out0 = tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.0, table=tm.spatial_table(h, w, 4.0))
         assert np.array_equal(out0, chunk.tokens)
         # (b) group constancy after unmerge, (c) shape conservation
         r_i = float(rng.random())

@@ -1,9 +1,11 @@
 import functools
+import gc
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -803,18 +805,88 @@ def test_restore_refuses_an_oversized_spatial_table_before_any_flow(monkeypatch)
     (516, 512, 4, True),
 ])
 def test_default_restore_table_check_by_frame_size(monkeypatch, h, w, scale, refused):
-    # the check passes or refuses before any flow is estimated, and no table is built
+    # the table is built or refused before any flow is estimated; a grid
+    # within budget stops at the spy, so no large table is allocated, and
+    # spatial_table refuses one over budget before it allocates
     lq = FrameSequence([np.zeros((h, w, 3), np.uint8)] * 2)
+    build = pipeline.spatial_table
+
+    def spy(h, w, R):
+        if (h * w) ** 2 <= tokenmerge.TABLE_BUDGET:
+            raise AssertionError("table built")
+        return build(h, w, R)
 
     def reached(*args, **kwargs):
         raise AssertionError("flow estimated")
 
+    monkeypatch.setattr(pipeline, "spatial_table", spy)
     monkeypatch.setattr(flowmod, "estimate_flow", reached)
     cfg = RestoreConfig(latent_scale=scale)
     assert cfg.up_mode is MergeMode.COSINE_UP
     with pytest.raises(ValueError if refused else AssertionError,
-                       match="spatial table" if refused else "flow estimated"):
+                       match="spatial table" if refused else "table built"):
         next(pipeline.restore_iter(lq, cfg))
+
+
+def spy_tables(monkeypatch, check):
+    """Record each spatial_table restore builds as (grid, R, weakref to the
+    table), which keeps no table alive; check(built) runs before each build."""
+    built, build = [], pipeline.spatial_table
+
+    def spy(h, w, R):
+        check(built)
+        table = build(h, w, R)
+        built.append(((h, w), R, weakref.ref(table)))
+        return table
+
+    monkeypatch.setattr(pipeline, "spatial_table", spy)
+    return built
+
+
+def test_restore_builds_each_grid_table_once_and_frees_it(monkeypatch):
+    # 6 frames in 2 batches, an 8x8 latent: both grids' tables are built at
+    # the first next(), before any flow, and read by every batch
+    lq = small_video()
+    estimate, estimated = flowmod.estimate_flow, []
+    monkeypatch.setattr(flowmod, "estimate_flow", lambda *a: estimated.append(a) or estimate(*a))
+    built = spy_tables(monkeypatch, lambda _: estimated and pytest.fail("table built after a flow"))
+    batches = pipeline.restore_iter(lq, small_config())
+    next(batches)
+    assert [(g, R) for g, R, _ in built] == [((8, 8), 4.0), ((4, 4), 4.0)]
+    assert all(ref() is not None for _, _, ref in built)
+    list(batches)
+    assert len(built) == 2 and estimated
+    built.clear()
+    estimated.clear()
+    pipeline.restore_latents(lq, small_config(tome_R=math.inf))
+    assert [(g, R) for g, R, _ in built] == [((8, 8), math.inf), ((4, 4), math.inf)]
+    gc.collect()
+    assert all(ref() is None for _, _, ref in built)
+    # with no cosine pass to run, no table is built
+    built.clear()
+    flow_only = pipeline.CORRESPONDENCE_VARIANTS["flow_flow"]
+    for kw in (flow_only, dict(tome_until=0.0), dict(tome_r=0.0), dict(batch_size=1)):
+        pipeline.restore_latents(lq, small_config(**kw))
+    assert built == []
+
+
+def test_ablate_frees_each_variants_tables_before_the_next_builds(monkeypatch):
+    # the 8 variants with a cosine pass build 2 grids each; every table of an
+    # earlier variant is dead when a later one builds, with no gc.collect()
+    lq = small_video(n=4)
+
+    def earlier_variants_dead(built):
+        done = len(built) - len(built) % 2
+        assert all(ref() is None for _, _, ref in built[:done])
+
+    built = spy_tables(monkeypatch, earlier_variants_dead)
+    pipeline.ablate(lq, small_config())
+    with_cosine = [
+        v for group in (pipeline.CORRESPONDENCE_VARIANTS, pipeline.STAGE_VARIANTS)
+        for name, v in group.items() if name not in ("flow_flow", "off_off")
+    ]
+    assert [R for _, R, _ in built] == [v.get("tome_R", 4.0) for v in with_cosine for _ in range(2)]
+    assert [g for g, _, _ in built] == [(8, 8), (4, 4)] * 8
 
 
 def test_restore_reads_no_flows_unless_a_step_uses_them(monkeypatch):

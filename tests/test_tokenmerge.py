@@ -187,8 +187,9 @@ def test_spatial_weight_boundaries():
 
 
 def test_spatial_weight_rejects_bad_R():
-    with pytest.raises(ValueError):
-        tm.spatial_weight(np.ones((1, 1)), np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
+    for R in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="R must be > 0"):
+            tm.spatial_weight(np.ones((1, 1)), np.zeros((1, 2)), np.zeros((1, 2)), R)
 
 
 def test_spatial_table_equals_spatial_weight_bit_for_bit():
@@ -199,7 +200,7 @@ def test_spatial_table_equals_spatial_weight_bit_for_bit():
         pos = tm.grid_positions(h, w)
         ones = np.ones((h * w, h * w))
         for R in (0.5, 1.0, 3.0, 4.0, 7.3, math.inf, 1e-300, 1e300):
-            table = tm.spatial_table.__wrapped__(h, w, R)  # uncached: 8 MB at 32x32
+            table = tm.spatial_table(h, w, R)  # 8 MB at 32x32
             assert not table.flags.writeable
             assert np.array_equal(table, tm.spatial_weight(ones, pos, pos, R)), (h, w, R)
 
@@ -209,7 +210,7 @@ def test_spatial_table_builds_without_pair_temporaries():
     # temporaries peaks at about 2.5 MB
     tracemalloc.start()
     try:
-        table = tm.spatial_table.__wrapped__(16, 16, 4.0)
+        table = tm.spatial_table(16, 16, 4.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -217,8 +218,10 @@ def test_spatial_table_builds_without_pair_temporaries():
 
 
 def test_spatial_table_rejects_bad_R():
-    with pytest.raises(ValueError):
-        tm.spatial_table.__wrapped__(2, 2, 0.0)
+    # NaN fails `R <= 0` too, and would give a table of NaN
+    for R in (0.0, -1.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="R must be > 0"):
+            tm.spatial_table(2, 2, R)
 
 
 def test_spatial_table_refuses_grids_over_its_budget_before_allocating(monkeypatch):
@@ -227,17 +230,17 @@ def test_spatial_table_refuses_grids_over_its_budget_before_allocating(monkeypat
     try:
         for h, w in ((129, 128), (128, 129), (1, 16385), (256, 256), (1024, 1024)):
             with pytest.raises(ValueError, match=f"a {h}x{w} token grid has {(h * w) ** 2} values"):
-                tm.spatial_table.__wrapped__(h, w, 4.0)
+                tm.spatial_table(h, w, 4.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**16
     # the bound itself, on small grids: at most TABLE_BUDGET values
     monkeypatch.setattr(tm, "TABLE_BUDGET", 36)
-    assert tm.spatial_table.__wrapped__(2, 3, 4.0).shape == (6, 6)
+    assert tm.spatial_table(2, 3, 4.0).shape == (6, 6)
     for h, w in ((1, 7), (7, 1), (3, 3)):
         with pytest.raises(ValueError, match="TABLE_BUDGET = 36"):
-            tm.spatial_table.__wrapped__(h, w, 4.0)
+            tm.spatial_table(h, w, 4.0)
 
 
 # ---------------------------------------------------------------- correspondence
@@ -643,7 +646,7 @@ def test_restore_padding_rejects_wrong_layout():
 def test_hybrid_pass_r_zero_identity():
     rng = np.random.default_rng(16)
     chunk, target = random_chunk(rng, b=3, h=3, w=3, c=4)
-    out = tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.0, R=4.0)
+    out = tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.0, table=tm.spatial_table(3, 3, 4.0))
     assert np.array_equal(out, chunk.tokens)
 
 
@@ -651,7 +654,7 @@ def test_hybrid_pass_identical_frames_identity():
     rng = np.random.default_rng(17)
     frame = rng.standard_normal((1, 9, 4))
     chunk = TokenChunk(np.repeat(frame, 2, axis=0), (3, 3), (3, 3))
-    out = tm.hybrid_merge_pass(chunk, 0, lambda t: t, 1.0, R=4.0)
+    out = tm.hybrid_merge_pass(chunk, 0, lambda t: t, 1.0, table=tm.spatial_table(3, 3, 4.0))
     assert np.abs(out - chunk.tokens).max() <= 1e-12
 
 
@@ -664,7 +667,8 @@ def test_hybrid_pass_matches_composed_oracle():
     for shape in shapes:
         chunk, target = random_chunk(rng, **shape)
         r_i = float(rng.random())
-        out = tm.hybrid_merge_pass(chunk, target, lambda t: t, r_i, R=4.0)
+        table = tm.spatial_table(*chunk.content, 4.0)
+        out = tm.hybrid_merge_pass(chunk, target, lambda t: t, r_i, table=table)
         # compose the stages by hand
         stripped = tm.strip_padding(chunk)
         src, tar, slots = tm.split_src_tar(stripped, target)
@@ -704,10 +708,10 @@ def test_cosine_pass_memory_is_bounded():
     # 8 frames of 16x16 tokens: the 7 source frames' whole (7*256, 256) score
     # array would be 3.7 MB, and a whole-array pass made three such arrays
     chunk, target = random_chunk(np.random.default_rng(21), b=8, h=16, w=16, c=16)
-    tm.spatial_table(16, 16, 4.0)  # cached across passes, so not one pass's cost
+    table = tm.spatial_table(16, 16, 4.0)  # made once for all passes, so not one pass's cost
     tracemalloc.start()
     try:
-        tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.5, R=4.0)
+        tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.5, table=table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -730,22 +734,23 @@ def test_cosine_pass_with_precomputed_norms_is_bit_identical(monkeypatch):
         return cosine_scores(src, tar)
 
     for chunk, target in chunks:
-        want = tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.7, R=4.0)
+        table = tm.spatial_table(*chunk.content, 4.0)
+        want = tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.7, table=table)
         monkeypatch.setattr(tm, "cosine_scores", without_norms)
-        got = tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.7, R=4.0)
+        got = tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.7, table=table)
         monkeypatch.setattr(tm, "cosine_scores", cosine_scores)
         assert np.array_equal(got, want)
     assert given_norms and all(given_norms)
 
 
-def test_hybrid_pass_takes_exactly_one_of_R_and_matches():
-    # matches makes the pass flow-guided and R makes it cosine; both or
+def test_hybrid_pass_takes_exactly_one_of_table_and_matches():
+    # matches makes the pass flow-guided and table makes it cosine; both or
     # neither names no correspondence
     rng = np.random.default_rng(19)
     chunk, target = random_chunk(rng, b=3, h=4, w=4, c=4)
     matches = tm.flow_correspondence(4, 4, [np.zeros((4, 4, 2))] * 2, [np.ones((4, 4))] * 2)
-    for kwargs in ({}, dict(R=4.0, matches=matches)):
-        with pytest.raises(ValueError, match="exactly one of R"):
+    for kwargs in ({}, dict(table=tm.spatial_table(4, 4, 4.0), matches=matches)):
+        with pytest.raises(ValueError, match="exactly one of table"):
             tm.hybrid_merge_pass(chunk, target, lambda t: t, 0.5, **kwargs)
 
 
@@ -778,7 +783,7 @@ def test_hybrid_pass_padding_never_merged_with_content():
     grid[:, 3, :, :] = pad_marker
     grid[:, :, 3, :] = pad_marker
     chunk = TokenChunk(grid.reshape(2, 16, 3), (4, 4), (3, 3))
-    out = tm.hybrid_merge_pass(chunk, 0, lambda t: t, 1.0, R=4.0)
+    out = tm.hybrid_merge_pass(chunk, 0, lambda t: t, 1.0, table=tm.spatial_table(3, 3, 4.0))
     out_grid = out.reshape(2, 4, 4, 3)
     assert np.all(out_grid[:, 3, :, :] == pad_marker)
     assert np.all(out_grid[:, :, 3, :] == pad_marker)
@@ -790,4 +795,4 @@ def test_hybrid_pass_rejects_shape_changing_attention():
     rng = np.random.default_rng(22)
     chunk, target = random_chunk(rng, b=3, h=2, w=2, c=3)
     with pytest.raises(ValueError, match="shape"):
-        tm.hybrid_merge_pass(chunk, target, lambda t: t[:-1], 0.0, R=4.0)
+        tm.hybrid_merge_pass(chunk, target, lambda t: t[:-1], 0.0, table=tm.spatial_table(2, 2, 4.0))
