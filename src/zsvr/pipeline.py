@@ -33,12 +33,6 @@ from .tokenmerge import (
 )
 from .toydiff import BlockKind, ToyDenoiser
 
-# Fixed toy noise schedule; the step count is configurable, the schedule not.
-SCHED_T = 100
-BETA_START = 1e-4
-BETA_END = 0.02
-
-
 _CONFIG_KEYS = {
     "batch_size": ("batch_size", int),
     "steps": ("steps", int),
@@ -83,8 +77,8 @@ class RestoreConfig:
             raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not 1 <= self.steps <= SCHED_T:
-            raise ValueError(f"steps must be in [1, {SCHED_T}]")
+        if not 1 <= self.steps <= toydiff.T:
+            raise ValueError(f"steps must be in [1, {toydiff.T}]")
         if not 0.0 <= self.tome_r <= 1.0:
             raise ValueError("tome.r must be in [0, 1]")
         if not 0 < self.tome_delta < math.inf:
@@ -230,11 +224,12 @@ def _check_bank(bank: FlowBank, config: RestoreConfig, diff: list[str]) -> None:
         raise ValueError(f"flow bank does not match: {'; '.join(diff)}")
 
 
-def _needed_pairs(plan: BatchPlan) -> set[tuple[int, int]]:
+def _needed_pairs(plan: BatchPlan, chain: bool) -> set[tuple[int, int]]:
     """The pairs (i, j) whose flow and confidence restore reads: each batch
-    member with its keyframe (star propagation and flow-guided merging) and
-    each keyframe with the previous batch's keyframe (the chain)."""
-    pairs = {(plan.keyframe_of[b], plan.keyframe_of[b - 1]) for b in range(1, len(plan.batches))}
+    member with its keyframe (star propagation and flow-guided merging) and,
+    if chain (latent warping runs in some step), each keyframe with the
+    previous batch's keyframe."""
+    pairs = set(zip(plan.keyframe_of[1:], plan.keyframe_of)) if chain else set()
     for b, (start, end) in enumerate(plan.batches):
         kf = plan.keyframe_of[b]
         pairs.update((m, kf) for m in range(start, end) if m != kf)
@@ -242,14 +237,17 @@ def _needed_pairs(plan: BatchPlan) -> set[tuple[int, int]]:
 
 
 def precompute_flows(seq: FrameSequence, config: RestoreConfig) -> FlowBank:
-    """A FlowBank of seq that has read every pair of config's batch plan.
+    """A FlowBank of seq that has read every pair a restore under config can
+    read: each batch member with its keyframe and, only if latent warping
+    runs, each keyframe with the previous one.
 
     The reads are eager, not left to restore, so that each flow is estimated
     here: perfbench checks the estimate_flow calls made inside this function
     against len(bank.flow). Each pair's confidence estimates both directions.
     """
     bank = FlowBank(seq, config.flow_block, config.flow_search)
-    for i, j in sorted(_needed_pairs(plan_batches(len(seq), config.batch_size, config.seed))):
+    plan = plan_batches(len(seq), config.batch_size, config.seed)
+    for i, j in sorted(_needed_pairs(plan, config.hlw_until > 0)):
         bank.conf_of(i, j)
     return bank
 
@@ -337,8 +335,7 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
     # grids[0], the latent grid, is the larger one, so a refused grid allocates nothing
     tables = {g: spatial_table(*g, config.tome_R) for g in grids} if cosine_merges else {}
 
-    sched = toydiff.make_schedule(SCHED_T, BETA_START, BETA_END)
-    ts = toydiff.step_indices(sched.T, config.steps)
+    ts = toydiff.step_indices(config.steps)
     warps = any(hlw_on)
     own_bank = bank is None and (warps or flow_merges)
     if own_bank:
@@ -359,7 +356,7 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
 
         x0s = np.stack([encode_latent(float_frame(seq.frames[f]), scale) for f in frames])
         eps0 = np.stack([frame_noise(config.seed, f, (*latent, 3)) for f in frames])
-        x = toydiff.forward_diffuse(x0s, ts[0], eps0, sched)
+        x = toydiff.forward_diffuse(x0s, ts[0], eps0)
 
         # Every bank read of the batch: member flows resampled once per grid
         # that reads them, star masks, the chain's flow and mask, merge
@@ -390,14 +387,14 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
             hook = None
             if members and ratios[pos] > 0.0:
                 hook = functools.partial(_merge_attention, config, matches, tables, ratios[pos], kf_off)
-            x0, eps = toydiff.denoise_step(x, t, denoiser, sched, hook)
+            x0, eps = toydiff.denoise_step(x, t, denoiser, hook)
             if hlw_on[pos]:
                 if chain is not None:
                     x0[kf_off] = latentwarp.blend_warped(x0[kf_off], next(prev_x0s), *chain)
                 kf_x0s.append(x0[kf_off].copy())
                 for off, f, m in star:
                     x0[off] = latentwarp.blend_warped(x0[off], x0[kf_off], f, m)
-            x = x0 if t_prev is None else toydiff.forward_diffuse(x0, t_prev, eps, sched)
+            x = x0 if t_prev is None else toydiff.forward_diffuse(x0, t_prev, eps)
         del flows, matches, star, chain, hook  # generator locals outlive the yield
         yield x
         prev_kf, prev_x0s = kf, iter(kf_x0s)
@@ -496,7 +493,9 @@ def ablate(seq: FrameSequence, config: RestoreConfig) -> dict:
 
     No variant overrides batch_size, seed, flow.block or flow.search, so one
     FlowBank, precomputed for config before the first variant, serves every
-    restore. Each restored variant is scored under flows estimated afresh
+    restore. With config.hlw_until = 0 it holds no keyframe-chain pair, and
+    the first stage variant that warps estimates those pairs into it as it
+    reads them. Each restored variant is scored under flows estimated afresh
     from seq, as perfbench's expected call counts assume.
     """
     config.validate()

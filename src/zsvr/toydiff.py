@@ -17,8 +17,10 @@ merging attaches to:
     independently, so batched sampling is bit-identical to per-frame
     sampling.
 
-The DDIM algebra lives here: forward_diffuse noises a clean latent to step
-t, and predict_x0 inverts it given the noise. denoise_step returns the
+The DDIM algebra lives here, over one fixed noise schedule: T = 100 steps
+of linear betas from 1e-4 to 0.02, whose cumulative alpha products are the
+read-only ABARS. forward_diffuse noises a clean latent to step t, and
+predict_x0 inverts it given the noise. denoise_step returns the
 predicted clean latents and noise (x0, eps) of a batch; the caller may edit x0
 (latent warping does) before the DDIM step to t_prev, which with eta=0 is
 forward_diffuse(x0, t_prev, eps). Sampling is fully deterministic given seeds
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,32 +43,17 @@ class BlockKind(enum.Enum):
     UP = "up"
 
 
-@dataclass
-class NoiseSchedule:
-    """Linear-beta schedule with cumulative alpha products."""
-
-    T: int
-    abars: np.ndarray
+# The fixed toy noise schedule: the step count is configurable, the schedule not.
+T = 100
+ABARS = np.cumprod(1.0 - np.linspace(1e-4, 0.02, T))
+ABARS.flags.writeable = False
 
 
-def make_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if not 0.0 < beta_start <= beta_end < 1.0:
-        raise ValueError(
-            f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}"
-        )
-    abars = np.cumprod(1.0 - np.linspace(beta_start, beta_end, T))
-    return NoiseSchedule(T=T, abars=abars)
-
-
-def forward_diffuse(
-    x0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule
-) -> np.ndarray:
+def forward_diffuse(x0: np.ndarray, t: int, eps: np.ndarray) -> np.ndarray:
     """x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps."""
-    if not 0 <= t < sched.T:
-        raise IndexError(f"t={t} out of range [0, {sched.T})")
-    abar = sched.abars[t]
+    if not 0 <= t < T:
+        raise IndexError(f"t={t} out of range [0, {T})")
+    abar = ABARS[t]
     return math.sqrt(abar) * x0 + math.sqrt(1.0 - abar) * eps
 
 
@@ -236,19 +222,18 @@ def denoise_step(
     x_t: np.ndarray,
     t: int,
     denoiser: ToyDenoiser,
-    sched: NoiseSchedule,
     attention_hook: Callable | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predict (x0_hat, eps_hat) for a batch of latents at step t.
 
     The deterministic DDIM step to t_prev is forward_diffuse(x0_hat, t_prev,
-    eps_hat, sched); after the last step x0_hat is the sample.
+    eps_hat); after the last step x0_hat is the sample.
     """
     eps_hat = denoiser(x_t, attention_hook)
-    return predict_x0(x_t, eps_hat, sched.abars[t]), eps_hat
+    return predict_x0(x_t, eps_hat, ABARS[t]), eps_hat
 
 
-def step_indices(T: int, steps: int) -> list[int]:
+def step_indices(steps: int) -> list[int]:
     """Strided descending subset of [0, T) with `steps` distinct entries."""
     if not 1 <= steps <= T:
         raise ValueError(f"steps must be in [1, {T}], got {steps}")

@@ -1,7 +1,7 @@
 """Independent reference paths for the tests.
 
 The hook-free sampler and per-frame baseline are the mechanism-off oracles
-that `restore` with both window lists empty must equal bit for bit.
+that `restore` with hlw_until = tome_until = 0 must equal bit for bit.
 split_blends reads restore's latent-warping calls back by batch and step.
 estimate_flow_exact is block matching on 8-bit frames with exact integer
 costs. attend_blocks is attention one row block per call, and
@@ -19,13 +19,13 @@ from zsvr.tokenmerge import INVALID, serial_rows
 from zsvr.toydiff import ToyDenoiser
 
 
-def sample(x_T, denoiser, sched, steps):
+def sample(x_T, denoiser, steps):
     """Hookless DDIM over a strided step subset; returns the x0 batch."""
-    ts = toydiff.step_indices(sched.T, steps)
+    ts = toydiff.step_indices(steps)
     x = x_T
     for t, t_prev in zip(ts, ts[1:] + [None]):
-        x0, eps = toydiff.denoise_step(x, t, denoiser, sched)
-        x = x0 if t_prev is None else toydiff.forward_diffuse(x0, t_prev, eps, sched)
+        x0, eps = toydiff.denoise_step(x, t, denoiser)
+        x = x0 if t_prev is None else toydiff.forward_diffuse(x0, t_prev, eps)
     return x
 
 
@@ -35,15 +35,14 @@ def per_frame_baseline(seq, config):
     h, w, _ = seq.shape
     scale = config.latent_scale
     hl, wl = h // scale, w // scale
-    sched = toydiff.make_schedule(pipeline.SCHED_T, pipeline.BETA_START, pipeline.BETA_END)
     denoiser = ToyDenoiser(config.seed)
     out = []
     for f, frame in enumerate(seq.frames):
         x0 = pipeline.encode_latent(float_frame(frame), scale)[None]
         eps = pipeline.frame_noise(config.seed, f, (hl, wl, 3))[None]
-        ts = toydiff.step_indices(sched.T, config.steps)
-        x = toydiff.forward_diffuse(x0, ts[0], eps, sched)
-        x = sample(x, denoiser, sched, config.steps)
+        ts = toydiff.step_indices(config.steps)
+        x = toydiff.forward_diffuse(x0, ts[0], eps)
+        x = sample(x, denoiser, config.steps)
         out.append(pipeline.decode_latent(x[0], h, w))
     return FrameSequence(out)
 

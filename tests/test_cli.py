@@ -526,7 +526,7 @@ def test_demo_estimates_each_flow_once(tmp_path, monkeypatch):
         mp.setattr(pipeline.flowmod, "estimate_flow", counted)
         assert main(args + [str(tmp_path / "shared")]) == 0
     plan = pipeline.plan_batches(6, demo_config(0).batch_size, 0)
-    read = pipeline._needed_pairs(plan) | {(t, t - d) for t in range(6) for d in (1, 2) if t >= d}
+    read = pipeline._needed_pairs(plan, True) | {(t, t - d) for t in range(6) for d in (1, 2) if t >= d}
     assert len(inputs) == len(set(inputs)) == len(read | {(j, i) for i, j in read}) == 24
 
     report_for = cli._report_for

@@ -229,8 +229,10 @@ def test_needed_pairs_are_keyframe_members_and_chain():
     assert plan.keyframe_of == [2, 4]
     members = {(0, 2), (1, 2), (3, 4), (5, 4)}
     chain = {(4, 2)}
-    pairs = pipeline._needed_pairs(plan)
+    pairs = pipeline._needed_pairs(plan, True)
     assert pairs == members | chain
+    # without latent warping no step reads the chain
+    assert pipeline._needed_pairs(plan, False) == members
     # adjacent frames that are neither keyframes nor chained are not read
     assert (0, 1) not in pairs and (1, 0) not in pairs
 
@@ -247,7 +249,7 @@ def test_precompute_flows_confidence_only_for_read_pairs(monkeypatch):
 
     monkeypatch.setattr(pipeline.flowmod, "fb_confidence", counted)
     bank = pipeline.precompute_flows(seq, small_config())
-    read = pipeline._needed_pairs(plan)
+    read = pipeline._needed_pairs(plan, True)
     assert len(calls) == len(read) == 5
     assert bank.conf.keys() == read
     # both directions are still estimated, and each confidence pairs them
@@ -437,7 +439,7 @@ def test_restore_frees_each_finished_batch(monkeypatch):
             assert _batch_pairs(plan, later) <= bank.flow.keys()
     assert not bank.flow and not bank.conf
     # each flow estimated once, in precompute_flows; the output is a caller bank's
-    needed = pipeline._needed_pairs(plan)
+    needed = pipeline._needed_pairs(plan, True)
     assert len(estimated) == len(needed | {(j, i) for i, j in needed})
     monkeypatch.undo()
     caller = pipeline.precompute_flows(lq, cfg)
@@ -484,7 +486,7 @@ def test_restore_accepts_bank_of_another_plan():
     for kw in (dict(batch_size=2), dict(seed=1)):
         bank = pipeline.precompute_flows(lq, small_config())
         cfg = small_config(**kw)
-        read = pipeline._needed_pairs(plan_batches(len(lq), cfg.batch_size, cfg.seed))
+        read = pipeline._needed_pairs(plan_batches(len(lq), cfg.batch_size, cfg.seed), True)
         assert not read <= bank.conf.keys()
         out = pipeline.restore_latents(lq, cfg, bank=bank)
         assert read <= bank.conf.keys()
@@ -497,7 +499,7 @@ def test_restore_rejects_bank_of_a_longer_video(monkeypatch):
     lq = small_video()
     bank = pipeline.precompute_flows(lq, small_config())
     head = FrameSequence(lq.frames[:5])
-    assert pipeline._needed_pairs(plan_batches(5, 3, 0)) <= bank.conf.keys()
+    assert pipeline._needed_pairs(plan_batches(5, 3, 0), True) <= bank.conf.keys()
     _rejects(monkeypatch, head, small_config(), bank, "other frames in the bank$")
 
 
@@ -899,6 +901,28 @@ def test_restore_reads_no_flows_unless_a_step_uses_them(monkeypatch):
     ]
     with_bank = [pipeline.restore(lq, c, pipeline.precompute_flows(lq, c)) for c in configs]
 
+    # flow-guided merging without latent warping: its own bank estimates the
+    # member pairs' flows, each direction once, and no keyframe-chain flow
+    cfg = small_config(hlw_until=0.0)
+    assert plan_batches(len(lq), cfg.batch_size, cfg.seed).keyframe_of == [2, 4]
+    members = {(0, 2), (1, 2), (3, 4), (5, 4)}
+    chained = pipeline.precompute_flows(lq, small_config())
+    assert (4, 2) in chained.conf
+    index = {mediaio.code_frame(f).tobytes(): k for k, f in enumerate(lq.frames)}
+    assert len(index) == len(lq)
+    estimate, estimated = flowmod.estimate_flow, []
+
+    def spy(src, dst, block, search):
+        estimated.append((index[src.tobytes()], index[dst.tobytes()]))
+        return estimate(src, dst, block, search)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(flowmod, "estimate_flow", spy)
+        out = pipeline.restore(lq, cfg)
+    assert sorted(estimated) == sorted(members | {(j, i) for i, j in members})
+    expected = pipeline.restore(lq, cfg, chained)
+    assert all(np.array_equal(a, b) for a, b in zip(out.frames, expected.frames))
+
     def refuse(*args, **kwargs):
         raise AssertionError("flows estimated for a restore that reads none")
 
@@ -1126,7 +1150,7 @@ def test_temporal_consistency_reads_a_bank(monkeypatch):
     bank = pipeline.precompute_flows(lq, cfg)
     want = pipeline.temporal_consistency(out, cfg, flow_source=lq)
     assert pipeline.temporal_consistency(out, cfg, flow_source=bank) == want
-    needed = pipeline._needed_pairs(plan_batches(5, 3, 0))
+    needed = pipeline._needed_pairs(plan_batches(5, 3, 0), True)
     near = {(i, j) for i in range(5) for j in range(5) if 0 < abs(i - j) <= 2}
     assert bank.flow.keys() == needed | {(j, i) for i, j in needed} | near
     monkeypatch.setattr(pipeline.flowmod, "estimate_flow", _no_compute)

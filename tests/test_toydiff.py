@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zsvr import toydiff
+from zsvr.pipeline import RestoreConfig
 from zsvr.tokenmerge import serial_rows
 from zsvr.toydiff import (
     BlockKind,
     ToyDenoiser,
     denoise_step,
     forward_diffuse,
-    make_schedule,
     predict_x0,
     step_indices,
 )
@@ -22,50 +22,40 @@ from zsvr.toydiff import (
 from reference import attend_blocks, sample
 
 
-def test_make_schedule_single_step():
-    s = make_schedule(1, 0.1, 0.1)
-    assert np.allclose(s.abars, [0.9])
-
-
-def test_make_schedule_two_steps():
-    s = make_schedule(2, 0.1, 0.1)
-    assert np.allclose(s.abars, [0.9, 0.81])
-
-
-def test_make_schedule_abars_strictly_decreasing():
-    s = make_schedule(1000, 1e-4, 0.02)
-    assert np.all(np.diff(s.abars) < 0)
-    assert s.abars[0] > 0.99
-
-
-def test_make_schedule_validation():
-    with pytest.raises(ValueError):
-        make_schedule(0, 0.1, 0.2)
-    with pytest.raises(ValueError):
-        make_schedule(10, 0.2, 0.1)
-    with pytest.raises(ValueError):
-        make_schedule(10, 0.0, 0.1)
+def test_abars_is_the_fixed_read_only_schedule():
+    abars = toydiff.ABARS
+    want = np.cumprod(1.0 - np.linspace(1e-4, 0.02, 100))
+    assert toydiff.T == 100 and abars.shape == (toydiff.T,)
+    assert abars.dtype == want.dtype and abars.tobytes() == want.tobytes()
+    assert not abars.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        abars[0] = 0.5
+    assert np.all(np.diff(abars) < 0)
+    assert 0.0 < abars[-1] and abars[0] < 1.0
+    RestoreConfig(steps=toydiff.T).validate()
+    with pytest.raises(ValueError, match=f"steps must be in \\[1, {toydiff.T}\\]"):
+        RestoreConfig(steps=toydiff.T + 1).validate()
 
 
 def test_forward_diffuse_limits():
     rng = np.random.default_rng(0)
-    x0 = rng.standard_normal((1, 4, 4, 3))
     eps = rng.standard_normal((1, 4, 4, 3))
-    s = make_schedule(100, 1e-8, 1e-8)
-    assert np.abs(forward_diffuse(x0, 0, eps, s) - x0).max() < 1e-3
-    s2 = make_schedule(100, 1e-4, 0.02)
-    got = forward_diffuse(np.zeros_like(x0), 50, eps, s2)
-    assert np.allclose(got, math.sqrt(1 - s2.abars[50]) * eps)
+    # t = 0 is one step of beta 1e-4, so abar_0 = 1 - 1e-4 exactly
+    one, zero = np.ones(1), np.zeros(1)
+    assert forward_diffuse(one, 0, zero)[0] == math.sqrt(1.0 - 1e-4)
+    assert forward_diffuse(zero, 0, one)[0] == math.sqrt(1.0 - (1.0 - 1e-4))
+    got = forward_diffuse(np.zeros_like(eps), 50, eps)
+    assert np.allclose(got, math.sqrt(1 - toydiff.ABARS[50]) * eps)
 
 
 def test_forward_diffuse_matches_scalar_oracle():
     rng = np.random.default_rng(1)
     x0 = rng.standard_normal((1, 3, 3, 2))
     eps = rng.standard_normal((1, 3, 3, 2))
-    s = make_schedule(10, 0.01, 0.05)
+    abars = toydiff.ABARS
     t = 4
-    got = forward_diffuse(x0, t, eps, s)
-    want = math.sqrt(s.abars[t]) * x0 + math.sqrt(1 - s.abars[t]) * eps
+    got = forward_diffuse(x0, t, eps)
+    want = math.sqrt(abars[t]) * x0 + math.sqrt(1 - abars[t]) * eps
     assert np.abs(got - want).max() <= 1e-12
 
 
@@ -300,48 +290,46 @@ def test_one_denoiser_serves_two_threads():
 
 def test_denoise_step_single_step_returns_x0():
     rng = np.random.default_rng(6)
-    s = make_schedule(4, 0.05, 0.1)
     x = rng.standard_normal((1, 4, 4, 3))
     d = ToyDenoiser(seed=0)
-    x0, eps = denoise_step(x, 3, d, s)
+    x0, eps = denoise_step(x, 3, d)
     eps_hat = d(x)
     assert np.array_equal(eps, eps_hat)
-    assert np.array_equal(x0, predict_x0(x, eps_hat, s.abars[3]))
+    assert np.array_equal(x0, predict_x0(x, eps_hat, toydiff.ABARS[3]))
 
 
 def test_sample_two_step_hand_unrolled():
     rng = np.random.default_rng(9)
-    s = make_schedule(10, 0.01, 0.05)
+    abars = toydiff.ABARS
     x = rng.standard_normal((1, 4, 4, 3))
     d = ToyDenoiser(seed=3)
-    got = sample(x, d, s, 2)
+    got = sample(x, d, 2)
 
-    ts = step_indices(10, 2)
+    ts = step_indices(2)
     eps1 = d(x)
-    x0_1 = predict_x0(x, eps1, s.abars[ts[0]])
-    x1 = math.sqrt(s.abars[ts[1]]) * x0_1 + math.sqrt(1 - s.abars[ts[1]]) * eps1
+    x0_1 = predict_x0(x, eps1, abars[ts[0]])
+    x1 = math.sqrt(abars[ts[1]]) * x0_1 + math.sqrt(1 - abars[ts[1]]) * eps1
     eps2 = d(x1)
-    want = predict_x0(x1, eps2, s.abars[ts[1]])
+    want = predict_x0(x1, eps2, abars[ts[1]])
     assert np.array_equal(got, want)
 
 
 def test_step_indices_properties():
-    for T, steps in [(100, 10), (100, 100), (50, 1), (10, 7)]:
-        ts = step_indices(T, steps)
+    for steps in (10, 100, 1, 7, 2):
+        ts = step_indices(steps)
         assert len(ts) == steps
-        assert ts[0] == T - 1
+        assert ts[0] == toydiff.T - 1
         if steps > 1:
             assert ts[-1] == 0
         assert all(a > b for a, b in zip(ts, ts[1:]))
     with pytest.raises(ValueError):
-        step_indices(10, 0)
+        step_indices(0)
     with pytest.raises(ValueError):
-        step_indices(10, 11)
+        step_indices(toydiff.T + 1)
 
 
 def test_sample_deterministic():
     rng = np.random.default_rng(10)
-    s = make_schedule(30, 0.01, 0.05)
     x = rng.standard_normal((2, 4, 4, 3))
     d = ToyDenoiser(seed=0)
-    assert np.array_equal(sample(x, d, s, 6), sample(x, d, s, 6))
+    assert np.array_equal(sample(x, d, 6), sample(x, d, 6))
