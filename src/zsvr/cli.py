@@ -92,11 +92,10 @@ def _write_atomic(out_dir: str, outputs: tuple[str, ...], write) -> None:
         raise
 
 
-def _load_config(args) -> pipeline.RestoreConfig:
-    cfg = pipeline.load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+def _read_config(args) -> pipeline.RestoreConfig:
+    with open(args.config) as fh:
+        cfg = pipeline.parse_config(fh.read())
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def cmd_flow(args) -> int:
@@ -123,11 +122,8 @@ def cmd_restore(args) -> int:
                          "refusing to replace its frames")
     _check_replaceable(args.out_dir, RESTORE_OUTPUTS)
     seq = mediaio.read_frames(args.in_dir)
-    cfg = _load_config(args)
-    if args.no_hlw:
-        cfg.hlw_until = 0.0
-    if args.no_tome:
-        cfg.tome_until = 0.0
+    flags = {"hlw_until": args.no_hlw, "tome_until": args.no_tome}
+    cfg = replace(_read_config(args), **{key: 0.0 for key, off in flags.items() if off})
     h, w, _ = seq.shape
 
     def write(tmp):  # each batch's frames and latents as restore_iter yields it
@@ -174,7 +170,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_ablate(args) -> int:
     seq = mediaio.read_frames(args.in_dir)
-    cfg = _load_config(args)
+    cfg = _read_config(args)
     table = pipeline.ablate(seq, cfg)
     table["metadata"] = {"in": args.in_dir, "seed": cfg.seed, "steps": cfg.steps}
     _atomic_write_json(table, args.out_file)

@@ -50,7 +50,7 @@ _CONFIG_KEYS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RestoreConfig:
     batch_size: int = 8
     steps: int = 50
@@ -72,7 +72,7 @@ class RestoreConfig:
     hlw_until: float = 0.2
     tome_until: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
@@ -91,6 +91,8 @@ class RestoreConfig:
             raise ValueError("bad flow.block / flow.search")
         if not 0.0 < self.flow_tau_occ <= 1.0:
             raise ValueError("flow.tau_occ must be in (0, 1]")
+        if self.tome_i_beg is not None and self.tome_i_beg < 0:
+            raise ValueError("tome.i_beg must be >= 0")
         beg, end = self.anneal_range()
         if beg >= end:
             default = " (default: 60% of steps, below steps)" if self.tome_i_beg is None else ""
@@ -137,14 +139,7 @@ def parse_config(text: str) -> RestoreConfig:
             values[attr] = conv(val)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key}: {val!r}") from exc
-    cfg = RestoreConfig(**values)
-    cfg.validate()
-    return cfg
-
-
-def load_config(path: str) -> RestoreConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    return RestoreConfig(**values)
 
 
 @dataclass
@@ -276,7 +271,6 @@ def frame_noise(seed: int, frame_index: int, shape: tuple[int, ...]) -> np.ndarr
 
 def step_plan(config: RestoreConfig) -> tuple[list[bool], list[float]]:
     """Per denoising step: does latent warping run, and at which merge ratio (0: none)."""
-    config.validate()
     beg, end = config.anneal_range()
     fracs = [pos / config.steps for pos in range(config.steps)]
     hlw_on = [f < config.hlw_until for f in fracs]
@@ -314,12 +308,12 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
     every pair. Without one, precompute_flows builds the bank when a step
     reads flows, and each batch drops its pairs from it once it has read
     them, before its first denoising step, as no later step or batch reads
-    them. Being a generator, it checks config, frame size and bank at the
-    first next(), and then, when a cosine merge pass will run, builds each
+    them. Being a generator, it checks frame size and bank at the first
+    next(), and then, when a cosine merge pass will run, builds each
     content grid's spatial table, kept until the restore ends, before any
     flow is estimated.
     """
-    hlw_on, ratios = step_plan(config)  # validates config first
+    hlw_on, ratios = step_plan(config)
     h, w, _ = seq.shape
     scale = config.latent_scale
     if h % scale or w % scale:
@@ -498,7 +492,6 @@ def ablate(seq: FrameSequence, config: RestoreConfig) -> dict:
     reads them. Each restored variant is scored under flows estimated afresh
     from seq, as perfbench's expected call counts assume.
     """
-    config.validate()
     bank = precompute_flows(seq, config)
     table: dict = {}
     for group, entries in (("correspondence", CORRESPONDENCE_VARIANTS), ("stages", STAGE_VARIANTS)):

@@ -71,9 +71,9 @@ class TokenChunk:
 def anneal_ratio(i: int, r: float, delta: float, i_beg: int, i_end: int) -> float:
     """Merge ratio at denoising step i: r * cos(pi/2 * clamped ramp).
 
-    The ramp is delta * (i - i_beg) / (i_end - i_beg); RestoreConfig.validate
-    checks the arguments. Exactly 0 once the ramp reaches 1, where the cosine
-    would leave ~1e-17.
+    The ramp is delta * (i - i_beg) / (i_end - i_beg); RestoreConfig checks
+    the arguments when it is made. Exactly 0 once the ramp reaches 1, where
+    the cosine would leave ~1e-17.
     """
     ramp = delta * (i - i_beg) / (i_end - i_beg)
     ramp = min(max(ramp, 0.0), 1.0)
@@ -154,12 +154,14 @@ def spatial_table(h: int, w: int, R: float) -> np.ndarray:
     scored against the target at cell j; every source frame shares the table.
     It is built in place from the (w, w) and (h, h) squared offsets, with no
     (A, A, 2) temporary; the squared distances are small integers, so it
-    equals spatial_weight(np.ones((A, A)), pos, pos, R) bit for bit. A grid
-    whose table would exceed TABLE_BUDGET values is refused before anything
-    is allocated.
+    equals spatial_weight(np.ones((A, A)), pos, pos, R) bit for bit. At
+    R = inf, any grid's table is one 1.0 broadcast to (A, A); any other
+    table over TABLE_BUDGET values is refused before anything is allocated.
     """
     if not R > 0:
         raise ValueError(f"R must be > 0, got {R}")
+    if R == math.inf:
+        return np.broadcast_to(1.0, (h * w, h * w))
     if (h * w) ** 2 > TABLE_BUDGET:
         raise ValueError(
             f"the spatial table of a {h}x{w} token grid has {(h * w) ** 2} values, over "

@@ -31,7 +31,6 @@ def sample(x_T, denoiser, steps):
 
 def per_frame_baseline(seq, config):
     """Independent per-frame sampling with no hooks; the mechanism-off reference."""
-    config.validate()
     h, w, _ = seq.shape
     scale = config.latent_scale
     hl, wl = h // scale, w // scale

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -87,6 +87,39 @@ def test_parse_config_rejects_negative_seed():
     assert parse_config("seed = 0").seed == 0
 
 
+def test_parse_config_rejects_negative_tome_i_beg():
+    # a ramp from before step 0 would start below tome.r, and one ending
+    # before it would turn merging off in every step
+    for text in ("tome.i_beg = -1", "tome.i_beg = -3", "tome.i_beg = -100\ntome.i_end = -50"):
+        with pytest.raises(ValueError, match="tome.i_beg must be >= 0"):
+            parse_config(text)
+    cfg = parse_config("steps = 10\ntome.i_beg = 0")
+    assert cfg.anneal_range() == (0, 10)
+    assert pipeline.step_plan(cfg)[1][0] == cfg.tome_r
+
+
+def test_restore_config_is_checked_when_made_and_frozen(monkeypatch):
+    # a config is checked when it is made, so a bad one never reaches restore
+    cfg = RestoreConfig()
+    for key, value in (("seed", 3), ("hlw_until", 0.0), ("steps", 0)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, key, value)
+    # replace makes a new config and checks it again
+    with pytest.raises(ValueError, match="steps must be in"):
+        replace(cfg, steps=0)
+    assert replace(cfg, seed=3).seed == 3 and cfg.seed == 0
+    # every config the benchmark builds can be made: each workload's own,
+    # its two-step warm-up and the configs of its job
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import workloads
+
+    for wl in workloads.WORKLOADS.values():
+        cfg = wl.config()
+        replace(cfg, steps=2)
+        assert workloads.job_configs(wl, cfg)
+
+
 def test_parse_config_unknown_key():
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config("no_such_key = 3")
@@ -127,14 +160,12 @@ def test_config_validation_rejects_bad_values():
         dict(steps=10, tome_i_end=5),
     ):
         with pytest.raises(ValueError):
-            RestoreConfig(**kw).validate()
-        with pytest.raises(ValueError):
-            pipeline.step_plan(RestoreConfig(**kw))
+            RestoreConfig(**kw)
     # the anneal-range error gives both values, and says when i_beg is the default
     with pytest.raises(ValueError, match=r"tome.i_beg 6 \(default: .*\) must be < tome.i_end 5$"):
-        RestoreConfig(steps=10, tome_i_end=5).validate()
+        RestoreConfig(steps=10, tome_i_end=5)
     with pytest.raises(ValueError, match=r"tome.i_beg 5 must be < tome.i_end 5$"):
-        RestoreConfig(tome_i_beg=5, tome_i_end=5).validate()
+        RestoreConfig(tome_i_beg=5, tome_i_end=5)
 
 
 def test_parse_config_rejects_nan_and_keeps_inf_R():
@@ -148,11 +179,11 @@ def test_config_validation_rejects_bad_windows():
     for key in ("hlw_until", "tome_until"):
         for bad in (-0.1, -1e-300, 1.0 + 2**-52, math.nan, math.inf):
             with pytest.raises(ValueError, match=rf"{key} must be in \[0, 1\]"):
-                RestoreConfig(**{key: bad}).validate()
+                RestoreConfig(**{key: bad})
         for good in (0.0, 0.5, 1.0):
-            RestoreConfig(**{key: good}).validate()
+            RestoreConfig(**{key: good})
     for overrides in pipeline.STAGE_VARIANTS.values():
-        RestoreConfig(**overrides).validate()
+        RestoreConfig(**overrides)
 
 
 def test_anneal_range_defaults():
@@ -606,20 +637,13 @@ def test_restore_deterministic():
         assert np.array_equal(fa, fb)
 
 
-def test_restore_validates_config_before_compute():
-    lq = small_video()
-    with pytest.raises(ValueError):
-        pipeline.restore(lq, small_config(steps=0))
-
-
 def test_restore_iter_checks_at_first_next(monkeypatch):
-    # a generator: config, frame size and bank are checked at the first
-    # next(), before any flow is estimated or any step denoised
+    # a generator: frame size and bank are checked at the first next(),
+    # before any flow is estimated or any step denoised
     lq = small_video()
     monkeypatch.setattr(pipeline.flowmod, "estimate_flow", _no_compute)
     monkeypatch.setattr(pipeline.toydiff, "denoise_step", _no_compute)
     for cfg, bank, match in (
-        (small_config(steps=0), None, "steps must be in"),
         (small_config(latent_scale=3), None, "not divisible by latent_scale 3"),
         (small_config(), pipeline.FlowBank(small_video(seed=1), 7, 4), "other frames in the bank$"),
     ):
@@ -788,13 +812,17 @@ def test_restore_refuses_an_oversized_spatial_table_before_any_flow(monkeypatch)
     monkeypatch.setattr(flowmod, "estimate_flow", refuse)
     cfg = RestoreConfig(steps=1, batch_size=2, latent_scale=1)
     assert (129 * 128) ** 2 > tokenmerge.TABLE_BUDGET >= (128 * 128) ** 2
-    for variant in ("flow_cos_spatial", "cos_flow", "cos_cos"):
-        overrides = pipeline.CORRESPONDENCE_VARIANTS[variant]
+    # any finite R builds a table, however flat
+    for kw in (pipeline.CORRESPONDENCE_VARIANTS["flow_cos_spatial"], dict(tome_R=1e300)):
         with pytest.raises(ValueError, match="spatial table of a 129x128 token grid"):
-            next(pipeline.restore_iter(lq, replace(cfg, **overrides)))
-    # with no cosine pass to run, the restore goes on to estimate its flows
-    flow_only = pipeline.CORRESPONDENCE_VARIANTS["flow_flow"]
-    for kw in (flow_only, dict(tome_until=0.0), dict(tome_r=0.0), dict(batch_size=1)):
+            next(pipeline.restore_iter(lq, replace(cfg, **kw)))
+    # with no cosine pass to run, or cosine passes at R = inf, whose table is
+    # one broadcast value, the restore goes on to estimate its flows
+    variants = pipeline.CORRESPONDENCE_VARIANTS
+    for kw in (
+        *(variants[v] for v in ("flow_flow", "cos_flow", "cos_cos")),
+        dict(tome_until=0.0), dict(tome_r=0.0), dict(batch_size=1),
+    ):
         with pytest.raises(AssertionError, match="flow estimated"):
             next(pipeline.restore_iter(lq, replace(cfg, **kw)))
 

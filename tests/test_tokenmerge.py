@@ -203,6 +203,8 @@ def test_spatial_table_equals_spatial_weight_bit_for_bit():
             table = tm.spatial_table(h, w, R)  # 8 MB at 32x32
             assert not table.flags.writeable
             assert np.array_equal(table, tm.spatial_weight(ones, pos, pos, R)), (h, w, R)
+            # at R = inf every weight is 1: one value, broadcast
+            assert (table.strides == (0, 0)) == (R == math.inf)
 
 
 def test_spatial_table_builds_without_pair_temporaries():
@@ -231,6 +233,8 @@ def test_spatial_table_refuses_grids_over_its_budget_before_allocating(monkeypat
         for h, w in ((129, 128), (128, 129), (1, 16385), (256, 256), (1024, 1024)):
             with pytest.raises(ValueError, match=f"a {h}x{w} token grid has {(h * w) ** 2} values"):
                 tm.spatial_table(h, w, 4.0)
+            # R = inf needs no table of its own, at any size
+            assert tm.spatial_table(h, w, math.inf).shape == (h * w, h * w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -32,9 +32,9 @@ def test_abars_is_the_fixed_read_only_schedule():
         abars[0] = 0.5
     assert np.all(np.diff(abars) < 0)
     assert 0.0 < abars[-1] and abars[0] < 1.0
-    RestoreConfig(steps=toydiff.T).validate()
+    RestoreConfig(steps=toydiff.T)
     with pytest.raises(ValueError, match=f"steps must be in \\[1, {toydiff.T}\\]"):
-        RestoreConfig(steps=toydiff.T + 1).validate()
+        RestoreConfig(steps=toydiff.T + 1)
 
 
 def test_forward_diffuse_limits():
