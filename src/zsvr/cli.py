@@ -100,15 +100,14 @@ def _read_config(args) -> pipeline.RestoreConfig:
 
 def cmd_flow(args) -> int:
     _check_replaceable(args.out_dir, FLOW_OUTPUTS)
-    bank = pipeline.FlowBank(mediaio.read_frames(args.in_dir), args.block, args.search)
+    seq = mediaio.read_frames(args.in_dir)
 
-    def write(tmp):
-        digits = mediaio.index_digits(len(bank.seq) - 1)
-        for t in range(len(bank.seq) - 1):
-            index = f"{t:0{digits}d}"
+    def write(tmp):  # each pair from a bank of its own
+        digits = mediaio.index_digits(len(seq) - 1)
+        for t in range(len(seq) - 1):
+            bank, index = pipeline.FlowBank(seq, args.block, args.search), f"{t:0{digits}d}"
             mediaio.write_flo(bank.flow_of(t + 1, t), os.path.join(tmp, f"flow_{index}.flo"))
             mediaio.write_raw_tensor(bank.conf_of(t + 1, t), os.path.join(tmp, f"conf_{index}.rtf"))
-            bank.drop(t + 1, t)
 
     _write_atomic(args.out_dir, FLOW_OUTPUTS, write)
     return 0

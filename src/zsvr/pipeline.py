@@ -1,9 +1,10 @@
 """End-to-end restoration: batching, flow precomputation, stage scheduling.
 
 restore_iter() makes a restore's constants once (which mechanisms run in
-each step, the flow bank, the sampler), then takes one batch at a time through
-the toy DDIM sampler and yields its latents; restore_latents() concatenates
-them and restore() decodes each batch as it comes.
+each step, the sampler), then takes one batch at a time, with a flow bank of
+that batch's pairs, through the toy DDIM sampler and yields its latents;
+restore_latents() concatenates them and restore() decodes each batch as it
+comes.
 Hierarchical latent warping runs in the leading step fraction hlw_until, on
 the predicted clean latents between the denoiser's prediction and the DDIM
 update: the batch keyframe is chained from the previous batch's keyframe (its
@@ -166,7 +167,7 @@ def plan_batches(n: int, batch_size: int, seed: int) -> BatchPlan:
 @dataclass
 class FlowBank:
     """Block-matching flows and confidences between frames of seq, each
-    estimated the first time it is read and kept until dropped.
+    estimated the first time it is read and kept while the bank lives.
 
     flow_of(i, j) = estimate_flow(frame_i, frame_j) at LQ resolution: sampled
     at frame i's positions, pointing at the corresponding position in frame
@@ -176,13 +177,11 @@ class FlowBank:
     of float frames reads the flows of the 8-bit frames write_frames would
     write for them. conf_of(i, j) is its forward-backward confidence, which
     reads flow_of(j, i) too; readers threshold it into an occlusion mask at
-    their own flow.tau_occ. flow and conf hold what has been read and not
-    dropped. One bank serves every restore and metric of seq at its block
-    and search. Only the code that made a bank drops from it, each once it
-    has read a pair for the last time: restore_iter before a batch's first
-    step, temporal_consistency once a pair or triple is scored, and
-    `zsvr flow` once a pair's files are written. A bank a caller passes in
-    is never pruned.
+    their own flow.tau_occ. flow and conf hold every read, for as long as
+    the bank lives, so a bank's scope is its memory: restore_iter makes one
+    per batch, temporal_consistency one per scored pair or triple, and
+    `zsvr flow` one per written pair. One bank may also serve every restore
+    and metric of seq at its block and search.
     """
 
     seq: FrameSequence
@@ -202,13 +201,6 @@ class FlowBank:
             self.conf[(i, j)] = flowmod.fb_confidence(self.flow_of(i, j), self.flow_of(j, i))
         return self.conf[(i, j)]
 
-    def drop(self, i: int, j: int) -> None:
-        """Forget the flows (i, j) and (j, i) and both confidences; a later
-        read estimates them again."""
-        for key in ((i, j), (j, i)):
-            self.flow.pop(key, None)
-            self.conf.pop(key, None)
-
 
 def _check_bank(bank: FlowBank, config: RestoreConfig, diff: list[str]) -> None:
     """Raise unless diff (how bank's frames differ from the caller's) is empty
@@ -219,30 +211,38 @@ def _check_bank(bank: FlowBank, config: RestoreConfig, diff: list[str]) -> None:
         raise ValueError(f"flow bank does not match: {'; '.join(diff)}")
 
 
-def _needed_pairs(plan: BatchPlan, chain: bool) -> set[tuple[int, int]]:
-    """The pairs (i, j) whose flow and confidence restore reads: each batch
-    member with its keyframe (star propagation and flow-guided merging) and,
-    if chain (latent warping runs in some step), each keyframe with the
-    previous batch's keyframe."""
-    pairs = set(zip(plan.keyframe_of[1:], plan.keyframe_of)) if chain else set()
-    for b, (start, end) in enumerate(plan.batches):
-        kf = plan.keyframe_of[b]
+def _needed_pairs(plan: BatchPlan, chain: bool, batch: int | None = None) -> set[tuple[int, int]]:
+    """The pairs (i, j) whose flow and confidence restore reads in batch, an
+    index into plan, or in every batch if batch is None: each batch member
+    with its keyframe (star propagation and flow-guided merging) and, if
+    chain (latent warping runs in some step), each keyframe with the
+    previous batch's keyframe. No pair is read in two batches."""
+    pairs = set()
+    for b in range(len(plan.batches)) if batch is None else (batch,):
+        (start, end), kf = plan.batches[b], plan.keyframe_of[b]
         pairs.update((m, kf) for m in range(start, end) if m != kf)
+        if chain and b > 0:
+            pairs.add((kf, plan.keyframe_of[b - 1]))
     return pairs
 
 
-def precompute_flows(seq: FrameSequence, config: RestoreConfig) -> FlowBank:
+def precompute_flows(
+    seq: FrameSequence, config: RestoreConfig, batch: int | None = None, plan: BatchPlan | None = None
+) -> FlowBank:
     """A FlowBank of seq that has read every pair a restore under config can
-    read: each batch member with its keyframe and, only if latent warping
-    runs, each keyframe with the previous one.
+    read in batch, an index into plan, or in every batch if batch is None:
+    each batch member with its keyframe and, only if latent warping runs,
+    each keyframe with the previous one. plan, config's plan of seq, is made
+    here unless given, as restore_iter gives it so as not to plan per batch.
 
     The reads are eager, not left to restore, so that each flow is estimated
     here: perfbench checks the estimate_flow calls made inside this function
-    against len(bank.flow). Each pair's confidence estimates both directions.
+    against len(bank.flow), summed over its calls; no two batches read the
+    same pair. Each pair's confidence estimates both directions.
     """
     bank = FlowBank(seq, config.flow_block, config.flow_search)
-    plan = plan_batches(len(seq), config.batch_size, config.seed)
-    for i, j in sorted(_needed_pairs(plan, config.hlw_until > 0)):
+    plan = plan or plan_batches(len(seq), config.batch_size, config.seed)
+    for i, j in sorted(_needed_pairs(plan, config.hlw_until > 0, batch)):
         bank.conf_of(i, j)
     return bank
 
@@ -305,13 +305,13 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
     (batch frames, h / latent_scale, w / latent_scale, 3). bank, if given,
     must hold seq itself and config's flow.block and flow.search; the pairs
     it has not read yet are estimated as restore reads them, and it keeps
-    every pair. Without one, precompute_flows builds the bank when a step
-    reads flows, and each batch drops its pairs from it once it has read
-    them, before its first denoising step, as no later step or batch reads
-    them. Being a generator, it checks frame size and bank at the first
-    next(), and then, when a cosine merge pass will run, builds each
-    content grid's spatial table, kept until the restore ends, before any
-    flow is estimated.
+    every pair. Without one, when a step reads flows, each batch makes its
+    own bank of only its pairs with precompute_flows, and lets it go once it
+    has read them, before its first denoising step, so restore holds at
+    most one batch's flows at any length. Being a generator, it checks
+    frame size and bank at the first next(), and then, when a cosine merge
+    pass will run, builds each content grid's spatial table, kept until the
+    restore ends, before any flow is estimated.
     """
     hlw_on, ratios = step_plan(config)
     h, w, _ = seq.shape
@@ -332,8 +332,6 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
     ts = toydiff.step_indices(config.steps)
     warps = any(hlw_on)
     own_bank = bank is None and (warps or flow_merges)
-    if own_bank:
-        bank = precompute_flows(seq, config)
     denoiser = ToyDenoiser(config.seed)
     latent = grids[0]
     # Masks are the bank's confidences thresholded at this config's flow.tau_occ.
@@ -344,7 +342,7 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
     # The keyframe chain: the previous batch's keyframe and its post-chain x0
     # at each latent-warping step, the only state that crosses batches.
     prev_kf, prev_x0s = None, iter(())
-    for (start, stop), kf in zip(plan.batches, plan.keyframe_of):
+    for b, ((start, stop), kf) in enumerate(zip(plan.batches, plan.keyframe_of)):
         frames, kf_off = range(start, stop), kf - start
         members = [f for f in frames if f != kf]
 
@@ -352,6 +350,7 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
         eps0 = np.stack([frame_noise(config.seed, f, (*latent, 3)) for f in frames])
         x = toydiff.forward_diffuse(x0s, ts[0], eps0)
 
+        bank = precompute_flows(seq, config, b, plan) if own_bank else bank
         # Every bank read of the batch: member flows resampled once per grid
         # that reads them, star masks, the chain's flow and mask, merge
         # confidences. The flow-guided matches are fixed for the batch.
@@ -370,11 +369,8 @@ def restore_iter(seq: FrameSequence, config: RestoreConfig, bank: FlowBank | Non
             )
             for g in merge_grids
         }
-        if own_bank:  # every read of the batch's pairs is made, and no later batch reads them
-            for m in members:
-                bank.drop(m, kf)
-            if prev_kf is not None:
-                bank.drop(kf, prev_kf)
+        if own_bank:  # every read of the batch's pairs is made: denoise without them
+            bank = None
 
         kf_x0s = []
         for pos, (t, t_prev) in enumerate(zip(ts, ts[1:] + [None])):
@@ -421,43 +417,41 @@ def temporal_consistency(
     """E_warp and E_inter per-item arrays for a sequence.
 
     Adjacent and skip-one flows (and occlusion masks for E_warp) are read
-    from flow_source: a FlowBank, or frames to estimate a fresh one from,
-    by default the measured sequence itself. Pass the LQ input's bank to
-    score restored variants under identical flows, each estimated once; it
-    keeps every flow read. A bank made here from frames scores one pair or
-    triple at a time, in one sweep over the frames, and drops its flows
-    once scored, so it holds a constant number of flows at any length. The
-    bank's frames must have seq's count and shape, checked before any flow
-    is estimated.
+    from flow_source: a FlowBank, or frames to estimate flows from, by
+    default the measured sequence itself. Pass the LQ input's bank to score
+    restored variants under identical flows, each estimated once; it keeps
+    every flow read. From frames, each pair or triple is scored on a bank
+    of its own, in one sweep over the frames, so a constant number of flows
+    is held at any length. The flow source's frames must have seq's count
+    and shape, checked before any flow is estimated.
     """
     own_bank = not isinstance(flow_source, FlowBank)
     if own_bank:
-        src = flow_source if flow_source is not None else seq
-        bank, where = FlowBank(src, config.flow_block, config.flow_search), "flow_source"
+        theirs, where = flow_source if flow_source is not None else seq, "flow_source"
     else:
-        bank, where = flow_source, "the bank"
-    n, theirs = len(seq), bank.seq
+        theirs, where = flow_source.seq, "the bank"
+    n = len(seq)
     diff = [f"{len(theirs)} frames in {where}, {n} here"] if len(theirs) != n else []
     if theirs.shape != seq.shape:
         diff.append(f"frames of {theirs.shape} in {where}, of {seq.shape} here")
     if not own_bank:
-        _check_bank(bank, config, diff)
+        _check_bank(flow_source, config, diff)
     elif diff:  # a bank made here has config's settings
         raise ValueError(f"flow_source does not match: {'; '.join(diff)}")
+    # a bank made here serves one pair or triple
+    fresh = lambda: FlowBank(theirs, config.flow_block, config.flow_search)
     value = lambda i: float_frame(seq.frames[i])
     e_warp, e_inter = [], []
     for t in range(1, n):
+        bank = fresh() if own_bank else flow_source
         mask = flowmod.occlusion_mask(bank.conf_of(t, t - 1), config.flow_tau_occ)
         flow = bank.flow_of(t, t - 1)
         e_warp.append(metrics.warping_error(value(t - 1), value(t), flow, mask))
-        if own_bank:
-            bank.drop(t, t - 1)
         if t < 2:
             continue
+        bank = fresh() if own_bank else flow_source
         fwd, bwd = bank.flow_of(t, t - 2), bank.flow_of(t - 2, t)
         e_inter.append(metrics.interpolation_error(value(t - 2), value(t - 1), value(t), fwd, bwd))
-        if own_bank:
-            bank.drop(t, t - 2)
     return e_warp, e_inter
 
 

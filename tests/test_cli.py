@@ -143,19 +143,27 @@ def test_flow_command_outputs(tmp_path):
     assert conf.min() > 0.0 and conf.max() <= 1.0
 
 
-def test_flow_command_drops_each_pair_once_written(tmp_path, monkeypatch):
-    # at each write the bank holds at most the written pair's two flows and
-    # its confidence, each flow is estimated once, and a run that keeps
-    # every pair writes the same bytes
+def test_flow_command_writes_each_pair_from_its_own_bank(tmp_path, monkeypatch):
+    # each pair's files are written from a bank of its own, which holds
+    # that pair alone, each flow is estimated once, and a run that reads
+    # every pair from one bank writes the same bytes
     n = 5
     in_dir, _, _ = _write_video(tmp_path, n=n)
     args = ["flow", "--in", str(in_dir), "--block", "5", "--search", "2", "--out"]
-    kept = tmp_path / "kept"
-    with monkeypatch.context() as mp:
-        mp.setattr(pipeline.FlowBank, "drop", lambda self, i, j: None)
-        assert main(args + [str(kept)]) == 0
-    banks, held, calls = [], [], []
     make_bank, estimate = pipeline.FlowBank, pipeline.flowmod.estimate_flow
+    shared = []
+
+    def one_bank(*a):
+        if not shared:
+            shared.append(make_bank(*a))
+        return shared[0]
+
+    one = tmp_path / "one"
+    with monkeypatch.context() as mp:
+        mp.setattr(pipeline, "FlowBank", one_bank)
+        assert main(args + [str(one)]) == 0
+    assert len(shared[0].flow) == 2 * (n - 1)
+    banks, held, calls = [], [], []
     write_flo, write_raw_tensor = mediaio.write_flo, mediaio.write_raw_tensor
 
     def bank(*a):
@@ -164,7 +172,7 @@ def test_flow_command_drops_each_pair_once_written(tmp_path, monkeypatch):
 
     def holding(write):
         def spy(arr, path):
-            held.append((sorted(banks[0].flow), sorted(banks[0].conf)))
+            held.append((len(banks), sorted(banks[-1].flow), sorted(banks[-1].conf)))
             write(arr, path)
         return spy
 
@@ -174,15 +182,14 @@ def test_flow_command_drops_each_pair_once_written(tmp_path, monkeypatch):
     monkeypatch.setattr(mediaio, "write_raw_tensor", holding(write_raw_tensor))
     assert main(args + [str(tmp_path / "flows")]) == 0
     assert len(calls) == 2 * (n - 1)
-    # the .flo write holds its flow; the .rtf write its confidence and the
-    # two flows that confidence reads
+    # pair t is written from bank t + 1: the .flo write holds its flow, the
+    # .rtf write its confidence and the two flows that confidence reads
     assert held == [
         entry
         for t in range(n - 1)
-        for entry in (([(t + 1, t)], []), ([(t, t + 1), (t + 1, t)], [(t + 1, t)]))
+        for entry in ((t + 1, [(t + 1, t)], []), (t + 1, [(t, t + 1), (t + 1, t)], [(t + 1, t)]))
     ]
-    assert banks[0].flow == {} and banks[0].conf == {}
-    assert _tree(tmp_path / "flows") == _tree(kept)
+    assert _tree(tmp_path / "flows") == _tree(one)
 
 
 def test_flow_failure_leaves_out_untouched(tmp_path, monkeypatch, capsys):

@@ -412,21 +412,6 @@ def test_restore_rejects_bank_built_on_other_frames(monkeypatch):
     _rejects(monkeypatch, lq, small_config(flow_search=3), pipeline.FlowBank(other, 7, 4), match)
 
 
-def test_bank_drop_forgets_both_directions():
-    lq = small_video(n=3)
-    bank = pipeline.FlowBank(lq, 7, 4)
-    fwd, conf = bank.flow_of(2, 0).copy(), bank.conf_of(1, 0).copy()
-    bank.conf_of(0, 1)
-    bank.drop(0, 1)
-    assert bank.flow.keys() == {(2, 0)} and not bank.conf
-    bank.drop(2, 0)
-    bank.drop(2, 0)  # dropping what the bank does not hold is a no-op
-    assert not bank.flow
-    # a dropped pair read again is estimated again, to the same values
-    assert np.array_equal(bank.flow_of(2, 0), fwd)
-    assert np.array_equal(bank.conf_of(1, 0), conf)
-
-
 def _batch_pairs(plan, b):
     """Both directions of every pair batch b of plan reads."""
     kf = plan.keyframe_of[b]
@@ -437,20 +422,28 @@ def _batch_pairs(plan, b):
     return pairs | {(j, i) for i, j in pairs}
 
 
-def test_restore_frees_each_finished_batch(monkeypatch):
-    # the bank restore builds itself holds no pair of a batch once that
-    # batch is yielded; a later batch's pairs stay until it is done
-    lq = small_video(n=7)  # batches of 3, 3 and 1
-    cfg = small_config()
-    plan = plan_batches(len(lq), cfg.batch_size, cfg.seed)
+def _spy_banks(monkeypatch):
+    """Record each bank precompute_flows returns, as (weak reference, flows
+    held, confidences held) when it is returned."""
     built = []
     precompute = pipeline.precompute_flows
 
-    def spy(seq, config):
-        built.append(precompute(seq, config))
-        return built[-1]
+    def spy(*args):
+        bank = precompute(*args)
+        built.append((weakref.ref(bank), set(bank.flow), set(bank.conf)))
+        return bank
 
     monkeypatch.setattr(pipeline, "precompute_flows", spy)
+    return built
+
+
+def test_restore_frees_each_finished_batch(monkeypatch):
+    # restore makes batch b's own bank after batch b - 1 is yielded, of
+    # batch b's pairs alone, and lets it go before batch b is yielded
+    lq = small_video(n=7)  # batches of 3, 3 and 1
+    cfg = small_config()
+    plan = plan_batches(len(lq), cfg.batch_size, cfg.seed)
+    built = _spy_banks(monkeypatch)
     estimated = []
     estimate = flowmod.estimate_flow
 
@@ -462,13 +455,11 @@ def test_restore_frees_each_finished_batch(monkeypatch):
     got = []
     for b, latents in enumerate(pipeline.restore_iter(lq, cfg)):
         got.append(latents)
-        (bank,) = built
-        for done in range(b + 1):
-            pairs = _batch_pairs(plan, done)
-            assert not pairs & bank.flow.keys() and not pairs & bank.conf.keys()
-        for later in range(b + 1, len(plan.batches)):
-            assert _batch_pairs(plan, later) <= bank.flow.keys()
-    assert not bank.flow and not bank.conf
+        assert len(built) == b + 1
+        ref, flows, confs = built[b]
+        assert ref() is None  # nothing of the generator holds it past its reads
+        assert flows == _batch_pairs(plan, b)
+        assert confs | {(j, i) for i, j in confs} == flows and 2 * len(confs) == len(flows)
     # each flow estimated once, in precompute_flows; the output is a caller bank's
     needed = pipeline._needed_pairs(plan, True)
     assert len(estimated) == len(needed | {(j, i) for i, j in needed})
@@ -479,35 +470,32 @@ def test_restore_frees_each_finished_batch(monkeypatch):
     assert caller.flow == held  # a caller's bank is never pruned
 
 
-def test_restore_drops_a_batchs_pairs_before_it_denoises(monkeypatch):
-    # a batch reads its pairs once, before its first step, so the bank
-    # restore builds itself holds none of them while the batch denoises;
-    # a later batch's pairs stay until that batch has read them
+def test_restore_holds_no_bank_while_a_batch_denoises(monkeypatch):
+    # the first next() estimates batch 0's flows alone, and batch b denoises
+    # after its own bank of batch b's pairs is built and let go
     lq = small_video(n=7)  # batches of 3, 3 and 1
     cfg = small_config()
     plan = plan_batches(len(lq), cfg.batch_size, cfg.seed)
-    built, held = [], []
-    precompute, step = pipeline.precompute_flows, toydiff.denoise_step
-
-    def spy(seq, config):
-        built.append(precompute(seq, config))
-        return built[-1]
+    built = _spy_banks(monkeypatch)
+    estimated, held = [], []
+    estimate, step = flowmod.estimate_flow, toydiff.denoise_step
 
     def record(*args):
-        (bank,) = built
-        held.append((set(bank.flow), set(bank.conf)))
+        held.append([(flows, ref() is not None) for ref, flows, _ in built])
         return step(*args)
 
-    monkeypatch.setattr(pipeline, "precompute_flows", spy)
+    monkeypatch.setattr(flowmod, "estimate_flow", lambda *a: estimated.append(a) or estimate(*a))
     monkeypatch.setattr(toydiff, "denoise_step", record)
-    for _ in pipeline.restore_iter(lq, cfg):
+    batches = pipeline.restore_iter(lq, cfg)
+    next(batches)
+    assert len(estimated) == len(_batch_pairs(plan, 0)) < 2 * len(pipeline._needed_pairs(plan, True))
+    for _ in batches:
         pass
     assert len(held) == len(plan.batches) * cfg.steps
-    for k, (flows, confs) in enumerate(held):
+    for k, banks in enumerate(held):
         b = k // cfg.steps
-        assert not _batch_pairs(plan, b) & (flows | confs)
-        for later in range(b + 1, len(plan.batches)):
-            assert _batch_pairs(plan, later) <= flows
+        assert [alive for _, alive in banks] == [False] * (b + 1)
+        assert banks[b][0] == _batch_pairs(plan, b)
 
 
 def test_restore_accepts_bank_of_another_plan():
@@ -821,10 +809,17 @@ def test_restore_refuses_an_oversized_spatial_table_before_any_flow(monkeypatch)
     variants = pipeline.CORRESPONDENCE_VARIANTS
     for kw in (
         *(variants[v] for v in ("flow_flow", "cos_flow", "cos_cos")),
-        dict(tome_until=0.0), dict(tome_r=0.0), dict(batch_size=1),
+        dict(tome_until=0.0), dict(tome_r=0.0),
     ):
         with pytest.raises(AssertionError, match="flow estimated"):
             next(pipeline.restore_iter(lq, replace(cfg, **kw)))
+    # one-frame batches read no flow until batch 1's keyframe chain; a stand-in
+    # denoiser gets there, as batch 0's 16512-token attention takes seconds
+    monkeypatch.setattr(toydiff, "denoise_step", lambda x, *args: (x.copy(), np.zeros_like(x)))
+    batches = pipeline.restore_iter(lq, replace(cfg, batch_size=1))
+    next(batches)
+    with pytest.raises(AssertionError, match="flow estimated"):
+        next(batches)
 
 
 @pytest.mark.parametrize("h, w, scale, refused", [
@@ -1068,6 +1063,8 @@ def test_restore_iter_edge_inputs_property(case):
     assert [b.shape for b in batches] == [(stop - start, *latent) for start, stop in plan.batches]
     full = pipeline.restore_latents(lq, cfg)
     assert np.array_equal(np.concatenate(batches), full)
+    # own per-batch banks restore as one bank of the whole plan
+    assert np.array_equal(pipeline.restore_latents(lq, cfg, pipeline.precompute_flows(lq, cfg)), full)
     for m, _ in plan.batches[1:]:  # whole-batch prefixes restore as the full video's
         assert np.array_equal(pipeline.restore_latents(FrameSequence(lq.frames[:m]), cfg), full[:m])
     out = pipeline.restore(lq, cfg)
@@ -1140,7 +1137,7 @@ def test_temporal_consistency_lengths():
 
 
 def test_temporal_consistency_from_frames_holds_constant_memory(monkeypatch):
-    # a bank made from frames drops each pair once scored: the traced peak of
+    # a bank made from frames serves one pair or triple: the traced peak of
     # a 12- and a 24-frame clip stays within 4 flows of a 3-frame clip's,
     # where keeping every flow adds 4 flows and 2 confidences per frame
     cfg = small_config()
@@ -1165,6 +1162,39 @@ def test_temporal_consistency_from_frames_holds_constant_memory(monkeypatch):
             assert len(calls) == 2 * (n - 1) + 2 * (n - 2)  # each flow estimated once
 
     bound = peak(3) + 4 * 32 * 32 * 2 * 8
+    for n in (12, 24):
+        assert peak(n) <= bound, n
+
+
+def test_restore_holds_one_batchs_flows_at_any_length(monkeypatch):
+    # restore's own banks hold one batch's pairs at a time: the traced peak
+    # of a 4- and 8-batch clip stays within one batch's 6 flows of a
+    # one-batch clip's, where a bank of the whole plan adds 2 flows and a
+    # confidence per frame
+    cfg = small_config(steps=2)
+    estimate = flowmod.estimate_flow
+    calls = []
+
+    def count(*args):
+        calls.append(None)
+        return estimate(*args)
+
+    monkeypatch.setattr(flowmod, "estimate_flow", count)
+
+    def peak(n):
+        seq = small_video(n=n, h=32, w=32)
+        plan = plan_batches(n, cfg.batch_size, cfg.seed)
+        calls.clear()
+        tracemalloc.start()
+        try:
+            for _ in pipeline.restore_iter(seq, cfg):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            assert len(calls) == 2 * len(pipeline._needed_pairs(plan, True))
+
+    bound = peak(cfg.batch_size) + 6 * 32 * 32 * 2 * 8
     for n in (12, 24):
         assert peak(n) <= bound, n
 
